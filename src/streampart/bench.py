@@ -20,21 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO
 
-from .core import StreamStats, as_fraction
+from .core import StreamStats
+from .feasibility import PART_MODE
 from .generators import GeneratorSpec
 from .oracle import opt_bottleneck_binsearch
-from .schedulers import (
-    KNOWN_MAX_LENGTH_TAG,
-    KNOWN_MAX_TAG,
-    KNOWN_TOTAL_TAG,
-    UNKNOWN_TAG,
-    SolveResult,
-    solve_known_max,
-    solve_known_max_length,
-    solve_known_total,
-    solve_unknown_part,
-    solve_unknown_partb,
-)
+from .schedulers import UNKNOWN_TAG, KnowledgeProfile, SolveResult, checked_args, solve_tagged
 
 BENCH_CSV_HEADER = [
     "kind",
@@ -113,46 +103,31 @@ class BenchRecord:
         ]
 
 
-def _solve_row(weights: list[int], stats: StreamStats, algorithm: str, num_blocks: int,
-               epsilon: Fraction | None, mode: str) -> SolveResult:
-    stream = iter(weights)
-    if algorithm == KNOWN_TOTAL_TAG:
-        return solve_known_total(stream, num_blocks, epsilon, stats.total_weight, mode=mode)
-    if algorithm == KNOWN_MAX_LENGTH_TAG:
-        return solve_known_max_length(
-            stream, num_blocks, epsilon, stats.max_weight, stats.length, mode=mode
-        )
-    if algorithm == KNOWN_MAX_TAG:
-        return solve_known_max(stream, num_blocks, epsilon, stats.max_weight, mode=mode)
-    if algorithm == UNKNOWN_TAG:
-        if mode == "part":
-            return solve_unknown_part(stream, num_blocks)
-        return solve_unknown_partb(stream, num_blocks)
-    raise ValueError(f"unknown algorithm tag {algorithm!r}")
-
-
 def run_bench(rows: list[dict]) -> list[BenchRecord]:
     records = []
     for row in rows:
         spec = GeneratorSpec(**row.get("generator", {}))
         algorithm = row.get("algorithm", UNKNOWN_TAG)
-        mode = row.get("mode", "part")
-        epsilon = None if row.get("epsilon") is None else as_fraction(row["epsilon"])
+        mode = row.get("mode", PART_MODE)
         num_blocks = row.get("p", 2)
-        started = time.perf_counter()
+        epsilon = result = optimum = error = None
+        elapsed = 0.0
         try:
+            epsilon = checked_args(num_blocks, mode, row.get("epsilon"))
             if spec.kind in HARD_KINDS and num_blocks != 2:
                 raise ValueError(f"generator kind {spec.kind!r} implies p = 2")
             weights = spec.make()
             stats = StreamStats.from_weights(weights)
-            result = _solve_row(weights, stats, algorithm, num_blocks, epsilon, mode)
+            profile = KnowledgeProfile(max_weight=stats.max_weight, length=stats.length,
+                                       total_weight=stats.total_weight)
+            started = time.perf_counter()
+            result = solve_tagged(algorithm, iter(weights), num_blocks, epsilon, profile,
+                                  mode=mode)
+            elapsed = time.perf_counter() - started
             optimum = opt_bottleneck_binsearch(weights, num_blocks).optimum
-            error = None
         except (ValueError, RuntimeError) as exc:
-            result = None
-            optimum = None
+            result = optimum = None
             error = str(exc)
-        elapsed = time.perf_counter() - started
         records.append(
             BenchRecord(
                 generator=spec,

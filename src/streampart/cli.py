@@ -15,17 +15,26 @@ import argparse
 import json
 import sys
 from contextlib import ExitStack
+from typing import IO
 
-from .core import as_fraction, format_weights, iter_weights
+from .core import format_weights, iter_weights
 from .generators import GeneratorSpec
 from .oracle import opt_bottleneck_binsearch, opt_bottleneck_dp
 from .schedulers import (
-    solve_known_max,
-    solve_known_max_length,
-    solve_known_total,
-    solve_unknown_part,
-    solve_unknown_partb,
+    KNOWN_MAX_LENGTH_TAG,
+    KNOWN_MAX_TAG,
+    KNOWN_TOTAL_TAG,
+    SOLVERS,
+    UNKNOWN_TAG,
+    KnowledgeProfile,
+    solve_tagged,
 )
+
+# --know choice -> the solver tag it selects
+KNOW_TAGS = {"none": UNKNOWN_TAG, "m": KNOWN_MAX_TAG, "mn": KNOWN_MAX_LENGTH_TAG,
+             "s": KNOWN_TOTAL_TAG}
+# solver argument name (see schedulers.SOLVERS) -> the `solve` flag that supplies it
+ARG_FLAGS = {"epsilon": "epsilon", "max_weight": "m", "length": "n", "total_weight": "s"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve a stream with a one-pass algorithm")
     solve.add_argument("--p", type=int, required=True, help="number of blocks")
     solve.add_argument("--mode", choices=["part", "partb"], default="part")
-    solve.add_argument("--know", choices=["none", "m", "mn", "s"], default="none")
+    solve.add_argument("--know", choices=list(KNOW_TAGS), default="none")
     solve.add_argument("--epsilon", type=str, help="accuracy parameter, e.g. 1/64")
     solve.add_argument("--m", type=int, help="declared maximum weight")
     solve.add_argument("--n", type=int, help="declared length")
@@ -74,11 +83,11 @@ class UsageError(Exception):
     """Usage problem detected after argparse; exits with status 2."""
 
 
-def _require(args: argparse.Namespace, names: list[str], context: str) -> None:
-    missing = [name for name in names if getattr(args, name) is None]
-    if missing:
-        flags = ", ".join("--" + name for name in missing)
-        raise UsageError(f"{context} requires {flags}")
+def _open_input(stack: ExitStack, path: str | None) -> IO[str]:
+    """The --input file, closed with `stack`, or stdin when no path is given."""
+    if path:
+        return stack.enter_context(open(path, "r", encoding="ascii"))
+    return sys.stdin
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -95,27 +104,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    epsilon = None if args.epsilon is None else as_fraction(args.epsilon)
+    tag = KNOW_TAGS[args.know]
+    _, names = SOLVERS[tag]
+    flags = [ARG_FLAGS[name] for name in names]
+    missing = ["--" + flag for flag in flags if getattr(args, flag) is None]
+    if missing:
+        raise UsageError(f"--know {args.know} requires {', '.join(missing)}")
+    profile = KnowledgeProfile(max_weight=args.m, length=args.n, total_weight=args.s)
     with ExitStack() as stack:
-        if args.input:
-            fp = stack.enter_context(open(args.input, "r", encoding="ascii"))
-        else:
-            fp = sys.stdin
-        stream = iter_weights(fp)
-        if args.know == "s":
-            _require(args, ["epsilon", "s"], "--know s")
-            result = solve_known_total(stream, args.p, epsilon, args.s, mode=args.mode)
-        elif args.know == "mn":
-            _require(args, ["epsilon", "m", "n"], "--know mn")
-            result = solve_known_max_length(stream, args.p, epsilon, args.m,
-                                            args.n, mode=args.mode)
-        elif args.know == "m":
-            _require(args, ["epsilon", "m"], "--know m")
-            result = solve_known_max(stream, args.p, epsilon, args.m, mode=args.mode)
-        elif args.mode == "part":
-            result = solve_unknown_part(stream, args.p)
-        else:
-            result = solve_unknown_partb(stream, args.p)
+        stream = iter_weights(_open_input(stack, args.input))
+        result = solve_tagged(tag, stream, args.p, args.epsilon, profile, mode=args.mode)
     json.dump(result.to_json_dict(), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
@@ -123,11 +121,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
-        if args.input:
-            fp = stack.enter_context(open(args.input, "r", encoding="ascii"))
-        else:
-            fp = sys.stdin
-        weights = list(iter_weights(fp))
+        weights = list(iter_weights(_open_input(stack, args.input)))
     if args.method == "dp":
         answer = opt_bottleneck_dp(weights, args.p)
     else:

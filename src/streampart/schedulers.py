@@ -104,29 +104,43 @@ class SolveResult:
         }
 
 
-def growth_steps(ratio: Fraction, target) -> int:
-    """Smallest non-negative c with ratio**c >= target, computed exactly."""
+def _exact_powers(ratio, target) -> list[Fraction]:
+    """ratio**0 .. ratio**c for the smallest c with ratio**c >= target, exactly."""
     ratio = as_fraction(ratio)
     if ratio <= 1:
         raise ValueError(f"growth ratio must exceed 1, got {ratio}")
     target = as_fraction(target)
-    steps = 0
-    power = Fraction(1)
-    while power < target:
-        power *= ratio
-        steps += 1
-    return steps
+    powers = [Fraction(1)]
+    while powers[-1] < target:
+        powers.append(powers[-1] * ratio)
+    return powers
 
 
-def _checked_mode(mode: str) -> str:
+def growth_steps(ratio: Fraction, target) -> int:
+    """Smallest non-negative c with ratio**c >= target, computed exactly."""
+    return len(_exact_powers(ratio, target)) - 1
+
+
+def checked_args(
+    num_blocks: int, mode: str = PART_MODE, epsilon=None, *, needs_epsilon: bool = False
+) -> Fraction | None:
+    """Validate the arguments the solvers share; return epsilon as a Fraction.
+
+    A float epsilon is refused: it is already a rounded binary value.
+    """
     if mode not in (PART_MODE, PARTB_MODE):
         raise ValueError(f"unknown mode {mode!r}")
-    return mode
-
-
-def _checked_epsilon(epsilon) -> Fraction:
+    if num_blocks < 2:
+        raise ValueError(f"block count must be at least 2, got {num_blocks}")
     if epsilon is None:
-        raise ValueError("epsilon is required for the approximation solvers")
+        if needs_epsilon:
+            raise ValueError("epsilon is required for the approximation solvers")
+        return None
+    if isinstance(epsilon, float):
+        raise ValueError(
+            f'epsilon must be exact, given as a string such as "1/10" or a Fraction; '
+            f"got the float {epsilon!r}"
+        )
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -136,17 +150,18 @@ def _checked_epsilon(epsilon) -> Fraction:
 def _drive(
     stream: Iterable[int],
     probes: list[ProbeInstance],
-    escalators: list[ProbeExtInstance],
+    unfailing: list[ProbeExtInstance | UnknownPartSolver],
     declared_max: int | None = None,
 ) -> tuple[int, int, int]:
-    """Feed every live instance in one pass; return (length, total, max)."""
+    """Validate each weight and feed it to every live probe and every
+    never-failing instance, in one pass; return (length, total, max)."""
     length = 0
     total = 0
     biggest = 0
     live = list(probes)
     for weight in stream:
-        if weight < 0:
-            raise ValueError(f"negative weight {weight}")
+        if type(weight) is not int or weight < 0:
+            raise ValueError(f"weights must be non-negative integers, got {weight!r}")
         if declared_max is not None and weight > declared_max:
             raise DeclaredBoundError(
                 f"element {weight} exceeds declared maximum weight {declared_max}"
@@ -162,17 +177,54 @@ def _drive(
                 lost = True
         if lost:
             live = [inst for inst in live if inst.failure is None]
-        for instance in escalators:
+        for instance in unfailing:
             instance.feed(weight)
     return length, total, biggest
 
 
-def _smallest_success(instances: list[ProbeInstance]) -> ProbeInstance:
+def _check_declarations(declared: KnowledgeProfile, length: int, total: int, biggest: int) -> None:
+    if declared.length is not None and length != declared.length:
+        raise KnowledgeMismatchError(
+            f"declared length {declared.length} but read {length} elements"
+        )
+    if declared.max_weight is not None and biggest != declared.max_weight:
+        raise KnowledgeMismatchError(
+            f"declared maximum weight {declared.max_weight} but observed {biggest}"
+        )
+    if declared.total_weight is not None and total != declared.total_weight:
+        raise KnowledgeMismatchError(
+            f"declared total weight {declared.total_weight} but the stream sums to {total}"
+        )
+
+
+def _race_grid(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str,
+               meter: SpaceMeter | None, tag: str, driver_words: int, base: Fraction,
+               target: int, declared: KnowledgeProfile) -> SolveResult:
+    """Race candidates base * (1+eps)^i for i = 0..steps(target); smallest success wins."""
+    meter = meter if meter is not None else SpaceMeter()
+    meter.charge(driver_words)
+    store = mode == PART_MODE
+    instances = [
+        ProbeInstance(base * power, num_blocks, store_separators=store, meter=meter)
+        for power in _exact_powers(1 + epsilon, target)
+    ]
+    length, total, biggest = _drive(stream, instances, [], declared.max_weight)
+    _check_declarations(declared, length, total, biggest)
     # bounds are created in increasing order, so the first survivor is smallest
     winner = next((inst for inst in instances if inst.failure is None), None)
     if winner is None:
         raise RuntimeError("no candidate bound was feasible despite verified declarations")
-    return winner
+    return SolveResult(
+        mode=mode,
+        algorithm=tag,
+        bottleneck=winner.bound,
+        separators=winner.finish(length).separators,
+        merges=None,
+        instance_count=len(instances),
+        space_peak_words=meter.peak_words,
+        elements_read=length,
+        epsilon=epsilon,
+    )
 
 
 def solve_known_total(
@@ -185,44 +237,12 @@ def solve_known_total(
     meter: SpaceMeter | None = None,
 ) -> SolveResult:
     """Candidates (total/p) * (1+eps)^i for i = 0..steps(p); smallest success wins."""
-    mode = _checked_mode(mode)
-    epsilon = _checked_epsilon(epsilon)
-    if num_blocks < 2:
-        raise ValueError(f"block count must be at least 2, got {num_blocks}")
+    epsilon = checked_args(num_blocks, mode, epsilon, needs_epsilon=True)
     if total_weight < 0:
         raise ValueError(f"declared total weight must be non-negative, got {total_weight}")
-    meter = meter if meter is not None else SpaceMeter()
-    meter.charge(KNOWN_TOTAL_DRIVER_WORDS)
-    growth = 1 + epsilon
-    count = growth_steps(growth, num_blocks) + 1
-    base = Fraction(total_weight, num_blocks)
-    bounds = []
-    power = Fraction(1)
-    for _ in range(count):
-        bounds.append(base * power)
-        power *= growth
-    instances = [
-        ProbeInstance(b, num_blocks, store_separators=(mode == PART_MODE), meter=meter)
-        for b in bounds
-    ]
-    length, total, _ = _drive(stream, instances, [])
-    if total != total_weight:
-        raise KnowledgeMismatchError(
-            f"declared total weight {total_weight} but the stream sums to {total}"
-        )
-    winner = _smallest_success(instances)
-    outcome = winner.finish(length)
-    return SolveResult(
-        mode=mode,
-        algorithm=KNOWN_TOTAL_TAG,
-        bottleneck=winner.bound,
-        separators=outcome.separators,
-        merges=None,
-        instance_count=len(instances),
-        space_peak_words=meter.peak_words,
-        elements_read=length,
-        epsilon=epsilon,
-    )
+    return _race_grid(stream, num_blocks, epsilon, mode, meter, KNOWN_TOTAL_TAG,
+                      KNOWN_TOTAL_DRIVER_WORDS, Fraction(total_weight, num_blocks),
+                      num_blocks, KnowledgeProfile(total_weight=total_weight))
 
 
 def solve_known_max_length(
@@ -236,45 +256,12 @@ def solve_known_max_length(
     meter: SpaceMeter | None = None,
 ) -> SolveResult:
     """Candidates max * (1+eps)^i for i = 0..steps(length); smallest success wins."""
-    mode = _checked_mode(mode)
-    epsilon = _checked_epsilon(epsilon)
-    if num_blocks < 2:
-        raise ValueError(f"block count must be at least 2, got {num_blocks}")
+    epsilon = checked_args(num_blocks, mode, epsilon, needs_epsilon=True)
     if max_weight < 0 or length < 0:
         raise ValueError("declared maximum and length must be non-negative")
-    meter = meter if meter is not None else SpaceMeter()
-    meter.charge(KNOWN_MAX_LENGTH_DRIVER_WORDS)
-    growth = 1 + epsilon
-    count = growth_steps(growth, max(length, 1)) + 1
-    bounds = []
-    power = Fraction(1)
-    for _ in range(count):
-        bounds.append(max_weight * power)
-        power *= growth
-    instances = [
-        ProbeInstance(b, num_blocks, store_separators=(mode == PART_MODE), meter=meter)
-        for b in bounds
-    ]
-    seen, total, biggest = _drive(stream, instances, [], declared_max=max_weight)
-    if seen != length:
-        raise KnowledgeMismatchError(f"declared length {length} but read {seen} elements")
-    if biggest != max_weight:
-        raise KnowledgeMismatchError(
-            f"declared maximum weight {max_weight} but observed {biggest}"
-        )
-    winner = _smallest_success(instances)
-    outcome = winner.finish(seen)
-    return SolveResult(
-        mode=mode,
-        algorithm=KNOWN_MAX_LENGTH_TAG,
-        bottleneck=winner.bound,
-        separators=outcome.separators,
-        merges=None,
-        instance_count=len(instances),
-        space_peak_words=meter.peak_words,
-        elements_read=seen,
-        epsilon=epsilon,
-    )
+    return _race_grid(stream, num_blocks, epsilon, mode, meter, KNOWN_MAX_LENGTH_TAG,
+                      KNOWN_MAX_LENGTH_DRIVER_WORDS, Fraction(max_weight), max(length, 1),
+                      KnowledgeProfile(max_weight=max_weight, length=length))
 
 
 def solve_known_max(
@@ -295,10 +282,7 @@ def solve_known_max(
     (1+eps) of optimal whenever it is non-trivial); escalator results are
     the fallback for the large-optimum regime where every probe fails.
     """
-    mode = _checked_mode(mode)
-    epsilon = _checked_epsilon(epsilon)
-    if num_blocks < 2:
-        raise ValueError(f"block count must be at least 2, got {num_blocks}")
+    epsilon = checked_args(num_blocks, mode, epsilon, needs_epsilon=True)
     if max_weight < 0:
         raise ValueError(f"declared maximum weight must be non-negative, got {max_weight}")
     meter = meter if meter is not None else SpaceMeter()
@@ -309,62 +293,31 @@ def solve_known_max(
 
     delta = epsilon / (1 + epsilon / 2)
     doubling_levels = growth_steps(Fraction(2), 1 / delta**2) + 1
-    ratio_growth = 1 + epsilon
-    ratio_levels = growth_steps(ratio_growth, 2) + 1
-    ratio_powers = []
-    power = Fraction(1)
-    for _ in range(ratio_levels):
-        ratio_powers.append(power)
-        power *= ratio_growth
+    ratio_powers = _exact_powers(1 + epsilon, 2)
     store = mode == PART_MODE
-    probes = []
-    for i in range(doubling_levels):
-        for j in range(ratio_levels):
-            bound = max_weight * ratio_powers[j] * (1 << i)
-            probes.append(ProbeInstance(bound, num_blocks, store_separators=store, meter=meter))
-
-    slack_growth = 1 + epsilon / 2
-    slack_levels = growth_steps(slack_growth, 2) + 1
-    escalators = []
-    power = Fraction(1)
-    for _ in range(slack_levels):
-        escalators.append(
-            ProbeExtInstance(
-                max_weight, num_blocks, power - 1, store_separators=store, meter=meter
-            )
+    probes = [
+        ProbeInstance(
+            max_weight * power * (1 << i), num_blocks, store_separators=store, meter=meter
         )
-        power *= slack_growth
+        for i in range(doubling_levels)
+        for power in ratio_powers
+    ]
+    escalators = [
+        ProbeExtInstance(max_weight, num_blocks, power - 1, store_separators=store, meter=meter)
+        for power in _exact_powers(1 + epsilon / 2, 2)
+    ]
 
     length, total, biggest = _drive(stream, probes, escalators, declared_max=max_weight)
-    if biggest != max_weight:
-        raise KnowledgeMismatchError(
-            f"declared maximum weight {max_weight} but observed {biggest}"
-        )
+    _check_declarations(KnowledgeProfile(max_weight=max_weight), length, total, biggest)
 
-    best_value: Fraction | None = None
-    best_probe: ProbeInstance | None = None
-    for instance in probes:  # scan order is lexicographic in (i, j)
-        if instance.failure is None and (best_value is None or instance.bound < best_value):
-            best_value = instance.bound
-            best_probe = instance
-    best_escalator: ProbeExtInstance | None = None
-    if best_probe is None:
-        for instance in escalators:
-            value = instance.bottleneck
-            if best_value is None or value < best_value:
-                best_value = value
-                best_escalator = instance
-    if best_probe is not None:
-        outcome = best_probe.finish(length)
-        bottleneck = best_probe.bound
-        separators = outcome.separators
-        merges = None
+    survivors = [inst for inst in probes if inst.failure is None]
+    if survivors:
+        # min keeps the first of equal bounds, i.e. the first in (i, j) order
+        winner = min(survivors, key=lambda inst: inst.bound)
+        bottleneck, separators, merges = winner.bound, winner.finish(length).separators, None
     else:
-        assert best_escalator is not None
-        ext_result = best_escalator.finish(length)
-        bottleneck = ext_result.bottleneck
-        separators = ext_result.separators
-        merges = ext_result.merges
+        ext = min(escalators, key=lambda inst: inst.bottleneck).finish(length)
+        bottleneck, separators, merges = ext.bottleneck, ext.separators, ext.merges
     return SolveResult(
         mode=mode,
         algorithm=KNOWN_MAX_TAG,
@@ -391,8 +344,7 @@ class UnknownPartSolver:
     """
 
     def __init__(self, num_blocks: int, meter: SpaceMeter | None = None) -> None:
-        if num_blocks < 2:
-            raise ValueError(f"block count must be at least 2, got {num_blocks}")
+        checked_args(num_blocks)
         self.num_blocks = num_blocks
         self.separators = [1] * (num_blocks + 1)
         self.block_weights = [0] * num_blocks
@@ -407,8 +359,7 @@ class UnknownPartSolver:
         return Fraction(2 * max(self.max_weight * self.num_blocks, self.total), self.num_blocks)
 
     def feed(self, weight: int) -> None:
-        if weight < 0:
-            raise ValueError(f"negative weight {weight}")
+        """Take one weight, already validated by the caller (see `_drive`)."""
         self.elements_read += 1
         index = self.elements_read
         self.total += weight
@@ -461,25 +412,27 @@ def solve_unknown_part(
     stream: Iterable[int], num_blocks: int, *, meter: SpaceMeter | None = None
 ) -> SolveResult:
     solver = UnknownPartSolver(num_blocks, meter)
-    for weight in stream:
-        solver.feed(weight)
+    _drive(stream, [], [solver])
     return solver.result()
 
 
 def solve_unknown_partb(
     stream: Iterable[int], num_blocks: int, *, meter: SpaceMeter | None = None
 ) -> SolveResult:
-    """Value-only 2-approximation: max(running max, total / p) + running max."""
-    if num_blocks < 2:
-        raise ValueError(f"block count must be at least 2, got {num_blocks}")
+    """Value-only 2-approximation: max(running max, total / p) + running max.
+
+    Its own loop, not `_drive`: the per-element cost of `_drive` would be a
+    sizeable share of this pass. Weights are validated the same way.
+    """
+    checked_args(num_blocks, PARTB_MODE)
     meter = meter if meter is not None else SpaceMeter()
     meter.charge(UNKNOWN_VALUE_DRIVER_WORDS)
     length = 0
     total = 0
     biggest = 0
     for weight in stream:
-        if weight < 0:
-            raise ValueError(f"negative weight {weight}")
+        if type(weight) is not int or weight < 0:
+            raise ValueError(f"weights must be non-negative integers, got {weight!r}")
         length += 1
         total += weight
         if weight > biggest:
@@ -496,6 +449,46 @@ def solve_unknown_partb(
         elements_read=length,
         epsilon=None,
     )
+
+
+def _solve_unknown(
+    stream: Iterable[int], num_blocks: int, *, mode: str, meter: SpaceMeter | None
+) -> SolveResult:
+    checked_args(num_blocks, mode)
+    solver = solve_unknown_part if mode == PART_MODE else solve_unknown_partb
+    return solver(stream, num_blocks, meter=meter)
+
+
+# tag -> (solver, the names of the arguments it takes after num_blocks:
+# "epsilon", then KnowledgeProfile fields in the solver's positional order)
+SOLVERS = {
+    KNOWN_TOTAL_TAG: (solve_known_total, ("epsilon", "total_weight")),
+    KNOWN_MAX_LENGTH_TAG: (solve_known_max_length, ("epsilon", "max_weight", "length")),
+    KNOWN_MAX_TAG: (solve_known_max, ("epsilon", "max_weight")),
+    UNKNOWN_TAG: (_solve_unknown, ()),
+}
+
+
+def solve_tagged(
+    tag: str,
+    stream: Iterable[int],
+    num_blocks: int,
+    epsilon,
+    profile: KnowledgeProfile,
+    *,
+    mode: str = PART_MODE,
+    meter: SpaceMeter | None = None,
+) -> SolveResult:
+    """Run the solver registered under `tag`, handing it epsilon and the
+    declarations it takes from `profile`; other declarations are ignored."""
+    if tag not in SOLVERS:
+        raise ValueError(f"unknown algorithm tag {tag!r}")
+    solver, names = SOLVERS[tag]
+    given = {"epsilon": epsilon, **vars(profile)}
+    missing = [name for name in names if given[name] is None]
+    if missing:
+        raise ValueError(f"{tag} requires {', '.join(missing)}")
+    return solver(stream, num_blocks, *(given[name] for name in names), mode=mode, meter=meter)
 
 
 def dispatch(
@@ -515,15 +508,10 @@ def dispatch(
     by calling it directly. With no declarations the 2-approximation runs,
     picking the separator or value-only variant from `mode`.
     """
-    mode = _checked_mode(mode)
     if profile.total_weight is not None:
-        return solve_known_total(
-            stream, num_blocks, epsilon, profile.total_weight, mode=mode, meter=meter
-        )
-    if profile.max_weight is not None:
-        return solve_known_max(
-            stream, num_blocks, epsilon, profile.max_weight, mode=mode, meter=meter
-        )
-    if mode == PART_MODE:
-        return solve_unknown_part(stream, num_blocks, meter=meter)
-    return solve_unknown_partb(stream, num_blocks, meter=meter)
+        tag = KNOWN_TOTAL_TAG
+    elif profile.max_weight is not None:
+        tag = KNOWN_MAX_TAG
+    else:
+        tag = UNKNOWN_TAG
+    return solve_tagged(tag, stream, num_blocks, epsilon, profile, mode=mode, meter=meter)

@@ -123,3 +123,18 @@ def test_record_ratio_edge_cases():
         [{"generator": {"kind": "constant", "n": 3, "m": 0}, "mode": "partb", "p": 2}]
     )[0]
     assert zero.oracle_optimum == 0 and zero.ratio == 1.0
+
+
+def test_run_bench_bad_epsilon_is_a_row_error():
+    generator = {"kind": "uniform", "n": 5, "m": 2}
+    records = run_bench(
+        [
+            {"generator": generator, "algorithm": "known-S", "epsilon": "abc"},
+            {"generator": generator, "algorithm": "known-S", "epsilon": 0.1},
+            {"generator": generator, "algorithm": "known-S", "epsilon": "1/10"},
+        ]
+    )
+    assert "Invalid literal for Fraction" in records[0].error
+    assert records[0].result is None and records[0].epsilon is None
+    assert "1/10" in records[1].error and records[1].result is None
+    assert records[2].error is None and str(records[2].epsilon) == "1/10"

@@ -272,3 +272,37 @@ def test_result_serialization_shape():
 def test_profile_validation():
     with pytest.raises(ValueError):
         KnowledgeProfile(max_weight=-1)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(3, 2), True])
+def test_non_integer_weights_rejected_at_ingress(bad):
+    weights = [1, bad, 1]
+    solvers = [
+        lambda s: solve_known_total(s, 2, "1/2", 3),
+        lambda s: solve_known_max_length(s, 2, "1/2", 2, 3),
+        lambda s: solve_known_max(s, 2, "1/64", 2),
+        lambda s: solve_unknown_part(s, 2),
+        lambda s: solve_unknown_partb(s, 2),
+        lambda s: dispatch(s, 2, None, KnowledgeProfile()),
+    ]
+    for solve in solvers:
+        with pytest.raises(ValueError, match="non-negative integers"):
+            solve(iter(weights))
+    # a float stream must not decide the answer, even when its sum matches
+    with pytest.raises(ValueError):
+        solve_known_total(iter([1.5, 2.5, 1.0]), 2, "1/2", 5)
+
+
+def test_float_epsilon_rejected():
+    solvers = [
+        lambda eps: solve_known_total(iter([1, 2]), 2, eps, 3),
+        lambda eps: solve_known_max_length(iter([1, 2]), 2, eps, 2, 2),
+        lambda eps: solve_known_max(iter([1, 2]), 2, eps, 2, mode="partb"),
+        lambda eps: dispatch(iter([1, 2]), 2, eps, KnowledgeProfile(total_weight=3)),
+    ]
+    for solve in solvers:
+        with pytest.raises(ValueError, match=r'"1/10".*Fraction'):
+            solve(0.1)
+        for exact in ("1/10", Fraction(1, 10)):
+            assert solve(exact).epsilon == Fraction(1, 10)
+        assert solve(1).epsilon == 1
