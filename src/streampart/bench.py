@@ -21,10 +21,10 @@ from fractions import Fraction
 from typing import IO
 
 from .core import StreamStats
-from .feasibility import PART_MODE
+from .feasibility import PART_MODE, checked_args
 from .generators import GeneratorSpec
 from .oracle import opt_bottleneck_binsearch
-from .schedulers import UNKNOWN_TAG, KnowledgeProfile, SolveResult, checked_args, solve_tagged
+from .schedulers import UNKNOWN_TAG, KnowledgeProfile, SolveResult, solve_tagged
 
 BENCH_CSV_HEADER = [
     "kind",
@@ -56,7 +56,7 @@ HARD_KINDS = ("yz", "index")
 
 @dataclass
 class BenchRecord:
-    generator: GeneratorSpec
+    generator: GeneratorSpec | None  # None when the row's generator fields are malformed
     num_blocks: int
     mode: str
     algorithm: str
@@ -75,16 +75,10 @@ class BenchRecord:
         return float(self.result.bottleneck / self.oracle_optimum)
 
     def to_csv_row(self) -> list:
-        spec = self.generator
         result = self.result
         return [
-            spec.kind,
-            spec.n,
-            spec.m,
-            spec.t,
-            spec.i,
-            spec.bits,
-            spec.seed,
+            *(getattr(self.generator, name, None)
+              for name in ("kind", "n", "m", "t", "i", "bits", "seed")),
             self.num_blocks,
             self.mode,
             self.algorithm,
@@ -106,13 +100,16 @@ class BenchRecord:
 def run_bench(rows: list[dict]) -> list[BenchRecord]:
     records = []
     for row in rows:
-        spec = GeneratorSpec(**row.get("generator", {}))
         algorithm = row.get("algorithm", UNKNOWN_TAG)
         mode = row.get("mode", PART_MODE)
         num_blocks = row.get("p", 2)
-        epsilon = result = optimum = error = None
+        spec = epsilon = result = optimum = error = None
         elapsed = 0.0
         try:
+            try:
+                spec = GeneratorSpec(**row.get("generator", {}))
+            except TypeError as exc:  # unknown or missing generator fields
+                raise ValueError(str(exc)) from None
             epsilon = checked_args(num_blocks, mode, row.get("epsilon"))
             if spec.kind in HARD_KINDS and num_blocks != 2:
                 raise ValueError(f"generator kind {spec.kind!r} implies p = 2")

@@ -41,9 +41,17 @@ class InfeasibleBoundError(ValueError):
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce int, str ("1/2", "0.25"), float, or Fraction to an exact Fraction."""
+    """Coerce int, str ("1/2", "0.25"), or Fraction to an exact Fraction.
+
+    A float is refused: it is already a rounded binary value.
+    """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, float):
+        raise ValueError(
+            f'exact values are given as a string such as "1/10" or a Fraction; '
+            f"got the float {value!r}"
+        )
     return Fraction(value)
 
 

@@ -7,16 +7,21 @@ moment a single element exceeds the floored bound, or the moment an element
 would open one block more than allowed. Success for integer bounds is
 exactly equivalent to the bound being at least the offline optimum, which is
 what makes racing several of these instances a search procedure.
+
+The module also holds what every entry point shares: `checked_args` (block
+count, mode, epsilon), `_drive` (the one weight ingress) and `greedy_cuts`,
+the same packing over a whole list's prefix sums.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import SpaceMeter, as_fraction, floor_fraction
+from .core import DeclaredBoundError, SpaceMeter, as_fraction, floor_fraction
 
 # element index, block ordinal, block weight, threshold
 PROBE_STATE_WORDS = 4
@@ -35,6 +40,57 @@ class ProbeOutcome:
     success: bool
     failure: ProbeFailure | None = None
     separators: tuple[int, ...] | None = None
+
+
+def checked_args(
+    num_blocks: int, mode: str = PART_MODE, epsilon=None, *, needs_epsilon: bool = False
+) -> Fraction | None:
+    """Validate the arguments every public entry point shares; return
+    epsilon as a Fraction (a float epsilon is refused by `as_fraction`)."""
+    if mode not in (PART_MODE, PARTB_MODE):
+        raise ValueError(f"unknown mode {mode!r}")
+    if type(num_blocks) is not int:
+        raise ValueError(f"block count must be an int, got {num_blocks!r}")
+    if num_blocks < 2:
+        raise ValueError(f"block count must be at least 2, got {num_blocks}")
+    if epsilon is None:
+        if needs_epsilon:
+            raise ValueError("epsilon is required for the approximation solvers")
+        return None
+    epsilon = as_fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    return epsilon
+
+
+def pad_separators(interior: Sequence[int], num_blocks: int, length: int) -> tuple[int, ...]:
+    """Full separator tuple from the recorded block openings; blocks that
+    were never opened are empty and sit past the stream end."""
+    return (1, *interior, *([length + 1] * (num_blocks - len(interior))))
+
+
+def greedy_cuts(
+    prefix: Sequence[int], threshold: int, num_blocks: int
+) -> list[int] | ProbeFailure:
+    """Greedy maximal packing of a whole list, given its prefix sums
+    (``prefix[0] = 0``, ``prefix[k]`` = sum of the first k elements).
+
+    Returns the 1-based indices of the elements that open blocks 2, 3, ...,
+    or the `ProbeFailure` a `ProbeInstance` with the same threshold would
+    report. Each block costs one binary search.
+    """
+    length = len(prefix) - 1
+    cuts: list[int] = []
+    end = 0  # elements 1..end are packed
+    while True:
+        end = bisect_right(prefix, prefix[end] + threshold, end) - 1
+        if end == length:
+            return cuts
+        if prefix[end + 1] - prefix[end] > threshold:
+            return ProbeFailure.ELEMENT_EXCEEDS_THRESHOLD
+        if len(cuts) == num_blocks - 1:
+            return ProbeFailure.PARTITIONS_EXHAUSTED
+        cuts.append(end + 1)
 
 
 class ProbeInstance:
@@ -64,11 +120,10 @@ class ProbeInstance:
         store_separators: bool = True,
         meter: SpaceMeter | None = None,
     ) -> None:
+        checked_args(num_blocks)
         bound = as_fraction(bound)
         if bound < 0:
             raise ValueError(f"bound must be non-negative, got {bound}")
-        if num_blocks < 2:
-            raise ValueError(f"block count must be at least 2, got {num_blocks}")
         self.bound: Fraction = bound
         self.threshold_floor = floor_fraction(bound)
         self.num_blocks = num_blocks
@@ -86,6 +141,7 @@ class ProbeInstance:
     def alive(self) -> bool:
         return self.failure is None
 
+    # apart from ProbeExtInstance.feed: one inherited feed ran known-m-grid ~21% slower
     def feed(self, weight: int) -> None:
         if self.failure is not None:
             raise RuntimeError("cannot feed a failed probe instance")
@@ -115,8 +171,7 @@ class ProbeInstance:
             return ProbeOutcome(False, failure=self.failure)
         if self.separators is None:
             return ProbeOutcome(True)
-        padding = self.num_blocks - 1 - len(self.separators)
-        separators = (1, *self.separators, *([fed + 1] * (padding + 1)))
+        separators = pad_separators(self.separators, self.num_blocks, fed)
         return ProbeOutcome(True, separators=separators)
 
 
@@ -128,17 +183,54 @@ def probe_run(
     mode: str = PART_MODE,
     meter: SpaceMeter | None = None,
 ) -> ProbeOutcome:
-    """Run a single probe over a whole stream (stops early once failed)."""
-    if mode not in (PART_MODE, PARTB_MODE):
-        raise ValueError(f"unknown mode {mode!r}")
+    """Run a single probe over a whole stream.
+
+    The stream is read to its end, and every weight checked, even after the
+    probe has failed.
+    """
+    checked_args(num_blocks, mode)
     instance = ProbeInstance(
         bound, num_blocks, store_separators=(mode == PART_MODE), meter=meter
     )
-    for weight in stream:
-        instance.feed(weight)
-        if instance.failure is not None:
-            break
+    _drive(stream, [instance], [])
     return instance.finish()
+
+
+def _drive(
+    stream: Iterable[int],
+    probes: list[ProbeInstance],
+    unfailing: list,
+    declared_max: int | None = None,
+) -> tuple[int, int, int]:
+    """The one ingress for weights: validate each weight and feed it to every
+    live probe and every never-failing instance (anything with a `feed`
+    method), in one pass; return (length, total, max)."""
+    length = 0
+    total = 0
+    biggest = 0
+    live = list(probes)
+    for weight in stream:
+        if type(weight) is not int or weight < 0:
+            raise ValueError(f"weights must be non-negative integers, got {weight!r}")
+        if declared_max is not None and weight > declared_max:
+            raise DeclaredBoundError(
+                f"element {weight} exceeds declared maximum weight {declared_max}"
+            )
+        length += 1
+        total += weight
+        if weight > biggest:
+            biggest = weight
+        # two loops, not one over both lists: a single mixed loop was slower
+        lost = False
+        for instance in live:
+            instance.feed(weight)
+            if instance.failure is not None:
+                lost = True
+        if lost:
+            live = [inst for inst in live if inst.failure is None]
+        for instance in unfailing:
+            instance.feed(weight)
+    return length, total, biggest
 
 
 def greedy_maximality_check(weights: Sequence[int], outcome: ProbeOutcome, bound) -> bool:

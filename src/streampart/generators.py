@@ -116,6 +116,12 @@ class GeneratorSpec:
     bits: str | None = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("n", "m", "t", "i", "seed"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not int:
+                raise ValueError(f"generator field {name} must be an int, got {value!r}")
+
     def make(self) -> list[int]:
         if self.kind == "uniform":
             self._need(n=self.n, m=self.m)

@@ -2,16 +2,19 @@
 
 The binary-search oracle walks the closed sandwich interval
 ``[max(ceil(S/p), m), floor((S + (p-1)*m) / p)]`` whose upper end is always
-feasible, testing feasibility with the same greedy maximal packing the
-streaming probes use. The quadratic DP is an independent cross-check.
+feasible, testing feasibility with `feasibility.greedy_cuts`, the whole-list
+form of the greedy maximal packing the streaming probes use. The quadratic DP
+is an independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .core import InfeasibleBoundError, as_fraction, floor_fraction
+from .feasibility import _drive, checked_args, greedy_cuts, pad_separators
 
 
 @dataclass(frozen=True)
@@ -20,38 +23,20 @@ class OracleResult:
     method: str
 
 
-def _greedy_fits(weights: Sequence[int], threshold: int, num_blocks: int) -> bool:
-    """Can a greedy maximal packing place everything in at most num_blocks blocks?"""
-    blocks = 1
-    acc = 0
-    for w in weights:
-        if w > threshold:
-            return False
-        if acc + w <= threshold:
-            acc += w
-        else:
-            blocks += 1
-            if blocks > num_blocks:
-                return False
-            acc = w
-    return True
-
-
 def opt_bottleneck_binsearch(weights: Sequence[int], num_blocks: int) -> OracleResult:
     """Least feasible bottleneck, by binary search inside the sandwich interval."""
-    if num_blocks < 2:
-        raise ValueError(f"block count must be at least 2, got {num_blocks}")
-    total = sum(weights)
-    heaviest = max(weights, default=0)
+    checked_args(num_blocks)
+    _, total, heaviest = _drive(weights, [], [])
+    prefix = list(accumulate(weights, initial=0))
     low = max(-(-total // num_blocks), heaviest)
     high = (total + (num_blocks - 1) * heaviest) // num_blocks
     while low < high:
         mid = (low + high) // 2
-        if _greedy_fits(weights, mid, num_blocks):
+        if isinstance(greedy_cuts(prefix, mid, num_blocks), list):
             high = mid
         else:
             low = mid + 1
-    if not _greedy_fits(weights, low, num_blocks):
+    if not isinstance(greedy_cuts(prefix, low, num_blocks), list):
         raise RuntimeError("sandwich interval contained no feasible value")
     return OracleResult(low, "binsearch")
 
@@ -60,9 +45,8 @@ def opt_bottleneck_dp(
     weights: Sequence[int], num_blocks: int, *, max_cells: int = 20_000_000
 ) -> OracleResult:
     """Least feasible bottleneck, by the classic quadratic prefix recurrence."""
-    if num_blocks < 2:
-        raise ValueError(f"block count must be at least 2, got {num_blocks}")
-    n = len(weights)
+    checked_args(num_blocks)
+    n, _, _ = _drive(weights, [], [])
     if n * n * num_blocks > max_cells:
         raise ValueError(
             f"instance too large for the quadratic oracle "
@@ -99,28 +83,14 @@ def realize_partition(weights: Sequence[int], num_blocks: int, bound) -> tuple[i
     Greedy maximal packing under floor(bound); raises InfeasibleBoundError
     when the bound is below the optimum.
     """
-    if num_blocks < 2:
-        raise ValueError(f"block count must be at least 2, got {num_blocks}")
+    checked_args(num_blocks)
     bound = as_fraction(bound)
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound}")
-    threshold = floor_fraction(bound)
-    separators = [1]
-    acc = 0
-    for index, w in enumerate(weights, start=1):
-        if w > threshold:
-            raise InfeasibleBoundError(
-                f"element {w} exceeds the floored bound {threshold}"
-            )
-        if acc + w <= threshold:
-            acc += w
-        else:
-            if len(separators) == num_blocks:
-                raise InfeasibleBoundError(
-                    f"bound {bound} admits no partitioning into {num_blocks} blocks"
-                )
-            separators.append(index)
-            acc = w
-    padding = num_blocks - len(separators)
-    separators.extend([len(weights) + 1] * (padding + 1))
-    return tuple(separators)
+    length, _, _ = _drive(weights, [], [])
+    cuts = greedy_cuts(list(accumulate(weights, initial=0)), floor_fraction(bound), num_blocks)
+    if not isinstance(cuts, list):
+        raise InfeasibleBoundError(
+            f"bound {bound} admits no partitioning into {num_blocks} blocks ({cuts.value})"
+        )
+    return pad_separators(cuts, num_blocks, length)

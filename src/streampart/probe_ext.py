@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .core import DeclaredBoundError, SpaceMeter, as_fraction
-from .feasibility import PART_MODE, PARTB_MODE
+from .feasibility import PART_MODE, _drive, checked_args, pad_separators
 
 # element index, block ordinal, block weight, threshold, escalation counter
 PROBE_EXT_STATE_WORDS = 5
@@ -65,17 +65,16 @@ class ProbeExtInstance:
         store_separators: bool = True,
         meter: SpaceMeter | None = None,
     ) -> None:
+        checked_args(num_blocks)
         slack = as_fraction(slack)
         if max_weight < 0:
             raise ValueError(f"maximum weight must be non-negative, got {max_weight}")
-        if num_blocks < 2:
-            raise ValueError(f"block count must be at least 2, got {num_blocks}")
         if slack < 0:
             raise ValueError(f"slack must be non-negative, got {slack}")
         self.max_weight = max_weight
         self.num_blocks = num_blocks
         self.slack = slack
-        self._base = Fraction(max_weight) * (1 + slack)
+        self._base = as_fraction(max_weight) * (1 + slack)
         self.merges = 0
         self.threshold_floor = self._base.numerator // self._base.denominator
         self.block_ordinal = 1
@@ -91,6 +90,7 @@ class ProbeExtInstance:
         """Current threshold as an exact rational: 2^merges * max_weight * (1 + slack)."""
         return self._base * (1 << self.merges)
 
+    # apart from ProbeInstance.feed: one inherited feed ran known-m-grid ~21% slower
     def feed(self, weight: int) -> None:
         if weight < 0:
             raise ValueError(f"negative weight {weight}")
@@ -129,8 +129,7 @@ class ProbeExtInstance:
             raise ValueError(f"stream length mismatch: fed {fed} elements, caller says {length}")
         if self.separators is None:
             return ProbeExtResult(self.bottleneck, self.merges)
-        padding = self.num_blocks - 1 - len(self.separators)
-        separators = (1, *self.separators, *([fed + 1] * (padding + 1)))
+        separators = pad_separators(self.separators, self.num_blocks, fed)
         return ProbeExtResult(self.bottleneck, self.merges, separators)
 
 
@@ -143,13 +142,11 @@ def probe_ext_run(
     mode: str = PART_MODE,
     meter: SpaceMeter | None = None,
 ) -> ProbeExtResult:
-    if mode not in (PART_MODE, PARTB_MODE):
-        raise ValueError(f"unknown mode {mode!r}")
+    checked_args(num_blocks, mode)
     instance = ProbeExtInstance(
         max_weight, num_blocks, slack, store_separators=(mode == PART_MODE), meter=meter
     )
-    for weight in stream:
-        instance.feed(weight)
+    _drive(stream, [], [instance])
     return instance.finish()
 
 

@@ -20,16 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .core import (
-    DeclaredBoundError,
-    KnowledgeMismatchError,
-    SpaceMeter,
-    as_fraction,
-    ceil_fraction,
-)
-from .feasibility import PART_MODE, PARTB_MODE, ProbeInstance
+from .core import KnowledgeMismatchError, SpaceMeter, as_fraction, ceil_fraction
+from .feasibility import PART_MODE, PARTB_MODE, ProbeInstance, _drive, checked_args
 from .probe_ext import ProbeExtInstance
 
 KNOWN_TOTAL_TAG = "known-S"
@@ -63,8 +57,8 @@ class KnowledgeProfile:
     def __post_init__(self) -> None:
         for name in ("max_weight", "length", "total_weight"):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"declared {name} must be non-negative, got {value}")
+            if value is not None and (type(value) is not int or value < 0):
+                raise ValueError(f"declared {name} must be a non-negative int, got {value!r}")
 
 
 @dataclass
@@ -119,67 +113,6 @@ def _exact_powers(ratio, target) -> list[Fraction]:
 def growth_steps(ratio: Fraction, target) -> int:
     """Smallest non-negative c with ratio**c >= target, computed exactly."""
     return len(_exact_powers(ratio, target)) - 1
-
-
-def checked_args(
-    num_blocks: int, mode: str = PART_MODE, epsilon=None, *, needs_epsilon: bool = False
-) -> Fraction | None:
-    """Validate the arguments the solvers share; return epsilon as a Fraction.
-
-    A float epsilon is refused: it is already a rounded binary value.
-    """
-    if mode not in (PART_MODE, PARTB_MODE):
-        raise ValueError(f"unknown mode {mode!r}")
-    if num_blocks < 2:
-        raise ValueError(f"block count must be at least 2, got {num_blocks}")
-    if epsilon is None:
-        if needs_epsilon:
-            raise ValueError("epsilon is required for the approximation solvers")
-        return None
-    if isinstance(epsilon, float):
-        raise ValueError(
-            f'epsilon must be exact, given as a string such as "1/10" or a Fraction; '
-            f"got the float {epsilon!r}"
-        )
-    epsilon = as_fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return epsilon
-
-
-def _drive(
-    stream: Iterable[int],
-    probes: list[ProbeInstance],
-    unfailing: list[ProbeExtInstance | UnknownPartSolver],
-    declared_max: int | None = None,
-) -> tuple[int, int, int]:
-    """Validate each weight and feed it to every live probe and every
-    never-failing instance, in one pass; return (length, total, max)."""
-    length = 0
-    total = 0
-    biggest = 0
-    live = list(probes)
-    for weight in stream:
-        if type(weight) is not int or weight < 0:
-            raise ValueError(f"weights must be non-negative integers, got {weight!r}")
-        if declared_max is not None and weight > declared_max:
-            raise DeclaredBoundError(
-                f"element {weight} exceeds declared maximum weight {declared_max}"
-            )
-        length += 1
-        total += weight
-        if weight > biggest:
-            biggest = weight
-        lost = False
-        for instance in live:
-            instance.feed(weight)
-            if instance.failure is not None:
-                lost = True
-        if lost:
-            live = [inst for inst in live if inst.failure is None]
-        for instance in unfailing:
-            instance.feed(weight)
-    return length, total, biggest
 
 
 def _check_declarations(declared: KnowledgeProfile, length: int, total: int, biggest: int) -> None:
@@ -238,11 +171,10 @@ def solve_known_total(
 ) -> SolveResult:
     """Candidates (total/p) * (1+eps)^i for i = 0..steps(p); smallest success wins."""
     epsilon = checked_args(num_blocks, mode, epsilon, needs_epsilon=True)
-    if total_weight < 0:
-        raise ValueError(f"declared total weight must be non-negative, got {total_weight}")
+    declared = KnowledgeProfile(total_weight=total_weight)
     return _race_grid(stream, num_blocks, epsilon, mode, meter, KNOWN_TOTAL_TAG,
                       KNOWN_TOTAL_DRIVER_WORDS, Fraction(total_weight, num_blocks),
-                      num_blocks, KnowledgeProfile(total_weight=total_weight))
+                      num_blocks, declared)
 
 
 def solve_known_max_length(
@@ -257,11 +189,10 @@ def solve_known_max_length(
 ) -> SolveResult:
     """Candidates max * (1+eps)^i for i = 0..steps(length); smallest success wins."""
     epsilon = checked_args(num_blocks, mode, epsilon, needs_epsilon=True)
-    if max_weight < 0 or length < 0:
-        raise ValueError("declared maximum and length must be non-negative")
+    declared = KnowledgeProfile(max_weight=max_weight, length=length)
     return _race_grid(stream, num_blocks, epsilon, mode, meter, KNOWN_MAX_LENGTH_TAG,
                       KNOWN_MAX_LENGTH_DRIVER_WORDS, Fraction(max_weight), max(length, 1),
-                      KnowledgeProfile(max_weight=max_weight, length=length))
+                      declared)
 
 
 def solve_known_max(
@@ -283,8 +214,7 @@ def solve_known_max(
     the fallback for the large-optimum regime where every probe fails.
     """
     epsilon = checked_args(num_blocks, mode, epsilon, needs_epsilon=True)
-    if max_weight < 0:
-        raise ValueError(f"declared maximum weight must be non-negative, got {max_weight}")
+    declared = KnowledgeProfile(max_weight=max_weight)
     meter = meter if meter is not None else SpaceMeter()
     meter.charge(KNOWN_MAX_DRIVER_WORDS)
     warnings: tuple[str, ...] = ()
@@ -308,7 +238,7 @@ def solve_known_max(
     ]
 
     length, total, biggest = _drive(stream, probes, escalators, declared_max=max_weight)
-    _check_declarations(KnowledgeProfile(max_weight=max_weight), length, total, biggest)
+    _check_declarations(declared, length, total, biggest)
 
     survivors = [inst for inst in probes if inst.failure is None]
     if survivors:
@@ -370,13 +300,11 @@ class UnknownPartSolver:
         cap = 2 * max(self.max_weight * blocks, self.total)
         starts = [1]
         sums = []
-        acc = 0
-        first = True
-        for start, w in self._items(index, weight):
-            if first:
-                acc = w
-                first = False
-            elif blocks * (acc + w) <= cap:
+        acc = self.block_weights[0]
+        # not greedy_cuts: routing the regroup through it doubled the solve time
+        for start, w in zip(self.separators[1:blocks] + [index],
+                            self.block_weights[1:] + [weight]):
+            if blocks * (acc + w) <= cap:
                 acc += w
             else:
                 sums.append(acc)
@@ -388,11 +316,6 @@ class UnknownPartSolver:
         grown = index + 1
         self.separators = starts + [grown] * (blocks + 1 - len(starts))
         self.block_weights = sums + [0] * (blocks - len(sums))
-
-    def _items(self, index: int, weight: int) -> Iterator[tuple[int, int]]:
-        for k in range(self.num_blocks):
-            yield self.separators[k], self.block_weights[k]
-        yield index, weight
 
     def result(self) -> SolveResult:
         return SolveResult(

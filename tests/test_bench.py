@@ -138,3 +138,24 @@ def test_run_bench_bad_epsilon_is_a_row_error():
     assert records[0].result is None and records[0].epsilon is None
     assert "1/10" in records[1].error and records[1].result is None
     assert records[2].error is None and str(records[2].epsilon) == "1/10"
+
+
+def test_run_bench_malformed_rows_are_row_errors():
+    good = {"generator": {"kind": "uniform", "n": 5, "m": 2}, "p": 2}
+    malformed = [
+        {"generator": {"kind": "uniform", "n": "200", "m": 8}},
+        {"generator": {"kind": "uniform", "n": 20.5, "m": 8}},
+        {"generator": {"kind": "uniform", "n": 5, "m": 2, "size": 3}},
+        {"generator": {"kind": "uniform", "n": 5, "m": 2}, "p": "2"},
+        {"generator": {"kind": "uniform", "n": 5, "m": 2}, "p": 2.0},
+    ]
+    records = run_bench([good, *malformed, good])
+    assert records[0].error is None and records[-1].error is None
+    for record in records[1:-1]:
+        assert record.error and record.result is None
+    assert "must be an int" in records[1].error and "must be an int" in records[2].error
+    assert "size" in records[3].error and records[3].generator is None
+    assert "block count" in records[4].error and "block count" in records[5].error
+    buffer = io.StringIO()
+    write_csv(records, buffer)
+    assert len(buffer.getvalue().splitlines()) == 1 + len(records)

@@ -119,6 +119,8 @@ def test_fraction_helpers():
     assert as_fraction("1/2") == Fraction(1, 2)
     assert as_fraction(3) == 3
     assert as_fraction(Fraction(7, 4)) == Fraction(7, 4)
+    with pytest.raises(ValueError, match=r'"1/10".*Fraction'):
+        as_fraction(0.5)
     assert floor_fraction(Fraction(45, 4)) == 11
     assert floor_fraction(Fraction(-1, 4)) == -1
     assert ceil_fraction(Fraction(45, 4)) == 12
