@@ -100,17 +100,20 @@ class BenchRecord:
 def run_bench(rows: list[dict]) -> list[BenchRecord]:
     records = []
     for row in rows:
-        algorithm = row.get("algorithm", UNKNOWN_TAG)
-        mode = row.get("mode", PART_MODE)
-        num_blocks = row.get("p", 2)
+        fields = row if isinstance(row, dict) else {}
+        algorithm = fields.get("algorithm", UNKNOWN_TAG)
+        mode = fields.get("mode", PART_MODE)
+        num_blocks = fields.get("p", 2)
         spec = epsilon = result = optimum = error = None
         elapsed = 0.0
         try:
+            if fields is not row:
+                raise ValueError(f"bench row must be an object, got {row!r}")
             try:
-                spec = GeneratorSpec(**row.get("generator", {}))
+                spec = GeneratorSpec(**fields.get("generator", {}))
             except TypeError as exc:  # unknown or missing generator fields
                 raise ValueError(str(exc)) from None
-            epsilon = checked_args(num_blocks, mode, row.get("epsilon"))
+            epsilon = checked_args(num_blocks, mode, fields.get("epsilon"))
             if spec.kind in HARD_KINDS and num_blocks != 2:
                 raise ValueError(f"generator kind {spec.kind!r} implies p = 2")
             weights = spec.make()

@@ -1,4 +1,4 @@
-"""Shared domain types: partitionings, stream statistics, and the space meter.
+"""Shared domain types: partitionings, stream statistics, and exact rationals.
 
 Conventions used across the package:
 
@@ -24,10 +24,6 @@ class InvalidPartitioningError(ValueError):
     """Separator list violates the partitioning invariants."""
 
 
-class MeterAccountingError(RuntimeError):
-    """Space meter asked to release more words than are currently live."""
-
-
 class DeclaredBoundError(ValueError):
     """A stream element exceeded the declared maximum weight."""
 
@@ -43,16 +39,17 @@ class InfeasibleBoundError(ValueError):
 def as_fraction(value) -> Fraction:
     """Coerce int, str ("1/2", "0.25"), or Fraction to an exact Fraction.
 
-    A float is refused: it is already a rounded binary value.
+    Anything else raises `ValueError`: a float is already a rounded binary
+    value, and a bool would silently count as 0 or 1.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        raise ValueError(
-            f'exact values are given as a string such as "1/10" or a Fraction; '
-            f"got the float {value!r}"
-        )
-    return Fraction(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(
+        f'exact values are given as an int, a string such as "1/10" or a Fraction; '
+        f"got {value!r}"
+    )
 
 
 def floor_fraction(value: Fraction) -> int:
@@ -132,38 +129,6 @@ class StreamStats:
             max_weight=max(weights, default=0),
             total_weight=sum(weights),
         )
-
-
-class SpaceMeter:
-    """Model-level accounting of live algorithm state, in machine words.
-
-    One word holds any value that fits the instance at hand (an index up to
-    n + 1 or a weight up to the stream total). Every live integer variable of
-    an algorithm instance and every stored separator costs one word. This is
-    a model of working-state size, deliberately unrelated to process memory.
-    """
-
-    __slots__ = ("live_words", "peak_words")
-
-    def __init__(self) -> None:
-        self.live_words = 0
-        self.peak_words = 0
-
-    def charge(self, words: int) -> None:
-        if words < 0:
-            raise ValueError(f"cannot charge {words} words")
-        self.live_words += words
-        if self.live_words > self.peak_words:
-            self.peak_words = self.live_words
-
-    def release(self, words: int) -> None:
-        if words < 0:
-            raise ValueError(f"cannot release {words} words")
-        if words > self.live_words:
-            raise MeterAccountingError(
-                f"releasing {words} words but only {self.live_words} are live"
-            )
-        self.live_words -= words
 
 
 def _parse_weight(token: str) -> int:

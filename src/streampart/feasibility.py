@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import DeclaredBoundError, SpaceMeter, as_fraction, floor_fraction
+from .core import DeclaredBoundError, as_fraction, floor_fraction
 
 # element index, block ordinal, block weight, threshold
 PROBE_STATE_WORDS = 4
@@ -112,14 +112,7 @@ class ProbeInstance:
         "failure",
     )
 
-    def __init__(
-        self,
-        bound,
-        num_blocks: int,
-        *,
-        store_separators: bool = True,
-        meter: SpaceMeter | None = None,
-    ) -> None:
+    def __init__(self, bound, num_blocks: int, *, store_separators: bool = True) -> None:
         checked_args(num_blocks)
         bound = as_fraction(bound)
         if bound < 0:
@@ -132,14 +125,18 @@ class ProbeInstance:
         self.next_index = 1
         self.separators: list[int] | None = [] if store_separators else None
         self.failure: ProbeFailure | None = None
-        if meter is not None:
-            # separator storage is reserved up front: one word per boundary
-            extra = num_blocks - 1 if store_separators else 0
-            meter.charge(PROBE_STATE_WORDS + extra)
 
     @property
     def alive(self) -> bool:
         return self.failure is None
+
+    @property
+    def words(self) -> int:
+        """Model-level working state in machine words: one word per counter
+        or threshold, and, when separators are stored, one reserved up front
+        per boundary. A word holds any index up to n + 1 or any weight up to
+        the stream total; this is not process memory."""
+        return PROBE_STATE_WORDS + (0 if self.separators is None else self.num_blocks - 1)
 
     # apart from ProbeExtInstance.feed: one inherited feed ran known-m-grid ~21% slower
     def feed(self, weight: int) -> None:
@@ -176,12 +173,7 @@ class ProbeInstance:
 
 
 def probe_run(
-    stream: Iterable[int],
-    bound,
-    num_blocks: int,
-    *,
-    mode: str = PART_MODE,
-    meter: SpaceMeter | None = None,
+    stream: Iterable[int], bound, num_blocks: int, *, mode: str = PART_MODE
 ) -> ProbeOutcome:
     """Run a single probe over a whole stream.
 
@@ -189,9 +181,7 @@ def probe_run(
     probe has failed.
     """
     checked_args(num_blocks, mode)
-    instance = ProbeInstance(
-        bound, num_blocks, store_separators=(mode == PART_MODE), meter=meter
-    )
+    instance = ProbeInstance(bound, num_blocks, store_separators=(mode == PART_MODE))
     _drive(stream, [instance], [])
     return instance.finish()
 

@@ -117,10 +117,15 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n", "m", "t", "i", "seed"):
+        # kind and seed may not be None: random.Random(None) seeds from the OS
+        for name, kind in (("kind", str), ("bits", str), ("n", int), ("m", int), ("t", int),
+                           ("i", int), ("seed", int)):
             value = getattr(self, name)
-            if value is not None and type(value) is not int:
-                raise ValueError(f"generator field {name} must be an int, got {value!r}")
+            if (value is not None or name in ("kind", "seed")) and type(value) is not kind:
+                article = "an" if kind is int else "a"
+                raise ValueError(
+                    f"generator field {name} must be {article} {kind.__name__}, got {value!r}"
+                )
 
     def make(self) -> list[int]:
         if self.kind == "uniform":

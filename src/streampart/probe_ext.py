@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import DeclaredBoundError, SpaceMeter, as_fraction
+from .core import DeclaredBoundError, as_fraction
 from .feasibility import PART_MODE, _drive, checked_args, pad_separators
 
 # element index, block ordinal, block weight, threshold, escalation counter
@@ -57,13 +57,7 @@ class ProbeExtInstance:
     )
 
     def __init__(
-        self,
-        max_weight: int,
-        num_blocks: int,
-        slack=0,
-        *,
-        store_separators: bool = True,
-        meter: SpaceMeter | None = None,
+        self, max_weight: int, num_blocks: int, slack=0, *, store_separators: bool = True
     ) -> None:
         checked_args(num_blocks)
         slack = as_fraction(slack)
@@ -81,9 +75,12 @@ class ProbeExtInstance:
         self.block_weight = 0
         self.next_index = 1
         self.separators: list[int] | None = [] if store_separators else None
-        if meter is not None:
-            extra = num_blocks - 1 if store_separators else 0
-            meter.charge(PROBE_EXT_STATE_WORDS + extra)
+
+    @property
+    def words(self) -> int:
+        """Model-level working state in machine words, counted as for
+        `ProbeInstance.words`."""
+        return PROBE_EXT_STATE_WORDS + (0 if self.separators is None else self.num_blocks - 1)
 
     @property
     def bottleneck(self) -> Fraction:
@@ -140,11 +137,10 @@ def probe_ext_run(
     slack=0,
     *,
     mode: str = PART_MODE,
-    meter: SpaceMeter | None = None,
 ) -> ProbeExtResult:
     checked_args(num_blocks, mode)
     instance = ProbeExtInstance(
-        max_weight, num_blocks, slack, store_separators=(mode == PART_MODE), meter=meter
+        max_weight, num_blocks, slack, store_separators=(mode == PART_MODE)
     )
     _drive(stream, [], [instance])
     return instance.finish()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import KnowledgeMismatchError, SpaceMeter, as_fraction, ceil_fraction
+from .core import KnowledgeMismatchError, as_fraction, ceil_fraction
 from .feasibility import PART_MODE, PARTB_MODE, ProbeInstance, _drive, checked_args
 from .probe_ext import ProbeExtInstance
 
@@ -73,7 +73,7 @@ class SolveResult:
     elements_read: int
     epsilon: Fraction | None
     warning_flags: tuple[str, ...] = ()
-    # grid detail for the doubling-and-ratio solver; not serialized
+    # grid detail of the racing solvers (probes, escalators); not serialized
     probe_instances: int | None = None
     probe_ext_instances: int | None = None
 
@@ -130,51 +130,62 @@ def _check_declarations(declared: KnowledgeProfile, length: int, total: int, big
         )
 
 
-def _race_grid(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str,
-               meter: SpaceMeter | None, tag: str, driver_words: int, base: Fraction,
-               target: int, declared: KnowledgeProfile) -> SolveResult:
-    """Race candidates base * (1+eps)^i for i = 0..steps(target); smallest success wins."""
-    meter = meter if meter is not None else SpaceMeter()
-    meter.charge(driver_words)
+def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, tag: str,
+          driver_words: int, bounds: Iterable[Fraction], declared: KnowledgeProfile,
+          slacks: Iterable[Fraction] = (), warnings: tuple[str, ...] = ()) -> SolveResult:
+    """Race one probe per bound and one escalator (base: the declared
+    maximum) per slack over the stream, in one pass.
+
+    The smallest surviving bound wins; if every probe failed, the escalator
+    with the smallest threshold is the fallback. Space is the driver words
+    plus every instance's `words`.
+    """
     store = mode == PART_MODE
-    instances = [
-        ProbeInstance(base * power, num_blocks, store_separators=store, meter=meter)
-        for power in _exact_powers(1 + epsilon, target)
+    probes = [ProbeInstance(bound, num_blocks, store_separators=store) for bound in bounds]
+    escalators = [
+        ProbeExtInstance(declared.max_weight, num_blocks, slack, store_separators=store)
+        for slack in slacks
     ]
-    length, total, biggest = _drive(stream, instances, [], declared.max_weight)
+    length, total, biggest = _drive(stream, probes, escalators, declared.max_weight)
     _check_declarations(declared, length, total, biggest)
-    # bounds are created in increasing order, so the first survivor is smallest
-    winner = next((inst for inst in instances if inst.failure is None), None)
-    if winner is None:
+    # min keeps the first of equal bounds, i.e. the first in the order given
+    winner = min((inst for inst in probes if inst.failure is None),
+                 key=lambda inst: inst.bound, default=None)
+    if winner is not None:
+        bottleneck, separators, merges = winner.bound, winner.finish(length).separators, None
+    elif escalators:
+        ext = min(escalators, key=lambda inst: inst.bottleneck).finish(length)
+        bottleneck, separators, merges = ext.bottleneck, ext.separators, ext.merges
+    else:
         raise RuntimeError("no candidate bound was feasible despite verified declarations")
+    words = driver_words + sum(inst.words for inst in probes)
+    words += sum(inst.words for inst in escalators)
     return SolveResult(
         mode=mode,
         algorithm=tag,
-        bottleneck=winner.bound,
-        separators=winner.finish(length).separators,
-        merges=None,
-        instance_count=len(instances),
-        space_peak_words=meter.peak_words,
+        bottleneck=bottleneck,
+        separators=separators,
+        merges=merges,
+        instance_count=len(probes) + len(escalators),
+        space_peak_words=words,
         elements_read=length,
         epsilon=epsilon,
+        warning_flags=warnings,
+        probe_instances=len(probes),
+        probe_ext_instances=len(escalators),
     )
 
 
 def solve_known_total(
-    stream: Iterable[int],
-    num_blocks: int,
-    epsilon,
-    total_weight: int,
-    *,
-    mode: str = PART_MODE,
-    meter: SpaceMeter | None = None,
+    stream: Iterable[int], num_blocks: int, epsilon, total_weight: int, *, mode: str = PART_MODE
 ) -> SolveResult:
     """Candidates (total/p) * (1+eps)^i for i = 0..steps(p); smallest success wins."""
     epsilon = checked_args(num_blocks, mode, epsilon, needs_epsilon=True)
     declared = KnowledgeProfile(total_weight=total_weight)
-    return _race_grid(stream, num_blocks, epsilon, mode, meter, KNOWN_TOTAL_TAG,
-                      KNOWN_TOTAL_DRIVER_WORDS, Fraction(total_weight, num_blocks),
-                      num_blocks, declared)
+    base = Fraction(total_weight, num_blocks)
+    bounds = (base * power for power in _exact_powers(1 + epsilon, num_blocks))
+    return _race(stream, num_blocks, epsilon, mode, KNOWN_TOTAL_TAG, KNOWN_TOTAL_DRIVER_WORDS,
+                 bounds, declared)
 
 
 def solve_known_max_length(
@@ -185,24 +196,17 @@ def solve_known_max_length(
     length: int,
     *,
     mode: str = PART_MODE,
-    meter: SpaceMeter | None = None,
 ) -> SolveResult:
     """Candidates max * (1+eps)^i for i = 0..steps(length); smallest success wins."""
     epsilon = checked_args(num_blocks, mode, epsilon, needs_epsilon=True)
     declared = KnowledgeProfile(max_weight=max_weight, length=length)
-    return _race_grid(stream, num_blocks, epsilon, mode, meter, KNOWN_MAX_LENGTH_TAG,
-                      KNOWN_MAX_LENGTH_DRIVER_WORDS, Fraction(max_weight), max(length, 1),
-                      declared)
+    bounds = (max_weight * power for power in _exact_powers(1 + epsilon, max(length, 1)))
+    return _race(stream, num_blocks, epsilon, mode, KNOWN_MAX_LENGTH_TAG,
+                 KNOWN_MAX_LENGTH_DRIVER_WORDS, bounds, declared)
 
 
 def solve_known_max(
-    stream: Iterable[int],
-    num_blocks: int,
-    epsilon,
-    max_weight: int,
-    *,
-    mode: str = PART_MODE,
-    meter: SpaceMeter | None = None,
+    stream: Iterable[int], num_blocks: int, epsilon, max_weight: int, *, mode: str = PART_MODE
 ) -> SolveResult:
     """Race a doubling-and-ratio probe grid against escalating instances.
 
@@ -215,53 +219,17 @@ def solve_known_max(
     """
     epsilon = checked_args(num_blocks, mode, epsilon, needs_epsilon=True)
     declared = KnowledgeProfile(max_weight=max_weight)
-    meter = meter if meter is not None else SpaceMeter()
-    meter.charge(KNOWN_MAX_DRIVER_WORDS)
     warnings: tuple[str, ...] = ()
     if epsilon >= EPSILON_GUARANTEE_LIMIT:
         warnings = (WARN_EPSILON_RANGE,)
-
     delta = epsilon / (1 + epsilon / 2)
     doubling_levels = growth_steps(Fraction(2), 1 / delta**2) + 1
     ratio_powers = _exact_powers(1 + epsilon, 2)
-    store = mode == PART_MODE
-    probes = [
-        ProbeInstance(
-            max_weight * power * (1 << i), num_blocks, store_separators=store, meter=meter
-        )
-        for i in range(doubling_levels)
-        for power in ratio_powers
-    ]
-    escalators = [
-        ProbeExtInstance(max_weight, num_blocks, power - 1, store_separators=store, meter=meter)
-        for power in _exact_powers(1 + epsilon / 2, 2)
-    ]
-
-    length, total, biggest = _drive(stream, probes, escalators, declared_max=max_weight)
-    _check_declarations(declared, length, total, biggest)
-
-    survivors = [inst for inst in probes if inst.failure is None]
-    if survivors:
-        # min keeps the first of equal bounds, i.e. the first in (i, j) order
-        winner = min(survivors, key=lambda inst: inst.bound)
-        bottleneck, separators, merges = winner.bound, winner.finish(length).separators, None
-    else:
-        ext = min(escalators, key=lambda inst: inst.bottleneck).finish(length)
-        bottleneck, separators, merges = ext.bottleneck, ext.separators, ext.merges
-    return SolveResult(
-        mode=mode,
-        algorithm=KNOWN_MAX_TAG,
-        bottleneck=bottleneck,
-        separators=separators,
-        merges=merges,
-        instance_count=len(probes) + len(escalators),
-        space_peak_words=meter.peak_words,
-        elements_read=length,
-        epsilon=epsilon,
-        warning_flags=warnings,
-        probe_instances=len(probes),
-        probe_ext_instances=len(escalators),
-    )
+    bounds = (max_weight * power * (1 << i)
+              for i in range(doubling_levels) for power in ratio_powers)
+    slacks = (power - 1 for power in _exact_powers(1 + epsilon / 2, 2))
+    return _race(stream, num_blocks, epsilon, mode, KNOWN_MAX_TAG, KNOWN_MAX_DRIVER_WORDS,
+                 bounds, declared, slacks, warnings)
 
 
 class UnknownPartSolver:
@@ -273,7 +241,7 @@ class UnknownPartSolver:
     only move forward. All comparisons are exact via cross-multiplication.
     """
 
-    def __init__(self, num_blocks: int, meter: SpaceMeter | None = None) -> None:
+    def __init__(self, num_blocks: int) -> None:
         checked_args(num_blocks)
         self.num_blocks = num_blocks
         self.separators = [1] * (num_blocks + 1)
@@ -281,8 +249,6 @@ class UnknownPartSolver:
         self.total = 0
         self.max_weight = 0
         self.elements_read = 0
-        self.meter = meter if meter is not None else SpaceMeter()
-        self.meter.charge(UNKNOWN_PART_DRIVER_WORDS + 2 * num_blocks)
 
     @property
     def bound(self) -> Fraction:
@@ -325,31 +291,25 @@ class UnknownPartSolver:
             separators=tuple(self.separators),
             merges=None,
             instance_count=1,
-            space_peak_words=self.meter.peak_words,
+            space_peak_words=UNKNOWN_PART_DRIVER_WORDS + 2 * self.num_blocks,
             elements_read=self.elements_read,
             epsilon=None,
         )
 
 
-def solve_unknown_part(
-    stream: Iterable[int], num_blocks: int, *, meter: SpaceMeter | None = None
-) -> SolveResult:
-    solver = UnknownPartSolver(num_blocks, meter)
+def solve_unknown_part(stream: Iterable[int], num_blocks: int) -> SolveResult:
+    solver = UnknownPartSolver(num_blocks)
     _drive(stream, [], [solver])
     return solver.result()
 
 
-def solve_unknown_partb(
-    stream: Iterable[int], num_blocks: int, *, meter: SpaceMeter | None = None
-) -> SolveResult:
+def solve_unknown_partb(stream: Iterable[int], num_blocks: int) -> SolveResult:
     """Value-only 2-approximation: max(running max, total / p) + running max.
 
     Its own loop, not `_drive`: the per-element cost of `_drive` would be a
     sizeable share of this pass. Weights are validated the same way.
     """
     checked_args(num_blocks, PARTB_MODE)
-    meter = meter if meter is not None else SpaceMeter()
-    meter.charge(UNKNOWN_VALUE_DRIVER_WORDS)
     length = 0
     total = 0
     biggest = 0
@@ -368,18 +328,16 @@ def solve_unknown_partb(
         separators=None,
         merges=None,
         instance_count=0,
-        space_peak_words=meter.peak_words,
+        space_peak_words=UNKNOWN_VALUE_DRIVER_WORDS,
         elements_read=length,
         epsilon=None,
     )
 
 
-def _solve_unknown(
-    stream: Iterable[int], num_blocks: int, *, mode: str, meter: SpaceMeter | None
-) -> SolveResult:
+def _solve_unknown(stream: Iterable[int], num_blocks: int, *, mode: str) -> SolveResult:
     checked_args(num_blocks, mode)
     solver = solve_unknown_part if mode == PART_MODE else solve_unknown_partb
-    return solver(stream, num_blocks, meter=meter)
+    return solver(stream, num_blocks)
 
 
 # tag -> (solver, the names of the arguments it takes after num_blocks:
@@ -400,18 +358,17 @@ def solve_tagged(
     profile: KnowledgeProfile,
     *,
     mode: str = PART_MODE,
-    meter: SpaceMeter | None = None,
 ) -> SolveResult:
     """Run the solver registered under `tag`, handing it epsilon and the
     declarations it takes from `profile`; other declarations are ignored."""
-    if tag not in SOLVERS:
+    if not isinstance(tag, str) or tag not in SOLVERS:
         raise ValueError(f"unknown algorithm tag {tag!r}")
     solver, names = SOLVERS[tag]
     given = {"epsilon": epsilon, **vars(profile)}
     missing = [name for name in names if given[name] is None]
     if missing:
         raise ValueError(f"{tag} requires {', '.join(missing)}")
-    return solver(stream, num_blocks, *(given[name] for name in names), mode=mode, meter=meter)
+    return solver(stream, num_blocks, *(given[name] for name in names), mode=mode)
 
 
 def dispatch(
@@ -421,7 +378,6 @@ def dispatch(
     profile: KnowledgeProfile,
     *,
     mode: str = PART_MODE,
-    meter: SpaceMeter | None = None,
 ) -> SolveResult:
     """Route to the best solver the profile allows.
 
@@ -437,4 +393,4 @@ def dispatch(
         tag = KNOWN_MAX_TAG
     else:
         tag = UNKNOWN_TAG
-    return solve_tagged(tag, stream, num_blocks, epsilon, profile, mode=mode, meter=meter)
+    return solve_tagged(tag, stream, num_blocks, epsilon, profile, mode=mode)

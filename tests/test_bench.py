@@ -148,6 +148,13 @@ def test_run_bench_malformed_rows_are_row_errors():
         {"generator": {"kind": "uniform", "n": 5, "m": 2, "size": 3}},
         {"generator": {"kind": "uniform", "n": 5, "m": 2}, "p": "2"},
         {"generator": {"kind": "uniform", "n": 5, "m": 2}, "p": 2.0},
+        [1, 2],
+        "x",
+        {"generator": {"kind": "uniform", "n": 5, "m": 2}, "algorithm": ["x"]},
+        {"generator": {"kind": "index", "bits": 5, "i": 1}},
+        {"generator": {"kind": "uniform", "n": 5, "m": 2, "seed": None}},
+        {"generator": {"kind": "uniform", "n": 5, "m": 2}, "algorithm": "known-S",
+         "epsilon": [1]},
     ]
     records = run_bench([good, *malformed, good])
     assert records[0].error is None and records[-1].error is None
@@ -156,6 +163,11 @@ def test_run_bench_malformed_rows_are_row_errors():
     assert "must be an int" in records[1].error and "must be an int" in records[2].error
     assert "size" in records[3].error and records[3].generator is None
     assert "block count" in records[4].error and "block count" in records[5].error
+    assert "must be an object" in records[6].error and "must be an object" in records[7].error
+    assert "unknown algorithm tag" in records[8].error
+    assert "bits must be a str" in records[9].error
+    assert "seed must be an int" in records[10].error
+    assert "Fraction" in records[11].error
     buffer = io.StringIO()
     write_csv(records, buffer)
     assert len(buffer.getvalue().splitlines()) == 1 + len(records)

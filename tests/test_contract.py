@@ -64,22 +64,25 @@ def test_non_int_block_count_rejected(name, bad):
         BLOCK_COUNT_TAKERS[name](bad)
 
 
+# entry points that take an exact bound, slack or maximum
+EXACT_VALUE_TAKERS = {
+    "ProbeInstance": lambda bad: ProbeInstance(bad, 2),
+    "probe_run": lambda bad: probe_run([1, 2], bad, 2),
+    "realize_partition": lambda bad: realize_partition([1, 2], 2, bad),
+    "ProbeExtInstance": lambda bad: ProbeExtInstance(2, 2, bad),
+    "probe_ext_run": lambda bad: probe_ext_run([1, 2], 2, 2, bad),
+    "probe_ext_run max": lambda bad: probe_ext_run([1, 2], bad, 2),
+}
+
+
 @pytest.mark.parametrize(
-    "call",
-    [
-        lambda: ProbeInstance(2.5, 2),
-        lambda: probe_run([1, 2], 2.5, 2),
-        lambda: realize_partition([1, 2], 2, 2.5),
-        lambda: ProbeExtInstance(2, 2, 0.5),
-        lambda: probe_ext_run([1, 2], 2, 2, 0.5),
-        lambda: probe_ext_run([1, 2], 2.5, 2),
-    ],
-    ids=["ProbeInstance", "probe_run", "realize_partition", "ProbeExtInstance", "probe_ext_run",
-         "probe_ext_run max"],
+    "name, bad",
+    [pytest.param(name, bad, id=name if bad == 2.5 else f"{name}-{bad}")
+     for name in EXACT_VALUE_TAKERS for bad in (2.5, True)],
 )
-def test_float_bound_slack_and_max_rejected(call):
+def test_float_bound_slack_and_max_rejected(name, bad):
     with pytest.raises(ValueError, match=r'"1/10".*Fraction'):
-        call()
+        EXACT_VALUE_TAKERS[name](bad)
 
 
 @pytest.mark.parametrize("bad", [2.0, True])

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from streampart import (
+    PART_MODE,
+    PARTB_MODE,
     InvalidPartitioningError,
-    MeterAccountingError,
-    SpaceMeter,
+    KnowledgeProfile,
     StreamStats,
     as_fraction,
     block_weights,
@@ -20,6 +21,7 @@ from streampart import (
     parse_weights,
     validate_partitioning,
 )
+from streampart.schedulers import SOLVERS, solve_tagged
 from helpers import random_stream
 
 
@@ -93,34 +95,37 @@ def test_stream_stats():
         StreamStats(length=-1, max_weight=0, total_weight=0)
 
 
-def test_space_meter_examples():
-    meter = SpaceMeter()
-    meter.charge(4)
-    meter.charge(2)
-    assert (meter.live_words, meter.peak_words) == (6, 6)
-
-    meter = SpaceMeter()
-    meter.charge(4)
-    meter.release(4)
-    meter.charge(3)
-    assert (meter.live_words, meter.peak_words) == (3, 4)
+# the driver words each grid solver declares for itself
+DRIVER_WORDS = {"known-S": 2, "known-mn": 3, "known-m": 2}
 
 
-def test_space_meter_over_release():
-    meter = SpaceMeter()
-    meter.charge(2)
-    with pytest.raises(MeterAccountingError):
-        meter.release(3)
-    with pytest.raises(ValueError):
-        meter.charge(-1)
+@pytest.mark.parametrize("mode", [PART_MODE, PARTB_MODE])
+@pytest.mark.parametrize("tag", sorted(SOLVERS))
+def test_space_peak_words_counts_driver_and_instance_words(tag, mode):
+    weights = [2, 7, 1, 8, 2, 8, 1, 8]
+    num_blocks = 3
+    stats = StreamStats.from_weights(weights)
+    profile = KnowledgeProfile(stats.max_weight, stats.length, stats.total_weight)
+    res = solve_tagged(tag, iter(weights), num_blocks, "1/32", profile, mode=mode)
+    if tag == "unknown-2approx":
+        # counter, total, max, bound, plus a start index and a weight per block
+        expected = 4 + 2 * num_blocks if mode == PART_MODE else 3
+    else:
+        # a probe holds 4 words, an escalator 5, each plus p-1 stored separators
+        extra = num_blocks - 1 if mode == PART_MODE else 0
+        assert res.instance_count == res.probe_instances + res.probe_ext_instances
+        expected = (DRIVER_WORDS[tag] + res.probe_instances * (4 + extra)
+                    + res.probe_ext_instances * (5 + extra))
+    assert res.space_peak_words == expected
 
 
 def test_fraction_helpers():
     assert as_fraction("1/2") == Fraction(1, 2)
     assert as_fraction(3) == 3
     assert as_fraction(Fraction(7, 4)) == Fraction(7, 4)
-    with pytest.raises(ValueError, match=r'"1/10".*Fraction'):
-        as_fraction(0.5)
+    for bad in (0.5, True, None, [1]):
+        with pytest.raises(ValueError, match=r'"1/10".*Fraction'):
+            as_fraction(bad)
     assert floor_fraction(Fraction(45, 4)) == 11
     assert floor_fraction(Fraction(-1, 4)) == -1
     assert ceil_fraction(Fraction(45, 4)) == 12

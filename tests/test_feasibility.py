@@ -6,7 +6,6 @@ import pytest
 from streampart import (
     ProbeFailure,
     ProbeInstance,
-    SpaceMeter,
     bottleneck_of,
     greedy_maximality_check,
     probe_run,
@@ -84,12 +83,8 @@ def test_constructor_validation():
 
 
 def test_meter_words_per_instance():
-    meter = SpaceMeter()
-    ProbeInstance(5, 4, store_separators=False, meter=meter)
-    assert meter.peak_words == 4
-    meter = SpaceMeter()
-    ProbeInstance(5, 4, store_separators=True, meter=meter)
-    assert meter.peak_words == 4 + 3  # three reserved separator words
+    assert ProbeInstance(5, 4, store_separators=False).words == 4
+    assert ProbeInstance(5, 4, store_separators=True).words == 4 + 3  # three reserved separators
 
 
 def test_maximality_examples():

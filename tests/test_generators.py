@@ -131,3 +131,15 @@ def test_generator_spec_missing_fields():
         GeneratorSpec("yz").make()
     with pytest.raises(ValueError, match="unknown generator kind"):
         GeneratorSpec("waves", n=5, m=3).make()
+
+
+def test_generator_spec_field_types():
+    # a None seed would seed from the OS, so the stream would not repeat
+    with pytest.raises(ValueError, match="seed must be an int"):
+        GeneratorSpec("uniform", n=3, m=9, seed=None)
+    with pytest.raises(ValueError, match="kind must be a str"):
+        GeneratorSpec(5, n=3, m=9)
+    with pytest.raises(ValueError, match="bits must be a str"):
+        GeneratorSpec("index", bits=5, i=1)
+    with pytest.raises(ValueError, match="n must be an int"):
+        GeneratorSpec("uniform", n=True, m=9)

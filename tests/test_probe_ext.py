@@ -6,7 +6,6 @@ import pytest
 from streampart import (
     DeclaredBoundError,
     ProbeExtInstance,
-    SpaceMeter,
     approx_factor_bound,
     bottleneck_of,
     probe_ext_run,
@@ -75,12 +74,8 @@ def test_constructor_validation():
 
 
 def test_meter_words_per_instance():
-    meter = SpaceMeter()
-    ProbeExtInstance(1, 4, 0, store_separators=False, meter=meter)
-    assert meter.peak_words == 5
-    meter = SpaceMeter()
-    ProbeExtInstance(1, 4, 0, store_separators=True, meter=meter)
-    assert meter.peak_words == 5 + 3
+    assert ProbeExtInstance(1, 4, 0, store_separators=False).words == 5
+    assert ProbeExtInstance(1, 4, 0, store_separators=True).words == 5 + 3
 
 
 def test_never_fails_and_output_is_valid():

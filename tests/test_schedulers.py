@@ -7,7 +7,6 @@ from streampart import (
     DeclaredBoundError,
     KnowledgeMismatchError,
     KnowledgeProfile,
-    SpaceMeter,
     WARN_EPSILON_RANGE,
     bottleneck_of,
     dispatch,
@@ -225,9 +224,8 @@ def test_space_accounting_is_reproducible():
     second = solve_known_total(iter(weights), 3, Fraction(1, 10), 28)
     assert first.space_peak_words == second.space_peak_words
 
-    # per-instance words plus driver words, checked against the meter
-    meter = SpaceMeter()
-    res = solve_known_total(iter(weights), 3, Fraction(1, 10), 28, mode="partb", meter=meter)
+    # per-instance words plus driver words
+    res = solve_known_total(iter(weights), 3, Fraction(1, 10), 28, mode="partb")
     assert res.space_peak_words == res.instance_count * 4 + 2
     res = solve_known_max(iter(weights), 3, Fraction(1, 32), 8, mode="partb")
     assert res.space_peak_words == res.probe_instances * 4 + res.probe_ext_instances * 5 + 2
@@ -301,8 +299,9 @@ def test_float_epsilon_rejected():
         lambda eps: dispatch(iter([1, 2]), 2, eps, KnowledgeProfile(total_weight=3)),
     ]
     for solve in solvers:
-        with pytest.raises(ValueError, match=r'"1/10".*Fraction'):
-            solve(0.1)
+        for bad in (0.1, True):
+            with pytest.raises(ValueError, match=r'"1/10".*Fraction'):
+                solve(bad)
         for exact in ("1/10", Fraction(1, 10)):
             assert solve(exact).epsilon == Fraction(1, 10)
         assert solve(1).epsilon == 1
