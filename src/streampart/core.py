@@ -52,6 +52,13 @@ def as_fraction(value) -> Fraction:
     )
 
 
+def check_count(name: str, value) -> None:
+    """A length, count or weight must be a non-negative `int`; a `bool` or
+    any other type raises `ValueError`."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {value!r}")
+
+
 def floor_fraction(value: Fraction) -> int:
     return value.numerator // value.denominator
 
@@ -108,8 +115,8 @@ class StreamStats:
     total_weight: int
 
     def __post_init__(self) -> None:
-        if self.length < 0 or self.max_weight < 0 or self.total_weight < 0:
-            raise ValueError("stream statistics must be non-negative")
+        for name in ("length", "max_weight", "total_weight"):
+            check_count(f"stream {name}", getattr(self, name))
         if self.total_weight > self.length * self.max_weight:
             raise ValueError(
                 f"total weight {self.total_weight} exceeds "

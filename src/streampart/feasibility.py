@@ -8,9 +8,15 @@ would open one block more than allowed. Success for integer bounds is
 exactly equivalent to the bound being at least the offline optimum, which is
 what makes racing several of these instances a search procedure.
 
-The module also holds what every entry point shares: `checked_args` (block
-count, mode, epsilon), `_drive` (the one weight ingress) and `greedy_cuts`,
-the same packing over a whole list's prefix sums.
+The packing has one home, `_Walker.walk`: it advances an instance over the
+prefix sums of a chunk of the stream with one binary search per block the
+chunk reaches, and resumes where it stopped on the next chunk (the
+"chains-on-chains" probe of Han, Narahari & Choi and of Pinar & Aykanat,
+made resumable). `_drive` reads a stream `B` elements at a time, checks
+each weight against `check_weight`, the one ingress rule, and builds each
+chunk's prefix sums once for every live instance; `greedy_cuts` is the same
+walk over a whole list from a fresh state. The module also holds
+`checked_args` (block count, mode, epsilon), which every entry point shares.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, islice
 from typing import Iterable, Sequence
 
 from .core import DeclaredBoundError, as_fraction, floor_fraction
@@ -28,6 +35,12 @@ PROBE_STATE_WORDS = 4
 
 PART_MODE = "part"
 PARTB_MODE = "partb"
+
+# Elements per chunk: each chunk costs every live instance one call plus one
+# binary search per block it reaches, and the buffer holds B weights and
+# B + 1 prefix sums.
+B = 4096
+BUFFER_WORDS = 2 * B + 1
 
 
 class ProbeFailure(Enum):
@@ -77,32 +90,24 @@ def greedy_cuts(
 
     Returns the 1-based indices of the elements that open blocks 2, 3, ...,
     or the `ProbeFailure` a `ProbeInstance` with the same threshold would
-    report. Each block costs one binary search.
+    report: it is that instance's walk over one chunk holding the whole list.
     """
-    length = len(prefix) - 1
-    cuts: list[int] = []
-    end = 0  # elements 1..end are packed
-    while True:
-        end = bisect_right(prefix, prefix[end] + threshold, end) - 1
-        if end == length:
-            return cuts
-        if prefix[end + 1] - prefix[end] > threshold:
-            return ProbeFailure.ELEMENT_EXCEEDS_THRESHOLD
-        if len(cuts) == num_blocks - 1:
-            return ProbeFailure.PARTITIONS_EXHAUSTED
-        cuts.append(end + 1)
+    probe = ProbeInstance(threshold, num_blocks)
+    probe.walk(prefix)
+    return probe.separators if probe.failure is None else probe.failure
 
 
-class ProbeInstance:
-    """Feasibility state machine for one bound.
+class _Walker:
+    """Greedy maximal packing that resumes from one chunk to the next.
 
-    `bound` may be any non-negative rational; behaviour depends only on its
-    floor. In separator-storing mode the instance records, for each block
-    after the first, the index of the element that opened it.
+    It carries the floored threshold, the open block's ordinal and weight,
+    the stream index of the next element and, when storing separators, the
+    index of each element that opened a block. What happens to an element
+    that fits neither the open block nor a new one is the subclass's
+    `_cannot_place`: a probe fails, an escalator merges blocks.
     """
 
     __slots__ = (
-        "bound",
         "threshold_floor",
         "num_blocks",
         "block_ordinal",
@@ -112,19 +117,83 @@ class ProbeInstance:
         "failure",
     )
 
-    def __init__(self, bound, num_blocks: int, *, store_separators: bool = True) -> None:
-        checked_args(num_blocks)
-        bound = as_fraction(bound)
-        if bound < 0:
-            raise ValueError(f"bound must be non-negative, got {bound}")
-        self.bound: Fraction = bound
-        self.threshold_floor = floor_fraction(bound)
+    def __init__(self, threshold_floor: int, num_blocks: int, store_separators: bool) -> None:
+        self.threshold_floor = threshold_floor
         self.num_blocks = num_blocks
         self.block_ordinal = 1
         self.block_weight = 0
         self.next_index = 1
         self.separators: list[int] | None = [] if store_separators else None
         self.failure: ProbeFailure | None = None
+
+    def walk(self, prefix: Sequence[int]) -> bool:
+        """Advance over the next chunk of the stream, given its prefix sums
+        (``prefix[0] = 0``); return whether the instance is still alive.
+
+        Each block the chunk reaches costs one `bisect_right`, which finds
+        the last element that still fits the open block.
+        """
+        threshold = self.threshold_floor
+        blocks = self.num_blocks
+        ordinal = self.block_ordinal
+        separators = self.separators
+        first = self.next_index  # stream index of the chunk's first element
+        last = len(prefix) - 1
+        # the open block holds the chunk's elements up to `end` less `origin`:
+        # its weight from earlier chunks counts as a negative origin
+        origin = -self.block_weight
+        end = 0
+        while True:
+            end = bisect_right(prefix, origin + threshold, end) - 1
+            if end == last:
+                break
+            element = prefix[end + 1] - prefix[end]
+            if element <= threshold and ordinal < blocks:
+                # this element opens the next block; its index is the separator
+                if separators is not None:
+                    separators.append(first + end)
+                ordinal += 1
+                origin = prefix[end]
+            else:
+                self.block_ordinal = ordinal
+                self.block_weight = prefix[end] - origin
+                if not self._cannot_place(first + end, element):
+                    self.next_index = first + end + 1
+                    return False
+                threshold = self.threshold_floor
+                ordinal = self.block_ordinal
+                separators = self.separators
+                origin = prefix[end + 1] - self.block_weight
+            end += 1
+        self.block_ordinal = ordinal
+        self.block_weight = prefix[last] - origin
+        self.next_index = first + last
+        return True
+
+    def _cannot_place(self, index: int, element: int) -> bool:
+        """Element `index` fits neither the open block nor a new one: place
+        it and return True, or record the failure and return False."""
+        raise NotImplementedError
+
+
+class ProbeInstance(_Walker):
+    """Feasibility state machine for one bound.
+
+    `bound` may be any non-negative rational; behaviour depends only on its
+    floor, which is all the instance keeps. In separator-storing mode the
+    instance records, for each block after the first, the index of the
+    element that opened it.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, bound, num_blocks: int, *, store_separators: bool = True) -> None:
+        checked_args(num_blocks)
+        if type(bound) is not int:  # an int bound is its own floor: no Fraction needed
+            bound = as_fraction(bound)
+        if bound < 0:
+            raise ValueError(f"bound must be non-negative, got {bound}")
+        super().__init__(floor_fraction(bound), num_blocks, store_separators)
 
     @property
     def alive(self) -> bool:
@@ -138,26 +207,18 @@ class ProbeInstance:
         the stream total; this is not process memory."""
         return PROBE_STATE_WORDS + (0 if self.separators is None else self.num_blocks - 1)
 
-    # apart from ProbeExtInstance.feed: one inherited feed ran known-m-grid ~21% slower
     def feed(self, weight: int) -> None:
+        """Take one weight: a one-element chunk through `_drive`."""
         if self.failure is not None:
             raise RuntimeError("cannot feed a failed probe instance")
-        if weight < 0:
-            raise ValueError(f"negative weight {weight}")
-        threshold = self.threshold_floor
-        if weight > threshold:
+        _drive((weight,), [self])
+
+    def _cannot_place(self, index: int, element: int) -> bool:
+        if element > self.threshold_floor:
             self.failure = ProbeFailure.ELEMENT_EXCEEDS_THRESHOLD
-        elif self.block_weight + weight <= threshold:
-            self.block_weight += weight
-        elif self.block_ordinal < self.num_blocks:
-            # this element opens the next block; its index is the separator
-            if self.separators is not None:
-                self.separators.append(self.next_index)
-            self.block_ordinal += 1
-            self.block_weight = weight
         else:
             self.failure = ProbeFailure.PARTITIONS_EXHAUSTED
-        self.next_index += 1
+        return False
 
     def finish(self, length: int | None = None) -> ProbeOutcome:
         """Close the pass; unused separators are padded past the stream end."""
@@ -182,44 +243,57 @@ def probe_run(
     """
     checked_args(num_blocks, mode)
     instance = ProbeInstance(bound, num_blocks, store_separators=(mode == PART_MODE))
-    _drive(stream, [instance], [])
+    _drive(stream, [instance])
     return instance.finish()
 
 
+def check_weight(weight, declared_max: int | None = None) -> None:
+    """The ingress rule for one weight: a non-negative `int` (not a `bool`),
+    at most the declared maximum when there is one."""
+    if type(weight) is not int or weight < 0:
+        raise ValueError(f"weights must be non-negative integers, got {weight!r}")
+    if declared_max is not None and weight > declared_max:
+        raise DeclaredBoundError(
+            f"element {weight} exceeds declared maximum weight {declared_max}"
+        )
+
+
 def _drive(
-    stream: Iterable[int],
-    probes: list[ProbeInstance],
-    unfailing: list,
-    declared_max: int | None = None,
+    stream: Iterable[int], walkers: Sequence[_Walker] = (), declared_max: int | None = None
 ) -> tuple[int, int, int]:
-    """The one ingress for weights: validate each weight and feed it to every
-    live probe and every never-failing instance (anything with a `feed`
-    method), in one pass; return (length, total, max)."""
+    """Read the stream `B` elements at a time, check every weight and
+    advance every live walker over each chunk's prefix sums, in one pass;
+    return (length, total, max).
+
+    A chunk that fails the check is rescanned element by element, so the
+    first bad element raises, as it would one element at a time. Prefix
+    sums are built only while a walker is live.
+    """
+    source = iter(stream)
+    live = [inst for inst in walkers if inst.failure is None]
     length = 0
     total = 0
     biggest = 0
-    live = list(probes)
-    for weight in stream:
-        if type(weight) is not int or weight < 0:
-            raise ValueError(f"weights must be non-negative integers, got {weight!r}")
-        if declared_max is not None and weight > declared_max:
-            raise DeclaredBoundError(
-                f"element {weight} exceeds declared maximum weight {declared_max}"
-            )
-        length += 1
-        total += weight
-        if weight > biggest:
-            biggest = weight
-        # two loops, not one over both lists: a single mixed loop was slower
-        lost = False
-        for instance in live:
-            instance.feed(weight)
-            if instance.failure is not None:
-                lost = True
-        if lost:
-            live = [inst for inst in live if inst.failure is None]
-        for instance in unfailing:
-            instance.feed(weight)
+    while chunk := list(islice(source, B)):
+        if (set(map(type, chunk)) != {int} or min(chunk) < 0
+                or (declared_max is not None and max(chunk) > declared_max)):
+            for weight in chunk:
+                check_weight(weight, declared_max)
+        top = max(chunk)
+        length += len(chunk)
+        if top > biggest:
+            biggest = top
+        if live:
+            prefix = list(accumulate(chunk, initial=0))
+            total += prefix[-1]
+            lost = False
+            for instance in live:
+                if not instance.walk(prefix):
+                    lost = True
+            if lost:
+                live = [inst for inst in live if inst.failure is None]
+        else:
+            total += sum(chunk)
     return length, total, biggest
 
 

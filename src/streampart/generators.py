@@ -8,25 +8,27 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from .core import check_count
+
 
 def gen_uniform(length: int, max_weight: int, seed: int = 0) -> list[int]:
     """Independent uniform draws from 0..max_weight."""
-    if length < 0 or max_weight < 0:
-        raise ValueError("length and maximum weight must be non-negative")
+    check_count("length", length)
+    check_count("maximum weight", max_weight)
     rng = random.Random(seed)
     return [rng.randint(0, max_weight) for _ in range(length)]
 
 
 def gen_constant(length: int, weight: int) -> list[int]:
-    if length < 0 or weight < 0:
-        raise ValueError("length and weight must be non-negative")
+    check_count("length", length)
+    check_count("weight", weight)
     return [weight] * length
 
 
 def gen_spike(length: int, max_weight: int, seed: int = 0) -> list[int]:
     """Baseline-one stream with a few spikes of the maximal weight."""
-    if length < 0 or max_weight < 0:
-        raise ValueError("length and maximum weight must be non-negative")
+    check_count("length", length)
+    check_count("maximum weight", max_weight)
     if max_weight == 0:
         return [0] * length
     stream = [1] * length
@@ -58,6 +60,7 @@ def gen_index_hard(bits: Sequence[int] | str, index: int) -> list[int]:
         if not bit_values or any(b not in (0, 1) for b in bit_values):
             raise ValueError("bits must be a non-empty sequence of 0/1")
     count = len(bit_values)
+    check_count("index", index)
     if not (-(-count // 2) <= index <= count):
         raise ValueError(
             f"index must lie in [{-(-count // 2)}, {count}], got {index}"
@@ -81,6 +84,9 @@ def gen_yz_hard(length: int, pairs: int, bob_index: int, seed: int = 0) -> list[
     optimum is 2*pairs - 1 + 2*(bob_index - 1): every value is reachable
     because all elements are 0 or 1 and the total is even.
     """
+    check_count("length", length)
+    check_count("pair count", pairs)
+    check_count("bob index", bob_index)
     if pairs < 1:
         raise ValueError(f"pair count must be at least 1, got {pairs}")
     if length < 4 * pairs - 2:

@@ -26,7 +26,7 @@ class OracleResult:
 def opt_bottleneck_binsearch(weights: Sequence[int], num_blocks: int) -> OracleResult:
     """Least feasible bottleneck, by binary search inside the sandwich interval."""
     checked_args(num_blocks)
-    _, total, heaviest = _drive(weights, [], [])
+    _, total, heaviest = _drive(weights)
     prefix = list(accumulate(weights, initial=0))
     low = max(-(-total // num_blocks), heaviest)
     high = (total + (num_blocks - 1) * heaviest) // num_blocks
@@ -46,7 +46,7 @@ def opt_bottleneck_dp(
 ) -> OracleResult:
     """Least feasible bottleneck, by the classic quadratic prefix recurrence."""
     checked_args(num_blocks)
-    n, _, _ = _drive(weights, [], [])
+    n, _, _ = _drive(weights)
     if n * n * num_blocks > max_cells:
         raise ValueError(
             f"instance too large for the quadratic oracle "
@@ -87,7 +87,7 @@ def realize_partition(weights: Sequence[int], num_blocks: int, bound) -> tuple[i
     bound = as_fraction(bound)
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound}")
-    length, _, _ = _drive(weights, [], [])
+    length, _, _ = _drive(weights)
     cuts = greedy_cuts(list(accumulate(weights, initial=0)), floor_fraction(bound), num_blocks)
     if not isinstance(cuts, list):
         raise InfeasibleBoundError(

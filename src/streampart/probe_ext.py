@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import DeclaredBoundError, as_fraction
-from .feasibility import PART_MODE, _drive, checked_args, pad_separators
+from .core import as_fraction, floor_fraction
+from .feasibility import PART_MODE, _drive, _Walker, checked_args, pad_separators
 
 # element index, block ordinal, block weight, threshold, escalation counter
 PROBE_EXT_STATE_WORDS = 5
@@ -40,21 +40,10 @@ class ProbeExtResult:
     separators: tuple[int, ...] | None = None
 
 
-class ProbeExtInstance:
+class ProbeExtInstance(_Walker):
     """Never-failing feasibility state machine with a doubling threshold."""
 
-    __slots__ = (
-        "max_weight",
-        "num_blocks",
-        "slack",
-        "_base",
-        "merges",
-        "threshold_floor",
-        "block_ordinal",
-        "block_weight",
-        "next_index",
-        "separators",
-    )
+    __slots__ = ("max_weight", "slack", "_base", "merges")
 
     def __init__(
         self, max_weight: int, num_blocks: int, slack=0, *, store_separators: bool = True
@@ -66,15 +55,10 @@ class ProbeExtInstance:
         if slack < 0:
             raise ValueError(f"slack must be non-negative, got {slack}")
         self.max_weight = max_weight
-        self.num_blocks = num_blocks
         self.slack = slack
         self._base = as_fraction(max_weight) * (1 + slack)
         self.merges = 0
-        self.threshold_floor = self._base.numerator // self._base.denominator
-        self.block_ordinal = 1
-        self.block_weight = 0
-        self.next_index = 1
-        self.separators: list[int] | None = [] if store_separators else None
+        super().__init__(floor_fraction(self._base), num_blocks, store_separators)
 
     @property
     def words(self) -> int:
@@ -87,38 +71,27 @@ class ProbeExtInstance:
         """Current threshold as an exact rational: 2^merges * max_weight * (1 + slack)."""
         return self._base * (1 << self.merges)
 
-    # apart from ProbeInstance.feed: one inherited feed ran known-m-grid ~21% slower
     def feed(self, weight: int) -> None:
-        if weight < 0:
-            raise ValueError(f"negative weight {weight}")
-        if weight > self.max_weight:
-            raise DeclaredBoundError(
-                f"element {weight} exceeds declared maximum weight {self.max_weight}"
-            )
-        if self.block_weight + weight <= self.threshold_floor:
-            self.block_weight += weight
-        elif self.block_ordinal < self.num_blocks:
-            if self.separators is not None:
-                self.separators.append(self.next_index)
-            self.block_ordinal += 1
-            self.block_weight = weight
-        else:
-            self._escalate(weight)
-        self.next_index += 1
+        """Take one weight: a one-element chunk through `_drive`, which also
+        refuses a weight above the declared maximum."""
+        _drive((weight,), [self], declared_max=self.max_weight)
 
-    def _escalate(self, weight: int) -> None:
+    def _cannot_place(self, index: int, element: int) -> bool:
+        """The merge rule (see the module docstring), with `index` as the
+        tentative boundary s_p; the instance never fails."""
         blocks = self.num_blocks
         self.merges += 1
         # floor of the exact rational 2^merges * base, not a repeated floor
         self.threshold_floor = (self._base.numerator << self.merges) // self._base.denominator
         if self.separators is not None:
-            boundaries = self.separators + [self.next_index]  # tentative boundary s_p
+            boundaries = self.separators + [index]
             self.separators = [boundaries[2 * a + 1] for a in range(blocks // 2)]
         self.block_ordinal = blocks // 2 + 1
         if blocks % 2 == 0:
-            self.block_weight = weight  # tentative boundary kept: fresh block
+            self.block_weight = element  # tentative boundary kept: fresh block
         else:
-            self.block_weight += weight  # tentative boundary dropped: absorbed
+            self.block_weight += element  # tentative boundary dropped: absorbed
+        return True
 
     def finish(self, length: int | None = None) -> ProbeExtResult:
         fed = self.next_index - 1
@@ -142,7 +115,7 @@ def probe_ext_run(
     instance = ProbeExtInstance(
         max_weight, num_blocks, slack, store_separators=(mode == PART_MODE)
     )
-    _drive(stream, [], [instance])
+    _drive(stream, [instance], declared_max=max_weight)
     return instance.finish()
 
 

@@ -22,8 +22,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import KnowledgeMismatchError, as_fraction, ceil_fraction
-from .feasibility import PART_MODE, PARTB_MODE, ProbeInstance, _drive, checked_args
+from .core import KnowledgeMismatchError, as_fraction, ceil_fraction, check_count
+from .feasibility import (
+    BUFFER_WORDS,
+    PART_MODE,
+    PARTB_MODE,
+    ProbeInstance,
+    _drive,
+    check_weight,
+    checked_args,
+)
 from .probe_ext import ProbeExtInstance
 
 KNOWN_TOTAL_TAG = "known-S"
@@ -57,8 +65,8 @@ class KnowledgeProfile:
     def __post_init__(self) -> None:
         for name in ("max_weight", "length", "total_weight"):
             value = getattr(self, name)
-            if value is not None and (type(value) is not int or value < 0):
-                raise ValueError(f"declared {name} must be a non-negative int, got {value!r}")
+            if value is not None:
+                check_count(f"declared {name}", value)
 
 
 @dataclass
@@ -76,6 +84,10 @@ class SolveResult:
     # grid detail of the racing solvers (probes, escalators); not serialized
     probe_instances: int | None = None
     probe_ext_instances: int | None = None
+    # words of the racing solvers' chunk buffer, B weights and B + 1 prefix
+    # sums; constant in the stream length, 0 for a pass that holds no chunk;
+    # not serialized
+    buffer_words: int = 0
 
     @property
     def bottleneck_ceil(self) -> int:
@@ -98,15 +110,19 @@ class SolveResult:
         }
 
 
-def _exact_powers(ratio, target) -> list[Fraction]:
-    """ratio**0 .. ratio**c for the smallest c with ratio**c >= target, exactly."""
+def _exact_powers(ratio, target) -> list[tuple[int, int]]:
+    """(num**j, den**j) for j = 0..c, where ratio = num/den and c is the
+    smallest with ratio**c >= target; all in integers, exactly."""
     ratio = as_fraction(ratio)
     if ratio <= 1:
         raise ValueError(f"growth ratio must exceed 1, got {ratio}")
     target = as_fraction(target)
-    powers = [Fraction(1)]
-    while powers[-1] < target:
-        powers.append(powers[-1] * ratio)
+    num, den = 1, 1
+    powers = [(num, den)]
+    while num * target.denominator < target.numerator * den:
+        num *= ratio.numerator
+        den *= ratio.denominator
+        powers.append((num, den))
     return powers
 
 
@@ -131,28 +147,45 @@ def _check_declarations(declared: KnowledgeProfile, length: int, total: int, big
 
 
 def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, tag: str,
-          driver_words: int, bounds: Iterable[Fraction], declared: KnowledgeProfile,
-          slacks: Iterable[Fraction] = (), warnings: tuple[str, ...] = ()) -> SolveResult:
-    """Race one probe per bound and one escalator (base: the declared
+          driver_words: int, declared: KnowledgeProfile, base: Fraction, target,
+          doublings: int = 1, slacks: Iterable[Fraction] = (),
+          warnings: tuple[str, ...] = ()) -> SolveResult:
+    """Race one probe per grid bound and one escalator (base: the declared
     maximum) per slack over the stream, in one pass.
 
-    The smallest surviving bound wins; if every probe failed, the escalator
-    with the smallest threshold is the fallback. Space is the driver words
-    plus every instance's `words`.
+    The grid bounds are base * 2**i * (1+eps)**j for i < doublings and
+    j = 0..c, the smallest c with (1+eps)**c >= target, in that order. A
+    probe needs only its bound's floor, computed in integers; the exact
+    bound is built only for the winner, the smallest surviving bound (the
+    first of equal bounds). If every probe failed, the escalator with the
+    smallest threshold is the fallback. Space is the driver words plus every
+    instance's `words`.
     """
     store = mode == PART_MODE
-    probes = [ProbeInstance(bound, num_blocks, store_separators=store) for bound in bounds]
+    powers = _exact_powers(1 + epsilon, target)
+    num, den = base.numerator, base.denominator
+    probes = [ProbeInstance((num << i) * up // (den * down), num_blocks, store_separators=store)
+              for i in range(doublings) for up, down in powers]
     escalators = [
         ProbeExtInstance(declared.max_weight, num_blocks, slack, store_separators=store)
         for slack in slacks
     ]
-    length, total, biggest = _drive(stream, probes, escalators, declared.max_weight)
+    length, total, biggest = _drive(stream, probes + escalators,
+                                    declared_max=declared.max_weight)
     _check_declarations(declared, length, total, biggest)
-    # min keeps the first of equal bounds, i.e. the first in the order given
-    winner = min((inst for inst in probes if inst.failure is None),
-                 key=lambda inst: inst.bound, default=None)
-    if winner is not None:
-        bottleneck, separators, merges = winner.bound, winner.finish(length).separators, None
+
+    def exact_bound(k: int) -> Fraction:
+        i, j = divmod(k, len(powers))
+        up, down = powers[j]
+        return Fraction((num << i) * up, den * down)
+
+    alive = [k for k, inst in enumerate(probes) if inst.failure is None]
+    if alive:
+        # the smallest exact bound has the smallest floor, so only the probes
+        # at that floor need their exact bound; min keeps the first of equals
+        least = min(probes[k].threshold_floor for k in alive)
+        k = min((k for k in alive if probes[k].threshold_floor == least), key=exact_bound)
+        bottleneck, separators, merges = exact_bound(k), probes[k].finish(length).separators, None
     elif escalators:
         ext = min(escalators, key=lambda inst: inst.bottleneck).finish(length)
         bottleneck, separators, merges = ext.bottleneck, ext.separators, ext.merges
@@ -173,6 +206,7 @@ def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, 
         warning_flags=warnings,
         probe_instances=len(probes),
         probe_ext_instances=len(escalators),
+        buffer_words=BUFFER_WORDS,
     )
 
 
@@ -182,10 +216,8 @@ def solve_known_total(
     """Candidates (total/p) * (1+eps)^i for i = 0..steps(p); smallest success wins."""
     epsilon = checked_args(num_blocks, mode, epsilon, needs_epsilon=True)
     declared = KnowledgeProfile(total_weight=total_weight)
-    base = Fraction(total_weight, num_blocks)
-    bounds = (base * power for power in _exact_powers(1 + epsilon, num_blocks))
     return _race(stream, num_blocks, epsilon, mode, KNOWN_TOTAL_TAG, KNOWN_TOTAL_DRIVER_WORDS,
-                 bounds, declared)
+                 declared, Fraction(total_weight, num_blocks), num_blocks)
 
 
 def solve_known_max_length(
@@ -200,9 +232,8 @@ def solve_known_max_length(
     """Candidates max * (1+eps)^i for i = 0..steps(length); smallest success wins."""
     epsilon = checked_args(num_blocks, mode, epsilon, needs_epsilon=True)
     declared = KnowledgeProfile(max_weight=max_weight, length=length)
-    bounds = (max_weight * power for power in _exact_powers(1 + epsilon, max(length, 1)))
     return _race(stream, num_blocks, epsilon, mode, KNOWN_MAX_LENGTH_TAG,
-                 KNOWN_MAX_LENGTH_DRIVER_WORDS, bounds, declared)
+                 KNOWN_MAX_LENGTH_DRIVER_WORDS, declared, Fraction(max_weight), max(length, 1))
 
 
 def solve_known_max(
@@ -224,12 +255,9 @@ def solve_known_max(
         warnings = (WARN_EPSILON_RANGE,)
     delta = epsilon / (1 + epsilon / 2)
     doubling_levels = growth_steps(Fraction(2), 1 / delta**2) + 1
-    ratio_powers = _exact_powers(1 + epsilon, 2)
-    bounds = (max_weight * power * (1 << i)
-              for i in range(doubling_levels) for power in ratio_powers)
-    slacks = (power - 1 for power in _exact_powers(1 + epsilon / 2, 2))
+    slacks = (Fraction(up - down, down) for up, down in _exact_powers(1 + epsilon / 2, 2))
     return _race(stream, num_blocks, epsilon, mode, KNOWN_MAX_TAG, KNOWN_MAX_DRIVER_WORDS,
-                 bounds, declared, slacks, warnings)
+                 declared, Fraction(max_weight), 2, doubling_levels, slacks, warnings)
 
 
 class UnknownPartSolver:
@@ -255,7 +283,7 @@ class UnknownPartSolver:
         return Fraction(2 * max(self.max_weight * self.num_blocks, self.total), self.num_blocks)
 
     def feed(self, weight: int) -> None:
-        """Take one weight, already validated by the caller (see `_drive`)."""
+        """Take one weight, already validated by the caller (see `check_weight`)."""
         self.elements_read += 1
         index = self.elements_read
         self.total += weight
@@ -299,15 +327,18 @@ class UnknownPartSolver:
 
 def solve_unknown_part(stream: Iterable[int], num_blocks: int) -> SolveResult:
     solver = UnknownPartSolver(num_blocks)
-    _drive(stream, [], [solver])
+    # one element at a time: the solver takes no chunk, so none is buffered
+    for weight in stream:
+        check_weight(weight)
+        solver.feed(weight)
     return solver.result()
 
 
 def solve_unknown_partb(stream: Iterable[int], num_blocks: int) -> SolveResult:
     """Value-only 2-approximation: max(running max, total / p) + running max.
 
-    Its own loop, not `_drive`: the per-element cost of `_drive` would be a
-    sizeable share of this pass. Weights are validated the same way.
+    Its own loop, not `_drive`: holding a chunk of `B` weights raised this
+    pass's peak memory by about 8%. Weights are checked by the same rule.
     """
     checked_args(num_blocks, PARTB_MODE)
     length = 0

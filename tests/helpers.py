@@ -1,10 +1,14 @@
-"""Shared test utilities: independent optima, counting streams, corpora."""
+"""Shared test utilities: independent optima, counting streams, corpora, and
+the per-element feasibility machines the chunked walk is checked against."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
+
+from streampart import ProbeFailure
 
 
 def brute_force_optimum(weights: Sequence[int], num_blocks: int) -> int:
@@ -69,3 +73,72 @@ P_CHOICES = (2, 3, 5, 8)
 def paired_blocks(index: int) -> int:
     """Deterministic p for the index-th corpus stream, cycling 2, 3, 5, 8."""
     return P_CHOICES[index % len(P_CHOICES)]
+
+
+class ReferenceProbe:
+    """The per-element greedy probe, one weight at a time: the reference the
+    chunked walk of `ProbeInstance` is checked against. `events` lists the
+    index of every element that opened a block or made the probe fail."""
+
+    def __init__(self, threshold: int, num_blocks: int, store_separators: bool) -> None:
+        self.threshold_floor = threshold
+        self.num_blocks = num_blocks
+        self.block_ordinal = 1
+        self.block_weight = 0
+        self.next_index = 1
+        self.separators = [] if store_separators else None
+        self.failure = None
+        self.merges = 0
+        self.events: list[int] = []
+
+    def feed(self, weight: int) -> None:
+        threshold = self.threshold_floor
+        if weight > threshold:
+            self.failure = ProbeFailure.ELEMENT_EXCEEDS_THRESHOLD
+            self.events.append(self.next_index)
+        elif self.block_weight + weight <= threshold:
+            self.block_weight += weight
+        elif self.block_ordinal < self.num_blocks:
+            if self.separators is not None:
+                self.separators.append(self.next_index)
+            self.block_ordinal += 1
+            self.block_weight = weight
+            self.events.append(self.next_index)
+        else:
+            self.failure = ProbeFailure.PARTITIONS_EXHAUSTED
+            self.events.append(self.next_index)
+        self.next_index += 1
+
+
+class ReferenceEscalator(ReferenceProbe):
+    """The per-element merging instance: threshold floor(2^merges * base),
+    and, when no block is left, adjacent blocks merged pairwise with the
+    incoming element's index as the tentative last boundary."""
+
+    def __init__(self, base: Fraction, num_blocks: int, store_separators: bool) -> None:
+        super().__init__(base.numerator // base.denominator, num_blocks, store_separators)
+        self.base = base
+
+    def feed(self, weight: int) -> None:
+        if self.block_weight + weight <= self.threshold_floor:
+            self.block_weight += weight
+        elif self.block_ordinal < self.num_blocks:
+            if self.separators is not None:
+                self.separators.append(self.next_index)
+            self.block_ordinal += 1
+            self.block_weight = weight
+            self.events.append(self.next_index)
+        else:
+            blocks = self.num_blocks
+            self.merges += 1
+            self.threshold_floor = (self.base.numerator << self.merges) // self.base.denominator
+            if self.separators is not None:
+                boundaries = self.separators + [self.next_index]
+                self.separators = [boundaries[2 * a + 1] for a in range(blocks // 2)]
+            self.block_ordinal = blocks // 2 + 1
+            if blocks % 2 == 0:
+                self.block_weight = weight
+            else:
+                self.block_weight += weight
+            self.events.append(self.next_index)
+        self.next_index += 1

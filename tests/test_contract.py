@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from streampart import (
+    DeclaredBoundError,
     KnowledgeProfile,
     ProbeExtInstance,
     ProbeInstance,
@@ -21,6 +22,7 @@ from streampart import (
     solve_unknown_part,
     solve_unknown_partb,
 )
+from streampart.feasibility import B
 from streampart.schedulers import UnknownPartSolver, solve_tagged
 
 # entry points that take a whole stream and a block count
@@ -109,3 +111,32 @@ def test_float_bound_slack_and_max_rejected(name, bad):
 def test_non_int_declared_values_rejected(declare, bad):
     with pytest.raises(ValueError, match="must be a non-negative int"):
         declare(bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, Fraction(1)])
+@pytest.mark.parametrize("make", [lambda: ProbeInstance(3, 2), lambda: ProbeExtInstance(3, 2)],
+                         ids=["ProbeInstance", "ProbeExtInstance"])
+def test_direct_feed_checks_weights_like_a_stream(make, bad):
+    instance = make()
+    with pytest.raises(ValueError, match="non-negative integers"):
+        instance.feed(bad)
+    assert (instance.block_weight, instance.next_index) == (0, 1)
+
+
+# a full first chunk, so that the bad elements below sit in the second
+FULL_CHUNK = [1] * B
+
+
+@pytest.mark.parametrize("head", [[], FULL_CHUNK], ids=["first-chunk", "second-chunk"])
+def test_first_bad_element_raises_within_a_chunk(head):
+    # above the declared maximum, then negative: the maximum is reported
+    with pytest.raises(DeclaredBoundError, match="element 7 exceeds"):
+        solve_known_max(iter(head + [1, 7, -1]), 2, "1/64", 5)
+    with pytest.raises(DeclaredBoundError, match="element 7 exceeds"):
+        probe_ext_run(head + [1, 7, -1], 5, 2)
+    # negative, then above the maximum: the negative weight is reported
+    with pytest.raises(ValueError, match="got -1") as raised:
+        solve_known_max(iter(head + [1, -1, 7]), 2, "1/64", 5)
+    assert not isinstance(raised.value, DeclaredBoundError)
+    with pytest.raises(ValueError, match="got 1.5"):
+        probe_run(head + [2, 1.5, -1], 10, 2)

@@ -21,6 +21,7 @@ from streampart import (
     parse_weights,
     validate_partitioning,
 )
+from streampart.feasibility import B
 from streampart.schedulers import SOLVERS, solve_tagged
 from helpers import random_stream
 
@@ -93,6 +94,10 @@ def test_stream_stats():
         StreamStats(length=0, max_weight=1, total_weight=0)
     with pytest.raises(ValueError):
         StreamStats(length=-1, max_weight=0, total_weight=0)
+    with pytest.raises(ValueError, match="must be a non-negative int"):
+        StreamStats(length=1.5, max_weight=True, total_weight=1)
+    with pytest.raises(ValueError, match="stream total_weight must be a non-negative int"):
+        StreamStats(length=1, max_weight=1, total_weight=Fraction(1))
 
 
 # the driver words each grid solver declares for itself
@@ -117,6 +122,8 @@ def test_space_peak_words_counts_driver_and_instance_words(tag, mode):
         expected = (DRIVER_WORDS[tag] + res.probe_instances * (4 + extra)
                     + res.probe_ext_instances * (5 + extra))
     assert res.space_peak_words == expected
+    # the chunk buffer is reported apart: B weights and B + 1 prefix sums
+    assert res.buffer_words == (0 if tag == "unknown-2approx" else 2 * B + 1)
 
 
 def test_fraction_helpers():

@@ -1,6 +1,8 @@
-"""Generated-input checks of the whole-list greedy (`greedy_cuts`, used by the
-oracle and `realize_partition`) against the per-element streaming probe and
-against exhaustive search."""
+"""Generated-input checks of the greedy walk against per-element references:
+the chunked walk of both instance classes against the per-element machines
+in `helpers`, the whole-list greedy (`greedy_cuts`, used by the oracle and
+`realize_partition`) against the streaming probe, and the oracle against
+exhaustive search."""
 
 from fractions import Fraction
 from itertools import accumulate
@@ -9,13 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streampart import (
+    PART_MODE,
+    PARTB_MODE,
     InfeasibleBoundError,
+    ProbeExtInstance,
+    ProbeInstance,
     opt_bottleneck_binsearch,
     probe_run,
     realize_partition,
 )
 from streampart.feasibility import greedy_cuts
-from helpers import brute_force_optimum
+from helpers import ReferenceEscalator, ReferenceProbe, brute_force_optimum
 
 SETTINGS = settings(max_examples=300, deadline=None, database=None, derandomize=True)
 
@@ -51,3 +57,74 @@ def test_binsearch_oracle_matches_brute_force(weights, num_blocks):
     assert probe_run(weights, optimum, num_blocks).success
     if optimum > 0:
         assert not probe_run(weights, optimum - 1, num_blocks).success
+
+
+# how a test chunks the stream for the walk: a fixed chunk size, or chunk
+# edges placed at the reference's events (block openings, failures, merges):
+# just before the event's element, just after it, or one further on
+CHUNKINGS = ("1", "2", "3", "7", "whole", "before-event", "after-event", "past-event")
+
+
+def chunk_edges(chunking: str, length: int, events: list[int]) -> list[int]:
+    """Sorted positions k (0 < k < length) after which a chunk ends."""
+    if chunking == "whole":
+        return []
+    if chunking.isdigit():
+        return list(range(int(chunking), length, int(chunking)))
+    shift = {"before-event": -1, "after-event": 0, "past-event": 1}[chunking]
+    return sorted({e + shift for e in events if 0 < e + shift < length})
+
+
+def walk_in_chunks(instance, weights: list[int], edges: list[int]) -> None:
+    bounds = [0, *edges, len(weights)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if not instance.walk(list(accumulate(weights[lo:hi], initial=0))):
+            return
+
+
+def feed_reference(reference, weights: list[int]) -> None:
+    for weight in weights:
+        reference.feed(weight)
+        if reference.failure is not None:
+            return
+
+
+def assert_same_state(walked, reference) -> None:
+    assert walked.failure is reference.failure
+    assert walked.next_index == reference.next_index  # the failing index + 1
+    assert walked.separators == reference.separators
+    assert walked.threshold_floor == reference.threshold_floor
+    assert getattr(walked, "merges", 0) == reference.merges
+    if walked.failure is None:
+        assert walked.block_ordinal == reference.block_ordinal
+        assert walked.block_weight == reference.block_weight
+
+
+walk_weights = st.lists(st.one_of(st.just(0), st.integers(0, 9)), max_size=30)
+
+
+@SETTINGS
+@given(weights=walk_weights, num_blocks=blocks_strategy, threshold=st.integers(0, 25),
+       mode=st.sampled_from((PART_MODE, PARTB_MODE)), chunking=st.sampled_from(CHUNKINGS))
+def test_probe_walk_matches_per_element_probe(weights, num_blocks, threshold, mode, chunking):
+    store = mode == PART_MODE
+    reference = ReferenceProbe(threshold, num_blocks, store)
+    feed_reference(reference, weights)
+    walked = ProbeInstance(threshold, num_blocks, store_separators=store)
+    walk_in_chunks(walked, weights, chunk_edges(chunking, len(weights), reference.events))
+    assert_same_state(walked, reference)
+
+
+@SETTINGS
+@given(weights=walk_weights, num_blocks=blocks_strategy,
+       slack=st.builds(Fraction, st.integers(0, 5), st.integers(1, 4)),
+       mode=st.sampled_from((PART_MODE, PARTB_MODE)), chunking=st.sampled_from(CHUNKINGS))
+def test_escalator_walk_matches_per_element_escalator(weights, num_blocks, slack, mode,
+                                                      chunking):
+    store = mode == PART_MODE
+    top = max(weights, default=0)
+    walked = ProbeExtInstance(top, num_blocks, slack, store_separators=store)
+    reference = ReferenceEscalator(top * (1 + slack), num_blocks, store)
+    feed_reference(reference, weights)
+    walk_in_chunks(walked, weights, chunk_edges(chunking, len(weights), reference.events))
+    assert_same_state(walked, reference)

@@ -143,3 +143,24 @@ def test_generator_spec_field_types():
         GeneratorSpec("index", bits=5, i=1)
     with pytest.raises(ValueError, match="n must be an int"):
         GeneratorSpec("uniform", n=True, m=9)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_constant(True, 3),
+        lambda: gen_constant(2, 3.0),
+        lambda: gen_uniform(2.5, 3),
+        lambda: gen_uniform(2, True),
+        lambda: gen_spike(4.0, 9),
+        lambda: gen_yz_hard(10.0, 2, 1),
+        lambda: gen_yz_hard(10, True, 1),
+        lambda: gen_index_hard("10", 2.0),
+    ],
+    ids=["constant-length-bool", "constant-weight-float", "uniform-length-float",
+         "uniform-max-bool", "spike-length-float", "yz-length-float", "yz-pairs-bool",
+         "index-float"],
+)
+def test_generator_functions_reject_non_int_sizes(make):
+    with pytest.raises(ValueError, match="must be a non-negative int"):
+        make()
