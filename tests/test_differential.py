@@ -1,8 +1,9 @@
-"""Generated-input checks of the greedy walk against per-element references:
-the chunked walk of both instance classes against the per-element machines
-in `helpers`, the whole-list greedy (`greedy_cuts`, used by the oracle and
-`realize_partition`) against the streaming probe, and the oracle against
-exhaustive search."""
+"""Generated-input checks against simple references: the chunked walk of
+both instance classes against the per-element machines in `helpers`, the
+whole-list greedy (`greedy_cuts`, used by the oracle and
+`realize_partition`) against the streaming probe, the unknown-knowledge fast
+path against the full regroup, the oracle against exhaustive search, and
+every solver's guarantee against the exhaustive optimum."""
 
 from fractions import Fraction
 from itertools import accumulate
@@ -14,14 +15,30 @@ from streampart import (
     PART_MODE,
     PARTB_MODE,
     InfeasibleBoundError,
+    KnowledgeProfile,
     ProbeExtInstance,
     ProbeInstance,
+    bottleneck_of,
     opt_bottleneck_binsearch,
     probe_run,
     realize_partition,
+    validate_partitioning,
 )
 from streampart.feasibility import greedy_cuts
-from helpers import ReferenceEscalator, ReferenceProbe, brute_force_optimum
+from streampart.schedulers import (
+    EPSILON_GUARANTEE_LIMIT,
+    KNOWN_MAX_TAG,
+    SOLVERS,
+    UNKNOWN_TAG,
+    UnknownPartSolver,
+    solve_tagged,
+)
+from helpers import (
+    ReferenceEscalator,
+    ReferenceProbe,
+    ReferenceUnknownPart,
+    brute_force_optimum,
+)
 
 SETTINGS = settings(max_examples=300, deadline=None, database=None, derandomize=True)
 
@@ -128,3 +145,55 @@ def test_escalator_walk_matches_per_element_escalator(weights, num_blocks, slack
     feed_reference(reference, weights)
     walk_in_chunks(walked, weights, chunk_edges(chunking, len(weights), reference.events))
     assert_same_state(walked, reference)
+
+
+small = st.integers(0, 9)
+# streams that reach the fast path's edges: zero prefixes (one block, no
+# pair yet), ascending runs (many merges), one late spike that raises the
+# maximum and with it the bound, and plain short streams (p >= n often)
+unknown_streams = st.one_of(
+    st.lists(small, max_size=40),
+    st.builds(lambda zeros, tail: [0] * zeros + tail, st.integers(0, 20),
+              st.lists(small, max_size=20)),
+    st.lists(st.integers(0, 50), max_size=40).map(sorted),
+    st.builds(lambda head, spike, tail: head + [spike] + tail, st.lists(small, max_size=30),
+              st.integers(10, 1000), st.lists(small, max_size=3)),
+)
+
+
+@SETTINGS
+@given(weights=unknown_streams, num_blocks=st.one_of(st.just(2), st.integers(2, 8), st.just(64)))
+def test_unknown_part_fast_path_matches_full_regroup(weights, num_blocks):
+    solver = UnknownPartSolver(num_blocks)
+    reference = ReferenceUnknownPart(num_blocks)
+    for weight in weights:
+        solver.feed(weight)
+        reference.feed(weight)
+        assert solver.separators == reference.separators
+        assert solver.block_weights == reference.block_weights
+        assert solver.bound == reference.bound
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(weights=st.lists(st.one_of(st.just(0), st.integers(0, 9)), max_size=7),
+       num_blocks=st.integers(2, 4), tag=st.sampled_from(sorted(SOLVERS)),
+       mode=st.sampled_from((PART_MODE, PARTB_MODE)),
+       epsilon=st.sampled_from((Fraction(1, 2), Fraction(1, 10), Fraction(1, 100))))
+def test_every_solver_sandwiches_the_optimum(weights, num_blocks, tag, mode, epsilon):
+    profile = KnowledgeProfile(max_weight=max(weights, default=0), length=len(weights),
+                               total_weight=sum(weights))
+    result = solve_tagged(tag, iter(weights), num_blocks, epsilon, profile, mode=mode)
+    best = brute_force_optimum(weights, num_blocks)
+    bound = result.bottleneck
+    assert best <= bound
+    if tag == UNKNOWN_TAG:
+        assert bound <= 2 * best
+    elif tag != KNOWN_MAX_TAG or epsilon < EPSILON_GUARANTEE_LIMIT:
+        assert bound <= (1 + epsilon) * best
+    if mode == PART_MODE:
+        separators = result.separators
+        # p + 1 non-decreasing separators from 1 to n + 1
+        assert validate_partitioning(len(weights), num_blocks, separators) is None
+        assert bottleneck_of(weights, separators) <= bound.numerator // bound.denominator
+    else:
+        assert result.separators is None

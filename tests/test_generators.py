@@ -164,3 +164,26 @@ def test_generator_spec_field_types():
 def test_generator_functions_reject_non_int_sizes(make):
     with pytest.raises(ValueError, match="must be a non-negative int"):
         make()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: gen_uniform(3, 9, seed=None), "seed must be an int"),
+        (lambda: gen_uniform(3, 9, seed=1.5), "seed must be an int"),
+        (lambda: gen_spike(10, 9, seed=True), "seed must be an int"),
+        (lambda: gen_yz_hard(10, 2, 1, seed="1"), "seed must be an int"),
+        (lambda: gen_index_hard([True, 0], 1), "sequence of 0/1"),
+        (lambda: gen_index_hard([1.0, 0], 1), "sequence of 0/1"),
+    ],
+    ids=["uniform-seed-none", "uniform-seed-float", "spike-seed-bool", "yz-seed-str",
+         "index-bit-bool", "index-bit-float"],
+)
+def test_generator_functions_reject_bad_seeds_and_bits(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_negative_seeds_are_accepted_and_repeat():
+    assert gen_uniform(5, 9, seed=-3) == gen_uniform(5, 9, seed=-3)
+    assert GeneratorSpec("uniform", n=5, m=9, seed=-3).make() == gen_uniform(5, 9, seed=-3)
