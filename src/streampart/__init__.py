@@ -34,7 +34,6 @@ from .core import (
 from .feasibility import (
     PART_MODE,
     PARTB_MODE,
-    PROBE_STATE_WORDS,
     ProbeFailure,
     ProbeInstance,
     ProbeOutcome,
@@ -56,7 +55,6 @@ from .oracle import (
     realize_partition,
 )
 from .probe_ext import (
-    PROBE_EXT_STATE_WORDS,
     ProbeExtInstance,
     ProbeExtResult,
     approx_factor_bound,
@@ -99,8 +97,6 @@ __all__ = [
     "OracleResult",
     "PART_MODE",
     "PARTB_MODE",
-    "PROBE_EXT_STATE_WORDS",
-    "PROBE_STATE_WORDS",
     "ProbeExtInstance",
     "ProbeExtResult",
     "ProbeFailure",

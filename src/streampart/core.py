@@ -145,20 +145,17 @@ def _parse_weight(token: str) -> int:
 
 
 def iter_weights(stream: IO[str]) -> Iterator[int]:
-    """Yield weights from whitespace-separated decimal text, incrementally."""
+    """Yield weights from whitespace-separated decimal text, 8 KiB at a time."""
     pending = ""
-    while True:
-        chunk = stream.read(1 << 16)
-        if not chunk:
-            break
-        pending += chunk
-        tokens = pending.split()
-        if tokens and not pending[-1].isspace():
-            pending = tokens.pop()  # last token may continue in the next chunk
+    while chunk := stream.read(1 << 13):
+        tokens = (pending + chunk).split()
+        if tokens and not chunk[-1].isspace():
+            pending = tokens.pop()  # last token may continue in the next block
         else:
             pending = ""
         for token in tokens:
             yield _parse_weight(token)
+        del tokens  # hold one token list: drop it before the next block is split
     if pending:
         yield _parse_weight(pending)
 

@@ -12,11 +12,12 @@ The packing has one home, `_Walker.walk`: it advances an instance over the
 prefix sums of a chunk of the stream with one binary search per block the
 chunk reaches, and resumes where it stopped on the next chunk (the
 "chains-on-chains" probe of Han, Narahari & Choi and of Pinar & Aykanat,
-made resumable). `_drive` reads a stream `B` elements at a time, checks
-each weight against `check_weight`, the one ingress rule, and builds each
-chunk's prefix sums once for every live instance; `greedy_cuts` is the same
-walk over a whole list from a fresh state. The module also holds
-`checked_args` (block count, mode, epsilon), which every entry point shares.
+made resumable). `_drive` is the one reader of a stream: it reads `B`
+elements at a time, checks each weight against `check_weight`, the one
+ingress rule, and builds each chunk's prefix sums once for every live
+walker; `greedy_cuts` is the same walk over a whole list from a fresh
+state. The module also holds `checked_args` (block count, mode, epsilon),
+which every entry point shares.
 """
 
 from __future__ import annotations
@@ -175,6 +176,17 @@ class _Walker:
         it and return True, or record the failure and return False."""
         raise NotImplementedError
 
+    def _close(self, length: int | None) -> tuple[int, ...] | None:
+        """Close the pass: check the caller's length against the elements
+        fed and return the separators padded past the stream end, or None
+        when none are stored."""
+        fed = self.next_index - 1
+        if length is not None and length != fed:
+            raise ValueError(f"stream length mismatch: fed {fed} elements, caller says {length}")
+        if self.separators is None:
+            return None
+        return pad_separators(self.separators, self.num_blocks, fed)
+
 
 class ProbeInstance(_Walker):
     """Feasibility state machine for one bound.
@@ -222,14 +234,9 @@ class ProbeInstance(_Walker):
 
     def finish(self, length: int | None = None) -> ProbeOutcome:
         """Close the pass; unused separators are padded past the stream end."""
-        fed = self.next_index - 1
-        if length is not None and length != fed:
-            raise ValueError(f"stream length mismatch: fed {fed} elements, caller says {length}")
+        separators = self._close(length)
         if self.failure is not None:
             return ProbeOutcome(False, failure=self.failure)
-        if self.separators is None:
-            return ProbeOutcome(True)
-        separators = pad_separators(self.separators, self.num_blocks, fed)
         return ProbeOutcome(True, separators=separators)
 
 
@@ -265,6 +272,8 @@ def _drive(
     advance every live walker over each chunk's prefix sums, in one pass;
     return (length, total, max).
 
+    A walker is anything with a `failure` and a `walk(prefix)` that returns
+    whether it is still alive: a `_Walker` or the unknown-knowledge solver.
     A chunk that fails the check is rescanned element by element, so the
     first bad element raises, as it would one element at a time. Prefix
     sums are built only while a walker is live.

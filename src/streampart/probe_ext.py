@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .core import as_fraction, floor_fraction
-from .feasibility import PART_MODE, _drive, _Walker, checked_args, pad_separators
+from .feasibility import PART_MODE, _drive, _Walker, checked_args
 
 # element index, block ordinal, block weight, threshold, escalation counter
 PROBE_EXT_STATE_WORDS = 5
@@ -94,13 +94,7 @@ class ProbeExtInstance(_Walker):
         return True
 
     def finish(self, length: int | None = None) -> ProbeExtResult:
-        fed = self.next_index - 1
-        if length is not None and length != fed:
-            raise ValueError(f"stream length mismatch: fed {fed} elements, caller says {length}")
-        if self.separators is None:
-            return ProbeExtResult(self.bottleneck, self.merges)
-        separators = pad_separators(self.separators, self.num_blocks, fed)
-        return ProbeExtResult(self.bottleneck, self.merges, separators)
+        return ProbeExtResult(self.bottleneck, self.merges, self._close(length))
 
 
 def probe_ext_run(

@@ -20,17 +20,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from operator import add
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import KnowledgeMismatchError, as_fraction, ceil_fraction, check_count
 from .feasibility import (
     BUFFER_WORDS,
     PART_MODE,
     PARTB_MODE,
+    B,
     ProbeInstance,
     _drive,
-    check_weight,
     checked_args,
     pad_separators,
 )
@@ -87,9 +88,9 @@ class SolveResult:
     # grid detail of the racing solvers (probes, escalators); not serialized
     probe_instances: int | None = None
     probe_ext_instances: int | None = None
-    # words of the racing solvers' chunk buffer, B weights and B + 1 prefix
-    # sums; constant in the stream length, 0 for a pass that holds no chunk;
-    # not serialized
+    # words of the pass's chunk buffer: B weights, plus B + 1 prefix sums
+    # while a walker is live (every mode but unknown partb); constant in the
+    # stream length; not serialized
     buffer_words: int = 0
 
     @property
@@ -277,7 +278,13 @@ class UnknownPartSolver:
     which costs O(1); otherwise the full greedy regroup runs. The kept pair
     sum can only be stale low (the last block only grows), which costs an
     extra full regroup and never a different grouping.
+
+    It is one of `_drive`'s walkers: `walk` takes each chunk's prefix sums
+    and carries the counter, total, maximum and blocks to the next chunk.
     """
+
+    # never set: the solver cannot fail, but `_drive` asks every walker
+    failure = None
 
     def __init__(self, num_blocks: int) -> None:
         checked_args(num_blocks)
@@ -306,29 +313,45 @@ class UnknownPartSolver:
         return self._sums + [0] * (self.num_blocks - len(self._sums))
 
     def feed(self, weight: int) -> None:
-        """Take one weight, already validated by the caller (see `check_weight`)."""
-        self.elements_read += 1
-        index = self.elements_read
-        self.total += weight
-        if weight > self.max_weight:
-            self.max_weight = weight
+        """Take one weight: a one-element chunk through `_drive`."""
+        _drive((weight,), [self])
+
+    def walk(self, prefix: Sequence[int]) -> bool:
+        """Advance over the next chunk of the stream, given its prefix sums
+        (``prefix[0] = 0``); the solver never fails, so return True."""
         blocks = self.num_blocks
-        # compare p * (acc + w) <= p * bound = 2 * max(max_weight * p, total)
-        cap = 2 * max(self.max_weight * blocks, self.total)
-        pair = self._pair
-        if pair is not None and blocks * pair <= cap:
-            self._regroup(weight, index, cap)
-            return
+        carried = self.total
+        index = self.elements_read
+        biggest = self.max_weight
         sums = self._sums
-        grown = sums[-1] + weight
-        if blocks * grown <= cap:
-            sums[-1] = grown
-            return
-        if len(sums) == blocks:
-            raise RuntimeError("regrouping exceeded the block budget")
-        self._starts.append(index)
-        sums.append(weight)
-        self._pair = grown if pair is None or grown < pair else pair
+        pair = self._pair
+        for before, running in pairwise(prefix):
+            weight = running - before
+            index += 1
+            if weight > biggest:
+                biggest = weight
+            # compare p * (acc + w) <= p * bound = 2 * max(max_weight * p, total)
+            cap = 2 * max(biggest * blocks, carried + running)
+            if pair is not None and blocks * pair <= cap:
+                self._regroup(weight, index, cap)
+                sums = self._sums
+                pair = self._pair
+                continue
+            grown = sums[-1] + weight
+            if blocks * grown <= cap:
+                sums[-1] = grown
+                continue
+            if len(sums) == blocks:
+                raise RuntimeError("regrouping exceeded the block budget")
+            self._starts.append(index)
+            sums.append(weight)
+            if pair is None or grown < pair:
+                pair = grown
+        self.total = carried + prefix[-1]
+        self.elements_read = index
+        self.max_weight = biggest
+        self._pair = pair
+        return True
 
     def _regroup(self, weight: int, index: int, cap: int) -> None:
         """The full greedy regroup of the blocks and the incoming element."""
@@ -364,35 +387,20 @@ class UnknownPartSolver:
             space_peak_words=UNKNOWN_PART_DRIVER_WORDS + 2 * self.num_blocks,
             elements_read=self.elements_read,
             epsilon=None,
+            buffer_words=BUFFER_WORDS,
         )
 
 
 def solve_unknown_part(stream: Iterable[int], num_blocks: int) -> SolveResult:
     solver = UnknownPartSolver(num_blocks)
-    # one element at a time: the solver takes no chunk, so none is buffered
-    for weight in stream:
-        check_weight(weight)
-        solver.feed(weight)
+    _drive(stream, [solver])
     return solver.result()
 
 
 def solve_unknown_partb(stream: Iterable[int], num_blocks: int) -> SolveResult:
-    """Value-only 2-approximation: max(running max, total / p) + running max.
-
-    Its own loop, not `_drive`: holding a chunk of `B` weights raised this
-    pass's peak memory by about 8%. Weights are checked by the same rule.
-    """
+    """Value-only 2-approximation: max(running max, total / p) + running max."""
     checked_args(num_blocks, PARTB_MODE)
-    length = 0
-    total = 0
-    biggest = 0
-    for weight in stream:
-        if type(weight) is not int or weight < 0:
-            raise ValueError(f"weights must be non-negative integers, got {weight!r}")
-        length += 1
-        total += weight
-        if weight > biggest:
-            biggest = weight
+    length, total, biggest = _drive(stream)
     bottleneck = max(Fraction(biggest), Fraction(total, num_blocks)) + biggest
     return SolveResult(
         mode=PARTB_MODE,
@@ -404,6 +412,7 @@ def solve_unknown_partb(stream: Iterable[int], num_blocks: int) -> SolveResult:
         space_peak_words=UNKNOWN_VALUE_DRIVER_WORDS,
         elements_read=length,
         epsilon=None,
+        buffer_words=B,
     )
 
 

@@ -25,6 +25,15 @@ from streampart import (
 from streampart.feasibility import B
 from streampart.schedulers import UnknownPartSolver, solve_tagged
 
+
+def feed_each(weights, p):
+    """The unknown-knowledge solver fed one weight at a time, directly."""
+    solver = UnknownPartSolver(p)
+    for weight in weights:
+        solver.feed(weight)
+    return solver.result()
+
+
 # entry points that take a whole stream and a block count
 STREAM_ENTRY_POINTS = {
     "probe_run": lambda weights, p: probe_run(weights, 10, p),
@@ -32,6 +41,7 @@ STREAM_ENTRY_POINTS = {
     "opt_bottleneck_binsearch": opt_bottleneck_binsearch,
     "opt_bottleneck_dp": opt_bottleneck_dp,
     "realize_partition": lambda weights, p: realize_partition(weights, p, 10),
+    "UnknownPartSolver.feed": feed_each,
 }
 
 SOLVER_CALLS = {
@@ -121,6 +131,16 @@ def test_direct_feed_checks_weights_like_a_stream(make, bad):
     with pytest.raises(ValueError, match="non-negative integers"):
         instance.feed(bad)
     assert (instance.block_weight, instance.next_index) == (0, 1)
+
+
+def test_unknown_part_feed_rejects_a_negative_weight():
+    solver = UnknownPartSolver(2)
+    solver.feed(4)
+    with pytest.raises(ValueError, match="got -3"):
+        solver.feed(-3)
+    # the refused weight left no trace
+    assert (solver.elements_read, solver.total, solver.max_weight) == (1, 4, 4)
+    assert solver.separators == [1, 2, 2]
 
 
 # a full first chunk, so that the bad elements below sit in the second

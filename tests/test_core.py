@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -122,8 +123,10 @@ def test_space_peak_words_counts_driver_and_instance_words(tag, mode):
         expected = (DRIVER_WORDS[tag] + res.probe_instances * (4 + extra)
                     + res.probe_ext_instances * (5 + extra))
     assert res.space_peak_words == expected
-    # the chunk buffer is reported apart: B weights and B + 1 prefix sums
-    assert res.buffer_words == (0 if tag == "unknown-2approx" else 2 * B + 1)
+    # the chunk buffer is reported apart: B weights and B + 1 prefix sums,
+    # or only the B weights for unknown partb, which walks no instance
+    assert res.buffer_words == (B if (tag, mode) == ("unknown-2approx", PARTB_MODE)
+                                else 2 * B + 1)
 
 
 def test_fraction_helpers():
@@ -150,6 +153,10 @@ def test_parse_and_format_round_trip():
         parse_weights("1 x 3")
 
 
+# the parser reads its text in blocks of this many characters
+READ_BLOCK = 1 << 13
+
+
 def test_iter_weights_streams_across_chunks():
     # tokens straddling the read chunk boundary must reassemble
     weights = [random.Random(5).randint(0, 10 ** 6) for _ in range(20000)]
@@ -157,3 +164,23 @@ def test_iter_weights_streams_across_chunks():
     assert list(iter_weights(io.StringIO(text))) == weights
     assert list(iter_weights(io.StringIO(""))) == []
     assert list(iter_weights(io.StringIO("7"))) == [7]
+    # a block that ends exactly on whitespace: its last token is complete
+    ones = READ_BLOCK // 2
+    assert list(iter_weights(io.StringIO("1 " * ones + "23 4"))) == [1] * ones + [23, 4]
+    # a token straddling the boundary: "45" ends the first block, "67" opens the next
+    ones = READ_BLOCK // 2 - 1
+    assert list(iter_weights(io.StringIO("1 " * ones + "4567 8"))) == [1] * ones + [4567, 8]
+
+
+def test_iter_weights_holds_one_block_of_tokens():
+    # the parser's own memory is bounded by a block, not by the text
+    text = " ".join(map(str, random.Random(6).choices(range(1001), k=10 ** 5))) + "\n"
+    source = io.StringIO(text)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in iter_weights(source))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 10 ** 5
+    assert peak < 512 * 1024

@@ -2,12 +2,15 @@
 both instance classes against the per-element machines in `helpers`, the
 whole-list greedy (`greedy_cuts`, used by the oracle and
 `realize_partition`) against the streaming probe, the unknown-knowledge fast
-path against the full regroup, the oracle against exhaustive search, and
-every solver's guarantee against the exhaustive optimum."""
+path and its chunked walk against the full regroup, also on streams that
+cross the chunk size, the oracle against exhaustive search, and every
+solver's guarantee against the exhaustive optimum."""
 
+import random
 from fractions import Fraction
 from itertools import accumulate
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,13 +21,14 @@ from streampart import (
     KnowledgeProfile,
     ProbeExtInstance,
     ProbeInstance,
+    block_weights,
     bottleneck_of,
     opt_bottleneck_binsearch,
     probe_run,
     realize_partition,
     validate_partitioning,
 )
-from streampart.feasibility import greedy_cuts
+from streampart.feasibility import B, greedy_cuts
 from streampart.schedulers import (
     EPSILON_GUARANTEE_LIMIT,
     KNOWN_MAX_TAG,
@@ -32,6 +36,8 @@ from streampart.schedulers import (
     UNKNOWN_TAG,
     UnknownPartSolver,
     solve_tagged,
+    solve_unknown_part,
+    solve_unknown_partb,
 )
 from helpers import (
     ReferenceEscalator,
@@ -172,6 +178,49 @@ def test_unknown_part_fast_path_matches_full_regroup(weights, num_blocks):
         assert solver.separators == reference.separators
         assert solver.block_weights == reference.block_weights
         assert solver.bound == reference.bound
+
+
+@SETTINGS
+@given(weights=unknown_streams, num_blocks=st.one_of(st.just(2), st.integers(2, 8), st.just(64)),
+       chunking=st.sampled_from(("1", "2", "3", "7", "whole")))
+def test_unknown_part_walk_matches_full_regroup(weights, num_blocks, chunking):
+    solver = UnknownPartSolver(num_blocks)
+    walk_in_chunks(solver, weights, chunk_edges(chunking, len(weights), []))
+    reference = ReferenceUnknownPart(num_blocks)
+    for weight in weights:
+        reference.feed(weight)
+    assert solver.separators == reference.separators
+    assert solver.block_weights == reference.block_weights
+    assert solver.bound == reference.bound
+    assert solver.elements_read == reference.elements_read
+
+
+def boundary_stream(length: int, order: str, seed: int) -> list[int]:
+    weights = random.Random(seed).choices(range(1001), k=length)
+    if order == "unsorted":
+        return weights
+    return sorted(weights, reverse=order == "descending")
+
+
+# lengths around the chunk size `B`: one short, exact, one over, and a
+# stream that ends in a short fourth chunk
+@pytest.mark.parametrize("num_blocks", [2, 3, 64])
+@pytest.mark.parametrize("order", ["unsorted", "ascending", "descending"])
+@pytest.mark.parametrize("length", [B - 1, B, B + 1, 3 * B + 7])
+def test_unknown_solvers_across_chunk_boundaries(length, order, num_blocks):
+    weights = boundary_stream(length, order, seed=length * 7 + num_blocks)
+    result = solve_unknown_part(iter(weights), num_blocks)
+    reference = ReferenceUnknownPart(num_blocks)
+    for weight in weights:
+        reference.feed(weight)
+    assert list(result.separators) == reference.separators
+    assert block_weights(weights, result.separators) == reference.block_weights
+    assert result.bottleneck == reference.bound
+    assert result.elements_read == length
+    top, total = max(weights), sum(weights)
+    value_only = solve_unknown_partb(iter(weights), num_blocks)
+    assert value_only.bottleneck == max(Fraction(top), Fraction(total, num_blocks)) + top
+    assert value_only.elements_read == length
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
