@@ -37,7 +37,6 @@ from .feasibility import (
     ProbeFailure,
     ProbeInstance,
     ProbeOutcome,
-    greedy_maximality_check,
     probe_run,
 )
 from .generators import (
@@ -120,7 +119,6 @@ __all__ = [
     "gen_spike",
     "gen_uniform",
     "gen_yz_hard",
-    "greedy_maximality_check",
     "growth_steps",
     "iter_weights",
     "load_config",

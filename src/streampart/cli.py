@@ -5,8 +5,8 @@ streaming solvers and prints a JSON result object, `oracle` prints the exact
 optimum, `bench` runs a config of generator/solver rows and writes CSV.
 
 Streams are whitespace-separated non-negative integers; `solve` and `oracle`
-read them from --input or stdin without materializing the file when the
-solver itself is one-pass.
+read them from --input or stdin. `solve` hands the solver the parser's chunks
+(`core.WeightChunks`) and never materializes the file.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from contextlib import ExitStack
 from typing import IO
 
-from .core import format_weights, iter_weights
+from .core import WeightChunks, format_weights, int_text, iter_weights
 from .generators import GeneratorSpec
 from .oracle import opt_bottleneck_binsearch, opt_bottleneck_dp
 from .schedulers import (
@@ -90,6 +90,20 @@ def _open_input(stack: ExitStack, path: str | None) -> IO[str]:
     return sys.stdin
 
 
+def _print_json(payload: dict) -> None:
+    """Print a flat `payload` as JSON indented by 2; its ints are written
+    exactly, also those past CPython's digit limit for `str`."""
+    try:
+        text = json.dumps(payload, indent=2)
+    except ValueError:  # an int too long for str(): write every int's digits
+        ints = [key for key, value in payload.items() if type(value) is int]
+        text = json.dumps({key: None if key in ints else value
+                           for key, value in payload.items()}, indent=2)
+        for key in ints:
+            text = text.replace(f'"{key}": null', f'"{key}": {int_text(payload[key])}', 1)
+    sys.stdout.write(text + "\n")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = GeneratorSpec(kind=args.kind, n=args.n, m=args.m, t=args.t,
                          i=args.i, bits=args.bits, seed=args.seed)
@@ -112,10 +126,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise UsageError(f"--know {args.know} requires {', '.join(missing)}")
     profile = KnowledgeProfile(max_weight=args.m, length=args.n, total_weight=args.s)
     with ExitStack() as stack:
-        stream = iter_weights(_open_input(stack, args.input))
+        stream = WeightChunks(_open_input(stack, args.input))
         result = solve_tagged(tag, stream, args.p, args.epsilon, profile, mode=args.mode)
-    json.dump(result.to_json_dict(), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json(result.to_json_dict())
     return 0
 
 
@@ -126,9 +139,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         answer = opt_bottleneck_dp(weights, args.p)
     else:
         answer = opt_bottleneck_binsearch(weights, args.p)
-    json.dump({"optimum": answer.optimum, "method": answer.method,
-               "n": len(weights), "p": args.p}, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json({"optimum": answer.optimum, "method": answer.method,
+                 "n": len(weights), "p": args.p})
     return 0
 
 

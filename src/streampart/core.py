@@ -15,8 +15,10 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import IO, Iterator, Sequence
 
 
@@ -138,30 +140,117 @@ class StreamStats:
         )
 
 
-def _parse_weight(token: str) -> int:
-    if not (token.isascii() and token.isdigit()):
-        raise ValueError(f"invalid weight token {token!r}: expected a non-negative integer")
-    return int(token)
+# Elements per chunk of a pass (see `feasibility._drive`); the text parser
+# cuts its chunks to this size too.
+B = 4096
+
+# characters of text the parser reads at a time
+READ_BLOCK = 1 << 13
+
+# digits per piece when a number is too long for one `int()` or `str()`: the
+# least limit (`sys.set_int_max_str_digits`) CPython lets a process set, so
+# every piece converts whatever the limit is
+_PIECE_DIGITS = 640
+
+
+def _long_int(token: str) -> int:
+    """`int(token)` for a decimal token of any length, read in pieces."""
+    value = 0
+    for start in range(0, len(token), _PIECE_DIGITS):
+        piece = token[start : start + _PIECE_DIGITS]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+def int_text(value: int) -> str:
+    """`str(value)` for a non-negative int of any length: past CPython's
+    digit limit for `str`, the digits are made in pieces."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    unit = 10**_PIECE_DIGITS
+    pieces = []
+    while value:
+        value, low = divmod(value, unit)
+        pieces.append(f"{low:0{_PIECE_DIGITS}d}")
+    return "".join(reversed(pieces)).lstrip("0")
+
+
+def _to_ints(tokens: list[str]) -> tuple[list[int], str | None]:
+    """The weights of `tokens` up to the first token that is not a decimal
+    integer, and that token (None when there is none).
+
+    One check and one `map(int)` cover a block of valid tokens; only a block
+    that fails the check is scanned token by token.
+    """
+    joined = "".join(tokens)
+    if not (joined.isascii() and joined.isdigit()):
+        for cut, token in enumerate(tokens):
+            if not (token.isascii() and token.isdigit()):
+                return _to_ints(tokens[:cut])[0], token
+    try:
+        return list(map(int, tokens)), None
+    except ValueError:  # a token past CPython's int() digit limit
+        return list(map(_long_int, tokens)), None
+
+
+def _parse_chunks(text: IO[str]) -> Iterator[list[int]]:
+    """Lists of at most `B` weights from whitespace-separated decimal text,
+    read `READ_BLOCK` characters at a time.
+
+    A token that is not a non-negative decimal integer raises `ValueError`
+    after the weights before it are yielded, so a reader that checks each
+    chunk reports the first bad element in stream order.
+    """
+    pending = ""
+    while True:
+        block = text.read(READ_BLOCK)
+        at_end = not block
+        tokens = (pending + block).split()
+        # a last token that runs to the block's end may go on in the next
+        pending = tokens.pop() if tokens and not at_end and not block[-1].isspace() else ""
+        del block
+        weights, bad = _to_ints(tokens)
+        # the chunk is walked while this frame waits: it holds no token then
+        del tokens
+        # READ_BLOCK characters hold at most B tokens, but a reader may
+        # return more characters than it is asked for
+        while len(weights) > B:
+            yield weights[:B]
+            del weights[:B]
+        if weights:
+            yield weights
+        if bad is not None:
+            raise ValueError(f"invalid weight token {bad!r}: expected a non-negative integer")
+        if at_end:
+            return
+
+
+class WeightChunks:
+    """A weight stream parsed from text, held as the parser's chunks.
+
+    Iterating it yields the weights one by one, so it is a stream like any
+    other; `feasibility._drive` reads its chunks, lists of at most `B` ints,
+    as they are.
+    """
+
+    __slots__ = ("chunks",)
+
+    def __init__(self, text: IO[str]) -> None:
+        self.chunks = _parse_chunks(text)
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(self.chunks)
 
 
 def iter_weights(stream: IO[str]) -> Iterator[int]:
     """Yield weights from whitespace-separated decimal text, 8 KiB at a time."""
-    pending = ""
-    while chunk := stream.read(1 << 13):
-        tokens = (pending + chunk).split()
-        if tokens and not chunk[-1].isspace():
-            pending = tokens.pop()  # last token may continue in the next block
-        else:
-            pending = ""
-        for token in tokens:
-            yield _parse_weight(token)
-        del tokens  # hold one token list: drop it before the next block is split
-    if pending:
-        yield _parse_weight(pending)
+    return iter(WeightChunks(stream))
 
 
 def parse_weights(text: str) -> list[int]:
-    return [_parse_weight(token) for token in text.split()]
+    return list(iter_weights(io.StringIO(text)))
 
 
 def format_weights(weights: Sequence[int]) -> str:

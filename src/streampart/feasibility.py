@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Iterable, Sequence
 
-from .core import DeclaredBoundError, as_fraction, floor_fraction
+from .core import B, DeclaredBoundError, WeightChunks, as_fraction, floor_fraction
 
 # element index, block ordinal, block weight, threshold
 PROBE_STATE_WORDS = 4
@@ -37,10 +37,9 @@ PROBE_STATE_WORDS = 4
 PART_MODE = "part"
 PARTB_MODE = "partb"
 
-# Elements per chunk: each chunk costs every live instance one call plus one
-# binary search per block it reaches, and the buffer holds B weights and
-# B + 1 prefix sums.
-B = 4096
+# A chunk of B elements costs every live instance one call plus one binary
+# search per block it reaches, and the buffer holds B weights and B + 1
+# prefix sums.
 BUFFER_WORDS = 2 * B + 1
 
 
@@ -272,18 +271,23 @@ def _drive(
     advance every live walker over each chunk's prefix sums, in one pass;
     return (length, total, max).
 
-    A walker is anything with a `failure` and a `walk(prefix)` that returns
-    whether it is still alive: a `_Walker` or the unknown-knowledge solver.
-    A chunk that fails the check is rescanned element by element, so the
-    first bad element raises, as it would one element at a time. Prefix
-    sums are built only while a walker is live.
+    A `WeightChunks` stream is read as the parser's lists; any other is
+    collected into lists of `B`. A walker is anything with a `failure` and
+    a `walk(prefix)` that returns whether it is still alive: a `_Walker` or
+    the unknown-knowledge solver. A chunk that fails the check is rescanned
+    element by element, so the first bad element raises, as it would one
+    element at a time. Prefix sums are built only while a walker is live.
     """
-    source = iter(stream)
+    if isinstance(stream, WeightChunks):
+        chunks = stream.chunks
+    else:
+        source = iter(stream)
+        chunks = iter(lambda: list(islice(source, B)), [])
     live = [inst for inst in walkers if inst.failure is None]
     length = 0
     total = 0
     biggest = 0
-    while chunk := list(islice(source, B)):
+    for chunk in chunks:
         if (set(map(type, chunk)) != {int} or min(chunk) < 0
                 or (declared_max is not None and max(chunk) > declared_max)):
             for weight in chunk:
@@ -304,24 +308,3 @@ def _drive(
         else:
             total += sum(chunk)
     return length, total, biggest
-
-
-def greedy_maximality_check(weights: Sequence[int], outcome: ProbeOutcome, bound) -> bool:
-    """True iff every recorded separator closed a maximal block.
-
-    A block is maximal when adding the element that opened the next block
-    would have pushed it past the floored bound.
-    """
-    if not outcome.success or outcome.separators is None:
-        raise ValueError("maximality check needs a successful separator-storing outcome")
-    threshold = floor_fraction(as_fraction(bound))
-    length = len(weights)
-    separators = outcome.separators
-    for k in range(1, len(separators) - 1):
-        boundary = separators[k]
-        if boundary > length:
-            continue  # padding: no block was opened here
-        opened_weight = sum(weights[separators[k - 1] - 1 : boundary - 1])
-        if opened_weight + weights[boundary - 1] <= threshold:
-            return False
-    return True

@@ -1,7 +1,7 @@
 """Shared test utilities: independent optima, counting streams, corpora, the
-per-element feasibility machines the chunked walk is checked against, and the
+per-element feasibility machines the chunked walk is checked against, the
 full-regroup 2-approximation the unknown-knowledge fast path is checked
-against."""
+against, and the maximality check of a probe's separators."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
-from streampart import ProbeFailure
+from streampart import ProbeFailure, ProbeOutcome, as_fraction, floor_fraction
 
 
 def brute_force_optimum(weights: Sequence[int], num_blocks: int) -> int:
@@ -189,3 +189,24 @@ class ReferenceUnknownPart:
         grown = index + 1
         self.separators = starts + [grown] * (blocks + 1 - len(starts))
         self.block_weights = sums + [0] * (blocks - len(sums))
+
+
+def greedy_maximality_check(weights: Sequence[int], outcome: ProbeOutcome, bound) -> bool:
+    """True iff every recorded separator closed a maximal block.
+
+    A block is maximal when adding the element that opened the next block
+    would have pushed it past the floored bound.
+    """
+    if not outcome.success or outcome.separators is None:
+        raise ValueError("maximality check needs a successful separator-storing outcome")
+    threshold = floor_fraction(as_fraction(bound))
+    length = len(weights)
+    separators = outcome.separators
+    for k in range(1, len(separators) - 1):
+        boundary = separators[k]
+        if boundary > length:
+            continue  # padding: no block was opened here
+        opened_weight = sum(weights[separators[k - 1] - 1 : boundary - 1])
+        if opened_weight + weights[boundary - 1] <= threshold:
+            return False
+    return True

@@ -22,6 +22,7 @@ from streampart import (
     parse_weights,
     validate_partitioning,
 )
+from streampart.core import READ_BLOCK
 from streampart.feasibility import B
 from streampart.schedulers import SOLVERS, solve_tagged
 from helpers import random_stream
@@ -151,10 +152,6 @@ def test_parse_and_format_round_trip():
         parse_weights("1 -2 3")
     with pytest.raises(ValueError):
         parse_weights("1 x 3")
-
-
-# the parser reads its text in blocks of this many characters
-READ_BLOCK = 1 << 13
 
 
 def test_iter_weights_streams_across_chunks():

@@ -7,10 +7,9 @@ from streampart import (
     ProbeFailure,
     ProbeInstance,
     bottleneck_of,
-    greedy_maximality_check,
     probe_run,
 )
-from helpers import brute_force_optimum, random_stream
+from helpers import brute_force_optimum, greedy_maximality_check, random_stream
 
 
 def feed_all(instance, weights):

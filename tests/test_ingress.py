@@ -1,0 +1,231 @@
+"""Text ingress: the chunk parser (`core.WeightChunks`) against `str.split`
+and `int`, the size of its chunks, errors in stream order, tokens past
+CPython's digit limit for `int(str)`, the CLI against the solver called on
+the list, and the memory the parser holds while a chunk is walked."""
+
+import io
+import json
+import random
+import re
+import sys
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from streampart import (
+    PART_MODE,
+    PARTB_MODE,
+    DeclaredBoundError,
+    KnowledgeProfile,
+    format_weights,
+    iter_weights,
+    parse_weights,
+    solve_known_max_length,
+    solve_unknown_partb,
+)
+from streampart.cli import KNOW_TAGS, main
+from streampart.core import READ_BLOCK, WeightChunks
+from streampart.feasibility import B, _drive
+from streampart.schedulers import SOLVERS, solve_tagged
+
+SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+
+
+def chunks_of(text: str) -> list[list[int]]:
+    return list(WeightChunks(io.StringIO(text)).chunks)
+
+
+def horner(digits: str) -> int:
+    """A decimal string's value, one digit at a time: no digit limit."""
+    value = 0
+    for digit in digits:
+        value = value * 10 + "0123456789".index(digit)
+    return value
+
+
+# digits and ASCII whitespace: runs of whitespace, leading zeros, empty text
+text_strategy = st.text("0123456789 \t\n\r\x0b\x0c", max_size=60)
+# filler characters in front: none, or enough to put the text across the
+# end of the first or second block, so that its tokens straddle a boundary
+# or end exactly on one
+lead_strategy = st.one_of(st.just(0), st.integers(READ_BLOCK - 16, READ_BLOCK + 4),
+                          st.integers(2 * READ_BLOCK - 16, 2 * READ_BLOCK + 4))
+
+
+@SETTINGS
+@given(body=text_strategy, lead=lead_strategy)
+def test_parser_matches_split_and_int(body, lead):
+    text = ("3 " * lead)[:lead] + body
+    expected = [int(token) for token in text.split()]
+    chunks = chunks_of(text)
+    assert [w for chunk in chunks for w in chunk] == expected
+    assert all(0 < len(chunk) <= B for chunk in chunks)
+    assert list(iter_weights(io.StringIO(text))) == expected
+    assert parse_weights(text) == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("", []),
+    (" \n\t ", []),
+    ("007 0 00", [7, 0, 0]),
+    # the first block ends exactly on a token's last digit
+    ("1 " * (READ_BLOCK // 2 - 1) + "23 4", [1] * (READ_BLOCK // 2 - 1) + [23, 4]),
+    # "45" ends the first block, "67" opens the next
+    ("1 " * (READ_BLOCK // 2 - 1) + "4567", [1] * (READ_BLOCK // 2 - 1) + [4567]),
+], ids=["empty", "blank", "leading-zeros", "ends-on-boundary", "straddles-boundary"])
+def test_parser_block_edges(text, expected):
+    assert [w for chunk in chunks_of(text) for w in chunk] == expected
+
+
+class WholeText:
+    """A reader that returns all of its text on the first `read`, however
+    few characters it is asked for."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def read(self, size: int) -> str:
+        text, self.text = self.text, ""
+        return text
+
+
+@pytest.mark.parametrize("text", [
+    "1 " * B + "1",
+    # a carried token and a block of one-digit tokens: still B tokens
+    "1 " * (B - 1) + "12" + " 1" * B,
+], ids=["full-block", "carried-token"])
+def test_chunks_hold_at_most_b_weights(text):
+    # one-digit tokens fill a block of READ_BLOCK characters with B tokens
+    assert READ_BLOCK == 2 * B
+    chunks = chunks_of(text)
+    assert max(map(len, chunks)) == B
+    assert [w for chunk in chunks for w in chunk] == [int(t) for t in text.split()]
+
+
+def test_an_oversized_read_is_cut_into_chunks_of_b():
+    text = "1 " * (2 * B) + "5"
+    chunks = list(WeightChunks(WholeText(text)).chunks)
+    assert [len(chunk) for chunk in chunks] == [B, B, 1]
+    assert [w for chunk in chunks for w in chunk] == [1] * (2 * B) + [5]
+
+
+# tokens that are not non-negative decimal integers; "٣" is an
+# Arabic-Indic digit, which `str.isdigit` accepts but ASCII does not hold
+BAD_TOKENS = ["x", "-3", "1.5", "+2", "0x1", "٣"]
+MAXIMUM = 1000
+
+
+@SETTINGS
+@given(length=st.integers(2, 3 * B), data=st.data())
+def test_text_errors_follow_stream_order(length, data):
+    bad_at = data.draw(st.integers(0, length - 1))
+    big_at = data.draw(st.integers(0, length - 1).filter(lambda k: k != bad_at))
+    bad = data.draw(st.sampled_from(BAD_TOKENS))
+    tokens = ["7"] * length
+    tokens[bad_at] = bad
+    tokens[big_at] = str(MAXIMUM + 1)
+    stream = WeightChunks(io.StringIO(" ".join(tokens)))
+    if big_at < bad_at:
+        with pytest.raises(DeclaredBoundError, match=f"element {MAXIMUM + 1} exceeds"):
+            solve_known_max_length(stream, 2, "1/2", MAXIMUM, length)
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"invalid weight token {bad!r}")) as raised:
+            solve_known_max_length(stream, 2, "1/2", MAXIMUM, length)
+        assert not isinstance(raised.value, DeclaredBoundError)
+
+
+def test_cli_reports_the_first_bad_element(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("5000 1 x"))
+    code = main(["solve", "--know", "m", "--m", "1000", "--p", "2", "--epsilon", "1/100"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "streampart: element 5000 exceeds declared maximum weight 1000\n")
+
+
+LONG = "".join(random.Random(9).choices("0123456789", k=8191))
+
+
+def test_long_tokens_are_read_exactly():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    # the first long token straddles the end of the first block
+    text = "1 " * 10 + LONG + " 9 9 " + "9" * 8191
+    assert list(iter_weights(io.StringIO(text))) == [1] * 10 + [horner(LONG), 9, 9,
+                                                                10**8191 - 1]
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_cli_solves_a_long_token(tmp_path, capsys):
+    path = tmp_path / "long.txt"
+    path.write_text("9" * 8191 + " 5\n", encoding="ascii")
+    code = main(["solve", "--know", "none", "--mode", "partb", "--p", "2",
+                 "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    expected = solve_unknown_partb([10**8191 - 1, 5], 2).to_json_dict()
+    assert json.loads(captured.out, parse_int=horner) == expected
+
+
+# `streampart solve` flag of each solver argument, given the list's values
+FLAG_VALUES = {
+    "epsilon": lambda weights: ["--epsilon", "1/10"],
+    "max_weight": lambda weights: ["--m", str(max(weights))],
+    "length": lambda weights: ["--n", str(len(weights))],
+    "total_weight": lambda weights: ["--s", str(sum(weights))],
+}
+
+
+@pytest.mark.parametrize("mode", [PART_MODE, PARTB_MODE])
+@pytest.mark.parametrize("know", sorted(KNOW_TAGS))
+def test_cli_prints_the_solver_result_on_the_list(know, mode, tmp_path, capsys):
+    # three chunks of weights over several blocks of text
+    weights = random.Random(11).choices(range(1001), k=2 * B + 77)
+    path = tmp_path / "weights.txt"
+    path.write_text(format_weights(weights) + "\n", encoding="ascii")
+    tag = KNOW_TAGS[know]
+    argv = ["solve", "--know", know, "--p", "5", "--mode", mode, "--input", str(path)]
+    for name in SOLVERS[tag][1]:
+        argv += FLAG_VALUES[name](weights)
+    assert main(argv) == 0
+    profile = KnowledgeProfile(max(weights), len(weights), sum(weights))
+    result = solve_tagged(tag, weights, 5, "1/10", profile, mode=mode)
+    assert capsys.readouterr().out == json.dumps(result.to_json_dict(), indent=2) + "\n"
+
+
+def size_of(items: list) -> int:
+    """Bytes of a list and the objects it holds."""
+    return sys.getsizeof(items) + sum(map(sys.getsizeof, items))
+
+
+class SpyWalker:
+    """A walker that records, in each `walk`, the traced memory and the
+    size of the prefix sums it is given."""
+
+    failure = None
+
+    def __init__(self) -> None:
+        self.seen: list[tuple[int, int]] = []
+
+    def walk(self, prefix) -> bool:
+        self.seen.append((tracemalloc.get_traced_memory()[0], size_of(prefix)))
+        return True
+
+
+def test_parser_holds_no_tokens_while_a_chunk_is_walked():
+    # four-digit tokens, so a block's token strings weigh more than its ints
+    text = " ".join(map(str, random.Random(7).choices(range(1000, 10000), k=3 * B)))
+    token_bytes = size_of(text[:READ_BLOCK].split())
+    spy = SpyWalker()
+    stream = WeightChunks(io.StringIO(text))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _drive(stream, [spy])
+    finally:
+        tracemalloc.stop()
+    assert len(spy.seen) > 1
+    for traced, prefix_bytes in spy.seen:
+        # alive: the chunk and its prefix sums, about the same size each,
+        # and a block of text; a held token list adds token_bytes
+        assert traced - before < 2 * prefix_bytes + token_bytes // 2
