@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from typing import IO, Iterator, Sequence
@@ -147,34 +148,13 @@ B = 4096
 # characters of text the parser reads at a time
 READ_BLOCK = 1 << 13
 
-# digits per piece when a number is too long for one `int()` or `str()`: the
-# least limit (`sys.set_int_max_str_digits`) CPython lets a process set, so
-# every piece converts whatever the limit is
-_PIECE_DIGITS = 640
-
-
-def _long_int(token: str) -> int:
-    """`int(token)` for a decimal token of any length, read in pieces."""
-    value = 0
-    for start in range(0, len(token), _PIECE_DIGITS):
-        piece = token[start : start + _PIECE_DIGITS]
-        value = value * 10 ** len(piece) + int(piece)
-    return value
-
-
 def int_text(value: int) -> str:
-    """`str(value)` for a non-negative int of any length: past CPython's
-    digit limit for `str`, the digits are made in pieces."""
+    """`str(value)` for an int of any length: past CPython's digit limit for
+    `str`, `decimal` writes the digits, exactly."""
     try:
         return str(value)
     except ValueError:
-        pass
-    unit = 10**_PIECE_DIGITS
-    pieces = []
-    while value:
-        value, low = divmod(value, unit)
-        pieces.append(f"{low:0{_PIECE_DIGITS}d}")
-    return "".join(reversed(pieces)).lstrip("0")
+        return str(Decimal(value))
 
 
 def _to_ints(tokens: list[str]) -> tuple[list[int], str | None]:
@@ -191,8 +171,8 @@ def _to_ints(tokens: list[str]) -> tuple[list[int], str | None]:
                 return _to_ints(tokens[:cut])[0], token
     try:
         return list(map(int, tokens)), None
-    except ValueError:  # a token past CPython's int() digit limit
-        return list(map(_long_int, tokens)), None
+    except ValueError:  # past CPython's int() digit limit, which `decimal` has not
+        return list(map(int, map(Decimal, tokens))), None
 
 
 def _parse_chunks(text: IO[str]) -> Iterator[list[int]]:
@@ -254,4 +234,4 @@ def parse_weights(text: str) -> list[int]:
 
 
 def format_weights(weights: Sequence[int]) -> str:
-    return " ".join(str(w) for w in weights)
+    return " ".join(map(int_text, weights))

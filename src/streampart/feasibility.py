@@ -15,9 +15,9 @@ chunk reaches, and resumes where it stopped on the next chunk (the
 made resumable). `_drive` is the one reader of a stream: it reads `B`
 elements at a time, checks each weight against `check_weight`, the one
 ingress rule, and builds each chunk's prefix sums once for every live
-walker; `greedy_cuts` is the same walk over a whole list from a fresh
-state. The module also holds `checked_args` (block count, mode, epsilon),
-which every entry point shares.
+walker. The oracle asks the same walk for a whole list: one chunk, from a
+fresh `ProbeInstance`. The module also holds `checked_args` (block count,
+mode, epsilon), which every entry point shares.
 """
 
 from __future__ import annotations
@@ -27,12 +27,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .core import B, DeclaredBoundError, WeightChunks, as_fraction, floor_fraction
-
-# element index, block ordinal, block weight, threshold
-PROBE_STATE_WORDS = 4
+from .core import B, DeclaredBoundError, WeightChunks, as_fraction, floor_fraction, int_text
 
 PART_MODE = "part"
 PARTB_MODE = "partb"
@@ -82,21 +79,6 @@ def pad_separators(interior: Sequence[int], num_blocks: int, length: int) -> tup
     return (1, *interior, *([length + 1] * (num_blocks - len(interior))))
 
 
-def greedy_cuts(
-    prefix: Sequence[int], threshold: int, num_blocks: int
-) -> list[int] | ProbeFailure:
-    """Greedy maximal packing of a whole list, given its prefix sums
-    (``prefix[0] = 0``, ``prefix[k]`` = sum of the first k elements).
-
-    Returns the 1-based indices of the elements that open blocks 2, 3, ...,
-    or the `ProbeFailure` a `ProbeInstance` with the same threshold would
-    report: it is that instance's walk over one chunk holding the whole list.
-    """
-    probe = ProbeInstance(threshold, num_blocks)
-    probe.walk(prefix)
-    return probe.separators if probe.failure is None else probe.failure
-
-
 class _Walker:
     """Greedy maximal packing that resumes from one chunk to the next.
 
@@ -106,6 +88,8 @@ class _Walker:
     that fits neither the open block nor a new one is the subclass's
     `_cannot_place`: a probe fails, an escalator merges blocks.
     """
+
+    STATE_WORDS: int  # words of scalar state, set by each subclass
 
     __slots__ = (
         "threshold_floor",
@@ -125,6 +109,14 @@ class _Walker:
         self.next_index = 1
         self.separators: list[int] | None = [] if store_separators else None
         self.failure: ProbeFailure | None = None
+
+    @property
+    def words(self) -> int:
+        """Model-level working state in machine words: one word per counter
+        or threshold, and, when separators are stored, one reserved up front
+        per boundary. A word holds any index up to n + 1 or any weight up to
+        the stream total; this is not process memory."""
+        return self.STATE_WORDS + (0 if self.separators is None else self.num_blocks - 1)
 
     def walk(self, prefix: Sequence[int]) -> bool:
         """Advance over the next chunk of the stream, given its prefix sums
@@ -197,6 +189,8 @@ class ProbeInstance(_Walker):
     """
 
     __slots__ = ()
+    # element index, block ordinal, block weight, threshold
+    STATE_WORDS = 4
 
     def __init__(self, bound, num_blocks: int, *, store_separators: bool = True) -> None:
         checked_args(num_blocks)
@@ -209,14 +203,6 @@ class ProbeInstance(_Walker):
     @property
     def alive(self) -> bool:
         return self.failure is None
-
-    @property
-    def words(self) -> int:
-        """Model-level working state in machine words: one word per counter
-        or threshold, and, when separators are stored, one reserved up front
-        per boundary. A word holds any index up to n + 1 or any weight up to
-        the stream total; this is not process memory."""
-        return PROBE_STATE_WORDS + (0 if self.separators is None else self.num_blocks - 1)
 
     def feed(self, weight: int) -> None:
         """Take one weight: a one-element chunk through `_drive`."""
@@ -257,11 +243,31 @@ def check_weight(weight, declared_max: int | None = None) -> None:
     """The ingress rule for one weight: a non-negative `int` (not a `bool`),
     at most the declared maximum when there is one."""
     if type(weight) is not int or weight < 0:
-        raise ValueError(f"weights must be non-negative integers, got {weight!r}")
+        shown = int_text(weight) if type(weight) is int else repr(weight)
+        raise ValueError(f"weights must be non-negative integers, got {shown}")
     if declared_max is not None and weight > declared_max:
         raise DeclaredBoundError(
-            f"element {weight} exceeds declared maximum weight {declared_max}"
+            f"element {int_text(weight)} exceeds declared maximum weight "
+            f"{int_text(declared_max)}"
         )
+
+
+def _chunked(source: Iterator[int]) -> Iterator[list[int]]:
+    """Lists of `B` elements of `source`, the last one shorter. When
+    `source` raises, the elements read before it are yielded first and
+    then the error is raised, so a reader that checks each list reports the
+    first bad element in stream order."""
+    while True:
+        chunk: list[int] = []
+        try:
+            chunk.extend(islice(source, B))
+        except Exception:
+            if chunk:
+                yield chunk
+            raise
+        if not chunk:
+            return
+        yield chunk
 
 
 def _drive(
@@ -272,17 +278,17 @@ def _drive(
     return (length, total, max).
 
     A `WeightChunks` stream is read as the parser's lists; any other is
-    collected into lists of `B`. A walker is anything with a `failure` and
-    a `walk(prefix)` that returns whether it is still alive: a `_Walker` or
-    the unknown-knowledge solver. A chunk that fails the check is rescanned
-    element by element, so the first bad element raises, as it would one
-    element at a time. Prefix sums are built only while a walker is live.
+    collected into lists of `B` by `_chunked`. A walker is anything with a
+    `failure` and a `walk(prefix)` that returns whether it is still alive:
+    a `_Walker` or the unknown-knowledge solver. A chunk that fails the
+    check is rescanned element by element, so the first bad element raises,
+    as it would one element at a time. Prefix sums are built only while a
+    walker is live.
     """
     if isinstance(stream, WeightChunks):
         chunks = stream.chunks
     else:
-        source = iter(stream)
-        chunks = iter(lambda: list(islice(source, B)), [])
+        chunks = _chunked(iter(stream))
     live = [inst for inst in walkers if inst.failure is None]
     length = 0
     total = 0

@@ -2,9 +2,9 @@
 
 The binary-search oracle walks the closed sandwich interval
 ``[max(ceil(S/p), m), floor((S + (p-1)*m) / p)]`` whose upper end is always
-feasible, testing feasibility with `feasibility.greedy_cuts`, the whole-list
-form of the greedy maximal packing the streaming probes use. The quadratic DP
-is an independent cross-check.
+feasible, testing each value with the walk of a streaming probe over the
+whole list's prefix sums, one chunk from a fresh state. The quadratic DP is
+an independent cross-check.
 """
 
 from __future__ import annotations
@@ -13,8 +13,11 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .core import InfeasibleBoundError, as_fraction, floor_fraction
-from .feasibility import _drive, checked_args, greedy_cuts, pad_separators
+from .core import InfeasibleBoundError, as_fraction
+from .feasibility import ProbeInstance, _drive, checked_args, probe_run
+
+# the quadratic oracle refuses instances of more than this many n^2 * p cells
+DP_MAX_CELLS = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -32,29 +35,25 @@ def opt_bottleneck_binsearch(weights: Sequence[int], num_blocks: int) -> OracleR
     high = (total + (num_blocks - 1) * heaviest) // num_blocks
     while low < high:
         mid = (low + high) // 2
-        if isinstance(greedy_cuts(prefix, mid, num_blocks), list):
+        if ProbeInstance(mid, num_blocks, store_separators=False).walk(prefix):
             high = mid
         else:
             low = mid + 1
-    if not isinstance(greedy_cuts(prefix, low, num_blocks), list):
+    if not ProbeInstance(low, num_blocks, store_separators=False).walk(prefix):
         raise RuntimeError("sandwich interval contained no feasible value")
     return OracleResult(low, "binsearch")
 
 
-def opt_bottleneck_dp(
-    weights: Sequence[int], num_blocks: int, *, max_cells: int = 20_000_000
-) -> OracleResult:
+def opt_bottleneck_dp(weights: Sequence[int], num_blocks: int) -> OracleResult:
     """Least feasible bottleneck, by the classic quadratic prefix recurrence."""
     checked_args(num_blocks)
     n, _, _ = _drive(weights)
-    if n * n * num_blocks > max_cells:
+    if n * n * num_blocks > DP_MAX_CELLS:
         raise ValueError(
             f"instance too large for the quadratic oracle "
-            f"(n^2 * p = {n * n * num_blocks} > {max_cells})"
+            f"(n^2 * p = {n * n * num_blocks} > {DP_MAX_CELLS})"
         )
-    prefix = [0] * (n + 1)
-    for idx, w in enumerate(weights, start=1):
-        prefix[idx] = prefix[idx - 1] + w
+    prefix = list(accumulate(weights, initial=0))
     # best[i] = least bottleneck for the first i elements with the current block budget
     best = prefix[:]
     effective = min(num_blocks, n) if n else 1
@@ -80,17 +79,13 @@ def opt_bottleneck_dp(
 def realize_partition(weights: Sequence[int], num_blocks: int, bound) -> tuple[int, ...]:
     """Second pass: turn a feasible bottleneck value into separator positions.
 
-    Greedy maximal packing under floor(bound); raises InfeasibleBoundError
-    when the bound is below the optimum.
+    A probe's pass under floor(bound) (`probe_run`); raises
+    InfeasibleBoundError when the bound is below the optimum.
     """
-    checked_args(num_blocks)
-    bound = as_fraction(bound)
-    if bound < 0:
-        raise ValueError(f"bound must be non-negative, got {bound}")
-    length, _, _ = _drive(weights)
-    cuts = greedy_cuts(list(accumulate(weights, initial=0)), floor_fraction(bound), num_blocks)
-    if not isinstance(cuts, list):
+    outcome = probe_run(weights, bound, num_blocks)
+    if not outcome.success:
         raise InfeasibleBoundError(
-            f"bound {bound} admits no partitioning into {num_blocks} blocks ({cuts.value})"
+            f"bound {as_fraction(bound)} admits no partitioning into {num_blocks} blocks "
+            f"({outcome.failure.value})"
         )
-    return pad_separators(cuts, num_blocks, length)
+    return outcome.separators

@@ -29,9 +29,6 @@ from typing import Iterable
 from .core import as_fraction, floor_fraction
 from .feasibility import PART_MODE, _drive, _Walker, checked_args
 
-# element index, block ordinal, block weight, threshold, escalation counter
-PROBE_EXT_STATE_WORDS = 5
-
 
 @dataclass(frozen=True)
 class ProbeExtResult:
@@ -44,12 +41,16 @@ class ProbeExtInstance(_Walker):
     """Never-failing feasibility state machine with a doubling threshold."""
 
     __slots__ = ("max_weight", "slack", "_base", "merges")
+    # element index, block ordinal, block weight, threshold, escalation counter
+    STATE_WORDS = 5
 
     def __init__(
         self, max_weight: int, num_blocks: int, slack=0, *, store_separators: bool = True
     ) -> None:
         checked_args(num_blocks)
         slack = as_fraction(slack)
+        if type(max_weight) is not int:  # an int maximum is kept as it is
+            max_weight = as_fraction(max_weight)
         if max_weight < 0:
             raise ValueError(f"maximum weight must be non-negative, got {max_weight}")
         if slack < 0:
@@ -59,12 +60,6 @@ class ProbeExtInstance(_Walker):
         self._base = as_fraction(max_weight) * (1 + slack)
         self.merges = 0
         super().__init__(floor_fraction(self._base), num_blocks, store_separators)
-
-    @property
-    def words(self) -> int:
-        """Model-level working state in machine words, counted as for
-        `ProbeInstance.words`."""
-        return PROBE_EXT_STATE_WORDS + (0 if self.separators is None else self.num_blocks - 1)
 
     @property
     def bottleneck(self) -> Fraction:
@@ -109,7 +104,7 @@ def probe_ext_run(
     instance = ProbeExtInstance(
         max_weight, num_blocks, slack, store_separators=(mode == PART_MODE)
     )
-    _drive(stream, [instance], declared_max=max_weight)
+    _drive(stream, [instance], declared_max=instance.max_weight)
     return instance.finish()
 
 

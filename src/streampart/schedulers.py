@@ -24,7 +24,7 @@ from itertools import pairwise
 from operator import add
 from typing import Iterable, Sequence
 
-from .core import KnowledgeMismatchError, as_fraction, ceil_fraction, check_count
+from .core import KnowledgeMismatchError, as_fraction, ceil_fraction, check_count, int_text
 from .feasibility import (
     BUFFER_WORDS,
     PART_MODE,
@@ -138,15 +138,17 @@ def growth_steps(ratio: Fraction, target) -> int:
 def _check_declarations(declared: KnowledgeProfile, length: int, total: int, biggest: int) -> None:
     if declared.length is not None and length != declared.length:
         raise KnowledgeMismatchError(
-            f"declared length {declared.length} but read {length} elements"
+            f"declared length {int_text(declared.length)} but read {int_text(length)} elements"
         )
     if declared.max_weight is not None and biggest != declared.max_weight:
         raise KnowledgeMismatchError(
-            f"declared maximum weight {declared.max_weight} but observed {biggest}"
+            f"declared maximum weight {int_text(declared.max_weight)} "
+            f"but observed {int_text(biggest)}"
         )
     if declared.total_weight is not None and total != declared.total_weight:
         raise KnowledgeMismatchError(
-            f"declared total weight {declared.total_weight} but the stream sums to {total}"
+            f"declared total weight {int_text(declared.total_weight)} "
+            f"but the stream sums to {int_text(total)}"
         )
 
 
@@ -359,9 +361,10 @@ class UnknownPartSolver:
         starts = []
         sums = []
         acc = self._sums[0]
-        # not greedy_cuts: its walk (a probe and a bisect per block) made a
-        # regroup at p=64 about 4x slower (68 against 16 us) and cut perfbench
-        # unknown-part from about 422k to 331k elements/s (seeds 711-716)
+        # not the probe walk: a probe and a bisect per block over the blocks'
+        # prefix sums made a regroup at p=64 about 4x slower (68 against
+        # 16 us) and cut perfbench unknown-part from about 422k to 331k
+        # elements/s (seeds 711-716)
         for start, w in zip(self._starts + [index], self._sums[1:] + [weight]):
             if blocks * (acc + w) <= cap:
                 acc += w

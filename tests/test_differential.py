@@ -1,7 +1,6 @@
 """Generated-input checks against simple references: the chunked walk of
-both instance classes against the per-element machines in `helpers`, the
-whole-list greedy (`greedy_cuts`, used by the oracle and
-`realize_partition`) against the streaming probe, the unknown-knowledge fast
+both instance classes against the per-element machines in `helpers`,
+`realize_partition` against the per-element probe, the unknown-knowledge fast
 path and its chunked walk against the full regroup, also on streams that
 cross the chunk size, the oracle against exhaustive search, and every
 solver's guarantee against the exhaustive optimum."""
@@ -28,7 +27,7 @@ from streampart import (
     realize_partition,
     validate_partitioning,
 )
-from streampart.feasibility import B, greedy_cuts
+from streampart.feasibility import B
 from streampart.schedulers import (
     EPSILON_GUARANTEE_LIMIT,
     KNOWN_MAX_TAG,
@@ -58,18 +57,21 @@ bound_strategy = st.builds(Fraction, st.integers(0, 30), st.integers(1, 3))
 @SETTINGS
 @given(weights=weights_strategy, num_blocks=blocks_strategy, bound=bound_strategy)
 def test_whole_list_greedy_matches_streaming_probe(weights, num_blocks, bound):
-    streamed = probe_run(weights, bound, num_blocks)
-    threshold = bound.numerator // bound.denominator
-    cuts = greedy_cuts(list(accumulate(weights, initial=0)), threshold, num_blocks)
+    reference = ReferenceProbe(bound.numerator // bound.denominator, num_blocks, True)
+    for weight in weights:
+        if reference.failure is None:
+            reference.feed(weight)
     try:
         realized = realize_partition(weights, num_blocks, bound)
-    except InfeasibleBoundError:
-        realized = None
-    if streamed.success:
-        assert realized == streamed.separators
+    except InfeasibleBoundError as error:
+        assert reference.failure is not None
+        assert str(error) == (f"bound {bound} admits no partitioning into {num_blocks} "
+                              f"blocks ({reference.failure.value})")
     else:
-        assert realized is None
-        assert cuts is streamed.failure
+        assert reference.failure is None
+        # blocks that were never opened are empty and sit past the stream end
+        padding = [len(weights) + 1] * (num_blocks - len(reference.separators))
+        assert realized == (1, *reference.separators, *padding)
 
 
 @SETTINGS

@@ -8,6 +8,7 @@ from streampart import (
     ProbeInstance,
     bottleneck_of,
     probe_run,
+    realize_partition,
 )
 from helpers import brute_force_optimum, greedy_maximality_check, random_stream
 
@@ -72,6 +73,8 @@ def test_finish_length_cross_check():
 def test_constructor_validation():
     with pytest.raises(ValueError):
         ProbeInstance(-1, 2)
+    with pytest.raises(ValueError):
+        realize_partition([1, 2], 2, -1)
     with pytest.raises(ValueError):
         ProbeInstance(3, 1)
     with pytest.raises(ValueError):

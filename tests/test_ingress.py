@@ -1,7 +1,8 @@
 """Text ingress: the chunk parser (`core.WeightChunks`) against `str.split`
-and `int`, the size of its chunks, errors in stream order, tokens past
-CPython's digit limit for `int(str)`, the CLI against the solver called on
-the list, and the memory the parser holds while a chunk is walked."""
+and `int`, the size of its chunks, errors in stream order, numbers past
+CPython's digit limit for `int(str)` and `str(int)`, the CLI against the
+solver called on the list, and the memory the parser holds while a chunk is
+walked."""
 
 import io
 import json
@@ -18,15 +19,19 @@ from streampart import (
     PART_MODE,
     PARTB_MODE,
     DeclaredBoundError,
+    KnowledgeMismatchError,
     KnowledgeProfile,
     format_weights,
     iter_weights,
     parse_weights,
+    probe_run,
+    solve_known_max,
     solve_known_max_length,
+    solve_known_total,
     solve_unknown_partb,
 )
 from streampart.cli import KNOW_TAGS, main
-from streampart.core import READ_BLOCK, WeightChunks
+from streampart.core import READ_BLOCK, WeightChunks, int_text
 from streampart.feasibility import B, _drive
 from streampart.schedulers import SOLVERS, solve_tagged
 
@@ -126,14 +131,18 @@ def test_text_errors_follow_stream_order(length, data):
     tokens = ["7"] * length
     tokens[bad_at] = bad
     tokens[big_at] = str(MAXIMUM + 1)
-    stream = WeightChunks(io.StringIO(" ".join(tokens)))
-    if big_at < bad_at:
-        with pytest.raises(DeclaredBoundError, match=f"element {MAXIMUM + 1} exceeds"):
-            solve_known_max_length(stream, 2, "1/2", MAXIMUM, length)
-    else:
-        with pytest.raises(ValueError, match=re.escape(f"invalid weight token {bad!r}")) as raised:
-            solve_known_max_length(stream, 2, "1/2", MAXIMUM, length)
-        assert not isinstance(raised.value, DeclaredBoundError)
+    text = " ".join(tokens)
+    # the parser's chunks, and its weights one by one, which `_drive`
+    # collects into chunks of its own
+    for stream in (WeightChunks(io.StringIO(text)), iter_weights(io.StringIO(text))):
+        if big_at < bad_at:
+            with pytest.raises(DeclaredBoundError, match=f"element {MAXIMUM + 1} exceeds"):
+                solve_known_max_length(stream, 2, "1/2", MAXIMUM, length)
+        else:
+            with pytest.raises(ValueError,
+                               match=re.escape(f"invalid weight token {bad!r}")) as raised:
+                solve_known_max_length(stream, 2, "1/2", MAXIMUM, length)
+            assert not isinstance(raised.value, DeclaredBoundError)
 
 
 def test_cli_reports_the_first_bad_element(capsys, monkeypatch):
@@ -165,6 +174,29 @@ def test_cli_solves_a_long_token(tmp_path, capsys):
     assert (code, captured.err) == (0, "")
     expected = solve_unknown_partb([10**8191 - 1, 5], 2).to_json_dict()
     assert json.loads(captured.out, parse_int=horner) == expected
+
+
+HUGE = 10**5000
+
+
+def test_long_values_are_written_exactly():
+    assert int_text(HUGE) == "1" + "0" * 5000
+    assert int_text(-HUGE) == "-1" + "0" * 5000
+    assert format_weights([HUGE, 0, 7]) == "1" + "0" * 5000 + " 0 7"
+    assert parse_weights(format_weights([HUGE, 5])) == [HUGE, 5]
+
+
+def test_messages_print_long_values():
+    digits = "1" + "0" * 5000
+    with pytest.raises(DeclaredBoundError,
+                       match=f"^element {digits} exceeds declared maximum weight 1$"):
+        solve_known_max([HUGE], 2, "1/64", 1)
+    with pytest.raises(KnowledgeMismatchError,
+                       match=f"^declared total weight 1 but the stream sums to {digits}$"):
+        solve_known_total([HUGE], 2, "1/10", 1)
+    with pytest.raises(ValueError,
+                       match=f"^weights must be non-negative integers, got -{digits}$"):
+        probe_run([1, -HUGE], 5, 2)
 
 
 # `streampart solve` flag of each solver argument, given the list's values

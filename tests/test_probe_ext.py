@@ -66,11 +66,19 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         ProbeExtInstance(-1, 2)
     with pytest.raises(ValueError):
+        ProbeExtInstance("-1", 2)
+    with pytest.raises(ValueError):
         ProbeExtInstance(1, 1)
     with pytest.raises(ValueError):
         ProbeExtInstance(1, 2, Fraction(-1, 2))
     with pytest.raises(ValueError):
         probe_ext_run([1], 1, 2, 0, mode="nope")
+
+
+def test_string_maximum_is_exact():
+    assert probe_ext_run([1, 2], "3", 2) == probe_ext_run([1, 2], 3, 2)
+    with pytest.raises(DeclaredBoundError, match="element 4 exceeds declared maximum weight 3"):
+        ProbeExtInstance("3", 2).feed(4)
 
 
 def test_meter_words_per_instance():
