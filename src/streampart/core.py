@@ -59,7 +59,8 @@ def check_count(name: str, value) -> None:
     """A length, count or weight must be a non-negative `int`; a `bool` or
     any other type raises `ValueError`."""
     if type(value) is not int or value < 0:
-        raise ValueError(f"{name} must be a non-negative int, got {value!r}")
+        shown = int_text(value) if type(value) is int else repr(value)
+        raise ValueError(f"{name} must be a non-negative int, got {shown}")
 
 
 def floor_fraction(value: Fraction) -> int:
@@ -122,12 +123,13 @@ class StreamStats:
             check_count(f"stream {name}", getattr(self, name))
         if self.total_weight > self.length * self.max_weight:
             raise ValueError(
-                f"total weight {self.total_weight} exceeds "
-                f"length * max = {self.length * self.max_weight}"
+                f"total weight {int_text(self.total_weight)} exceeds "
+                f"length * max = {int_text(self.length * self.max_weight)}"
             )
         if self.length >= 1 and self.max_weight > self.total_weight:
             raise ValueError(
-                f"max weight {self.max_weight} exceeds total weight {self.total_weight}"
+                f"max weight {int_text(self.max_weight)} exceeds "
+                f"total weight {int_text(self.total_weight)}"
             )
         if self.length == 0 and (self.max_weight or self.total_weight):
             raise ValueError("empty stream must have zero max and total")
@@ -148,13 +150,18 @@ B = 4096
 # characters of text the parser reads at a time
 READ_BLOCK = 1 << 13
 
-def int_text(value: int) -> str:
-    """`str(value)` for an int of any length: past CPython's digit limit for
-    `str`, `decimal` writes the digits, exactly."""
+def int_text(value: int | Fraction) -> str:
+    """`str(value)` for an int or a Fraction of any size: past CPython's
+    digit limit for `str`, `decimal` writes an int's digits, and a
+    Fraction's numerator and denominator, exactly."""
     try:
         return str(value)
     except ValueError:
+        pass
+    if type(value) is int:
         return str(Decimal(value))
+    numerator = int_text(value.numerator)
+    return numerator if value.denominator == 1 else f"{numerator}/{int_text(value.denominator)}"
 
 
 def _to_ints(tokens: list[str]) -> tuple[list[int], str | None]:

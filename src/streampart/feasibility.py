@@ -62,14 +62,14 @@ def checked_args(
     if type(num_blocks) is not int:
         raise ValueError(f"block count must be an int, got {num_blocks!r}")
     if num_blocks < 2:
-        raise ValueError(f"block count must be at least 2, got {num_blocks}")
+        raise ValueError(f"block count must be at least 2, got {int_text(num_blocks)}")
     if epsilon is None:
         if needs_epsilon:
             raise ValueError("epsilon is required for the approximation solvers")
         return None
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+        raise ValueError(f"epsilon must be positive, got {int_text(epsilon)}")
     return epsilon
 
 
@@ -197,7 +197,7 @@ class ProbeInstance(_Walker):
         if type(bound) is not int:  # an int bound is its own floor: no Fraction needed
             bound = as_fraction(bound)
         if bound < 0:
-            raise ValueError(f"bound must be non-negative, got {bound}")
+            raise ValueError(f"bound must be non-negative, got {int_text(bound)}")
         super().__init__(floor_fraction(bound), num_blocks, store_separators)
 
     @property
@@ -278,18 +278,18 @@ def _drive(
     return (length, total, max).
 
     A `WeightChunks` stream is read as the parser's lists; any other is
-    collected into lists of `B` by `_chunked`. A walker is anything with a
-    `failure` and a `walk(prefix)` that returns whether it is still alive:
-    a `_Walker` or the unknown-knowledge solver. A chunk that fails the
-    check is rescanned element by element, so the first bad element raises,
-    as it would one element at a time. Prefix sums are built only while a
-    walker is live.
+    collected into lists of `B` by `_chunked`. A walker is anything whose
+    `walk(prefix)` returns whether it is still alive: a `_Walker` or the
+    unknown-knowledge solver. Every walker given is live; one that returns
+    False is not walked again. A chunk that fails the check is rescanned
+    element by element, so the first bad element raises, as it would one
+    element at a time. Prefix sums are built only while a walker is live.
     """
     if isinstance(stream, WeightChunks):
         chunks = stream.chunks
     else:
         chunks = _chunked(iter(stream))
-    live = [inst for inst in walkers if inst.failure is None]
+    live = list(walkers)
     length = 0
     total = 0
     biggest = 0
@@ -305,12 +305,7 @@ def _drive(
         if live:
             prefix = list(accumulate(chunk, initial=0))
             total += prefix[-1]
-            lost = False
-            for instance in live:
-                if not instance.walk(prefix):
-                    lost = True
-            if lost:
-                live = [inst for inst in live if inst.failure is None]
+            live = [walker for walker in live if walker.walk(prefix)]
         else:
             total += sum(chunk)
     return length, total, biggest

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .core import InfeasibleBoundError, as_fraction
+from .core import InfeasibleBoundError, as_fraction, int_text
 from .feasibility import ProbeInstance, _drive, checked_args, probe_run
 
 # the quadratic oracle refuses instances of more than this many n^2 * p cells
@@ -85,7 +85,7 @@ def realize_partition(weights: Sequence[int], num_blocks: int, bound) -> tuple[i
     outcome = probe_run(weights, bound, num_blocks)
     if not outcome.success:
         raise InfeasibleBoundError(
-            f"bound {as_fraction(bound)} admits no partitioning into {num_blocks} blocks "
-            f"({outcome.failure.value})"
+            f"bound {int_text(as_fraction(bound))} admits no partitioning into "
+            f"{num_blocks} blocks ({outcome.failure.value})"
         )
     return outcome.separators

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import as_fraction, floor_fraction
+from .core import as_fraction, int_text
 from .feasibility import PART_MODE, _drive, _Walker, checked_args
 
 
@@ -40,7 +40,7 @@ class ProbeExtResult:
 class ProbeExtInstance(_Walker):
     """Never-failing feasibility state machine with a doubling threshold."""
 
-    __slots__ = ("max_weight", "slack", "_base", "merges")
+    __slots__ = ("max_weight", "_num", "_den", "merges")
     # element index, block ordinal, block weight, threshold, escalation counter
     STATE_WORDS = 5
 
@@ -52,19 +52,21 @@ class ProbeExtInstance(_Walker):
         if type(max_weight) is not int:  # an int maximum is kept as it is
             max_weight = as_fraction(max_weight)
         if max_weight < 0:
-            raise ValueError(f"maximum weight must be non-negative, got {max_weight}")
+            raise ValueError(f"maximum weight must be non-negative, got {int_text(max_weight)}")
         if slack < 0:
-            raise ValueError(f"slack must be non-negative, got {slack}")
+            raise ValueError(f"slack must be non-negative, got {int_text(slack)}")
         self.max_weight = max_weight
-        self.slack = slack
-        self._base = as_fraction(max_weight) * (1 + slack)
+        # the base max_weight * (1 + slack) as an exact _num / _den, in ints
+        # (an int has a numerator and a denominator too)
+        self._num = max_weight.numerator * (slack.denominator + slack.numerator)
+        self._den = max_weight.denominator * slack.denominator
         self.merges = 0
-        super().__init__(floor_fraction(self._base), num_blocks, store_separators)
+        super().__init__(self._num // self._den, num_blocks, store_separators)
 
     @property
     def bottleneck(self) -> Fraction:
         """Current threshold as an exact rational: 2^merges * max_weight * (1 + slack)."""
-        return self._base * (1 << self.merges)
+        return Fraction(self._num << self.merges, self._den)
 
     def feed(self, weight: int) -> None:
         """Take one weight: a one-element chunk through `_drive`, which also
@@ -77,10 +79,9 @@ class ProbeExtInstance(_Walker):
         blocks = self.num_blocks
         self.merges += 1
         # floor of the exact rational 2^merges * base, not a repeated floor
-        self.threshold_floor = (self._base.numerator << self.merges) // self._base.denominator
+        self.threshold_floor = (self._num << self.merges) // self._den
         if self.separators is not None:
-            boundaries = self.separators + [index]
-            self.separators = [boundaries[2 * a + 1] for a in range(blocks // 2)]
+            self.separators = (self.separators + [index])[1::2]
         self.block_ordinal = blocks // 2 + 1
         if blocks % 2 == 0:
             self.block_weight = element  # tentative boundary kept: fresh block

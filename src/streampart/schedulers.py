@@ -46,10 +46,6 @@ UNKNOWN_TAG = "unknown-2approx"
 EPSILON_GUARANTEE_LIMIT = Fraction(1, 64)
 WARN_EPSILON_RANGE = "epsilon-outside-established-guarantee"
 
-# driver state: one word per declared value plus the element counter
-KNOWN_TOTAL_DRIVER_WORDS = 2
-KNOWN_MAX_LENGTH_DRIVER_WORDS = 3
-KNOWN_MAX_DRIVER_WORDS = 2
 # element counter, running total, running max
 UNKNOWN_VALUE_DRIVER_WORDS = 3
 # element counter, running total, running max, bound and smallest adjacent-pair
@@ -153,7 +149,7 @@ def _check_declarations(declared: KnowledgeProfile, length: int, total: int, big
 
 
 def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, tag: str,
-          driver_words: int, declared: KnowledgeProfile, base: Fraction, target,
+          declared: KnowledgeProfile, base: Fraction, target,
           doublings: int = 1, slacks: Iterable[Fraction] = (),
           warnings: tuple[str, ...] = ()) -> SolveResult:
     """Race one probe per grid bound and one escalator (base: the declared
@@ -164,8 +160,9 @@ def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, 
     probe needs only its bound's floor, computed in integers; the exact
     bound is built only for the winner, the smallest surviving bound (the
     first of equal bounds). If every probe failed, the escalator with the
-    smallest threshold is the fallback. Space is the driver words plus every
-    instance's `words`.
+    smallest threshold is the fallback. Space is the driver's words, the
+    element counter and one per declared value, plus every instance's
+    `words`.
     """
     store = mode == PART_MODE
     powers = _exact_powers(1 + epsilon, target)
@@ -197,8 +194,8 @@ def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, 
         bottleneck, separators, merges = ext.bottleneck, ext.separators, ext.merges
     else:
         raise RuntimeError("no candidate bound was feasible despite verified declarations")
-    words = driver_words + sum(inst.words for inst in probes)
-    words += sum(inst.words for inst in escalators)
+    words = 1 + sum(value is not None for value in vars(declared).values())
+    words += sum(inst.words for inst in probes) + sum(inst.words for inst in escalators)
     return SolveResult(
         mode=mode,
         algorithm=tag,
@@ -222,8 +219,8 @@ def solve_known_total(
     """Candidates (total/p) * (1+eps)^i for i = 0..steps(p); smallest success wins."""
     epsilon = checked_args(num_blocks, mode, epsilon, needs_epsilon=True)
     declared = KnowledgeProfile(total_weight=total_weight)
-    return _race(stream, num_blocks, epsilon, mode, KNOWN_TOTAL_TAG, KNOWN_TOTAL_DRIVER_WORDS,
-                 declared, Fraction(total_weight, num_blocks), num_blocks)
+    return _race(stream, num_blocks, epsilon, mode, KNOWN_TOTAL_TAG, declared,
+                 Fraction(total_weight, num_blocks), num_blocks)
 
 
 def solve_known_max_length(
@@ -238,8 +235,8 @@ def solve_known_max_length(
     """Candidates max * (1+eps)^i for i = 0..steps(length); smallest success wins."""
     epsilon = checked_args(num_blocks, mode, epsilon, needs_epsilon=True)
     declared = KnowledgeProfile(max_weight=max_weight, length=length)
-    return _race(stream, num_blocks, epsilon, mode, KNOWN_MAX_LENGTH_TAG,
-                 KNOWN_MAX_LENGTH_DRIVER_WORDS, declared, Fraction(max_weight), max(length, 1))
+    return _race(stream, num_blocks, epsilon, mode, KNOWN_MAX_LENGTH_TAG, declared,
+                 Fraction(max_weight), max(length, 1))
 
 
 def solve_known_max(
@@ -262,8 +259,8 @@ def solve_known_max(
     delta = epsilon / (1 + epsilon / 2)
     doubling_levels = growth_steps(Fraction(2), 1 / delta**2) + 1
     slacks = (Fraction(up - down, down) for up, down in _exact_powers(1 + epsilon / 2, 2))
-    return _race(stream, num_blocks, epsilon, mode, KNOWN_MAX_TAG, KNOWN_MAX_DRIVER_WORDS,
-                 declared, Fraction(max_weight), 2, doubling_levels, slacks, warnings)
+    return _race(stream, num_blocks, epsilon, mode, KNOWN_MAX_TAG, declared,
+                 Fraction(max_weight), 2, doubling_levels, slacks, warnings)
 
 
 class UnknownPartSolver:
@@ -284,9 +281,6 @@ class UnknownPartSolver:
     It is one of `_drive`'s walkers: `walk` takes each chunk's prefix sums
     and carries the counter, total, maximum and blocks to the next chunk.
     """
-
-    # never set: the solver cannot fail, but `_drive` asks every walker
-    failure = None
 
     def __init__(self, num_blocks: int) -> None:
         checked_args(num_blocks)

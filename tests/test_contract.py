@@ -7,9 +7,11 @@ import pytest
 
 from streampart import (
     DeclaredBoundError,
+    InfeasibleBoundError,
     KnowledgeProfile,
     ProbeExtInstance,
     ProbeInstance,
+    StreamStats,
     dispatch,
     opt_bottleneck_binsearch,
     opt_bottleneck_dp,
@@ -160,3 +162,44 @@ def test_first_bad_element_raises_within_a_chunk(head):
     assert not isinstance(raised.value, DeclaredBoundError)
     with pytest.raises(ValueError, match="got 1.5"):
         probe_run(head + [2, 1.5, -1], 10, 2)
+
+
+# a value past CPython's 4300-digit limit for int <-> str conversion
+BIG = 10**5000
+DIGITS = "1" + "0" * 5000
+NINES = "9" * 5000
+
+
+# each call, with the exception and the whole message it must raise; every
+# value in a message is printed exactly, however long
+LONG_VALUE_MESSAGES = {
+    "KnowledgeProfile": (lambda: KnowledgeProfile(max_weight=-BIG), ValueError,
+                         f"declared max_weight must be a non-negative int, got -{DIGITS}"),
+    "ProbeInstance": (lambda: ProbeInstance(-BIG, 2), ValueError,
+                      f"bound must be non-negative, got -{DIGITS}"),
+    "ProbeExtInstance max": (lambda: ProbeExtInstance(-BIG, 2), ValueError,
+                             f"maximum weight must be non-negative, got -{DIGITS}"),
+    "ProbeExtInstance slack": (lambda: ProbeExtInstance(1, 2, Fraction(-BIG, 3)), ValueError,
+                               f"slack must be non-negative, got -{DIGITS}/3"),
+    "probe_run blocks": (lambda: probe_run([1], 1, -BIG), ValueError,
+                         f"block count must be at least 2, got -{DIGITS}"),
+    "solve_known_total epsilon": (lambda: solve_known_total([1], 2, Fraction(-BIG, 7), 1),
+                                  ValueError, f"epsilon must be positive, got -{DIGITS}/7"),
+    "StreamStats": (lambda: StreamStats(length=1, max_weight=BIG, total_weight=1), ValueError,
+                    f"max weight {DIGITS} exceeds total weight 1"),
+    "realize_partition": (lambda: realize_partition([BIG, BIG], 2, BIG - 1),
+                          InfeasibleBoundError,
+                          f"bound {NINES} admits no partitioning into 2 blocks "
+                          f"(element-exceeds-threshold)"),
+    "probe_ext_run": (lambda: probe_ext_run([BIG], Fraction(BIG - 1), 2), DeclaredBoundError,
+                      f"element {DIGITS} exceeds declared maximum weight {NINES}"),
+}
+
+
+@pytest.mark.parametrize("name", LONG_VALUE_MESSAGES)
+def test_messages_print_long_values_exactly(name):
+    call, error, message = LONG_VALUE_MESSAGES[name]
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert raised.type is error
+    assert str(raised.value) == message

@@ -27,7 +27,7 @@ from streampart import (
     realize_partition,
     validate_partitioning,
 )
-from streampart.feasibility import B
+from streampart.feasibility import B, _drive
 from streampart.schedulers import (
     EPSILON_GUARANTEE_LIMIT,
     KNOWN_MAX_TAG,
@@ -143,15 +143,35 @@ def test_probe_walk_matches_per_element_probe(weights, num_blocks, threshold, mo
 @SETTINGS
 @given(weights=walk_weights, num_blocks=blocks_strategy,
        slack=st.builds(Fraction, st.integers(0, 5), st.integers(1, 4)),
+       # an int maximum, or a rational one above the stream's largest weight
+       above=st.one_of(st.just(0), st.builds(Fraction, st.integers(0, 5), st.integers(1, 4))),
        mode=st.sampled_from((PART_MODE, PARTB_MODE)), chunking=st.sampled_from(CHUNKINGS))
-def test_escalator_walk_matches_per_element_escalator(weights, num_blocks, slack, mode,
+def test_escalator_walk_matches_per_element_escalator(weights, num_blocks, slack, above, mode,
                                                       chunking):
     store = mode == PART_MODE
-    top = max(weights, default=0)
+    top = max(weights, default=0) + above
     walked = ProbeExtInstance(top, num_blocks, slack, store_separators=store)
     reference = ReferenceEscalator(top * (1 + slack), num_blocks, store)
     feed_reference(reference, weights)
     walk_in_chunks(walked, weights, chunk_edges(chunking, len(weights), reference.events))
+    assert_same_state(walked, reference)
+    assert walked.bottleneck == reference.base * 2**reference.merges
+
+
+# a probe that dies in the first of three chunks: by an element above its
+# threshold, or by running out of blocks
+@pytest.mark.parametrize("weights, threshold", [
+    ([1] * 100 + [9] + [1] * (2 * B), 5),
+    ([3] * (2 * B + 50), 5),
+], ids=["element-exceeds-threshold", "partitions-exhausted"])
+@pytest.mark.parametrize("mode", [PART_MODE, PARTB_MODE])
+def test_drive_stops_walking_a_dead_probe(weights, threshold, mode):
+    store = mode == PART_MODE
+    reference = ReferenceProbe(threshold, 4, store)
+    feed_reference(reference, weights)
+    assert reference.failure is not None and reference.next_index <= B
+    walked = ProbeInstance(threshold, 4, store_separators=store)
+    assert _drive(iter(weights), [walked]) == (len(weights), sum(weights), max(weights))
     assert_same_state(walked, reference)
 
 

@@ -234,8 +234,6 @@ class SpyWalker:
     """A walker that records, in each `walk`, the traced memory and the
     size of the prefix sums it is given."""
 
-    failure = None
-
     def __init__(self) -> None:
         self.seen: list[tuple[int, int]] = []
 

@@ -114,6 +114,11 @@ def test_known_max_escalator_fallback():
     best = opt_bottleneck_binsearch(weights, 2).optimum
     assert res.merges is not None and res.merges >= 1
     assert res.bottleneck >= best
+    assert (res.bottleneck, res.merges) == (2048, 11)
+    # a winner whose base 3 * (1 + slack) is not an integer
+    res = solve_known_max(iter([3] * 49), 2, "1/2", 3)
+    assert (res.bottleneck, res.merges) == (Fraction(375, 4), 4)
+    assert res.separators == (1, 28, 50)
 
 
 def test_known_max_mismatch_and_bound_errors():
