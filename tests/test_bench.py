@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -171,3 +172,31 @@ def test_run_bench_malformed_rows_are_row_errors():
     buffer = io.StringIO()
     write_csv(records, buffer)
     assert len(buffer.getvalue().splitlines()) == 1 + len(records)
+
+
+# every column of one row per kind of record; wall_time_s is fixed, so each
+# row is exact
+FULL_ROWS = [
+    ({"generator": {"kind": "uniform", "n": 40, "m": 8, "seed": 3}, "algorithm": "known-S",
+      "mode": "part", "epsilon": "1/10", "p": 4},
+     "uniform,40,8,,,,3,4,part,known-S,1/10,231,5,46.2,45,1.0266666666666666,,16,114,40,0.5,"),
+    # the record's epsilon is printed; the unknown-knowledge result's is None
+    ({"generator": {"kind": "constant", "n": 2, "m": 4}, "algorithm": "unknown-2approx",
+      "mode": "partb", "epsilon": "1/10", "p": 2},
+     "constant,2,4,,,,0,2,partb,unknown-2approx,1/10,8,1,8.0,4,2.0,,0,3,2,0.5,"),
+    ({"generator": {"kind": "uniform", "n": 5, "m": 2}, "algorithm": "magic", "p": 3},
+     "uniform,5,2,,,,0,3,part,magic,,,,,,,,,,,0.5,unknown algorithm tag 'magic'"),
+    ({"generator": {"kind": "uniform", "n": 5, "q": 2}, "algorithm": "known-m",
+      "epsilon": "1/4", "p": 2},
+     ",,,,,,,2,part,known-m,,,,,,,,,,,0.5,"
+     "GeneratorSpec.__init__() got an unexpected keyword argument 'q'"),
+]
+
+
+@pytest.mark.parametrize("row, line", FULL_ROWS, ids=["known-S", "unknown-epsilon",
+                                                      "unknown-tag", "bad-generator"])
+def test_csv_row_pins_every_column(row, line):
+    record = dataclasses.replace(run_bench([row])[0], wall_time_s=0.5)
+    buffer = io.StringIO()
+    write_csv([record], buffer)
+    assert buffer.getvalue().splitlines() == [",".join(BENCH_CSV_HEADER), line]
