@@ -7,6 +7,8 @@ bound. Exact rational arithmetic is used throughout, so reported bottleneck
 values are never optimistic.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bench import (
     BENCH_CSV_HEADER,
     BenchRecord,
@@ -80,61 +82,6 @@ from .schedulers import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BENCH_CSV_HEADER",
-    "BenchRecord",
-    "DeclaredBoundError",
-    "EPSILON_GUARANTEE_LIMIT",
-    "GeneratorSpec",
-    "InfeasibleBoundError",
-    "InvalidPartitioningError",
-    "KNOWN_MAX_LENGTH_TAG",
-    "KNOWN_MAX_TAG",
-    "KNOWN_TOTAL_TAG",
-    "KnowledgeMismatchError",
-    "KnowledgeProfile",
-    "OracleResult",
-    "PART_MODE",
-    "PARTB_MODE",
-    "ProbeExtInstance",
-    "ProbeExtResult",
-    "ProbeFailure",
-    "ProbeInstance",
-    "ProbeOutcome",
-    "SolveResult",
-    "StreamStats",
-    "UNKNOWN_TAG",
-    "WARN_EPSILON_RANGE",
-    "approx_factor_bound",
-    "as_fraction",
-    "block_weights",
-    "bottleneck_of",
-    "ceil_fraction",
-    "check_partitioning",
-    "dispatch",
-    "floor_fraction",
-    "format_weights",
-    "gen_constant",
-    "gen_index_hard",
-    "gen_spike",
-    "gen_uniform",
-    "gen_yz_hard",
-    "growth_steps",
-    "iter_weights",
-    "load_config",
-    "opt_bottleneck_binsearch",
-    "opt_bottleneck_dp",
-    "parse_weights",
-    "probe_ext_run",
-    "probe_run",
-    "realize_partition",
-    "run_bench",
-    "solve_known_max",
-    "solve_known_max_length",
-    "solve_known_total",
-    "solve_unknown_part",
-    "solve_unknown_partb",
-    "validate_partitioning",
-    "weight_lower_bound",
-    "write_csv",
-]
+# the public names are the ones imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

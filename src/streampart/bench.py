@@ -14,9 +14,9 @@ captured in the record instead of aborting the run.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO
 
@@ -27,34 +27,16 @@ from .oracle import opt_bottleneck_binsearch
 from .schedulers import UNKNOWN_TAG, KnowledgeProfile, SolveResult, solve_tagged
 
 BENCH_CSV_HEADER = [
-    "kind",
-    "n",
-    "m",
-    "t",
-    "i",
-    "bits",
-    "seed",
-    "p",
-    "mode",
-    "algorithm",
-    "epsilon",
-    "bottleneck_num",
-    "bottleneck_den",
-    "bottleneck_float",
-    "oracle_optimum",
-    "ratio",
-    "merges",
-    "instance_count",
-    "space_peak_words",
-    "elements_read",
-    "wall_time_s",
-    "error",
+    *(field.name for field in dataclasses.fields(GeneratorSpec)),
+    "p", "mode", "algorithm", "epsilon", "bottleneck_num", "bottleneck_den",
+    "bottleneck_float", "oracle_optimum", "ratio", "merges", "instance_count",
+    "space_peak_words", "elements_read", "wall_time_s", "error",
 ]
 
 HARD_KINDS = ("yz", "index")
 
 
-@dataclass
+@dataclasses.dataclass
 class BenchRecord:
     generator: GeneratorSpec | None  # None when the row's generator fields are malformed
     num_blocks: int
@@ -75,26 +57,18 @@ class BenchRecord:
         return float(self.result.bottleneck / self.oracle_optimum)
 
     def to_csv_row(self) -> list:
-        result = self.result
-        return [
-            *(getattr(self.generator, name, None)
-              for name in ("kind", "n", "m", "t", "i", "bits", "seed")),
-            self.num_blocks,
-            self.mode,
-            self.algorithm,
-            None if self.epsilon is None else str(self.epsilon),
-            None if result is None else result.bottleneck.numerator,
-            None if result is None else result.bottleneck.denominator,
-            None if result is None else float(result.bottleneck),
-            self.oracle_optimum,
-            self.ratio,
-            None if result is None else result.merges,
-            None if result is None else result.instance_count,
-            None if result is None else result.space_peak_words,
-            None if result is None else result.elements_read,
-            round(self.wall_time_s, 6),
-            self.error or "",
-        ]
+        """The record's values in `BENCH_CSV_HEADER` order: the generator's
+        fields, then the result's, then the record's own, which win (an
+        unknown-knowledge result has no epsilon, the record does)."""
+        values = {} if self.generator is None else dict(vars(self.generator))
+        if self.result is not None:
+            values.update(self.result.to_json_dict(),
+                          bottleneck_float=float(self.result.bottleneck))
+        values.update(p=self.num_blocks, mode=self.mode, algorithm=self.algorithm,
+                      epsilon=None if self.epsilon is None else str(self.epsilon),
+                      oracle_optimum=self.oracle_optimum, ratio=self.ratio,
+                      wall_time_s=round(self.wall_time_s, 6), error=self.error or "")
+        return [values.get(name) for name in BENCH_CSV_HEADER]
 
 
 def run_bench(rows: list[dict]) -> list[BenchRecord]:

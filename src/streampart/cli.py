@@ -15,10 +15,11 @@ import argparse
 import json
 import sys
 from contextlib import ExitStack
+from dataclasses import fields
 from typing import IO
 
 from .core import WeightChunks, format_weights, int_text, iter_weights
-from .generators import GeneratorSpec
+from .generators import GENERATORS, GeneratorSpec
 from .oracle import opt_bottleneck_binsearch, opt_bottleneck_dp
 from .schedulers import (
     KNOWN_MAX_LENGTH_TAG,
@@ -46,8 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a weight stream")
-    gen.add_argument("--kind", required=True,
-                     choices=["uniform", "constant", "spike", "yz", "index"])
+    gen.add_argument("--kind", required=True, choices=list(GENERATORS))
     gen.add_argument("--n", type=int, help="stream length")
     gen.add_argument("--m", type=int, help="maximum weight")
     gen.add_argument("--t", type=int, help="pair count (yz)")
@@ -105,8 +105,8 @@ def _print_json(payload: dict) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = GeneratorSpec(kind=args.kind, n=args.n, m=args.m, t=args.t,
-                         i=args.i, bits=args.bits, seed=args.seed)
+    spec = GeneratorSpec(**{field.name: getattr(args, field.name)
+                            for field in fields(GeneratorSpec)})
     weights = spec.make()
     text = format_weights(weights) + "\n"
     if args.out:

@@ -16,7 +16,8 @@ Conventions used across the package:
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
@@ -71,21 +72,35 @@ def ceil_fraction(value: Fraction) -> int:
     return -((-value.numerator) // value.denominator)
 
 
+def block_count_problem(num_blocks, keeps_separators: bool = False) -> str | None:
+    """Return None if `num_blocks` is a valid block count, else the problem:
+    it must be an int of at least 2 and, for a caller that `keeps_separators`,
+    small enough that its num_blocks + 1 separators can be indexed."""
+    if type(num_blocks) is not int:
+        return f"block count must be an int, got {num_blocks!r}"
+    if num_blocks < 2:
+        return f"block count must be at least 2, got {int_text(num_blocks)}"
+    if keeps_separators and num_blocks >= sys.maxsize:
+        return f"block count {int_text(num_blocks)} is too large to index its separators"
+    return None
+
+
 def validate_partitioning(length: int, num_blocks: int, separators: Sequence[int]) -> str | None:
     """Return None if the separators form a valid partitioning, else the first violation."""
-    if num_blocks < 2:
-        return f"block count must be at least 2, got {num_blocks}"
+    problem = block_count_problem(num_blocks)
+    if problem is not None:
+        return problem
     if len(separators) != num_blocks + 1:
-        return f"expected {num_blocks + 1} separators, got {len(separators)}"
+        return f"expected {int_text(num_blocks + 1)} separators, got {len(separators)}"
     if separators[0] != 1:
-        return f"first separator must be 1, got {separators[0]}"
+        return f"first separator must be 1, got {int_text(separators[0])}"
     if separators[-1] != length + 1:
-        return f"last separator must be {length + 1}, got {separators[-1]}"
+        return f"last separator must be {int_text(length + 1)}, got {int_text(separators[-1])}"
     for k in range(1, len(separators)):
         if separators[k] < separators[k - 1]:
             return (
                 f"separators must be non-decreasing: "
-                f"s_{k}={separators[k]} < s_{k - 1}={separators[k - 1]}"
+                f"s_{k}={int_text(separators[k])} < s_{k - 1}={int_text(separators[k - 1])}"
             )
     return None
 
@@ -119,8 +134,8 @@ class StreamStats:
     total_weight: int
 
     def __post_init__(self) -> None:
-        for name in ("length", "max_weight", "total_weight"):
-            check_count(f"stream {name}", getattr(self, name))
+        for field in fields(self):
+            check_count(f"stream {field.name}", getattr(self, field.name))
         if self.total_weight > self.length * self.max_weight:
             raise ValueError(
                 f"total weight {int_text(self.total_weight)} exceeds "

@@ -29,7 +29,8 @@ from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, Sequence
 
-from .core import B, DeclaredBoundError, WeightChunks, as_fraction, floor_fraction, int_text
+from .core import (B, DeclaredBoundError, WeightChunks, as_fraction, block_count_problem,
+                   floor_fraction, int_text)
 
 PART_MODE = "part"
 PARTB_MODE = "partb"
@@ -59,10 +60,9 @@ def checked_args(
     epsilon as a Fraction (a float epsilon is refused by `as_fraction`)."""
     if mode not in (PART_MODE, PARTB_MODE):
         raise ValueError(f"unknown mode {mode!r}")
-    if type(num_blocks) is not int:
-        raise ValueError(f"block count must be an int, got {num_blocks!r}")
-    if num_blocks < 2:
-        raise ValueError(f"block count must be at least 2, got {int_text(num_blocks)}")
+    problem = block_count_problem(num_blocks, keeps_separators=mode == PART_MODE)
+    if problem is not None:
+        raise ValueError(problem)
     if epsilon is None:
         if needs_epsilon:
             raise ValueError("epsilon is required for the approximation solvers")
@@ -193,7 +193,7 @@ class ProbeInstance(_Walker):
     STATE_WORDS = 4
 
     def __init__(self, bound, num_blocks: int, *, store_separators: bool = True) -> None:
-        checked_args(num_blocks)
+        checked_args(num_blocks, PART_MODE if store_separators else PARTB_MODE)
         if type(bound) is not int:  # an int bound is its own floor: no Fraction needed
             bound = as_fraction(bound)
         if bound < 0:
@@ -294,11 +294,11 @@ def _drive(
     total = 0
     biggest = 0
     for chunk in chunks:
-        if (set(map(type, chunk)) != {int} or min(chunk) < 0
-                or (declared_max is not None and max(chunk) > declared_max)):
+        # `max` compares the elements only once they are known to be ints
+        top = max(chunk) if set(map(type, chunk)) == {int} and min(chunk) >= 0 else None
+        if top is None or (declared_max is not None and top > declared_max):
             for weight in chunk:
                 check_weight(weight, declared_max)
-        top = max(chunk)
         length += len(chunk)
         if top > biggest:
             biggest = top

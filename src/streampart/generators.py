@@ -144,26 +144,21 @@ class GeneratorSpec:
         check_seed(self.seed)
 
     def make(self) -> list[int]:
-        if self.kind == "uniform":
-            self._need(n=self.n, m=self.m)
-            return gen_uniform(self.n, self.m, self.seed)
-        if self.kind == "constant":
-            self._need(n=self.n, m=self.m)
-            return gen_constant(self.n, self.m)
-        if self.kind == "spike":
-            self._need(n=self.n, m=self.m)
-            return gen_spike(self.n, self.m, self.seed)
-        if self.kind == "yz":
-            self._need(n=self.n, t=self.t, i=self.i)
-            return gen_yz_hard(self.n, self.t, self.i, self.seed)
-        if self.kind == "index":
-            self._need(bits=self.bits, i=self.i)
-            return gen_index_hard(self.bits, self.i)
-        raise ValueError(f"unknown generator kind {self.kind!r}")
-
-    def _need(self, **fields) -> None:
-        missing = [name for name, value in fields.items() if value is None]
+        if self.kind not in GENERATORS:
+            raise ValueError(f"unknown generator kind {self.kind!r}")
+        generator, names = GENERATORS[self.kind]
+        values = [getattr(self, name) for name in names]
+        missing = [name for name, value in zip(names, values) if value is None]
         if missing:
-            raise ValueError(
-                f"generator kind {self.kind!r} requires {', '.join(missing)}"
-            )
+            raise ValueError(f"generator kind {self.kind!r} requires {', '.join(missing)}")
+        return generator(*values)
+
+
+# kind -> (generator, the GeneratorSpec fields it takes, in its positional order)
+GENERATORS = {
+    "uniform": (gen_uniform, ("n", "m", "seed")),
+    "constant": (gen_constant, ("n", "m")),
+    "spike": (gen_spike, ("n", "m", "seed")),
+    "yz": (gen_yz_hard, ("n", "t", "i", "seed")),
+    "index": (gen_index_hard, ("bits", "i")),
+}

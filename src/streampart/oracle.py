@@ -14,7 +14,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .core import InfeasibleBoundError, as_fraction, int_text
-from .feasibility import ProbeInstance, _drive, checked_args, probe_run
+from .feasibility import PARTB_MODE, ProbeInstance, _drive, checked_args, probe_run
 
 # the quadratic oracle refuses instances of more than this many n^2 * p cells
 DP_MAX_CELLS = 20_000_000
@@ -28,7 +28,7 @@ class OracleResult:
 
 def opt_bottleneck_binsearch(weights: Sequence[int], num_blocks: int) -> OracleResult:
     """Least feasible bottleneck, by binary search inside the sandwich interval."""
-    checked_args(num_blocks)
+    checked_args(num_blocks, PARTB_MODE)  # a value, no separators
     _, total, heaviest = _drive(weights)
     prefix = list(accumulate(weights, initial=0))
     low = max(-(-total // num_blocks), heaviest)
@@ -46,7 +46,7 @@ def opt_bottleneck_binsearch(weights: Sequence[int], num_blocks: int) -> OracleR
 
 def opt_bottleneck_dp(weights: Sequence[int], num_blocks: int) -> OracleResult:
     """Least feasible bottleneck, by the classic quadratic prefix recurrence."""
-    checked_args(num_blocks)
+    checked_args(num_blocks, PARTB_MODE)  # a value, no separators
     n, _, _ = _drive(weights)
     if n * n * num_blocks > DP_MAX_CELLS:
         raise ValueError(

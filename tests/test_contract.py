@@ -23,6 +23,7 @@ from streampart import (
     solve_known_total,
     solve_unknown_part,
     solve_unknown_partb,
+    validate_partitioning,
 )
 from streampart.feasibility import B
 from streampart.schedulers import UnknownPartSolver, solve_tagged
@@ -203,3 +204,36 @@ def test_messages_print_long_values_exactly(name):
         call()
     assert raised.type is error
     assert str(raised.value) == message
+
+
+# a block count whose separator tuple could not be indexed is refused where
+# it enters in part mode (expected result None); partb keeps no separators
+# and takes it
+HUGE_BLOCK_COUNT_CALLS = {
+    "probe_run": (lambda: probe_run([1], 5, BIG), None),
+    "realize_partition": (lambda: realize_partition([1], BIG, 0), None),
+    "solve_unknown_part": (lambda: solve_unknown_part([1], BIG), None),
+    "probe_ext_run": (lambda: probe_ext_run([1], 1, BIG), None),
+    "solve_unknown_partb": (lambda: solve_unknown_partb([1], BIG).bottleneck, 2),
+    "probe_run partb": (lambda: probe_run([1], 5, BIG, mode="partb").success, True),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_BLOCK_COUNT_CALLS)
+def test_block_count_too_large_for_separators(name):
+    call, expected = HUGE_BLOCK_COUNT_CALLS[name]
+    if expected is not None:
+        assert call() == expected
+        return
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert raised.type is ValueError
+    assert str(raised.value) == f"block count {DIGITS} is too large to index its separators"
+
+
+def test_validate_partitioning_block_count_rule():
+    # the rule `checked_args` applies, with the count printed exactly
+    assert (validate_partitioning(1, -BIG, [1, 2])
+            == f"block count must be at least 2, got -{DIGITS}")
+    assert validate_partitioning(1, True, [1, 2]) == "block count must be an int, got True"
+    assert validate_partitioning(1, 1, [1, 2]) == "block count must be at least 2, got 1"

@@ -1,5 +1,6 @@
-"""The package's public names: `__all__` and the import block in
-`__init__.py` are kept by hand, so check that they agree."""
+"""The package's public names: `__init__.py` builds `__all__` from its
+import block, so check that every name in it resolves once and that no
+imported public name is left out."""
 
 from collections import Counter
 from types import ModuleType
