@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import io
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
@@ -134,8 +134,8 @@ class StreamStats:
     total_weight: int
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            check_count(f"stream {field.name}", getattr(self, field.name))
+        for name in ("length", "max_weight", "total_weight"):
+            check_count(f"stream {name}", getattr(self, name))
         if self.total_weight > self.length * self.max_weight:
             raise ValueError(
                 f"total weight {int_text(self.total_weight)} exceeds "

@@ -60,7 +60,7 @@ def checked_args(
     epsilon as a Fraction (a float epsilon is refused by `as_fraction`)."""
     if mode not in (PART_MODE, PARTB_MODE):
         raise ValueError(f"unknown mode {mode!r}")
-    problem = block_count_problem(num_blocks, keeps_separators=mode == PART_MODE)
+    problem = block_count_problem(num_blocks, mode == PART_MODE)
     if problem is not None:
         raise ValueError(problem)
     if epsilon is None:

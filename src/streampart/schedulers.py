@@ -18,7 +18,7 @@ reported as an error instead of an unsound result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
 from operator import add
@@ -63,10 +63,10 @@ class KnowledgeProfile:
     total_weight: int | None = None
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
+        for name in ("max_weight", "length", "total_weight"):
+            value = getattr(self, name)
             if value is not None:
-                check_count(f"declared {field.name}", value)
+                check_count(f"declared {name}", value)
 
 
 @dataclass
