@@ -72,24 +72,26 @@ def ceil_fraction(value: Fraction) -> int:
     return -((-value.numerator) // value.denominator)
 
 
-def block_count_problem(num_blocks, keeps_separators: bool = False) -> str | None:
-    """Return None if `num_blocks` is a valid block count, else the problem:
-    it must be an int of at least 2 and, for a caller that `keeps_separators`,
-    small enough that its num_blocks + 1 separators can be indexed."""
+def check_block_count(num_blocks, keeps_separators: bool = False) -> None:
+    """A block count must be an int of at least 2 and, for a caller that
+    `keeps_separators`, small enough that its num_blocks + 1 separators can
+    be indexed; anything else raises `ValueError`."""
     if type(num_blocks) is not int:
-        return f"block count must be an int, got {num_blocks!r}"
+        raise ValueError(f"block count must be an int, got {num_blocks!r}")
     if num_blocks < 2:
-        return f"block count must be at least 2, got {int_text(num_blocks)}"
+        raise ValueError(f"block count must be at least 2, got {int_text(num_blocks)}")
     if keeps_separators and num_blocks >= sys.maxsize:
-        return f"block count {int_text(num_blocks)} is too large to index its separators"
-    return None
+        raise ValueError(
+            f"block count {int_text(num_blocks)} is too large to index its separators"
+        )
 
 
 def validate_partitioning(length: int, num_blocks: int, separators: Sequence[int]) -> str | None:
     """Return None if the separators form a valid partitioning, else the first violation."""
-    problem = block_count_problem(num_blocks)
-    if problem is not None:
-        return problem
+    try:
+        check_block_count(num_blocks)
+    except ValueError as exc:
+        return str(exc)
     if len(separators) != num_blocks + 1:
         return f"expected {int_text(num_blocks + 1)} separators, got {len(separators)}"
     if separators[0] != 1:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, Sequence
 
-from .core import (B, DeclaredBoundError, WeightChunks, as_fraction, block_count_problem,
+from .core import (B, DeclaredBoundError, WeightChunks, as_fraction, check_block_count,
                    floor_fraction, int_text)
 
 PART_MODE = "part"
@@ -60,9 +60,7 @@ def checked_args(
     epsilon as a Fraction (a float epsilon is refused by `as_fraction`)."""
     if mode not in (PART_MODE, PARTB_MODE):
         raise ValueError(f"unknown mode {mode!r}")
-    problem = block_count_problem(num_blocks, mode == PART_MODE)
-    if problem is not None:
-        raise ValueError(problem)
+    check_block_count(num_blocks, mode == PART_MODE)
     if epsilon is None:
         if needs_epsilon:
             raise ValueError("epsilon is required for the approximation solvers")
@@ -193,7 +191,7 @@ class ProbeInstance(_Walker):
     STATE_WORDS = 4
 
     def __init__(self, bound, num_blocks: int, *, store_separators: bool = True) -> None:
-        checked_args(num_blocks, PART_MODE if store_separators else PARTB_MODE)
+        check_block_count(num_blocks, store_separators)
         if type(bound) is not int:  # an int bound is its own floor: no Fraction needed
             bound = as_fraction(bound)
         if bound < 0:

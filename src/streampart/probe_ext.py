@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import as_fraction, int_text
-from .feasibility import PART_MODE, PARTB_MODE, _drive, _Walker, checked_args
+from .core import as_fraction, check_block_count, int_text
+from .feasibility import PART_MODE, _drive, _Walker, checked_args
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class ProbeExtInstance(_Walker):
     def __init__(
         self, max_weight: int, num_blocks: int, slack=0, *, store_separators: bool = True
     ) -> None:
-        checked_args(num_blocks, PART_MODE if store_separators else PARTB_MODE)
+        check_block_count(num_blocks, store_separators)
         slack = as_fraction(slack)
         if type(max_weight) is not int:  # an int maximum is kept as it is
             max_weight = as_fraction(max_weight)
