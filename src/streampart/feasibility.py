@@ -116,9 +116,10 @@ class _Walker:
         the stream total; this is not process memory."""
         return self.STATE_WORDS + (0 if self.separators is None else self.num_blocks - 1)
 
-    def walk(self, prefix: Sequence[int]) -> bool:
+    def walk(self, prefix: Sequence[int], top: int) -> bool:
         """Advance over the next chunk of the stream, given its prefix sums
-        (``prefix[0] = 0``); return whether the instance is still alive.
+        (``prefix[0] = 0``) and its largest weight, which the packing does
+        not need; return whether the instance is still alive.
 
         Each block the chunk reaches costs one `bisect_right`, which finds
         the last element that still fits the open block.
@@ -277,8 +278,9 @@ def _drive(
 
     A `WeightChunks` stream is read as the parser's lists; any other is
     collected into lists of `B` by `_chunked`. A walker is anything whose
-    `walk(prefix)` returns whether it is still alive: a `_Walker` or the
-    unknown-knowledge solver. Every walker given is live; one that returns
+    `walk(prefix, top)`, given a chunk's prefix sums and largest weight,
+    returns whether it is still alive: a `_Walker` or the unknown-knowledge
+    solver. Every walker given is live; one that returns
     False is not walked again. A chunk that fails the check is rescanned
     element by element, so the first bad element raises, as it would one
     element at a time. Prefix sums are built only while a walker is live.
@@ -303,7 +305,7 @@ def _drive(
         if live:
             prefix = list(accumulate(chunk, initial=0))
             total += prefix[-1]
-            live = [walker for walker in live if walker.walk(prefix)]
+            live = [walker for walker in live if walker.walk(prefix, top)]
         else:
             total += sum(chunk)
     return length, total, biggest

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import check_count
+from .core import check_count, int_text
 
 
 def check_seed(seed) -> None:
@@ -72,7 +72,7 @@ def gen_index_hard(bits: Sequence[int] | str, index: int) -> list[int]:
     check_count("index", index)
     if not (-(-count // 2) <= index <= count):
         raise ValueError(
-            f"index must lie in [{-(-count // 2)}, {count}], got {index}"
+            f"index must lie in [{-(-count // 2)}, {count}], got {int_text(index)}"
         )
     stream: list[int] = []
     for b in bit_values:
@@ -101,10 +101,13 @@ def gen_yz_hard(length: int, pairs: int, bob_index: int, seed: int = 0) -> list[
         raise ValueError(f"pair count must be at least 1, got {pairs}")
     if length < 4 * pairs - 2:
         raise ValueError(
-            f"length must be at least 4*pairs - 2 = {4 * pairs - 2}, got {length}"
+            f"length must be at least 4*pairs - 2 = {int_text(4 * pairs - 2)}, "
+            f"got {int_text(length)}"
         )
     if not (1 <= bob_index <= pairs):
-        raise ValueError(f"bob index must lie in [1, {pairs}], got {bob_index}")
+        raise ValueError(
+            f"bob index must lie in [1, {int_text(pairs)}], got {int_text(bob_index)}"
+        )
     zeros = length - 4 * pairs + 2
     slots = zeros + pairs
     rng = random.Random(seed)

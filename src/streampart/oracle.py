@@ -35,11 +35,11 @@ def opt_bottleneck_binsearch(weights: Sequence[int], num_blocks: int) -> OracleR
     high = (total + (num_blocks - 1) * heaviest) // num_blocks
     while low < high:
         mid = (low + high) // 2
-        if ProbeInstance(mid, num_blocks, store_separators=False).walk(prefix):
+        if ProbeInstance(mid, num_blocks, store_separators=False).walk(prefix, heaviest):
             high = mid
         else:
             low = mid + 1
-    if not ProbeInstance(low, num_blocks, store_separators=False).walk(prefix):
+    if not ProbeInstance(low, num_blocks, store_separators=False).walk(prefix, heaviest):
         raise RuntimeError("sandwich interval contained no feasible value")
     return OracleResult(low, "binsearch")
 
@@ -51,7 +51,7 @@ def opt_bottleneck_dp(weights: Sequence[int], num_blocks: int) -> OracleResult:
     if n * n * num_blocks > DP_MAX_CELLS:
         raise ValueError(
             f"instance too large for the quadratic oracle "
-            f"(n^2 * p = {n * n * num_blocks} > {DP_MAX_CELLS})"
+            f"(n^2 * p = {int_text(n * n * num_blocks)} > {DP_MAX_CELLS})"
         )
     prefix = list(accumulate(weights, initial=0))
     # best[i] = least bottleneck for the first i elements with the current block budget

@@ -18,9 +18,10 @@ reported as an error instead of an unsound result.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
+from itertools import islice, pairwise
 from operator import add
 from typing import Iterable, Sequence
 
@@ -273,13 +274,22 @@ class UnknownPartSolver:
 
     Blocks i and i+1 can merge only when p * (s_i + s_{i+1}) <= p * bound,
     so the solver keeps the smallest adjacent-pair sum. While even that pair
-    is too heavy, a regroup can only grow the last block or open a new one,
-    which costs O(1); otherwise the full greedy regroup runs. The kept pair
-    sum can only be stale low (the last block only grows), which costs an
-    extra full regroup and never a different grouping.
+    is too heavy, a regroup can only grow the last block or open a new one;
+    otherwise the full greedy regroup runs. The kept pair sum can only be
+    stale low (the last block only grows), which costs an extra full regroup
+    and never a different grouping.
 
     It is one of `_drive`'s walkers: `walk` takes each chunk's prefix sums
-    and carries the counter, total, maximum and blocks to the next chunk.
+    and largest weight, and carries the counter, total, maximum and blocks
+    to the next chunk. The running maximum and total only grow, so once the
+    total reaches p times the chunk's maximum the bound is 2 * total / p,
+    and both events become thresholds on the prefix sums: a regroup is due
+    once the total reaches p * pair / 2, and an opening once the last block
+    outgrows a floor set by the total. From there the walk costs two
+    bisects per event, and the elements between events only grow the last
+    block. Elements before that point (the stream's start, or a chunk whose
+    new maximum lifts p * max above the total), and every element at p = 2,
+    where the opening floor has no form, take the per-element step.
     """
 
     def __init__(self, num_blocks: int) -> None:
@@ -312,16 +322,24 @@ class UnknownPartSolver:
         """Take one weight: a one-element chunk through `_drive`."""
         _drive((weight,), [self])
 
-    def walk(self, prefix: Sequence[int]) -> bool:
+    def walk(self, prefix: Sequence[int], top: int) -> bool:
         """Advance over the next chunk of the stream, given its prefix sums
-        (``prefix[0] = 0``); the solver never fails, so return True."""
+        (``prefix[0] = 0``) and its largest weight; the solver never fails,
+        so return True."""
         blocks = self.num_blocks
         carried = self.total
-        index = self.elements_read
+        first = self.elements_read  # the stream index of prefix[k] is first + k
+        highest = max(self.max_weight, top)
+        last = len(prefix) - 1
+        # from the first k with carried + prefix[k] >= p * highest on, the cap
+        # is 2 * (carried + prefix[k]); the head before it, and every element
+        # at p = 2, runs the per-element step
+        head = last if blocks == 2 else max(bisect_left(prefix, blocks * highest - carried) - 1, 0)
+        index = first
         biggest = self.max_weight
         sums = self._sums
         pair = self._pair
-        for before, running in pairwise(prefix):
+        for before, running in pairwise(islice(prefix, head + 1)):
             weight = running - before
             index += 1
             if weight > biggest:
@@ -337,17 +355,47 @@ class UnknownPartSolver:
             if blocks * grown <= cap:
                 sums[-1] = grown
                 continue
-            if len(sums) == blocks:
-                raise RuntimeError("regrouping exceeded the block budget")
-            self._starts.append(index)
-            sums.append(weight)
-            if pair is None or grown < pair:
-                pair = grown
+            pair = self._open(index, weight, grown, pair)
+        # the tail, event by event: the last block holds `offset` plus the
+        # prefix sum it has reached; a regroup is due at the first k with
+        # p * pair <= 2 * (carried + prefix[k]), an opening at the first k
+        # with p * (offset + prefix[k]) > 2 * (carried + prefix[k])
+        at = head
+        while at < last:
+            offset = sums[-1] - prefix[at]
+            opening = bisect_right(prefix, (2 * carried - blocks * offset) // (blocks - 2), at + 1)
+            if pair is None:
+                regroup = last + 1
+            else:
+                regroup = bisect_left(prefix, -(-blocks * pair // 2) - carried, at + 1)
+            at = min(regroup, opening)
+            if at > last:
+                sums[-1] = offset + prefix[last]
+                break
+            sums[-1] = offset + prefix[at - 1]
+            weight = prefix[at] - prefix[at - 1]
+            # on one element the regroup test comes first, as in the head
+            if regroup <= opening:
+                self._regroup(weight, first + at, 2 * (carried + prefix[at]))
+                sums = self._sums
+                pair = self._pair
+            else:
+                pair = self._open(first + at, weight, offset + prefix[at], pair)
         self.total = carried + prefix[-1]
-        self.elements_read = index
-        self.max_weight = biggest
+        self.elements_read = first + last
+        self.max_weight = highest
         self._pair = pair
         return True
+
+    def _open(self, index: int, weight: int, grown: int, pair: int | None) -> int:
+        """Open a block at `index` holding `weight`; `grown` is the old last
+        block plus `weight`, the sum of the new adjacent pair. Return the new
+        smallest adjacent-pair sum."""
+        if len(self._sums) == self.num_blocks:
+            raise RuntimeError("regrouping exceeded the block budget")
+        self._starts.append(index)
+        self._sums.append(weight)
+        return grown if pair is None or grown < pair else pair
 
     def _regroup(self, weight: int, index: int, cap: int) -> None:
         """The full greedy regroup of the blocks and the incoming element."""

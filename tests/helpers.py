@@ -1,16 +1,18 @@
 """Shared test utilities: independent optima, counting streams, corpora, the
 per-element feasibility machines the chunked walk is checked against, the
 full-regroup 2-approximation the unknown-knowledge fast path is checked
-against, and the maximality check of a probe's separators."""
+against, the per-element unknown-knowledge walk its event-driven walk is
+checked against, and the maximality check of a probe's separators."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, pairwise
 from typing import Iterable, Iterator, Sequence
 
 from streampart import ProbeFailure, ProbeOutcome, as_fraction, floor_fraction
+from streampart.schedulers import UnknownPartSolver
 
 
 def brute_force_optimum(weights: Sequence[int], num_blocks: int) -> int:
@@ -189,6 +191,47 @@ class ReferenceUnknownPart:
         grown = index + 1
         self.separators = starts + [grown] * (blocks + 1 - len(starts))
         self.block_weights = sums + [0] * (blocks - len(sums))
+
+
+class ReferenceUnknownWalk(UnknownPartSolver):
+    """`UnknownPartSolver` with the per-element walk: every element of a
+    chunk runs the regroup, grow and open tests in turn. The event-driven
+    walk is checked against it, state for state, after every chunk."""
+
+    def walk(self, prefix: Sequence[int], top: int) -> bool:
+        blocks = self.num_blocks
+        carried = self.total
+        index = self.elements_read
+        biggest = self.max_weight
+        sums = self._sums
+        pair = self._pair
+        for before, running in pairwise(prefix):
+            weight = running - before
+            index += 1
+            if weight > biggest:
+                biggest = weight
+            # compare p * (acc + w) <= p * bound = 2 * max(max_weight * p, total)
+            cap = 2 * max(biggest * blocks, carried + running)
+            if pair is not None and blocks * pair <= cap:
+                self._regroup(weight, index, cap)
+                sums = self._sums
+                pair = self._pair
+                continue
+            grown = sums[-1] + weight
+            if blocks * grown <= cap:
+                sums[-1] = grown
+                continue
+            if len(sums) == blocks:
+                raise RuntimeError("regrouping exceeded the block budget")
+            self._starts.append(index)
+            sums.append(weight)
+            if pair is None or grown < pair:
+                pair = grown
+        self.total = carried + prefix[-1]
+        self.elements_read = index
+        self.max_weight = biggest
+        self._pair = pair
+        return True
 
 
 def greedy_maximality_check(weights: Sequence[int], outcome: ProbeOutcome, bound) -> bool:

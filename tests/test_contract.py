@@ -13,6 +13,8 @@ from streampart import (
     ProbeInstance,
     StreamStats,
     dispatch,
+    gen_index_hard,
+    gen_yz_hard,
     opt_bottleneck_binsearch,
     opt_bottleneck_dp,
     probe_ext_run,
@@ -194,6 +196,15 @@ LONG_VALUE_MESSAGES = {
                           f"(element-exceeds-threshold)"),
     "probe_ext_run": (lambda: probe_ext_run([BIG], Fraction(BIG - 1), 2), DeclaredBoundError,
                       f"element {DIGITS} exceeds declared maximum weight {NINES}"),
+    "opt_bottleneck_dp": (lambda: opt_bottleneck_dp([1], BIG), ValueError,
+                          f"instance too large for the quadratic oracle "
+                          f"(n^2 * p = {DIGITS} > 20000000)"),
+    "gen_yz_hard length": (lambda: gen_yz_hard(10, BIG, 1), ValueError,
+                           f"length must be at least 4*pairs - 2 = 3{'9' * 4999}8, got 10"),
+    "gen_yz_hard bob index": (lambda: gen_yz_hard(4 * BIG, BIG, BIG + 1), ValueError,
+                              f"bob index must lie in [1, {DIGITS}], got {'1' + '0' * 4999}1"),
+    "gen_index_hard": (lambda: gen_index_hard("01", BIG), ValueError,
+                       f"index must lie in [1, 2], got {DIGITS}"),
 }
 
 

@@ -42,6 +42,7 @@ from helpers import (
     ReferenceEscalator,
     ReferenceProbe,
     ReferenceUnknownPart,
+    ReferenceUnknownWalk,
     brute_force_optimum,
 )
 
@@ -103,7 +104,8 @@ def chunk_edges(chunking: str, length: int, events: list[int]) -> list[int]:
 def walk_in_chunks(instance, weights: list[int], edges: list[int]) -> None:
     bounds = [0, *edges, len(weights)]
     for lo, hi in zip(bounds, bounds[1:]):
-        if not instance.walk(list(accumulate(weights[lo:hi], initial=0))):
+        chunk = weights[lo:hi]
+        if not instance.walk(list(accumulate(chunk, initial=0)), max(chunk, default=0)):
             return
 
 
@@ -217,6 +219,54 @@ def test_unknown_part_walk_matches_full_regroup(weights, num_blocks, chunking):
     assert solver.elements_read == reference.elements_read
 
 
+def mixed_stream(seed: int, length: int, mix: str) -> list[int]:
+    """`length` seeded weights of one mix: mostly zeros, spread over four
+    decades, uniform in 0..1000, or small weights with rare spikes, each a
+    new maximum between 1/64 of the total so far and all of it, which lifts
+    p * max back above the total mid-stream."""
+    rng = random.Random(seed)
+    if mix == "uniform":
+        return rng.choices(range(1001), k=length)
+    weights = []
+    total = 0
+    for _ in range(length):
+        if mix == "zeros":
+            weight = rng.randint(1, 9) if rng.random() < 0.2 else 0
+        elif mix == "log-spread":
+            weight = rng.randint(0, 10 ** rng.randint(0, 4))
+        elif rng.random() < 0.005:
+            weight = total // rng.choice((1, 4, 16, 64)) + 101
+        else:
+            weight = rng.randint(0, 100)
+        weights.append(weight)
+        total += weight
+    return weights
+
+
+def walker_state(solver: UnknownPartSolver) -> tuple:
+    return (solver._starts, solver._sums, solver._pair, solver.total, solver.max_weight,
+            solver.elements_read)
+
+
+# streams long enough for the total to pass p * max at p = 64, where the
+# walk goes event by event; at p = 2 every element takes the per-element step
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), length=st.integers(200, 3000),
+       mix=st.sampled_from(("zeros", "log-spread", "uniform", "spikes")),
+       num_blocks=st.sampled_from((2, 3, 64)), size=st.sampled_from((1, 3, 50, 4096)))
+def test_unknown_part_walk_matches_per_element_walk(seed, length, mix, num_blocks, size):
+    weights = mixed_stream(seed, length, mix)
+    solver = UnknownPartSolver(num_blocks)
+    reference = ReferenceUnknownWalk(num_blocks)
+    for lo in range(0, length, size):
+        chunk = weights[lo:lo + size]
+        prefix = list(accumulate(chunk, initial=0))
+        assert solver.walk(prefix, max(chunk))
+        assert reference.walk(prefix, max(chunk))
+        assert walker_state(solver) == walker_state(reference)
+    assert solver.result() == reference.result()
+
+
 def boundary_stream(length: int, order: str, seed: int) -> list[int]:
     weights = random.Random(seed).choices(range(1001), k=length)
     if order == "unsorted":
@@ -230,7 +280,20 @@ def boundary_stream(length: int, order: str, seed: int) -> list[int]:
 @pytest.mark.parametrize("order", ["unsorted", "ascending", "descending"])
 @pytest.mark.parametrize("length", [B - 1, B, B + 1, 3 * B + 7])
 def test_unknown_solvers_across_chunk_boundaries(length, order, num_blocks):
-    weights = boundary_stream(length, order, seed=length * 7 + num_blocks)
+    check_unknown_solvers(boundary_stream(length, order, seed=length * 7 + num_blocks),
+                          num_blocks)
+
+
+def test_unknown_solvers_on_a_perfbench_shaped_stream():
+    # perfbench's unknown-part op: 10^4 uniform weights in 0..1000, p = 64,
+    # read by `_drive` in chunks of `B`, so most of it is walked event by event
+    check_unknown_solvers(boundary_stream(10_000, "unsorted", seed=1131), 64)
+
+
+def check_unknown_solvers(weights: list[int], num_blocks: int) -> None:
+    """Both unknown-knowledge solvers against the full regroup and the
+    closed form."""
+    length = len(weights)
     result = solve_unknown_part(iter(weights), num_blocks)
     reference = ReferenceUnknownPart(num_blocks)
     for weight in weights:

@@ -237,7 +237,7 @@ class SpyWalker:
     def __init__(self) -> None:
         self.seen: list[tuple[int, int]] = []
 
-    def walk(self, prefix) -> bool:
+    def walk(self, prefix, top) -> bool:
         self.seen.append((tracemalloc.get_traced_memory()[0], size_of(prefix)))
         return True
 
