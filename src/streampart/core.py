@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
+from operator import countOf
 from typing import IO, Iterator, Sequence
 
 
@@ -62,6 +63,29 @@ def check_count(name: str, value) -> None:
     if type(value) is not int or value < 0:
         shown = int_text(value) if type(value) is int else repr(value)
         raise ValueError(f"{name} must be a non-negative int, got {shown}")
+
+
+def checked_max(weights: Sequence[int], declared_max: int | None = None) -> int:
+    """The largest of `weights` (0 for none), after the ingress rule: each is
+    a non-negative `int` (not a `bool`), at most `declared_max` if given. A
+    list that fails the whole-list test is scanned, so its first bad weight
+    raises."""
+    # `min` and `max` compare the weights only once they are known to be ints
+    # (counted with `countOf`, which is cheaper than a set of their types)
+    if countOf(map(type, weights), int) == len(weights) and min(weights, default=0) >= 0:
+        top = max(weights, default=0)
+        if declared_max is None or top <= declared_max:
+            return top
+    # the whole-list test failed, so the first bad weight raises here
+    for weight in weights:
+        if type(weight) is not int or weight < 0:
+            shown = int_text(weight) if type(weight) is int else repr(weight)
+            raise ValueError(f"weights must be non-negative integers, got {shown}")
+        if declared_max is not None and weight > declared_max:
+            raise DeclaredBoundError(
+                f"element {int_text(weight)} exceeds declared maximum weight "
+                f"{int_text(declared_max)}"
+            )
 
 
 def floor_fraction(value: Fraction) -> int:
@@ -115,6 +139,7 @@ def check_partitioning(length: int, num_blocks: int, separators: Sequence[int]) 
 
 def block_weights(weights: Sequence[int], separators: Sequence[int]) -> list[int]:
     """Per-block sums for a valid partitioning of `weights`."""
+    checked_max(weights)
     check_partitioning(len(weights), len(separators) - 1, separators)
     return [
         sum(weights[separators[k] - 1 : separators[k + 1] - 1])
@@ -155,7 +180,7 @@ class StreamStats:
     def from_weights(cls, weights: Sequence[int]) -> "StreamStats":
         return cls(
             length=len(weights),
-            max_weight=max(weights, default=0),
+            max_weight=checked_max(weights),
             total_weight=sum(weights),
         )
 

@@ -13,7 +13,7 @@ prefix sums of a chunk of the stream with one binary search per block the
 chunk reaches, and resumes where it stopped on the next chunk (the
 "chains-on-chains" probe of Han, Narahari & Choi and of Pinar & Aykanat,
 made resumable). `_drive` is the one reader of a stream: it reads `B`
-elements at a time, checks each weight against `check_weight`, the one
+elements at a time, checks each chunk with `core.checked_max`, the one
 ingress rule, and builds each chunk's prefix sums once for every live
 walker. The oracle asks the same walk for a whole list: one chunk, from a
 fresh `ProbeInstance`. The module also holds `checked_args` (block count,
@@ -29,8 +29,8 @@ from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, Sequence
 
-from .core import (B, DeclaredBoundError, WeightChunks, as_fraction, check_block_count,
-                   floor_fraction, int_text)
+from .core import (B, WeightChunks, as_fraction, check_block_count, checked_max, floor_fraction,
+                   int_text)
 
 PART_MODE = "part"
 PARTB_MODE = "partb"
@@ -238,19 +238,6 @@ def probe_run(
     return instance.finish()
 
 
-def check_weight(weight, declared_max: int | None = None) -> None:
-    """The ingress rule for one weight: a non-negative `int` (not a `bool`),
-    at most the declared maximum when there is one."""
-    if type(weight) is not int or weight < 0:
-        shown = int_text(weight) if type(weight) is int else repr(weight)
-        raise ValueError(f"weights must be non-negative integers, got {shown}")
-    if declared_max is not None and weight > declared_max:
-        raise DeclaredBoundError(
-            f"element {int_text(weight)} exceeds declared maximum weight "
-            f"{int_text(declared_max)}"
-        )
-
-
 def _chunked(source: Iterator[int]) -> Iterator[list[int]]:
     """Lists of `B` elements of `source`, the last one shorter. When
     `source` raises, the elements read before it are yielded first and
@@ -281,8 +268,8 @@ def _drive(
     `walk(prefix, top)`, given a chunk's prefix sums and largest weight,
     returns whether it is still alive: a `_Walker` or the unknown-knowledge
     solver. Every walker given is live; one that returns
-    False is not walked again. A chunk that fails the check is rescanned
-    element by element, so the first bad element raises, as it would one
+    False is not walked again. Each chunk is checked whole by
+    `core.checked_max`, so the first bad element raises, as it would one
     element at a time. Prefix sums are built only while a walker is live.
     """
     if isinstance(stream, WeightChunks):
@@ -294,11 +281,7 @@ def _drive(
     total = 0
     biggest = 0
     for chunk in chunks:
-        # `max` compares the elements only once they are known to be ints
-        top = max(chunk) if set(map(type, chunk)) == {int} and min(chunk) >= 0 else None
-        if top is None or (declared_max is not None and top > declared_max):
-            for weight in chunk:
-                check_weight(weight, declared_max)
+        top = checked_max(chunk, declared_max)
         length += len(chunk)
         if top > biggest:
             biggest = top

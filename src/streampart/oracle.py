@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .core import InfeasibleBoundError, as_fraction, int_text
-from .feasibility import PARTB_MODE, ProbeInstance, _drive, checked_args, probe_run
+from .core import InfeasibleBoundError, as_fraction, checked_max, int_text
+from .feasibility import PARTB_MODE, ProbeInstance, checked_args, probe_run
 
 # the quadratic oracle refuses instances of more than this many n^2 * p cells
 DP_MAX_CELLS = 20_000_000
@@ -29,8 +29,9 @@ class OracleResult:
 def opt_bottleneck_binsearch(weights: Sequence[int], num_blocks: int) -> OracleResult:
     """Least feasible bottleneck, by binary search inside the sandwich interval."""
     checked_args(num_blocks, PARTB_MODE)  # a value, no separators
-    _, total, heaviest = _drive(weights)
+    heaviest = checked_max(weights)
     prefix = list(accumulate(weights, initial=0))
+    total = prefix[-1]
     low = max(-(-total // num_blocks), heaviest)
     high = (total + (num_blocks - 1) * heaviest) // num_blocks
     while low < high:
@@ -47,7 +48,8 @@ def opt_bottleneck_binsearch(weights: Sequence[int], num_blocks: int) -> OracleR
 def opt_bottleneck_dp(weights: Sequence[int], num_blocks: int) -> OracleResult:
     """Least feasible bottleneck, by the classic quadratic prefix recurrence."""
     checked_args(num_blocks, PARTB_MODE)  # a value, no separators
-    n, _, _ = _drive(weights)
+    checked_max(weights)
+    n = len(weights)
     if n * n * num_blocks > DP_MAX_CELLS:
         raise ValueError(
             f"instance too large for the quadratic oracle "

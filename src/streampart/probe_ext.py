@@ -26,8 +26,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import as_fraction, check_block_count, int_text
+from .core import as_fraction, check_block_count, check_count, int_text
 from .feasibility import PART_MODE, _drive, _Walker, checked_args
+
+
+def checked_base(max_weight, slack) -> tuple[int | Fraction, Fraction]:
+    """The escalator's maximum and slack as exact values, an int maximum
+    kept as it is; a negative one raises `ValueError`."""
+    slack = as_fraction(slack)
+    if type(max_weight) is not int:
+        max_weight = as_fraction(max_weight)
+    if max_weight < 0:
+        raise ValueError(f"maximum weight must be non-negative, got {int_text(max_weight)}")
+    if slack < 0:
+        raise ValueError(f"slack must be non-negative, got {int_text(slack)}")
+    return max_weight, slack
 
 
 @dataclass(frozen=True)
@@ -48,13 +61,7 @@ class ProbeExtInstance(_Walker):
         self, max_weight: int, num_blocks: int, slack=0, *, store_separators: bool = True
     ) -> None:
         check_block_count(num_blocks, store_separators)
-        slack = as_fraction(slack)
-        if type(max_weight) is not int:  # an int maximum is kept as it is
-            max_weight = as_fraction(max_weight)
-        if max_weight < 0:
-            raise ValueError(f"maximum weight must be non-negative, got {int_text(max_weight)}")
-        if slack < 0:
-            raise ValueError(f"slack must be non-negative, got {int_text(slack)}")
+        max_weight, slack = checked_base(max_weight, slack)
         self.max_weight = max_weight
         # the base max_weight * (1 + slack) as an exact _num / _den, in ints
         # (an int has a numerator and a denominator too)
@@ -116,9 +123,11 @@ def weight_lower_bound(merges: int, num_blocks: int, max_weight: int, slack=0) -
     (p*m/2) * (2^i*(1+a) - a - i) - (m/2) * (i + a)
     for i = merges, p = num_blocks, m = max_weight, a = slack.
     """
+    check_count("merges", merges)
     if merges < 1:
         raise ValueError("weight bound is defined only after at least one merge")
-    a = as_fraction(slack)
+    check_block_count(num_blocks)
+    max_weight, a = checked_base(max_weight, slack)
     doubled = (1 << merges) * (1 + a)
     return (
         Fraction(num_blocks * max_weight, 2) * (doubled - a - merges)
@@ -133,9 +142,10 @@ def approx_factor_bound(merges: int, slack=0) -> Fraction | None:
     is undefined (None) when the denominator is not positive, which happens
     at two merges with zero slack.
     """
+    check_count("merges", merges)
     if merges < 2:
         raise ValueError("ratio bound is defined only for at least two merges")
-    a = as_fraction(slack)
+    _, a = checked_base(0, slack)
     denominator = (1 << (merges - 1)) * (1 + a) - merges - a
     if denominator <= 0:
         return None

@@ -21,7 +21,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, pairwise
 from operator import add
 from typing import Iterable, Sequence
 
@@ -267,29 +266,25 @@ def solve_known_max(
 class UnknownPartSolver:
     """Self-adjusting 2-approximation that maintains separators.
 
-    After each element the bound is 2 * max(running max, running total / p).
-    The maintained blocks plus the incoming element are regrouped greedily
-    under the new bound, so at most p blocks are ever needed and boundaries
-    only move forward. All comparisons are exact via cross-multiplication.
-
-    Blocks i and i+1 can merge only when p * (s_i + s_{i+1}) <= p * bound,
-    so the solver keeps the smallest adjacent-pair sum. While even that pair
-    is too heavy, a regroup can only grow the last block or open a new one;
-    otherwise the full greedy regroup runs. The kept pair sum can only be
-    stale low (the last block only grows), which costs an extra full regroup
-    and never a different grouping.
+    After each element the bound is 2 * max(running max, running total / p),
+    and one rule places the element: when the smallest adjacent-pair sum
+    fits the bound, the blocks plus the element are regrouped greedily;
+    otherwise the element grows the last block if it fits, and opens a block
+    if not. At most p blocks are ever needed and boundaries only move
+    forward. All comparisons are exact via cross-multiplication. The kept
+    pair sum can only be stale low (the last block only grows), which costs
+    an extra full regroup and never a different grouping.
 
     It is one of `_drive`'s walkers: `walk` takes each chunk's prefix sums
     and largest weight, and carries the counter, total, maximum and blocks
-    to the next chunk. The running maximum and total only grow, so once the
-    total reaches p times the chunk's maximum the bound is 2 * total / p,
-    and both events become thresholds on the prefix sums: a regroup is due
-    once the total reaches p * pair / 2, and an opening once the last block
-    outgrows a floor set by the total. From there the walk costs two
-    bisects per event, and the elements between events only grow the last
-    block. Elements before that point (the stream's start, or a chunk whose
-    new maximum lifts p * max above the total), and every element at p = 2,
-    where the opening floor has no form, take the per-element step.
+    to the next chunk. Its one loop hands the rule the next element that
+    can regroup or open a block. In the chunk's head, before the total
+    reaches p times the chunk's maximum, that is every element. From there
+    the bound is 2 * total / p, and two bisects find the next one: a regroup
+    is due once the total reaches p * pair / 2, and an opening once the last
+    block outgrows a floor set by the total; the elements between only grow
+    the last block. At p = 2 the one block holds the whole total, so no
+    block ever opens and the opening bisect is skipped.
     """
 
     def __init__(self, num_blocks: int) -> None:
@@ -332,22 +327,45 @@ class UnknownPartSolver:
         highest = max(self.max_weight, top)
         last = len(prefix) - 1
         # from the first k with carried + prefix[k] >= p * highest on, the cap
-        # is 2 * (carried + prefix[k]); the head before it, and every element
-        # at p = 2, runs the per-element step
-        head = last if blocks == 2 else max(bisect_left(prefix, blocks * highest - carried) - 1, 0)
-        index = first
+        # is 2 * (carried + prefix[k]); the head is the elements before it
+        head = max(bisect_left(prefix, blocks * highest - carried) - 1, 0)
         biggest = self.max_weight
         sums = self._sums
         pair = self._pair
-        for before, running in pairwise(islice(prefix, head + 1)):
-            weight = running - before
-            index += 1
-            if weight > biggest:
-                biggest = weight
-            # compare p * (acc + w) <= p * bound = 2 * max(max_weight * p, total)
-            cap = 2 * max(biggest * blocks, carried + running)
+        at = 0
+        while at < last:
+            if at < head:
+                at += 1
+                weight = prefix[at] - prefix[at - 1]
+                if weight > biggest:
+                    biggest = weight
+                # compare p * (acc + w) <= p * bound = 2 * max(max_weight * p, total)
+                cap = 2 * max(biggest * blocks, carried + prefix[at])
+            else:
+                # past the head, event by event: the last block holds `offset`
+                # plus the prefix sum it has reached; a regroup is due at the
+                # first k with p * pair <= 2 * (carried + prefix[k]), an opening
+                # at the first k with p * (offset + prefix[k]) > 2 * (carried +
+                # prefix[k]), never at p = 2 (the one block holds the total)
+                offset = sums[-1] - prefix[at]
+                if blocks == 2:
+                    opening = last + 1
+                else:
+                    opening = bisect_right(prefix, (2 * carried - blocks * offset) // (blocks - 2),
+                                           at + 1)
+                if pair is None:
+                    regroup = last + 1
+                else:
+                    regroup = bisect_left(prefix, -(-blocks * pair // 2) - carried, at + 1)
+                at = min(regroup, opening)
+                if at > last:
+                    sums[-1] = offset + prefix[last]
+                    break
+                sums[-1] = offset + prefix[at - 1]
+                weight = prefix[at] - prefix[at - 1]
+                cap = 2 * (carried + prefix[at])
             if pair is not None and blocks * pair <= cap:
-                self._regroup(weight, index, cap)
+                self._regroup(weight, first + at, cap)
                 sums = self._sums
                 pair = self._pair
                 continue
@@ -355,47 +373,17 @@ class UnknownPartSolver:
             if blocks * grown <= cap:
                 sums[-1] = grown
                 continue
-            pair = self._open(index, weight, grown, pair)
-        # the tail, event by event: the last block holds `offset` plus the
-        # prefix sum it has reached; a regroup is due at the first k with
-        # p * pair <= 2 * (carried + prefix[k]), an opening at the first k
-        # with p * (offset + prefix[k]) > 2 * (carried + prefix[k])
-        at = head
-        while at < last:
-            offset = sums[-1] - prefix[at]
-            opening = bisect_right(prefix, (2 * carried - blocks * offset) // (blocks - 2), at + 1)
-            if pair is None:
-                regroup = last + 1
-            else:
-                regroup = bisect_left(prefix, -(-blocks * pair // 2) - carried, at + 1)
-            at = min(regroup, opening)
-            if at > last:
-                sums[-1] = offset + prefix[last]
-                break
-            sums[-1] = offset + prefix[at - 1]
-            weight = prefix[at] - prefix[at - 1]
-            # on one element the regroup test comes first, as in the head
-            if regroup <= opening:
-                self._regroup(weight, first + at, 2 * (carried + prefix[at]))
-                sums = self._sums
-                pair = self._pair
-            else:
-                pair = self._open(first + at, weight, offset + prefix[at], pair)
+            if len(sums) == blocks:
+                raise RuntimeError("regrouping exceeded the block budget")
+            self._starts.append(first + at)
+            sums.append(weight)
+            if pair is None or grown < pair:
+                pair = grown
         self.total = carried + prefix[-1]
         self.elements_read = first + last
         self.max_weight = highest
         self._pair = pair
         return True
-
-    def _open(self, index: int, weight: int, grown: int, pair: int | None) -> int:
-        """Open a block at `index` holding `weight`; `grown` is the old last
-        block plus `weight`, the sum of the new adjacent pair. Return the new
-        smallest adjacent-pair sum."""
-        if len(self._sums) == self.num_blocks:
-            raise RuntimeError("regrouping exceeded the block budget")
-        self._starts.append(index)
-        self._sums.append(weight)
-        return grown if pair is None or grown < pair else pair
 
     def _regroup(self, weight: int, index: int, cap: int) -> None:
         """The full greedy regroup of the blocks and the incoming element."""

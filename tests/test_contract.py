@@ -12,6 +12,9 @@ from streampart import (
     ProbeExtInstance,
     ProbeInstance,
     StreamStats,
+    approx_factor_bound,
+    block_weights,
+    bottleneck_of,
     dispatch,
     gen_index_hard,
     gen_yz_hard,
@@ -26,8 +29,9 @@ from streampart import (
     solve_unknown_part,
     solve_unknown_partb,
     validate_partitioning,
+    weight_lower_bound,
 )
-from streampart.feasibility import B
+from streampart.feasibility import B, pad_separators
 from streampart.schedulers import UnknownPartSolver, solve_tagged
 
 
@@ -40,13 +44,22 @@ def feed_each(weights, p):
 
 
 # entry points that take a whole stream and a block count
-STREAM_ENTRY_POINTS = {
+COUNTED_STREAM_ENTRY_POINTS = {
     "probe_run": lambda weights, p: probe_run(weights, 10, p),
     "probe_ext_run": lambda weights, p: probe_ext_run(weights, 10, p),
     "opt_bottleneck_binsearch": opt_bottleneck_binsearch,
     "opt_bottleneck_dp": opt_bottleneck_dp,
     "realize_partition": lambda weights, p: realize_partition(weights, p, 10),
     "UnknownPartSolver.feed": feed_each,
+}
+
+# ... and every entry point that takes a whole list of weights: the helpers
+# below take no block count (p only shapes the separators)
+STREAM_ENTRY_POINTS = {
+    **COUNTED_STREAM_ENTRY_POINTS,
+    "StreamStats.from_weights": lambda weights, p: StreamStats.from_weights(weights),
+    "block_weights": lambda weights, p: block_weights(weights, pad_separators((), p, len(weights))),
+    "bottleneck_of": lambda weights, p: bottleneck_of(weights, pad_separators((), p, len(weights))),
 }
 
 SOLVER_CALLS = {
@@ -59,15 +72,17 @@ SOLVER_CALLS = {
 }
 
 BLOCK_COUNT_TAKERS = {
-    **{name: (lambda p, run=run: run([1, 2, 1], p)) for name, run in STREAM_ENTRY_POINTS.items()},
+    **{name: (lambda p, run=run: run([1, 2, 1], p))
+       for name, run in COUNTED_STREAM_ENTRY_POINTS.items()},
     **SOLVER_CALLS,
     "ProbeInstance": lambda p: ProbeInstance(10, p),
     "ProbeExtInstance": lambda p: ProbeExtInstance(10, p),
     "UnknownPartSolver": UnknownPartSolver,
+    "weight_lower_bound": lambda p: weight_lower_bound(1, p, 2),
 }
 
 
-@pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(3, 2), True])
+@pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(3, 2), True, -1])
 @pytest.mark.parametrize("name", STREAM_ENTRY_POINTS)
 def test_non_integer_weights_rejected(name, bad):
     with pytest.raises(ValueError, match="non-negative integers"):
@@ -205,6 +220,22 @@ LONG_VALUE_MESSAGES = {
                               f"bob index must lie in [1, {DIGITS}], got {'1' + '0' * 4999}1"),
     "gen_index_hard": (lambda: gen_index_hard("01", BIG), ValueError,
                        f"index must lie in [1, 2], got {DIGITS}"),
+    # the closed-form bounds check their arguments by the escalator's rules
+    "weight_lower_bound max": (lambda: weight_lower_bound(1, 2, -BIG), ValueError,
+                               f"maximum weight must be non-negative, got -{DIGITS}"),
+    "weight_lower_bound merges": (lambda: weight_lower_bound(1.5, 2, 3), ValueError,
+                                  "merges must be a non-negative int, got 1.5"),
+    "weight_lower_bound bool max": (lambda: weight_lower_bound(1, 2, True), ValueError,
+                                    'exact values are given as an int, a string such as "1/10" '
+                                    "or a Fraction; got True"),
+    "weight_lower_bound one block": (lambda: weight_lower_bound(1, 1, 3), ValueError,
+                                     "block count must be at least 2, got 1"),
+    "weight_lower_bound slack": (lambda: weight_lower_bound(1, 2, 3, Fraction(-BIG, 3)),
+                                 ValueError, f"slack must be non-negative, got -{DIGITS}/3"),
+    "approx_factor_bound merges": (lambda: approx_factor_bound(-BIG), ValueError,
+                                   f"merges must be a non-negative int, got -{DIGITS}"),
+    "approx_factor_bound slack": (lambda: approx_factor_bound(3, -1), ValueError,
+                                  "slack must be non-negative, got -1"),
 }
 
 

@@ -249,7 +249,7 @@ def walker_state(solver: UnknownPartSolver) -> tuple:
 
 
 # streams long enough for the total to pass p * max at p = 64, where the
-# walk goes event by event; at p = 2 every element takes the per-element step
+# walk goes event by event; at p = 2 no event ever comes
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), length=st.integers(200, 3000),
        mix=st.sampled_from(("zeros", "log-spread", "uniform", "spikes")),
@@ -265,6 +265,23 @@ def test_unknown_part_walk_matches_per_element_walk(seed, length, mix, num_block
         assert reference.walk(prefix, max(chunk))
         assert walker_state(solver) == walker_state(reference)
     assert solver.result() == reference.result()
+
+
+# at p = 2 the one block holds the whole total T, and its grow test
+# 2 * T <= 2 * max(2M, T) always holds: no element ever opens a second block,
+# which is why the walk skips the opening bisect there
+@SETTINGS
+@given(weights=st.one_of(unknown_streams, st.lists(st.integers(0, 10**6), max_size=60)),
+       chunking=st.sampled_from(("1", "3", "whole")))
+def test_unknown_part_never_opens_a_block_at_two(weights, chunking):
+    reference = ReferenceUnknownWalk(2)
+    walk_in_chunks(reference, weights, chunk_edges(chunking, len(weights), []))
+    assert reference._starts == [] and reference._pair is None
+    assert reference._sums == [sum(weights)]
+    length, top, total = len(weights), max(weights, default=0), sum(weights)
+    result = solve_unknown_part(iter(weights), 2)
+    assert result.separators == (1, length + 1, length + 1)
+    assert result.bottleneck == max(2 * top, total)
 
 
 def boundary_stream(length: int, order: str, seed: int) -> list[int]:
