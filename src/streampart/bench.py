@@ -16,11 +16,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import time
 from fractions import Fraction
 from typing import IO
 
-from .core import StreamStats
+from .core import StreamStats, int_text
 from .feasibility import PART_MODE, checked_args
 from .generators import GeneratorSpec
 from .oracle import opt_bottleneck_binsearch
@@ -34,6 +35,14 @@ BENCH_CSV_HEADER = [
 ]
 
 HARD_KINDS = ("yz", "index")
+
+
+def _float(value: Fraction) -> float:
+    """`float(value)` for a non-negative exact value, inf past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 @dataclasses.dataclass
@@ -53,22 +62,24 @@ class BenchRecord:
         if self.result is None or self.oracle_optimum is None:
             return None
         if self.oracle_optimum == 0:
-            return 1.0 if self.result.bottleneck == 0 else float("inf")
-        return float(self.result.bottleneck / self.oracle_optimum)
+            return 1.0 if self.result.bottleneck == 0 else math.inf
+        return _float(self.result.bottleneck / self.oracle_optimum)
 
     def to_csv_row(self) -> list:
         """The record's values in `BENCH_CSV_HEADER` order: the generator's
         fields, then the result's, then the record's own, which win (an
-        unknown-knowledge result has no epsilon, the record does)."""
+        unknown-knowledge result has no epsilon, the record does). Exact
+        values are written with `int_text`."""
         values = {} if self.generator is None else dict(vars(self.generator))
         if self.result is not None:
             values.update(self.result.to_json_dict(),
-                          bottleneck_float=float(self.result.bottleneck))
+                          bottleneck_float=_float(self.result.bottleneck))
         values.update(p=self.num_blocks, mode=self.mode, algorithm=self.algorithm,
-                      epsilon=None if self.epsilon is None else str(self.epsilon),
-                      oracle_optimum=self.oracle_optimum, ratio=self.ratio,
-                      wall_time_s=round(self.wall_time_s, 6), error=self.error or "")
-        return [values.get(name) for name in BENCH_CSV_HEADER]
+                      epsilon=self.epsilon, oracle_optimum=self.oracle_optimum,
+                      ratio=self.ratio, wall_time_s=round(self.wall_time_s, 6),
+                      error=self.error or "")
+        return [int_text(value) if type(value) in (int, Fraction) else value
+                for value in map(values.get, BENCH_CSV_HEADER)]
 
 
 def run_bench(rows: list[dict]) -> list[BenchRecord]:

@@ -18,7 +18,9 @@ from contextlib import ExitStack
 from dataclasses import fields
 from typing import IO
 
+from .bench import load_config, run_bench, write_csv
 from .core import WeightChunks, format_weights, int_text, iter_weights
+from .feasibility import MODES, PART_MODE
 from .generators import GENERATORS, GeneratorSpec
 from .oracle import opt_bottleneck_binsearch, opt_bottleneck_dp
 from .schedulers import (
@@ -36,6 +38,8 @@ KNOW_TAGS = {"none": UNKNOWN_TAG, "m": KNOWN_MAX_TAG, "mn": KNOWN_MAX_LENGTH_TAG
              "s": KNOWN_TOTAL_TAG}
 # solver argument name (see schedulers.SOLVERS) -> the `solve` flag that supplies it
 ARG_FLAGS = {"epsilon": "epsilon", "max_weight": "m", "length": "n", "total_weight": "s"}
+# --method choice -> the exact oracle it runs
+ORACLES = {"binsearch": opt_bottleneck_binsearch, "dp": opt_bottleneck_dp}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve a stream with a one-pass algorithm")
     solve.add_argument("--p", type=int, required=True, help="number of blocks")
-    solve.add_argument("--mode", choices=["part", "partb"], default="part")
+    solve.add_argument("--mode", choices=MODES, default=PART_MODE)
     solve.add_argument("--know", choices=list(KNOW_TAGS), default="none")
     solve.add_argument("--epsilon", type=str, help="accuracy parameter, e.g. 1/64")
     solve.add_argument("--m", type=int, help="declared maximum weight")
@@ -69,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="compute the exact optimum offline")
     oracle.add_argument("--p", type=int, required=True)
-    oracle.add_argument("--method", choices=["binsearch", "dp"], default="binsearch")
+    oracle.add_argument("--method", choices=list(ORACLES), default="binsearch")
     oracle.add_argument("--input", type=str, help="input path (default stdin)")
 
     bench = sub.add_parser("bench", help="run a benchmark config, write CSV")
@@ -91,16 +95,13 @@ def _open_input(stack: ExitStack, path: str | None) -> IO[str]:
 
 
 def _print_json(payload: dict) -> None:
-    """Print a flat `payload` as JSON indented by 2; its ints are written
-    exactly, also those past CPython's digit limit for `str`."""
-    try:
-        text = json.dumps(payload, indent=2)
-    except ValueError:  # an int too long for str(): write every int's digits
-        ints = [key for key, value in payload.items() if type(value) is int]
-        text = json.dumps({key: None if key in ints else value
-                           for key, value in payload.items()}, indent=2)
-        for key in ints:
-            text = text.replace(f'"{key}": null', f'"{key}": {int_text(payload[key])}', 1)
+    """Print a flat `payload` as JSON indented by 2, its ints written back
+    with `int_text`: exactly, also past CPython's digit limit for `str`."""
+    ints = [key for key, value in payload.items() if type(value) is int]
+    text = json.dumps({key: None if key in ints else value
+                       for key, value in payload.items()}, indent=2)
+    for key in ints:
+        text = text.replace(f'"{key}": null', f'"{key}": {int_text(payload[key])}', 1)
     sys.stdout.write(text + "\n")
 
 
@@ -135,18 +136,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
         weights = list(iter_weights(_open_input(stack, args.input)))
-    if args.method == "dp":
-        answer = opt_bottleneck_dp(weights, args.p)
-    else:
-        answer = opt_bottleneck_binsearch(weights, args.p)
+    answer = ORACLES[args.method](weights, args.p)
     _print_json({"optimum": answer.optimum, "method": answer.method,
                  "n": len(weights), "p": args.p})
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import load_config, run_bench, write_csv
-
     with open(args.config, "r", encoding="utf-8") as fp:
         rows = load_config(fp)
     records = run_bench(rows)

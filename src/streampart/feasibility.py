@@ -34,6 +34,7 @@ from .core import (B, WeightChunks, as_fraction, check_block_count, checked_max,
 
 PART_MODE = "part"
 PARTB_MODE = "partb"
+MODES = (PART_MODE, PARTB_MODE)
 
 # A chunk of B elements costs every live instance one call plus one binary
 # search per block it reaches, and the buffer holds B weights and B + 1
@@ -58,7 +59,7 @@ def checked_args(
 ) -> Fraction | None:
     """Validate the arguments every public entry point shares; return
     epsilon as a Fraction (a float epsilon is refused by `as_fraction`)."""
-    if mode not in (PART_MODE, PARTB_MODE):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     check_block_count(num_blocks, mode == PART_MODE)
     if epsilon is None:

@@ -105,7 +105,7 @@ class SolveResult:
             "instance_count": self.instance_count,
             "space_peak_words": self.space_peak_words,
             "elements_read": self.elements_read,
-            "epsilon": None if self.epsilon is None else str(self.epsilon),
+            "epsilon": None if self.epsilon is None else int_text(self.epsilon),
             "warning_flags": list(self.warning_flags),
         }
 

@@ -190,11 +190,27 @@ FULL_ROWS = [
       "epsilon": "1/4", "p": 2},
      ",,,,,,,2,part,known-m,,,,,,,,,,,0.5,"
      "GeneratorSpec.__init__() got an unexpected keyword argument 'q'"),
+    # past the float range a float column reads inf; past CPython's digit
+    # limit for `str` an exact column is still written in full
+    ({"generator": {"kind": "constant", "n": 3, "m": 10**400}, "algorithm": "known-S",
+      "mode": "partb", "epsilon": "1/10", "p": 2},
+     f"constant,3,{10**400},,,,0,2,partb,known-S,1/10,{219615 * 10**395},1,inf,"
+     f"{2 * 10**400},1.098075,,9,38,3,0.5,"),
+    ({"generator": {"kind": "uniform", "n": 50, "m": 9}, "algorithm": "known-S",
+      "mode": "partb", "epsilon": "1e400", "p": 4},
+     f"uniform,50,9,,,,0,4,partb,known-S,{10**400},{247 * 10**400 + 247},4,inf,63,inf,"
+     ",2,10,50,0.5,"),
+    ({"generator": {"kind": "constant", "n": 3, "m": 10**5000}, "algorithm": "known-S",
+      "mode": "partb", "epsilon": "1/10", "p": 2},
+     "constant,3,1" + "0" * 5000 + ",,,,0,2,partb,known-S,1/10,219615" + "0" * 4995
+     + ",1,inf,2" + "0" * 5000 + ",1.098075,,9,38,3,0.5,"),
 ]
 
 
 @pytest.mark.parametrize("row, line", FULL_ROWS, ids=["known-S", "unknown-epsilon",
-                                                      "unknown-tag", "bad-generator"])
+                                                      "unknown-tag", "bad-generator",
+                                                      "long-m", "long-epsilon",
+                                                      "m-past-digit-limit"])
 def test_csv_row_pins_every_column(row, line):
     record = dataclasses.replace(run_bench([row])[0], wall_time_s=0.5)
     buffer = io.StringIO()

@@ -96,6 +96,45 @@ def test_oracle(capsys, monkeypatch):
     assert json.loads(out)["optimum"] == 9
 
 
+def test_json_output_is_what_json_dumps_writes(capsys, monkeypatch):
+    code, out, _ = run_cli(
+        ["solve", "--p", "2", "--know", "s", "--s", "15", "--epsilon", "1/2"],
+        capsys, "1 2 3 4 5\n", monkeypatch,
+    )
+    payload = streampart.solve_known_total(iter([1, 2, 3, 4, 5]), 2, "1/2", 15).to_json_dict()
+    assert (code, out) == (0, json.dumps(payload, indent=2) + "\n")
+    code, out, _ = run_cli(
+        ["oracle", "--p", "2", "--method", "dp"], capsys, "1 2 3 4 5\n", monkeypatch
+    )
+    payload = {"optimum": 9, "method": "dp", "n": 5, "p": 2}
+    assert (code, out) == (0, json.dumps(payload, indent=2) + "\n")
+
+
+def test_json_output_writes_long_ints_exactly(capsys, monkeypatch):
+    huge = "1" + "0" * 5000
+    code, out, _ = run_cli(["oracle", "--p", "2"], capsys, huge + " 3\n", monkeypatch)
+    assert (code, out) == (
+        0, '{\n  "optimum": ' + huge + ',\n  "method": "binsearch",\n  "n": 2,\n  "p": 2\n}\n')
+    code, out, _ = run_cli(["solve", "--p", "2", "--mode", "partb"], capsys, huge + " 3\n",
+                           monkeypatch)
+    twice = "2" + "0" * 5000
+    assert (code, out) == (0, "\n".join([
+        "{", '  "mode": "partb",', '  "algorithm": "unknown-2approx",',
+        f'  "bottleneck_num": {twice},', '  "bottleneck_den": 1,',
+        f'  "bottleneck_ceil": {twice},', '  "separators": null,', '  "merges": null,',
+        '  "instance_count": 0,', '  "space_peak_words": 3,', '  "elements_read": 2,',
+        '  "epsilon": null,', '  "warning_flags": []', "}", ""]))
+
+
+def test_help_lists_the_modes_and_oracles(capsys):
+    for argv, choices in ((["solve", "--help"], "{part,partb}"),
+                          (["oracle", "--help"], "{binsearch,dp}")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert choices in capsys.readouterr().out
+
+
 def test_gen_yz_prefix_and_determinism(capsys):
     code, out, _ = run_cli(
         ["gen", "--kind", "yz", "--n", "10", "--t", "2", "--i", "1"], capsys

@@ -2,8 +2,9 @@
 both instance classes against the per-element machines in `helpers`,
 `realize_partition` against the per-element probe, the unknown-knowledge fast
 path and its chunked walk against the full regroup, also on streams that
-cross the chunk size, the oracle against exhaustive search, and every
-solver's guarantee against the exhaustive optimum."""
+cross the chunk size, the oracle against exhaustive search, every solver's
+guarantee against the exhaustive optimum, and the known-m guarantee on long
+streams where an escalator answers against the binary-search oracle."""
 
 import random
 from fractions import Fraction
@@ -348,3 +349,28 @@ def test_every_solver_sandwiches_the_optimum(weights, num_blocks, tag, mode, eps
         assert bottleneck_of(weights, separators) <= bound.numerator // bound.denominator
     else:
         assert result.separators is None
+
+
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), num_blocks=st.sampled_from((2, 3)),
+       epsilon=st.sampled_from((Fraction(1, 65), Fraction(1, 100))),
+       block_length=st.integers(40_000, 100_000), zero_odds=st.integers(10, 1000))
+def test_known_max_escalator_keeps_the_guarantee(seed, num_blocks, epsilon, block_length,
+                                                 zero_odds):
+    # m = 1 and at least nine ones in ten: the optimum, over 36000, passes
+    # every grid bound (below 2**15 * (1 + 1/100) here), so every probe dies
+    # and an escalator answers, with epsilon inside the guarantee
+    assert epsilon < EPSILON_GUARANTEE_LIMIT
+    rng = random.Random(seed)
+    weights = [1] + [int(rng.randrange(zero_odds) > 0) for _ in range(num_blocks * block_length)]
+    profile = KnowledgeProfile(max_weight=1)
+    result = solve_tagged(KNOWN_MAX_TAG, iter(weights), num_blocks, epsilon, profile)
+    assert result.merges is not None
+    best = opt_bottleneck_binsearch(weights, num_blocks).optimum
+    bound = result.bottleneck
+    assert best <= bound <= (1 + epsilon) * best
+    assert validate_partitioning(len(weights), num_blocks, result.separators) is None
+    assert bottleneck_of(weights, result.separators) <= bound.numerator // bound.denominator
+    value_only = solve_tagged(KNOWN_MAX_TAG, iter(weights), num_blocks, epsilon, profile,
+                              mode=PARTB_MODE)
+    assert (value_only.bottleneck, value_only.merges) == (bound, result.merges)

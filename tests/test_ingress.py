@@ -10,6 +10,7 @@ import random
 import re
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,16 @@ def test_long_values_are_written_exactly():
     assert int_text(-HUGE) == "-1" + "0" * 5000
     assert format_weights([HUGE, 0, 7]) == "1" + "0" * 5000 + " 0 7"
     assert parse_weights(format_weights([HUGE, 5])) == [HUGE, 5]
+
+
+@pytest.mark.parametrize("epsilon, text", [(Fraction(HUGE), "1" + "0" * 5000),
+                                           (Fraction(HUGE, 3), "1" + "0" * 5000 + "/3"),
+                                           (Fraction(1, 2), "1/2")],
+                         ids=["long-int", "long-fraction", "short"])
+def test_result_json_writes_the_epsilon_exactly(epsilon, text):
+    for result in (solve_known_total(iter([1, 2]), 2, epsilon, 3),
+                   solve_known_max(iter([1, 1]), 2, epsilon, 1)):
+        assert result.to_json_dict()["epsilon"] == text
 
 
 def test_messages_print_long_values():
