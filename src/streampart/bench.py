@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 from typing import IO
 
-from .core import StreamStats, int_text
+from .core import StreamStats, int_text, parse_int
 from .feasibility import PART_MODE, checked_args
 from .generators import GeneratorSpec
 from .oracle import opt_bottleneck_binsearch
@@ -130,7 +130,7 @@ def run_bench(rows: list[dict]) -> list[BenchRecord]:
 
 
 def load_config(fp: IO[str]) -> list[dict]:
-    rows = json.load(fp)
+    rows = json.load(fp, parse_int=parse_int)
     if not isinstance(rows, list):
         raise ValueError("bench config must be a JSON list of row objects")
     return rows

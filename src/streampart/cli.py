@@ -19,7 +19,7 @@ from dataclasses import fields
 from typing import IO
 
 from .bench import load_config, run_bench, write_csv
-from .core import WeightChunks, format_weights, int_text, iter_weights
+from .core import WeightChunks, format_weights, int_text, iter_weights, parse_int
 from .feasibility import MODES, PART_MODE
 from .generators import GENERATORS, GeneratorSpec
 from .oracle import opt_bottleneck_binsearch, opt_bottleneck_dp
@@ -66,9 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mode", choices=MODES, default=PART_MODE)
     solve.add_argument("--know", choices=list(KNOW_TAGS), default="none")
     solve.add_argument("--epsilon", type=str, help="accuracy parameter, e.g. 1/64")
-    solve.add_argument("--m", type=int, help="declared maximum weight")
-    solve.add_argument("--n", type=int, help="declared length")
-    solve.add_argument("--s", type=int, help="declared total weight")
+    solve.add_argument("--m", type=parse_int, help="declared maximum weight")
+    solve.add_argument("--n", type=parse_int, help="declared length")
+    solve.add_argument("--s", type=parse_int, help="declared total weight")
     solve.add_argument("--input", type=str, help="input path (default stdin)")
 
     oracle = sub.add_parser("oracle", help="compute the exact optimum offline")

@@ -206,6 +206,24 @@ def int_text(value: int | Fraction) -> str:
     return numerator if value.denominator == 1 else f"{numerator}/{int_text(value.denominator)}"
 
 
+def parse_int(text: str) -> int:
+    """`int(text)`, also past CPython's digit limit for `int(str)`: there a
+    decimal integer (an optional sign, then ASCII digits) is read exactly
+    with `decimal`, and any other text raises `int`'s `ValueError`."""
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        digits = body[1:] if body[:1] in ("+", "-") else body
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+    return int(Decimal(body))
+
+
+# argparse names a `type=` function in its message: "invalid int value: ..."
+parse_int.__name__ = "int"
+
+
 def _to_ints(tokens: list[str]) -> tuple[list[int], str | None]:
     """The weights of `tokens` up to the first token that is not a decimal
     integer, and that token (None when there is none).
@@ -220,8 +238,8 @@ def _to_ints(tokens: list[str]) -> tuple[list[int], str | None]:
                 return _to_ints(tokens[:cut])[0], token
     try:
         return list(map(int, tokens)), None
-    except ValueError:  # past CPython's int() digit limit, which `decimal` has not
-        return list(map(int, map(Decimal, tokens))), None
+    except ValueError:  # past CPython's int() digit limit
+        return list(map(parse_int, tokens)), None
 
 
 def _parse_chunks(text: IO[str]) -> Iterator[list[int]]:

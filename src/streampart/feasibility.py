@@ -6,7 +6,9 @@ the next block and its index is recorded as a separator. The test fails the
 moment a single element exceeds the floored bound, or the moment an element
 would open one block more than allowed. Success for integer bounds is
 exactly equivalent to the bound being at least the offline optimum, which is
-what makes racing several of these instances a search procedure.
+what makes racing several of these instances a search procedure. Success is
+also monotone in the floor on every prefix: when a floor fails, every lower
+floor has failed too.
 
 The packing has one home, `_Walker.walk`: it advances an instance over the
 prefix sums of a chunk of the stream with one binary search per block the
@@ -14,10 +16,12 @@ chunk reaches, and resumes where it stopped on the next chunk (the
 "chains-on-chains" probe of Han, Narahari & Choi and of Pinar & Aykanat,
 made resumable). `_drive` is the one reader of a stream: it reads `B`
 elements at a time, checks each chunk with `core.checked_max`, the one
-ingress rule, and builds each chunk's prefix sums once for every live
-walker. The oracle asks the same walk for a whole list: one chunk, from a
-fresh `ProbeInstance`. The module also holds `checked_args` (block count,
-mode, epsilon), which every entry point shares.
+ingress rule, and builds each chunk's prefix sums once for its live walkers.
+A walker need not be one instance: the grid solvers race their probes as
+one walker (`schedulers._ProbeGrid`), which uses the monotony to walk only
+a few of the probes that die in a chunk. The oracle asks the same walk for a
+whole list: one chunk, from a fresh `ProbeInstance`. The module also holds
+`checked_args` (block count, mode, epsilon), which every entry point shares.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ PART_MODE = "part"
 PARTB_MODE = "partb"
 MODES = (PART_MODE, PARTB_MODE)
 
-# A chunk of B elements costs every live instance one call plus one binary
-# search per block it reaches, and the buffer holds B weights and B + 1
-# prefix sums.
+# A chunk of B elements costs every instance walked over it one call plus one
+# binary search per block it reaches, and the buffer holds B weights and
+# B + 1 prefix sums.
 BUFFER_WORDS = 2 * B + 1
 
 
@@ -109,13 +113,18 @@ class _Walker:
         self.separators: list[int] | None = [] if store_separators else None
         self.failure: ProbeFailure | None = None
 
-    @property
-    def words(self) -> int:
+    @classmethod
+    def words_for(cls, num_blocks: int, store_separators: bool) -> int:
         """Model-level working state in machine words: one word per counter
         or threshold, and, when separators are stored, one reserved up front
         per boundary. A word holds any index up to n + 1 or any weight up to
         the stream total; this is not process memory."""
-        return self.STATE_WORDS + (0 if self.separators is None else self.num_blocks - 1)
+        return cls.STATE_WORDS + (num_blocks - 1 if store_separators else 0)
+
+    @property
+    def words(self) -> int:
+        """This instance's `words_for`."""
+        return self.words_for(self.num_blocks, self.separators is not None)
 
     def walk(self, prefix: Sequence[int], top: int) -> bool:
         """Advance over the next chunk of the stream, given its prefix sums
@@ -267,9 +276,9 @@ def _drive(
     A `WeightChunks` stream is read as the parser's lists; any other is
     collected into lists of `B` by `_chunked`. A walker is anything whose
     `walk(prefix, top)`, given a chunk's prefix sums and largest weight,
-    returns whether it is still alive: a `_Walker` or the unknown-knowledge
-    solver. Every walker given is live; one that returns
-    False is not walked again. Each chunk is checked whole by
+    returns whether it is still alive: a `_Walker`, the grid solvers' probe
+    grid or the unknown-knowledge solver. Every walker given is live; one
+    that returns False is not walked again. Each chunk is checked whole by
     `core.checked_max`, so the first bad element raises, as it would one
     element at a time. Prefix sums are built only while a walker is live.
     """

@@ -32,6 +32,7 @@ from .feasibility import (
     B,
     ProbeInstance,
     _drive,
+    _Walker,
     checked_args,
     pad_separators,
 )
@@ -148,6 +149,67 @@ def _check_declarations(declared: KnowledgeProfile, length: int, total: int, big
         )
 
 
+class _ProbeGrid:
+    """The race's probes as one `_drive` walker over their distinct floors,
+    ascending. Success is monotone in the floor, so the live floors are
+    always `floors[lo:]`. A floor at or above the running total (from
+    `touched` on) holds every element in its first block: it has no object
+    until a chunk passes it, and then its probe starts from the carried
+    total. Per chunk, a binary search over `[lo, touched)` walks middle
+    probes to find the lowest survivor; the floors below it are dropped and
+    the survivors it did not walk are walked.
+    """
+
+    def __init__(self, floors: list[int], num_blocks: int, store_separators: bool) -> None:
+        self.floors = floors
+        self.num_blocks = num_blocks
+        self.store = store_separators
+        self.lo = 0
+        self.touched = 0
+        # the probes of floors[lo:touched]; None for one not walked yet
+        self.probes: list[ProbeInstance | None] = []
+        self.total = 0
+        self.next_index = 1
+
+    def _probe(self, floor: int) -> ProbeInstance:
+        """The probe of a floor the total first passes in this chunk."""
+        probe = ProbeInstance.__new__(ProbeInstance)
+        # the race checked the block count once; the floors are non-negative ints
+        _Walker.__init__(probe, floor, self.num_blocks, self.store)
+        probe.block_weight = self.total
+        probe.next_index = self.next_index
+        return probe
+
+    def walk(self, prefix: Sequence[int], top: int) -> bool:
+        """Advance the live probes over the next chunk; return whether any
+        floor is still alive."""
+        floors = self.floors
+        lo = self.lo
+        touched = bisect_left(floors, self.total + prefix[-1], self.touched)
+        probes = self.probes + [None] * (touched - self.touched)
+        walked = set()
+        low, high = 0, len(probes)
+        while low < high:
+            mid = (low + high) // 2
+            probe = probes[mid] = probes[mid] or self._probe(floors[lo + mid])
+            if probe.walk(prefix, top):
+                walked.add(mid)
+                high = mid
+            else:
+                low = mid + 1
+        for k in range(low, len(probes)):
+            if k not in walked:
+                # above a survivor, so it survives too
+                probes[k] = probes[k] or self._probe(floors[lo + k])
+                probes[k].walk(prefix, top)
+        self.probes = probes[low:]
+        self.lo = lo + low
+        self.touched = touched
+        self.total += prefix[-1]
+        self.next_index += len(prefix) - 1
+        return self.lo < len(floors)
+
+
 def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, tag: str,
           declared: KnowledgeProfile, base: Fraction, target,
           doublings: int = 1, slacks: Iterable[Fraction] = (),
@@ -157,23 +219,25 @@ def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, 
 
     The grid bounds are base * 2**i * (1+eps)**j for i < doublings and
     j = 0..c, the smallest c with (1+eps)**c >= target, in that order. A
-    probe needs only its bound's floor, computed in integers; the exact
-    bound is built only for the winner, the smallest surviving bound (the
-    first of equal bounds). If every probe failed, the escalator with the
-    smallest threshold is the fallback. Space is the driver's words, the
-    element counter and one per declared value, plus every instance's
-    `words`.
+    probe needs only its bound's floor, computed in integers, and equal
+    floors behave alike, so the probes race as one `_ProbeGrid` over the
+    distinct floors. The exact bound is built only for the winner: the
+    smallest exact bound among the grid points at the lowest surviving
+    floor. If every probe failed, the escalator with the smallest threshold
+    is the fallback. Space is one word for the element counter and one per
+    declared value, plus the words of every grid point and escalator,
+    whether or not the grid built its probe.
     """
     store = mode == PART_MODE
     powers = _exact_powers(1 + epsilon, target)
     num, den = base.numerator, base.denominator
-    probes = [ProbeInstance((num << i) * up // (den * down), num_blocks, store_separators=store)
-              for i in range(doublings) for up, down in powers]
+    floors = [(num << i) * up // (den * down) for i in range(doublings) for up, down in powers]
+    grid = _ProbeGrid(sorted(set(floors)), num_blocks, store)
     escalators = [
         ProbeExtInstance(declared.max_weight, num_blocks, slack, store_separators=store)
         for slack in slacks
     ]
-    length, total, biggest = _drive(stream, probes + escalators,
+    length, total, biggest = _drive(stream, [grid, *escalators],
                                     declared_max=declared.max_weight)
     _check_declarations(declared, length, total, biggest)
 
@@ -182,32 +246,34 @@ def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, 
         up, down = powers[j]
         return Fraction((num << i) * up, den * down)
 
-    alive = [k for k, inst in enumerate(probes) if inst.failure is None]
-    if alive:
-        # the smallest exact bound has the smallest floor, so only the probes
-        # at that floor need their exact bound; min keeps the first of equals
-        least = min(probes[k].threshold_floor for k in alive)
-        k = min((k for k in alive if probes[k].threshold_floor == least), key=exact_bound)
-        bottleneck, separators, merges = exact_bound(k), probes[k].finish(length).separators, None
+    if grid.lo < len(grid.floors):
+        least = grid.floors[grid.lo]
+        bottleneck = min(exact_bound(k) for k, floor in enumerate(floors) if floor == least)
+        if grid.probes:
+            separators = grid.probes[0].finish(length).separators
+        else:  # the total never passed the winner: it opened no block
+            separators = pad_separators([], num_blocks, length) if store else None
+        merges = None
     elif escalators:
         ext = min(escalators, key=lambda inst: inst.bottleneck).finish(length)
         bottleneck, separators, merges = ext.bottleneck, ext.separators, ext.merges
     else:
         raise RuntimeError("no candidate bound was feasible despite verified declarations")
     words = 1 + sum(value is not None for value in vars(declared).values())
-    words += sum(inst.words for inst in probes) + sum(inst.words for inst in escalators)
+    words += len(floors) * ProbeInstance.words_for(num_blocks, store)
+    words += sum(inst.words for inst in escalators)
     return SolveResult(
         mode=mode,
         algorithm=tag,
         bottleneck=bottleneck,
         separators=separators,
         merges=merges,
-        instance_count=len(probes) + len(escalators),
+        instance_count=len(floors) + len(escalators),
         space_peak_words=words,
         elements_read=length,
         epsilon=epsilon,
         warning_flags=warnings,
-        probe_instances=len(probes),
+        probe_instances=len(floors),
         probe_ext_instances=len(escalators),
         buffer_words=BUFFER_WORDS,
     )

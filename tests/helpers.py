@@ -1,8 +1,10 @@
 """Shared test utilities: independent optima, counting streams, corpora, the
 per-element feasibility machines the chunked walk is checked against, the
-full-regroup 2-approximation the unknown-knowledge fast path is checked
-against, the per-element unknown-knowledge walk its event-driven walk is
-checked against, and the maximality check of a probe's separators."""
+race that builds and walks every grid probe, which the frontier-searched
+probe grid is checked against, the full-regroup 2-approximation the
+unknown-knowledge fast path is checked against, the per-element
+unknown-knowledge walk its event-driven walk is checked against, and the
+maximality check of a probe's separators."""
 
 from __future__ import annotations
 
@@ -11,8 +13,11 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, pairwise
 from typing import Iterable, Iterator, Sequence
 
-from streampart import ProbeFailure, ProbeOutcome, as_fraction, floor_fraction
-from streampart.schedulers import UnknownPartSolver
+from streampart import (ProbeExtInstance, ProbeFailure, ProbeInstance, ProbeOutcome, as_fraction,
+                        floor_fraction)
+from streampart.feasibility import BUFFER_WORDS, PART_MODE, _drive
+from streampart.schedulers import (KnowledgeProfile, SolveResult, UnknownPartSolver,
+                                   _check_declarations, _exact_powers)
 
 
 def brute_force_optimum(weights: Sequence[int], num_blocks: int) -> int:
@@ -146,6 +151,61 @@ class ReferenceEscalator(ReferenceProbe):
                 self.block_weight += weight
             self.events.append(self.next_index)
         self.next_index += 1
+
+
+def reference_race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str,
+                   tag: str, declared: KnowledgeProfile, base: Fraction, target,
+                   doublings: int = 1, slacks: Iterable[Fraction] = (),
+                   warnings: tuple[str, ...] = ()) -> SolveResult:
+    """`schedulers._race` as one `ProbeInstance` per grid point, every live
+    one walked over every chunk: the reference the frontier-searched probe
+    grid is checked against. It takes `_race`'s arguments, so a test can
+    put it in `_race`'s place."""
+    store = mode == PART_MODE
+    powers = _exact_powers(1 + epsilon, target)
+    num, den = base.numerator, base.denominator
+    probes = [ProbeInstance((num << i) * up // (den * down), num_blocks, store_separators=store)
+              for i in range(doublings) for up, down in powers]
+    escalators = [
+        ProbeExtInstance(declared.max_weight, num_blocks, slack, store_separators=store)
+        for slack in slacks
+    ]
+    length, total, biggest = _drive(stream, probes + escalators,
+                                    declared_max=declared.max_weight)
+    _check_declarations(declared, length, total, biggest)
+
+    def exact_bound(k: int) -> Fraction:
+        i, j = divmod(k, len(powers))
+        up, down = powers[j]
+        return Fraction((num << i) * up, den * down)
+
+    alive = [k for k, inst in enumerate(probes) if inst.failure is None]
+    if alive:
+        least = min(probes[k].threshold_floor for k in alive)
+        k = min((k for k in alive if probes[k].threshold_floor == least), key=exact_bound)
+        bottleneck, separators, merges = exact_bound(k), probes[k].finish(length).separators, None
+    elif escalators:
+        ext = min(escalators, key=lambda inst: inst.bottleneck).finish(length)
+        bottleneck, separators, merges = ext.bottleneck, ext.separators, ext.merges
+    else:
+        raise RuntimeError("no candidate bound was feasible despite verified declarations")
+    words = 1 + sum(value is not None for value in vars(declared).values())
+    words += sum(inst.words for inst in probes) + sum(inst.words for inst in escalators)
+    return SolveResult(
+        mode=mode,
+        algorithm=tag,
+        bottleneck=bottleneck,
+        separators=separators,
+        merges=merges,
+        instance_count=len(probes) + len(escalators),
+        space_peak_words=words,
+        elements_read=length,
+        epsilon=epsilon,
+        warning_flags=warnings,
+        probe_instances=len(probes),
+        probe_ext_instances=len(escalators),
+        buffer_words=BUFFER_WORDS,
+    )
 
 
 class ReferenceUnknownPart:

@@ -13,6 +13,7 @@ from streampart import (
     run_bench,
     write_csv,
 )
+from streampart.cli import main
 
 SMALL_CONFIG = [
     {
@@ -216,3 +217,20 @@ def test_csv_row_pins_every_column(row, line):
     buffer = io.StringIO()
     write_csv([record], buffer)
     assert buffer.getvalue().splitlines() == [",".join(BENCH_CSV_HEADER), line]
+
+
+def test_config_reads_ints_past_the_digit_limit(tmp_path, capsys):
+    digits = "1" + "0" * 5000
+    row = {"generator": {"kind": "constant", "n": 3, "m": 0}, "algorithm": "known-S",
+           "mode": "partb", "epsilon": "1/10", "p": 2}
+    text = json.dumps([row]).replace('"m": 0', f'"m": {digits}')
+    row["generator"]["m"] = 10**5000
+    assert load_config(io.StringIO(text)) == [row]
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["bench", "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    header, line = captured.out.splitlines()
+    assert header == ",".join(BENCH_CSV_HEADER)
+    assert line.startswith(f"constant,3,{digits},") and line.endswith(",")

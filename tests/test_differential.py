@@ -2,16 +2,18 @@
 both instance classes against the per-element machines in `helpers`,
 `realize_partition` against the per-element probe, the unknown-knowledge fast
 path and its chunked walk against the full regroup, also on streams that
-cross the chunk size, the oracle against exhaustive search, every solver's
+cross the chunk size, the frontier-searched probe grid against the race that
+walks every probe, the oracle against exhaustive search, every solver's
 guarantee against the exhaustive optimum, and the known-m guarantee on long
 streams where an escalator answers against the binary-search oracle."""
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, pairwise
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streampart import (
@@ -28,6 +30,7 @@ from streampart import (
     realize_partition,
     validate_partitioning,
 )
+from streampart import feasibility, schedulers
 from streampart.feasibility import B, _drive
 from streampart.schedulers import (
     EPSILON_GUARANTEE_LIMIT,
@@ -35,6 +38,7 @@ from streampart.schedulers import (
     SOLVERS,
     UNKNOWN_TAG,
     UnknownPartSolver,
+    _ProbeGrid,
     solve_tagged,
     solve_unknown_part,
     solve_unknown_partb,
@@ -45,6 +49,7 @@ from helpers import (
     ReferenceUnknownPart,
     ReferenceUnknownWalk,
     brute_force_optimum,
+    reference_race,
 )
 
 SETTINGS = settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -159,6 +164,86 @@ def test_escalator_walk_matches_per_element_escalator(weights, num_blocks, slack
     walk_in_chunks(walked, weights, chunk_edges(chunking, len(weights), reference.events))
     assert_same_state(walked, reference)
     assert walked.bottleneck == reference.base * 2**reference.merges
+
+
+GRID_TAGS = sorted(set(SOLVERS) - {UNKNOWN_TAG})
+# streams for the race: weights up to 3, where the eps = 1/2 floors tie
+# across doubling levels; constant runs, which at p = 2 and eps = 1/2 kill
+# every known-m probe, so an escalator answers; weights up to 1000; low runs
+# around a spike; and one element, which no floor of known-m or known-mn is
+# below, so the winner is a floor the total never passed
+race_streams = st.one_of(
+    st.lists(st.integers(0, 3), max_size=60),
+    st.builds(lambda weight, length: [weight] * length, st.integers(1, 3),
+              st.integers(30, 120)),
+    st.lists(st.integers(0, 1000), max_size=30),
+    st.builds(lambda head, spike, tail: head + [spike] + tail, st.lists(st.integers(0, 5),
+              max_size=30), st.integers(50, 1000), st.lists(st.integers(0, 5), max_size=30)),
+    st.lists(st.integers(0, 1000), min_size=1, max_size=1),
+)
+
+
+@settings(max_examples=250, deadline=None, database=None, derandomize=True)
+@given(weights=race_streams, num_blocks=st.sampled_from((2, 3, 8, 64)),
+       tag=st.sampled_from(GRID_TAGS), mode=st.sampled_from((PART_MODE, PARTB_MODE)),
+       epsilon=st.sampled_from((Fraction(1, 100), Fraction(1, 10), Fraction(1, 2))),
+       size=st.sampled_from((1, 3, 4096)))
+# every probe dies and an escalator answers, in both modes; a one-element
+# stream at perfbench's known-m shape, whose winner no element reached
+@example(weights=[3] * 60, num_blocks=2, tag=KNOWN_MAX_TAG, mode=PART_MODE,
+         epsilon=Fraction(1, 2), size=1)
+@example(weights=[2] * 45, num_blocks=2, tag=KNOWN_MAX_TAG, mode=PARTB_MODE,
+         epsilon=Fraction(1, 2), size=3)
+@example(weights=[1000], num_blocks=64, tag=KNOWN_MAX_TAG, mode=PART_MODE,
+         epsilon=Fraction(1, 100), size=4096)
+def test_probe_grid_matches_the_race_that_walks_every_probe(weights, num_blocks, tag, mode,
+                                                            epsilon, size):
+    profile = KnowledgeProfile(max_weight=max(weights, default=0), length=len(weights),
+                               total_weight=sum(weights))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(feasibility, "B", size)
+        result = solve_tagged(tag, iter(weights), num_blocks, epsilon, profile, mode=mode)
+        patch.setattr(schedulers, "_race", reference_race)
+        expected = solve_tagged(tag, iter(weights), num_blocks, epsilon, profile, mode=mode)
+    assert result.to_json_dict() == expected.to_json_dict()
+    assert result.probe_instances == expected.probe_instances
+    assert result.probe_ext_instances == expected.probe_ext_instances
+
+
+@SETTINGS
+@given(weights=race_streams.filter(bool), num_blocks=blocks_strategy,
+       floors=st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True).map(sorted),
+       mode=st.sampled_from((PART_MODE, PARTB_MODE)),
+       chunking=st.sampled_from(("1", "2", "3", "7", "whole")))
+def test_probe_grid_live_floors_are_upward_closed(weights, num_blocks, floors, mode, chunking):
+    store = mode == PART_MODE
+    grid = _ProbeGrid(floors, num_blocks, store)
+    probes = [ProbeInstance(floor, num_blocks, store_separators=store) for floor in floors]
+    edges = [0, *chunk_edges(chunking, len(weights), []), len(weights)]
+    for lo, hi in pairwise(edges):
+        chunk = weights[lo:hi]
+        prefix = list(accumulate(chunk, initial=0))
+        for probe in probes:
+            if probe.failure is None:
+                probe.walk(prefix, max(chunk))
+        alive = grid.walk(prefix, max(chunk))
+        # every probe walked on its own: the live ones are the floors from lo on
+        assert [probe.failure is None for probe in probes] == [
+            k >= grid.lo for k in range(len(floors))]
+        assert alive == (grid.lo < len(floors))
+        total = sum(weights[:hi])
+        assert grid.touched == bisect_left(floors, total)
+        # a kept probe is where the probe walked on its own is; a floor the
+        # total has not passed holds every element in its first block
+        assert len(grid.probes) == grid.touched - grid.lo
+        for kept, probe in zip(grid.probes, probes[grid.lo:]):
+            assert (kept.block_ordinal, kept.block_weight, kept.next_index, kept.separators) == (
+                probe.block_ordinal, probe.block_weight, probe.next_index, probe.separators)
+        for probe in probes[grid.touched:]:
+            assert (probe.block_ordinal, probe.block_weight, probe.separators) == (
+                1, total, [] if store else None)
+        if not alive:
+            break
 
 
 # a probe that dies in the first of three chunks: by an element above its

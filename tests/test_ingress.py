@@ -31,8 +31,8 @@ from streampart import (
     solve_known_total,
     solve_unknown_partb,
 )
-from streampart.cli import KNOW_TAGS, main
-from streampart.core import READ_BLOCK, WeightChunks, int_text
+from streampart.cli import KNOW_TAGS, build_parser, main
+from streampart.core import READ_BLOCK, WeightChunks, int_text, parse_int
 from streampart.feasibility import B, _drive
 from streampart.schedulers import SOLVERS, solve_tagged
 
@@ -208,6 +208,45 @@ def test_messages_print_long_values():
     with pytest.raises(ValueError,
                        match=f"^weights must be non-negative integers, got -{digits}$"):
         probe_run([1, -HUGE], 5, 2)
+
+
+def test_parse_int_reads_past_the_digit_limit():
+    digits = "1" + "0" * 5000
+    assert parse_int(digits) == HUGE
+    assert parse_int(f" -{digits}\n") == -HUGE
+    assert parse_int("+" + digits) == HUGE
+    assert parse_int("007") == 7
+    # past the limit only a decimal integer is read; anything else is refused
+    # as `int` refuses it
+    for bad in (digits + ".5", digits + "e3", "x" + digits, "--" + digits, digits + "_"):
+        with pytest.raises(ValueError):
+            parse_int(bad)
+    # argparse names a `type=` function in its message: "invalid int value"
+    assert parse_int.__name__ == "int"
+
+
+def test_cli_reads_a_declaration_past_the_digit_limit(capsys, monkeypatch):
+    digits = "1" + "0" * 5000
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3\n"))
+    code = main(["solve", "--p", "2", "--know", "s", "--s", digits, "--epsilon", "1/2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (
+        f"streampart: declared total weight {digits} but the stream sums to 6\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3\n"))
+    assert main(["solve", "--p", "2", "--know", "m", "--m", digits, "--epsilon", "1/2"]) == 1
+    assert capsys.readouterr().err == (
+        f"streampart: declared maximum weight {digits} but observed 3\n")
+    args = build_parser().parse_args(["solve", "--p", "2", "--n", digits])
+    assert args.n == HUGE
+
+
+def test_cli_refuses_a_long_declaration_that_is_no_int(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["solve", "--p", "2", "--know", "s", "--s", "1" * 5000 + "x", "--epsilon", "1/2"])
+    assert exited.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --s: invalid int value: '{'1' * 5000}x'\n")
 
 
 # `streampart solve` flag of each solver argument, given the list's values

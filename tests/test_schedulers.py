@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +19,9 @@ from streampart import (
     solve_unknown_part,
     solve_unknown_partb,
 )
-from streampart.schedulers import UnknownPartSolver
+from streampart import feasibility
+from streampart.feasibility import B, ProbeInstance, _Walker
+from streampart.schedulers import UnknownPartSolver, _ProbeGrid
 from helpers import CountingStream, random_stream
 
 
@@ -98,6 +101,69 @@ def test_known_max_grid_sizes_for_smaller_epsilon():
     res = solve_known_max(iter([1, 1]), 2, Fraction(1, 128), 1, mode="partb")
     assert res.probe_instances == 1456
     assert res.probe_ext_instances == 179
+
+
+# perfbench's known-m-grid op: n = 2000 uniform weights in 0..1000, p = 64,
+# eps = 1/100, the grid of 1065 probes and 140 escalators
+GRID_SHAPE = (64, Fraction(1, 100))
+
+
+def grid_shaped_stream() -> list[int]:
+    return random.Random(16).choices(range(1001), k=2000)
+
+
+def test_known_max_grid_sizes_at_the_perfbench_shape():
+    weights = grid_shaped_stream()
+    res = solve_known_max(iter(weights), *GRID_SHAPE, max(weights))
+    assert (res.probe_instances, res.probe_ext_instances, res.instance_count) == (1065, 140, 1205)
+
+
+def test_one_element_known_max_builds_no_probe(monkeypatch):
+    # every floor is at least the maximum, which is the whole total: no
+    # element reaches a probe, so none is built, and the lowest floor wins
+    built = []
+    init = _Walker.__init__
+
+    def counted(self, *args):
+        built.append(type(self).__name__)
+        init(self, *args)
+
+    monkeypatch.setattr(_Walker, "__init__", counted)
+    res = solve_known_max(iter([1000]), *GRID_SHAPE, 1000)
+    assert built == ["ProbeExtInstance"] * 140
+    assert (res.bottleneck, res.separators) == (1000, (1,) + (2,) * 64)
+    assert (res.probe_instances, res.instance_count) == (1065, 1205)
+
+
+@pytest.mark.parametrize("size", [256, B])
+def test_probe_grid_walks_few_dying_probes_per_chunk(size, monkeypatch):
+    # per chunk: every touched survivor once, and the binary search's dying
+    # middles, at most ceil(log2(1065)) + 1 of them
+    walks = []
+    walk = _Walker.walk
+
+    def counted_walk(self, prefix, top):
+        walks.append(self)
+        return walk(self, prefix, top)
+
+    per_chunk = []
+    grid_walk = _ProbeGrid.walk
+
+    def counted_grid_walk(self, prefix, top):
+        walks.clear()
+        alive = grid_walk(self, prefix, top)
+        per_chunk.append((len(walks), self.touched - self.lo))
+        return alive
+
+    monkeypatch.setattr(ProbeInstance, "walk", counted_walk)
+    monkeypatch.setattr(_ProbeGrid, "walk", counted_grid_walk)
+    monkeypatch.setattr(feasibility, "B", size)
+    weights = grid_shaped_stream()
+    solve_known_max(iter(weights), *GRID_SHAPE, max(weights))
+    assert len(per_chunk) == -(-len(weights) // size)
+    spare = math.ceil(math.log2(1065)) + 1
+    for walked, survivors in per_chunk:
+        assert survivors <= walked <= survivors + spare
 
 
 def test_known_max_warning_flag():
