@@ -52,13 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a weight stream")
     gen.add_argument("--kind", required=True, choices=list(GENERATORS))
-    gen.add_argument("--n", type=int, help="stream length")
-    gen.add_argument("--m", type=int, help="maximum weight")
-    gen.add_argument("--t", type=int, help="pair count (yz)")
-    gen.add_argument("--i", type=int, dest="i",
+    gen.add_argument("--n", type=parse_int, help="stream length")
+    gen.add_argument("--m", type=parse_int, help="maximum weight")
+    gen.add_argument("--t", type=parse_int, help="pair count (yz)")
+    gen.add_argument("--i", type=parse_int, dest="i",
                      help="second-half index (yz) or query index (index)")
     gen.add_argument("--bits", type=str, help="bit string for the index kind")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=parse_int, default=0)
     gen.add_argument("--out", type=str, help="output path (default stdout)")
 
     solve = sub.add_parser("solve", help="solve a stream with a one-pass algorithm")

@@ -62,13 +62,18 @@ class ProbeExtInstance(_Walker):
     ) -> None:
         check_block_count(num_blocks, store_separators)
         max_weight, slack = checked_base(max_weight, slack)
-        self.max_weight = max_weight
-        # the base max_weight * (1 + slack) as an exact _num / _den, in ints
+        # the base max_weight * (1 + slack) as an exact num / den, in ints
         # (an int has a numerator and a denominator too)
-        self._num = max_weight.numerator * (slack.denominator + slack.numerator)
-        self._den = max_weight.denominator * slack.denominator
+        self._start(max_weight, max_weight.numerator * (slack.denominator + slack.numerator),
+                    max_weight.denominator * slack.denominator, num_blocks, store_separators)
+
+    def _start(self, max_weight, num, den, num_blocks, store_separators) -> ProbeExtInstance:
+        """Start from the base num / den, all arguments checked; return self."""
+        self.max_weight = max_weight
+        self._num, self._den = num, den
         self.merges = 0
-        super().__init__(self._num // self._den, num_blocks, store_separators)
+        super().__init__(num // den, num_blocks, store_separators)
+        return self
 
     @property
     def bottleneck(self) -> Fraction:

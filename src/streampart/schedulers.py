@@ -212,13 +212,15 @@ class _ProbeGrid:
 
 def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, tag: str,
           declared: KnowledgeProfile, base: Fraction, target,
-          doublings: int = 1, slacks: Iterable[Fraction] = (),
+          doublings: int = 1, escalation: Fraction | None = None,
           warnings: tuple[str, ...] = ()) -> SolveResult:
-    """Race one probe per grid bound and one escalator (base: the declared
-    maximum) per slack over the stream, in one pass.
+    """Race one probe per grid bound and, given the ratio `escalation`, one
+    escalator per power of it over the stream, in one pass.
 
     The grid bounds are base * 2**i * (1+eps)**j for i < doublings and
-    j = 0..c, the smallest c with (1+eps)**c >= target, in that order. A
+    j = 0..c, the smallest c with (1+eps)**c >= target, in that order. The
+    escalator bases are m * escalation**j for j = 0..c, the smallest c with
+    escalation**c >= 2, and m the declared maximum, in integers. A
     probe needs only its bound's floor, computed in integers, and equal
     floors behave alike, so the probes race as one `_ProbeGrid` over the
     distinct floors. The exact bound is built only for the winner: the
@@ -233,9 +235,11 @@ def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, 
     num, den = base.numerator, base.denominator
     floors = [(num << i) * up // (den * down) for i in range(doublings) for up, down in powers]
     grid = _ProbeGrid(sorted(set(floors)), num_blocks, store)
+    # p, eps and m were checked where they entered: no escalator checks them again
+    m = declared.max_weight
     escalators = [
-        ProbeExtInstance(declared.max_weight, num_blocks, slack, store_separators=store)
-        for slack in slacks
+        ProbeExtInstance.__new__(ProbeExtInstance)._start(m, m * up, down, num_blocks, store)
+        for up, down in (_exact_powers(escalation, 2) if escalation else ())
     ]
     length, total, biggest = _drive(stream, [grid, *escalators],
                                     declared_max=declared.max_weight)
@@ -311,8 +315,8 @@ def solve_known_max(
     """Race a doubling-and-ratio probe grid against escalating instances.
 
     Probe bounds are 2^i * (1+eps)^j * max_weight over a grid sized from
-    delta = eps / (1 + eps/2); escalating instances use slacks
-    (1 + eps/2)^j - 1. If any probe succeeded, the smallest successful
+    delta = eps / (1 + eps/2); escalating instances start from
+    max_weight * (1 + eps/2)^j. If any probe succeeded, the smallest successful
     probe bound wins (the grid is dense enough that its value is within
     (1+eps) of optimal whenever it is non-trivial); escalator results are
     the fallback for the large-optimum regime where every probe fails.
@@ -324,9 +328,8 @@ def solve_known_max(
         warnings = (WARN_EPSILON_RANGE,)
     delta = epsilon / (1 + epsilon / 2)
     doubling_levels = growth_steps(Fraction(2), 1 / delta**2) + 1
-    slacks = (Fraction(up - down, down) for up, down in _exact_powers(1 + epsilon / 2, 2))
     return _race(stream, num_blocks, epsilon, mode, KNOWN_MAX_TAG, declared,
-                 Fraction(max_weight), 2, doubling_levels, slacks, warnings)
+                 Fraction(max_weight), 2, doubling_levels, 1 + epsilon / 2, warnings)
 
 
 class UnknownPartSolver:

@@ -155,17 +155,22 @@ class ReferenceEscalator(ReferenceProbe):
 
 def reference_race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str,
                    tag: str, declared: KnowledgeProfile, base: Fraction, target,
-                   doublings: int = 1, slacks: Iterable[Fraction] = (),
+                   doublings: int = 1, escalation: Fraction | None = None,
                    warnings: tuple[str, ...] = ()) -> SolveResult:
     """`schedulers._race` as one `ProbeInstance` per grid point, every live
     one walked over every chunk: the reference the frontier-searched probe
     grid is checked against. It takes `_race`'s arguments, so a test can
-    put it in `_race`'s place."""
+    put it in `_race`'s place. Its escalators go through the public, checked
+    constructor with the slacks escalation**j - 1, up to the first power of
+    at least 2, so the race's integer start is checked against that route."""
     store = mode == PART_MODE
     powers = _exact_powers(1 + epsilon, target)
     num, den = base.numerator, base.denominator
     probes = [ProbeInstance((num << i) * up // (den * down), num_blocks, store_separators=store)
               for i in range(doublings) for up, down in powers]
+    slacks = [] if escalation is None else [Fraction(0)]
+    while slacks and slacks[-1] < 1:
+        slacks.append(escalation ** len(slacks) - 1)
     escalators = [
         ProbeExtInstance(declared.max_weight, num_blocks, slack, store_separators=store)
         for slack in slacks

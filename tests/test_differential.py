@@ -186,14 +186,18 @@ race_streams = st.one_of(
 @settings(max_examples=250, deadline=None, database=None, derandomize=True)
 @given(weights=race_streams, num_blocks=st.sampled_from((2, 3, 8, 64)),
        tag=st.sampled_from(GRID_TAGS), mode=st.sampled_from((PART_MODE, PARTB_MODE)),
-       epsilon=st.sampled_from((Fraction(1, 100), Fraction(1, 10), Fraction(1, 2))),
+       epsilon=st.sampled_from((Fraction(1, 100), Fraction(1, 65), Fraction(1, 10),
+                                Fraction(1, 2), Fraction(3))),
        size=st.sampled_from((1, 3, 4096)))
-# every probe dies and an escalator answers, in both modes; a one-element
-# stream at perfbench's known-m shape, whose winner no element reached
+# every probe dies and an escalator answers, in both modes and with the two
+# escalators of eps = 3 (ratio 5/2); a one-element stream at perfbench's
+# known-m shape, whose winner no element reached
 @example(weights=[3] * 60, num_blocks=2, tag=KNOWN_MAX_TAG, mode=PART_MODE,
          epsilon=Fraction(1, 2), size=1)
 @example(weights=[2] * 45, num_blocks=2, tag=KNOWN_MAX_TAG, mode=PARTB_MODE,
          epsilon=Fraction(1, 2), size=3)
+@example(weights=[3] * 60, num_blocks=2, tag=KNOWN_MAX_TAG, mode=PART_MODE,
+         epsilon=Fraction(3), size=3)
 @example(weights=[1000], num_blocks=64, tag=KNOWN_MAX_TAG, mode=PART_MODE,
          epsilon=Fraction(1, 100), size=4096)
 def test_probe_grid_matches_the_race_that_walks_every_probe(weights, num_blocks, tag, mode,

@@ -249,6 +249,16 @@ def test_cli_refuses_a_long_declaration_that_is_no_int(capsys):
         f"error: argument --s: invalid int value: '{'1' * 5000}x'\n")
 
 
+def test_cli_gen_reads_int_flags_past_the_digit_limit(capsys):
+    digits = "1" + "0" * 5000
+    assert main(["gen", "--kind", "constant", "--n", "2", "--m", digits]) == 0
+    assert capsys.readouterr().out == f"{digits} {digits}\n"
+    with pytest.raises(SystemExit) as exited:
+        main(["gen", "--kind", "constant", "--n", "2", "--m", "x"])
+    assert exited.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --m: invalid int value: 'x'\n")
+
+
 # `streampart solve` flag of each solver argument, given the list's values
 FLAG_VALUES = {
     "epsilon": lambda weights: ["--epsilon", "1/10"],

@@ -19,7 +19,7 @@ from streampart import (
     solve_unknown_part,
     solve_unknown_partb,
 )
-from streampart import feasibility
+from streampart import feasibility, probe_ext
 from streampart.feasibility import B, ProbeInstance, _Walker
 from streampart.schedulers import UnknownPartSolver, _ProbeGrid
 from helpers import CountingStream, random_stream
@@ -133,6 +133,24 @@ def test_one_element_known_max_builds_no_probe(monkeypatch):
     assert built == ["ProbeExtInstance"] * 140
     assert (res.bottleneck, res.separators) == (1000, (1,) + (2,) * 64)
     assert (res.probe_instances, res.instance_count) == (1065, 1205)
+
+
+def test_known_max_escalators_skip_the_public_checks(monkeypatch):
+    # p, eps and m are checked where they enter the solver; the race starts
+    # its 140 escalators from integer bases without checking them again
+    calls = []
+    checked = probe_ext.checked_base
+
+    def counted(*args):
+        calls.append(args)
+        return checked(*args)
+
+    monkeypatch.setattr(probe_ext, "checked_base", counted)
+    res = solve_known_max(iter([1000]), *GRID_SHAPE, 1000)
+    assert (res.probe_ext_instances, len(calls)) == (140, 0)
+    # the public constructor still checks its base
+    probe_ext.ProbeExtInstance(1000, 64, Fraction(1, 100))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("size", [256, B])
