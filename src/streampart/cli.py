@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", type=str, help="output path (default stdout)")
 
     solve = sub.add_parser("solve", help="solve a stream with a one-pass algorithm")
-    solve.add_argument("--p", type=int, required=True, help="number of blocks")
+    solve.add_argument("--p", type=parse_int, required=True, help="number of blocks")
     solve.add_argument("--mode", choices=MODES, default=PART_MODE)
     solve.add_argument("--know", choices=list(KNOW_TAGS), default="none")
     solve.add_argument("--epsilon", type=str, help="accuracy parameter, e.g. 1/64")
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", type=str, help="input path (default stdin)")
 
     oracle = sub.add_parser("oracle", help="compute the exact optimum offline")
-    oracle.add_argument("--p", type=int, required=True)
+    oracle.add_argument("--p", type=parse_int, required=True)
     oracle.add_argument("--method", choices=list(ORACLES), default="binsearch")
     oracle.add_argument("--input", type=str, help="input path (default stdin)")
 
@@ -87,10 +87,12 @@ class UsageError(Exception):
     """Usage problem detected after argparse; exits with status 2."""
 
 
-def _open_input(stack: ExitStack, path: str | None) -> IO[str]:
-    """The --input file, closed with `stack`, or stdin when no path is given."""
+def _open_input(stack: ExitStack, path: str | None) -> IO[bytes] | IO[str]:
+    """The --input file, opened binary and closed with `stack` (the parser
+    reads its bytes as ASCII text), or stdin, as text, when no path is
+    given."""
     if path:
-        return stack.enter_context(open(path, "r", encoding="ascii"))
+        return stack.enter_context(open(path, "rb"))
     return sys.stdin
 
 

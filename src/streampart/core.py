@@ -192,6 +192,10 @@ B = 4096
 # characters of text the parser reads at a time
 READ_BLOCK = 1 << 13
 
+# the whitespace `bytes.split()` splits on
+_BYTES_SPACE = b" \t\n\r\x0b\x0c"
+
+
 def int_text(value: int | Fraction) -> str:
     """`str(value)` for an int or a Fraction of any size: past CPython's
     digit limit for `str`, `decimal` writes an int's digits, and a
@@ -242,25 +246,57 @@ def _to_ints(tokens: list[str]) -> tuple[list[int], str | None]:
         return list(map(parse_int, tokens)), None
 
 
-def _parse_chunks(text: IO[str]) -> Iterator[list[int]]:
+def _text_block(pending: str, block: str, at_end: bool) -> tuple[list[int], str | None, str]:
+    """The weights of `pending + block` up to its first bad token, that
+    token (None when there is none), and the last token when it runs to the
+    block's end and so may go on in the next block ("" otherwise)."""
+    tokens = (pending + block).split()
+    pending = tokens.pop() if tokens and not at_end and not block[-1].isspace() else ""
+    weights, bad = _to_ints(tokens)
+    return weights, bad, pending
+
+
+def _bytes_block(pending: str, block: bytes, at_end: bool) -> tuple[list[int], str | None, str]:
+    """`_text_block` for a block of bytes, read as ASCII.
+
+    A block of ASCII digits and the whitespace `bytes.split` splits on has
+    the tokens of its text, so one `isdigit()` over it less that whitespace
+    (`bytes.translate`, which, unlike a join of the tokens, holds no buffer
+    per token) and one `map(int, ...)` read it. Any other block (a byte
+    that is not ASCII, a control character that `str.split` splits on and
+    `bytes.split` does not, a token that is no integer, or one past
+    CPython's digit limit for `int`) is decoded alone, so that a decode
+    error names the byte's position in the block, and read as text.
+    """
+    text = pending.encode() + block
+    if text.translate(None, _BYTES_SPACE).isdigit():
+        tokens = text.split()
+        del text
+        last = tokens.pop() if not at_end and not block[-1:].isspace() else b""
+        try:
+            return list(map(int, tokens)), None, last.decode()
+        except ValueError:  # past CPython's int() digit limit
+            pass
+    return _text_block(pending, block.decode("ascii"), at_end)
+
+
+def _parse_chunks(reader: IO[str] | IO[bytes]) -> Iterator[list[int]]:
     """Lists of at most `B` weights from whitespace-separated decimal text,
-    read `READ_BLOCK` characters at a time.
+    read `READ_BLOCK` characters, or bytes of ASCII text, at a time.
 
     A token that is not a non-negative decimal integer raises `ValueError`
     after the weights before it are yielded, so a reader that checks each
-    chunk reports the first bad element in stream order.
+    chunk reports the first bad element in stream order. Every chunk holds
+    at least one weight, and only non-negative ints.
     """
     pending = ""
     while True:
-        block = text.read(READ_BLOCK)
+        block = reader.read(READ_BLOCK)
         at_end = not block
-        tokens = (pending + block).split()
-        # a last token that runs to the block's end may go on in the next
-        pending = tokens.pop() if tokens and not at_end and not block[-1].isspace() else ""
+        read_block = _bytes_block if type(block) is bytes else _text_block
+        weights, bad, pending = read_block(pending, block, at_end)
+        # the chunk is walked while this frame waits: it holds no text then
         del block
-        weights, bad = _to_ints(tokens)
-        # the chunk is walked while this frame waits: it holds no token then
-        del tokens
         # READ_BLOCK characters hold at most B tokens, but a reader may
         # return more characters than it is asked for
         while len(weights) > B:
@@ -277,21 +313,23 @@ def _parse_chunks(text: IO[str]) -> Iterator[list[int]]:
 class WeightChunks:
     """A weight stream parsed from text, held as the parser's chunks.
 
-    Iterating it yields the weights one by one, so it is a stream like any
-    other; `feasibility._drive` reads its chunks, lists of at most `B` ints,
-    as they are.
+    The reader is a text reader or a binary one, whose bytes are read as
+    ASCII text. Iterating it yields the weights one by one, so it is a
+    stream like any other; `feasibility._drive` reads its chunks, non-empty
+    lists of at most `B` non-negative ints, as they are, and trusts them to
+    hold nothing else.
     """
 
     __slots__ = ("chunks",)
 
-    def __init__(self, text: IO[str]) -> None:
-        self.chunks = _parse_chunks(text)
+    def __init__(self, reader: IO[str] | IO[bytes]) -> None:
+        self.chunks = _parse_chunks(reader)
 
     def __iter__(self) -> Iterator[int]:
         return chain.from_iterable(self.chunks)
 
 
-def iter_weights(stream: IO[str]) -> Iterator[int]:
+def iter_weights(stream: IO[str] | IO[bytes]) -> Iterator[int]:
     """Yield weights from whitespace-separated decimal text, 8 KiB at a time."""
     return iter(WeightChunks(stream))
 

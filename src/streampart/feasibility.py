@@ -16,7 +16,9 @@ chunk reaches, and resumes where it stopped on the next chunk (the
 "chains-on-chains" probe of Han, Narahari & Choi and of Pinar & Aykanat,
 made resumable). `_drive` is the one reader of a stream: it reads `B`
 elements at a time, checks each chunk with `core.checked_max`, the one
-ingress rule, and builds each chunk's prefix sums once for its live walkers.
+ingress rule (a chunk of the text parser, which can hold only non-negative
+ints, only against the declared maximum), and builds each chunk's prefix
+sums once for its live walkers.
 A walker need not be one instance: the grid solvers race their probes as
 one walker (`schedulers._ProbeGrid`), which uses the monotony to walk only
 a few of the probes that die in a chunk. The oracle asks the same walk for a
@@ -266,6 +268,16 @@ def _chunked(source: Iterator[int]) -> Iterator[list[int]]:
         yield chunk
 
 
+def _parsed_max(chunk: list[int], declared_max: int | None) -> int:
+    """`core.checked_max` of one of the parser's chunks, which are never
+    empty and hold only non-negative ints: their `max`, and the rescan only
+    when it passes `declared_max`."""
+    top = max(chunk)
+    if declared_max is not None and top > declared_max:
+        checked_max(chunk, declared_max)
+    return top
+
+
 def _drive(
     stream: Iterable[int], walkers: Sequence[_Walker] = (), declared_max: int | None = None
 ) -> tuple[int, int, int]:
@@ -273,25 +285,29 @@ def _drive(
     advance every live walker over each chunk's prefix sums, in one pass;
     return (length, total, max).
 
-    A `WeightChunks` stream is read as the parser's lists; any other is
-    collected into lists of `B` by `_chunked`. A walker is anything whose
-    `walk(prefix, top)`, given a chunk's prefix sums and largest weight,
-    returns whether it is still alive: a `_Walker`, the grid solvers' probe
-    grid or the unknown-knowledge solver. Every walker given is live; one
-    that returns False is not walked again. Each chunk is checked whole by
-    `core.checked_max`, so the first bad element raises, as it would one
-    element at a time. Prefix sums are built only while a walker is live.
+    A `WeightChunks` stream is read as the parser's lists, and trusted: they
+    are never empty and hold only non-negative ints, so only their `max` is
+    taken and compared with `declared_max`. Any other stream is collected
+    into lists of `B` by `_chunked`, and each is checked whole by
+    `core.checked_max`. Either way a chunk that breaks the rule is rescanned
+    by `checked_max`, so the first bad element raises, as it would one
+    element at a time. A walker is anything whose `walk(prefix, top)`,
+    given a chunk's prefix sums and largest weight, returns whether it is
+    still alive: a `_Walker`, the grid solvers' probe grid or the
+    unknown-knowledge solver. Every walker given is live; one that returns
+    False is not walked again. Prefix sums are built only while a walker is
+    live.
     """
     if isinstance(stream, WeightChunks):
-        chunks = stream.chunks
+        chunks, check = stream.chunks, _parsed_max
     else:
-        chunks = _chunked(iter(stream))
+        chunks, check = _chunked(iter(stream)), checked_max
     live = list(walkers)
     length = 0
     total = 0
     biggest = 0
     for chunk in chunks:
-        top = checked_max(chunk, declared_max)
+        top = check(chunk, declared_max)
         length += len(chunk)
         if top > biggest:
             biggest = top

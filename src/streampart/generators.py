@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .core import check_count, int_text
@@ -19,12 +20,24 @@ def check_seed(seed) -> None:
 
 
 def gen_uniform(length: int, max_weight: int, seed: int = 0) -> list[int]:
-    """Independent uniform draws from 0..max_weight."""
+    """Independent uniform draws from 0..max_weight: the values of
+    `random.Random(seed).randint(0, max_weight)`, drawn in bulk.
+
+    CPython's `randint(0, m)` draws `getrandbits(k)`, with k the bit length
+    of m + 1, until a value is at most m. So its values, in order, are the
+    draws less the rejected ones, topped up one draw at a time.
+    """
     check_count("length", length)
     check_count("maximum weight", max_weight)
     check_seed(seed)
     rng = random.Random(seed)
-    return [rng.randint(0, max_weight) for _ in range(length)]
+    bits = (max_weight + 1).bit_length()
+    weights = [r for r in map(rng.getrandbits, repeat(bits, length)) if r <= max_weight]
+    while len(weights) < length:
+        draw = rng.getrandbits(bits)
+        if draw <= max_weight:
+            weights.append(draw)
+    return weights
 
 
 def gen_constant(length: int, weight: int) -> list[int]:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from streampart import (
@@ -22,6 +24,19 @@ def test_uniform_shape_and_determinism():
     assert gen_uniform(0, 5) == []
     with pytest.raises(ValueError):
         gen_uniform(-1, 5)
+
+
+# m = 2**j - 1 rejects no draw and m = 2**j about half of them
+@pytest.mark.parametrize("max_weight", [0, 1, 2**10 - 1, 2**10, 1000, 10**20])
+@pytest.mark.parametrize("seed", [0, 5, -3, 12345])
+def test_uniform_draws_what_randint_draws(max_weight, seed):
+    # gen_uniform reproduces CPython's randint from its getrandbits draws;
+    # another interpreter's randint fails here instead of changing streams
+    rng = random.Random(seed)
+    expected = [rng.randint(0, max_weight) for _ in range(5000)]
+    assert gen_uniform(5000, max_weight, seed) == expected
+    # and the generator is left where randint leaves it
+    assert gen_uniform(5001, max_weight, seed)[-1] == rng.randint(0, max_weight)
 
 
 def test_constant():

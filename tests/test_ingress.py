@@ -1,8 +1,9 @@
-"""Text ingress: the chunk parser (`core.WeightChunks`) against `str.split`
-and `int`, the size of its chunks, errors in stream order, numbers past
-CPython's digit limit for `int(str)` and `str(int)`, the CLI against the
-solver called on the list, and the memory the parser holds while a chunk is
-walked."""
+"""Text ingress: the chunk parser (`core.WeightChunks`), from text and from
+bytes, against `str.split` and `int`, the size of its chunks, errors in
+stream order, the CLI's error texts on bad bytes, numbers past CPython's
+digit limit for `int(str)` and `str(int)`, the CLI against the solver called
+on the list, the trust `_drive` gives the parser's chunks and no other
+stream, and the memory the parser holds while a chunk is walked."""
 
 import io
 import json
@@ -24,6 +25,7 @@ from streampart import (
     KnowledgeProfile,
     format_weights,
     iter_weights,
+    opt_bottleneck_binsearch,
     parse_weights,
     probe_run,
     solve_known_max,
@@ -31,6 +33,7 @@ from streampart import (
     solve_known_total,
     solve_unknown_partb,
 )
+from streampart import core, feasibility
 from streampart.cli import KNOW_TAGS, build_parser, main
 from streampart.core import READ_BLOCK, WeightChunks, int_text, parse_int
 from streampart.feasibility import B, _drive
@@ -43,6 +46,11 @@ def chunks_of(text: str) -> list[list[int]]:
     return list(WeightChunks(io.StringIO(text)).chunks)
 
 
+def byte_chunks_of(text: str) -> list[list[int]]:
+    """The parser's chunks of `text`'s ASCII bytes, read from a binary reader."""
+    return list(WeightChunks(io.BytesIO(text.encode("ascii"))).chunks)
+
+
 def horner(digits: str) -> int:
     """A decimal string's value, one digit at a time: no digit limit."""
     value = 0
@@ -51,8 +59,10 @@ def horner(digits: str) -> int:
     return value
 
 
-# digits and ASCII whitespace: runs of whitespace, leading zeros, empty text
-text_strategy = st.text("0123456789 \t\n\r\x0b\x0c", max_size=60)
+# digits and the characters `str.split` splits on: runs of whitespace,
+# leading zeros, empty text, and the separators \x1c-\x1f, which
+# `bytes.split` does not split on
+text_strategy = st.text("0123456789 \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f", max_size=60)
 # filler characters in front: none, or enough to put the text across the
 # end of the first or second block, so that its tokens straddle a boundary
 # or end exactly on one
@@ -70,6 +80,8 @@ def test_parser_matches_split_and_int(body, lead):
     assert all(0 < len(chunk) <= B for chunk in chunks)
     assert list(iter_weights(io.StringIO(text))) == expected
     assert parse_weights(text) == expected
+    # the same text as bytes: the same weights in chunks of the same sizes
+    assert byte_chunks_of(text) == chunks
 
 
 @pytest.mark.parametrize("text, expected", [
@@ -86,14 +98,14 @@ def test_parser_block_edges(text, expected):
 
 
 class WholeText:
-    """A reader that returns all of its text on the first `read`, however
-    few characters it is asked for."""
+    """A reader that returns all of its text (a str, or bytes) on the first
+    `read`, however few characters it is asked for."""
 
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str | bytes) -> None:
         self.text = text
 
-    def read(self, size: int) -> str:
-        text, self.text = self.text, ""
+    def read(self, size: int) -> str | bytes:
+        text, self.text = self.text, self.text[:0]
         return text
 
 
@@ -112,9 +124,10 @@ def test_chunks_hold_at_most_b_weights(text):
 
 def test_an_oversized_read_is_cut_into_chunks_of_b():
     text = "1 " * (2 * B) + "5"
-    chunks = list(WeightChunks(WholeText(text)).chunks)
-    assert [len(chunk) for chunk in chunks] == [B, B, 1]
-    assert [w for chunk in chunks for w in chunk] == [1] * (2 * B) + [5]
+    for whole in (text, text.encode("ascii")):
+        chunks = list(WeightChunks(WholeText(whole)).chunks)
+        assert [len(chunk) for chunk in chunks] == [B, B, 1]
+        assert [w for chunk in chunks for w in chunk] == [1] * (2 * B) + [5]
 
 
 # tokens that are not non-negative decimal integers; "٣" is an
@@ -133,9 +146,13 @@ def test_text_errors_follow_stream_order(length, data):
     tokens[bad_at] = bad
     tokens[big_at] = str(MAXIMUM + 1)
     text = " ".join(tokens)
-    # the parser's chunks, and its weights one by one, which `_drive`
-    # collects into chunks of its own
-    for stream in (WeightChunks(io.StringIO(text)), iter_weights(io.StringIO(text))):
+    # the parser's chunks, from text and from bytes, and its weights one by
+    # one, which `_drive` collects into chunks of its own; a non-ASCII
+    # token is no ASCII text, so it is read from text only
+    streams = [WeightChunks(io.StringIO(text)), iter_weights(io.StringIO(text))]
+    if text.isascii():
+        streams.append(WeightChunks(io.BytesIO(text.encode("ascii"))))
+    for stream in streams:
         if big_at < bad_at:
             with pytest.raises(DeclaredBoundError, match=f"element {MAXIMUM + 1} exceeds"):
                 solve_known_max_length(stream, 2, "1/2", MAXIMUM, length)
@@ -154,6 +171,72 @@ def test_cli_reports_the_first_bad_element(capsys, monkeypatch):
         "streampart: element 5000 exceeds declared maximum weight 1000\n")
 
 
+def corpus(*edits: tuple[int, bytes]) -> bytes:
+    """24,000 bytes of "7 ", each (offset, bytes) written over them, then
+    the declared maximum 1000: three blocks of the parser and a bit."""
+    data = bytearray(b"7 " * 12000)
+    for offset, new in edits:
+        data[offset:offset + len(new)] = new
+    return bytes(data) + b"1000\n"
+
+
+def decode_error(byte: int, position: int) -> str:
+    return (f"streampart: 'ascii' codec can't decode byte {byte:#x} in position {position}: "
+            f"ordinal not in range(128)\n")
+
+
+BAD_TOKEN = "streampart: invalid weight token 'x': expected a non-negative integer\n"
+TOO_BIG = "streampart: element 5000 exceeds declared maximum weight 1000\n"
+
+# (edits, stderr of `solve --know m --m 1000`, stderr of `oracle`), the
+# texts a text reader of --input gives; None where the command succeeds. A
+# decode error names the byte's position in its block of 8192 bytes, and a
+# bad byte stops the read of its block before any of the block's weights
+# are checked
+BAD_BYTES = {
+    "c3-at-0": ([(0, b"\xc3")], decode_error(0xc3, 0), decode_error(0xc3, 0)),
+    "c3-at-8191": ([(8191, b"\xc3")], decode_error(0xc3, 8191), decode_error(0xc3, 8191)),
+    "c3-at-8192": ([(8192, b"\xc3")], decode_error(0xc3, 0), decode_error(0xc3, 0)),
+    "c3-at-8193": ([(8193, b"\xc3")], decode_error(0xc3, 1), decode_error(0xc3, 1)),
+    "c3-at-16384": ([(16384, b"\xc3")], decode_error(0xc3, 0), decode_error(0xc3, 0)),
+    # a token carried from block 1 into block 2 does not move the position
+    "c3-after-carried-token": ([(8186, b"123456789"), (8300, b"\xc3")],
+                               decode_error(0xc3, 108), decode_error(0xc3, 108)),
+    # \x1c separates tokens in text, as a space does
+    "1c-in-token": ([(9000, b"12\x1c34")], None, None),
+    "a0-in-token": ([(9000, b"12\xa034")], decode_error(0xa0, 810), decode_error(0xa0, 810)),
+    "x-token": ([(9000, b"x")], BAD_TOKEN, BAD_TOKEN),
+    "big-then-c3": ([(100, b"5000 "), (17000, b"\xc3")], TOO_BIG, decode_error(0xc3, 616)),
+    "c3-then-big": ([(100, b"\xc3"), (17000, b"5000 ")], decode_error(0xc3, 100),
+                    decode_error(0xc3, 100)),
+    "big-then-x": ([(100, b"5000 "), (17000, b"x")], TOO_BIG, BAD_TOKEN),
+    "x-then-big": ([(100, b"x"), (17000, b"5000 ")], BAD_TOKEN, BAD_TOKEN),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BYTES))
+def test_cli_error_texts_on_bad_bytes(case, tmp_path, capsys):
+    edits, solve_err, oracle_err = BAD_BYTES[case]
+    data = corpus(*edits)
+    path = tmp_path / "weights.txt"
+    path.write_bytes(data)
+    solve_argv = ["solve", "--know", "m", "--m", "1000", "--p", "3", "--epsilon", "1/10"]
+    for argv, err in ((solve_argv, solve_err), (["oracle", "--p", "3"], oracle_err)):
+        code = main(argv + ["--input", str(path)])
+        captured = capsys.readouterr()
+        if err is not None:
+            assert (code, captured.out, captured.err) == (1, "", err)
+            continue
+        assert (code, captured.err) == (0, "")
+        weights = [int(token) for token in data.decode("ascii").split()]
+        if argv[0] == "solve":
+            expected = solve_known_max(weights, 3, "1/10", 1000).to_json_dict()
+        else:
+            expected = {"optimum": opt_bottleneck_binsearch(weights, 3).optimum,
+                        "method": "binsearch", "n": len(weights), "p": 3}
+        assert captured.out == json.dumps(expected, indent=2) + "\n"
+
+
 LONG = "".join(random.Random(9).choices("0123456789", k=8191))
 
 
@@ -161,8 +244,9 @@ def test_long_tokens_are_read_exactly():
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     # the first long token straddles the end of the first block
     text = "1 " * 10 + LONG + " 9 9 " + "9" * 8191
-    assert list(iter_weights(io.StringIO(text))) == [1] * 10 + [horner(LONG), 9, 9,
-                                                                10**8191 - 1]
+    expected = [1] * 10 + [horner(LONG), 9, 9, 10**8191 - 1]
+    assert list(iter_weights(io.StringIO(text))) == expected
+    assert list(iter_weights(io.BytesIO(text.encode("ascii")))) == expected
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
@@ -175,6 +259,47 @@ def test_cli_solves_a_long_token(tmp_path, capsys):
     assert (code, captured.err) == (0, "")
     expected = solve_unknown_partb([10**8191 - 1, 5], 2).to_json_dict()
     assert json.loads(captured.out, parse_int=horner) == expected
+
+
+def counted_checked_max(monkeypatch) -> list[int]:
+    """Count the calls of `core.checked_max`, wherever it is called from:
+    the list of the lengths of the lists it was given."""
+    calls: list[int] = []
+    checked_max = core.checked_max
+
+    def counted(weights, declared_max=None):
+        calls.append(len(weights))
+        return checked_max(weights, declared_max)
+
+    for module in (core, feasibility):
+        monkeypatch.setattr(module, "checked_max", counted)
+    return calls
+
+
+def test_parser_chunks_skip_the_weight_rule(monkeypatch):
+    weights = random.Random(3).choices(range(1001), k=2 * B + 5) + [1000]
+    text = format_weights(weights)
+    expected = solve_known_max(weights, 4, "1/10", 1000).to_json_dict()
+    calls = counted_checked_max(monkeypatch)
+    for reader in (io.StringIO(text), io.BytesIO(text.encode("ascii"))):
+        result = solve_known_max(WeightChunks(reader), 4, "1/10", 1000)
+        assert result.to_json_dict() == expected
+    assert calls == []
+    # the one chunk over the declared maximum is rescanned by the weight rule
+    with pytest.raises(DeclaredBoundError, match="^element 1001 exceeds declared maximum"):
+        solve_known_max(WeightChunks(io.StringIO(text + " 1001 7")), 4, "1/10", 1000)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [True, -1, 1.5], ids=["bool", "negative", "float"])
+@pytest.mark.parametrize("make", [list, iter], ids=["list", "iterator"])
+def test_library_streams_keep_the_full_check(make, bad):
+    weights = [1, 2] * B + [bad, 3]
+    message = f"^weights must be non-negative integers, got {bad!r}$"
+    with pytest.raises(ValueError, match=message):
+        _drive(make(weights), [], 1000)
+    with pytest.raises(ValueError, match=message):
+        solve_known_max(make(weights), 2, "1/10", 3)
 
 
 HUGE = 10**5000
@@ -241,6 +366,24 @@ def test_cli_reads_a_declaration_past_the_digit_limit(capsys, monkeypatch):
     assert args.n == HUGE
 
 
+def test_cli_reads_a_block_count_past_the_digit_limit(capsys, monkeypatch):
+    digits = "1" + "0" * 5000
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3\n"))
+    assert main(["solve", "--p", digits, "--mode", "partb"]) == 0
+    expected = solve_unknown_partb([1, 2, 3], HUGE).to_json_dict()
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+    # part mode keeps p + 1 separators, so there the count is refused
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3\n"))
+    assert main(["solve", "--p", digits]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"streampart: block count {digits} is too large to index its separators\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3\n"))
+    assert main(["oracle", "--p", digits]) == 0
+    assert json.loads(capsys.readouterr().out, parse_int=parse_int) == {
+        "optimum": 3, "method": "binsearch", "n": 3, "p": HUGE}
+
+
 def test_cli_refuses_a_long_declaration_that_is_no_int(capsys):
     with pytest.raises(SystemExit) as exited:
         main(["solve", "--p", "2", "--know", "s", "--s", "1" * 5000 + "x", "--epsilon", "1/2"])
@@ -305,17 +448,18 @@ class SpyWalker:
 def test_parser_holds_no_tokens_while_a_chunk_is_walked():
     # four-digit tokens, so a block's token strings weigh more than its ints
     text = " ".join(map(str, random.Random(7).choices(range(1000, 10000), k=3 * B)))
-    token_bytes = size_of(text[:READ_BLOCK].split())
-    spy = SpyWalker()
-    stream = WeightChunks(io.StringIO(text))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        _drive(stream, [spy])
-    finally:
-        tracemalloc.stop()
-    assert len(spy.seen) > 1
-    for traced, prefix_bytes in spy.seen:
-        # alive: the chunk and its prefix sums, about the same size each,
-        # and a block of text; a held token list adds token_bytes
-        assert traced - before < 2 * prefix_bytes + token_bytes // 2
+    for source in (text, text.encode("ascii")):
+        token_bytes = size_of(source[:READ_BLOCK].split())
+        spy = SpyWalker()
+        stream = WeightChunks(io.StringIO(source) if source is text else io.BytesIO(source))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _drive(stream, [spy])
+        finally:
+            tracemalloc.stop()
+        assert len(spy.seen) > 1
+        for traced, prefix_bytes in spy.seen:
+            # alive: the chunk and its prefix sums, about the same size each,
+            # and a block of text; a held token list adds token_bytes
+            assert traced - before < 2 * prefix_bytes + token_bytes // 2
