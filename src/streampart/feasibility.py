@@ -19,10 +19,14 @@ elements at a time, checks each chunk with `core.checked_max`, the one
 ingress rule (a chunk of the text parser, which can hold only non-negative
 ints, only against the declared maximum), and builds each chunk's prefix
 sums once for its live walkers.
-A walker need not be one instance: the grid solvers race their probes as
-one walker (`schedulers._ProbeGrid`), which uses the monotony to walk only
-a few of the probes that die in a chunk. The oracle asks the same walk for a
-whole list: one chunk, from a fresh `ProbeInstance`. The module also holds
+A walker need not be one instance: the grid solvers race their probes and
+escalators as one walker (`schedulers._Race`). It buffers the prefix sums of
+up to `B` elements and walks them a buffer at a time; its probe grid
+(`schedulers._ProbeGrid`) uses the monotony to walk only a few of the probes
+that die in a buffer. The last buffer is walked after the pass, only as far
+as the answer reads: the lowest surviving floor, found by the grid's
+search, and the escalators only if no floor survived. The oracle asks the
+same walk for a whole list: one chunk, from a fresh `ProbeInstance`. The module also holds
 `checked_args` (block count, mode, epsilon), which every entry point shares.
 """
 

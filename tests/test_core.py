@@ -124,10 +124,15 @@ def test_space_peak_words_counts_driver_and_instance_words(tag, mode):
         expected = (DRIVER_WORDS[tag] + res.probe_instances * (4 + extra)
                     + res.probe_ext_instances * (5 + extra))
     assert res.space_peak_words == expected
-    # the chunk buffer is reported apart: B weights and B + 1 prefix sums,
-    # or only the B weights for unknown partb, which walks no instance
-    assert res.buffer_words == (B if (tag, mode) == ("unknown-2approx", PARTB_MODE)
-                                else 2 * B + 1)
+    # the buffers are reported apart: the chunk being read, B weights and
+    # B + 1 prefix sums, or only the B weights for unknown partb, which
+    # walks no instance; the grid solvers add the race's buffer of up to B
+    # elements' prefix sums, with each buffered chunk's leading 0 and
+    # largest weight, at most 3B words
+    if tag != "unknown-2approx":
+        assert res.buffer_words == 2 * B + 1 + 3 * B
+    else:
+        assert res.buffer_words == (B if mode == PARTB_MODE else 2 * B + 1)
 
 
 def test_fraction_helpers():

@@ -31,6 +31,7 @@ from streampart import (
     validate_partitioning,
 )
 from streampart import feasibility, schedulers
+from streampart.core import WeightChunks
 from streampart.feasibility import B, _drive
 from streampart.schedulers import (
     EPSILON_GUARANTEE_LIMIT,
@@ -183,32 +184,55 @@ race_streams = st.one_of(
 )
 
 
+def parsed_chunks(weights: list[int], size: int) -> WeightChunks:
+    """`weights` as a `WeightChunks` whose lists hold `size` weights each,
+    as the parser's chunks do, so that one race buffer holds several."""
+    stream = WeightChunks.__new__(WeightChunks)
+    stream.chunks = iter([weights[k:k + size] for k in range(0, len(weights), size)])
+    return stream
+
+
 @settings(max_examples=250, deadline=None, database=None, derandomize=True)
 @given(weights=race_streams, num_blocks=st.sampled_from((2, 3, 8, 64)),
        tag=st.sampled_from(GRID_TAGS), mode=st.sampled_from((PART_MODE, PARTB_MODE)),
        epsilon=st.sampled_from((Fraction(1, 100), Fraction(1, 65), Fraction(1, 10),
                                 Fraction(1, 2), Fraction(3))),
-       size=st.sampled_from((1, 3, 4096)))
+       size=st.sampled_from((1, 3, 7, 4096)), parsed=st.sampled_from((None, 2)))
 # every probe dies and an escalator answers, in both modes and with the two
 # escalators of eps = 3 (ratio 5/2); a one-element stream at perfbench's
 # known-m shape, whose winner no element reached
 @example(weights=[3] * 60, num_blocks=2, tag=KNOWN_MAX_TAG, mode=PART_MODE,
-         epsilon=Fraction(1, 2), size=1)
+         epsilon=Fraction(1, 2), size=1, parsed=None)
 @example(weights=[2] * 45, num_blocks=2, tag=KNOWN_MAX_TAG, mode=PARTB_MODE,
-         epsilon=Fraction(1, 2), size=3)
+         epsilon=Fraction(1, 2), size=3, parsed=None)
 @example(weights=[3] * 60, num_blocks=2, tag=KNOWN_MAX_TAG, mode=PART_MODE,
-         epsilon=Fraction(3), size=3)
+         epsilon=Fraction(3), size=3, parsed=None)
 @example(weights=[1000], num_blocks=64, tag=KNOWN_MAX_TAG, mode=PART_MODE,
-         epsilon=Fraction(1, 100), size=4096)
+         epsilon=Fraction(1, 100), size=4096, parsed=None)
+# buffers of 7: every floor dies in the last of 6 buffers (elements 36-42),
+# so the escalators first matter there; and in the 6th of 9, so the last
+# three walk only the escalators; also with two parsed chunks per buffer
+@example(weights=[1] * 40, num_blocks=2, tag=KNOWN_MAX_TAG, mode=PART_MODE,
+         epsilon=Fraction(1, 2), size=7, parsed=None)
+@example(weights=[1] * 60, num_blocks=2, tag=KNOWN_MAX_TAG, mode=PART_MODE,
+         epsilon=Fraction(1, 2), size=7, parsed=None)
+@example(weights=[1] * 40, num_blocks=2, tag=KNOWN_MAX_TAG, mode=PARTB_MODE,
+         epsilon=Fraction(1, 2), size=7, parsed=2)
+@example(weights=[1] * 60, num_blocks=2, tag=KNOWN_MAX_TAG, mode=PART_MODE,
+         epsilon=Fraction(1, 2), size=7, parsed=2)
 def test_probe_grid_matches_the_race_that_walks_every_probe(weights, num_blocks, tag, mode,
-                                                            epsilon, size):
+                                                            epsilon, size, parsed):
     profile = KnowledgeProfile(max_weight=max(weights, default=0), length=len(weights),
                                total_weight=sum(weights))
+
+    def stream():
+        return iter(weights) if parsed is None else parsed_chunks(weights, parsed)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(feasibility, "B", size)
-        result = solve_tagged(tag, iter(weights), num_blocks, epsilon, profile, mode=mode)
+        result = solve_tagged(tag, stream(), num_blocks, epsilon, profile, mode=mode)
         patch.setattr(schedulers, "_race", reference_race)
-        expected = solve_tagged(tag, iter(weights), num_blocks, epsilon, profile, mode=mode)
+        expected = solve_tagged(tag, stream(), num_blocks, epsilon, profile, mode=mode)
     assert result.to_json_dict() == expected.to_json_dict()
     assert result.probe_instances == expected.probe_instances
     assert result.probe_ext_instances == expected.probe_ext_instances
@@ -230,23 +254,25 @@ def test_probe_grid_live_floors_are_upward_closed(weights, num_blocks, floors, m
         for probe in probes:
             if probe.failure is None:
                 probe.walk(prefix, max(chunk))
-        alive = grid.walk(prefix, max(chunk))
+        # the last walk keeps only the lowest survivor's probe
+        final = hi == len(weights)
+        grid.walk_all([(prefix, max(chunk))], final)
         # every probe walked on its own: the live ones are the floors from lo on
         assert [probe.failure is None for probe in probes] == [
             k >= grid.lo for k in range(len(floors))]
-        assert alive == (grid.lo < len(floors))
         total = sum(weights[:hi])
         assert grid.touched == bisect_left(floors, total)
         # a kept probe is where the probe walked on its own is; a floor the
         # total has not passed holds every element in its first block
-        assert len(grid.probes) == grid.touched - grid.lo
+        touched = grid.touched - grid.lo
+        assert len(grid.probes) == (min(touched, 1) if final else touched)
         for kept, probe in zip(grid.probes, probes[grid.lo:]):
             assert (kept.block_ordinal, kept.block_weight, kept.next_index, kept.separators) == (
                 probe.block_ordinal, probe.block_weight, probe.next_index, probe.separators)
         for probe in probes[grid.touched:]:
             assert (probe.block_ordinal, probe.block_weight, probe.separators) == (
                 1, total, [] if store else None)
-        if not alive:
+        if not grid.alive:
             break
 
 

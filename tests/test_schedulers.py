@@ -155,8 +155,10 @@ def test_known_max_escalators_skip_the_public_checks(monkeypatch):
 
 @pytest.mark.parametrize("size", [256, B])
 def test_probe_grid_walks_few_dying_probes_per_chunk(size, monkeypatch):
-    # per chunk: every touched survivor once, and the binary search's dying
-    # middles, at most ceil(log2(1065)) + 1 of them
+    # per buffer but the last: every touched survivor once, and the binary
+    # search's dying middles, at most ceil(log2(1065)) + 1 of them; the last
+    # buffer walks only the search's middles, and no escalator when a floor
+    # survives
     walks = []
     walk = _Walker.walk
 
@@ -164,24 +166,38 @@ def test_probe_grid_walks_few_dying_probes_per_chunk(size, monkeypatch):
         walks.append(self)
         return walk(self, prefix, top)
 
-    per_chunk = []
-    grid_walk = _ProbeGrid.walk
+    escalator_walks = []
 
-    def counted_grid_walk(self, prefix, top):
+    def counted_escalator_walk(self, prefix, top):
+        escalator_walks.append(len(per_buffer))
+        return walk(self, prefix, top)
+
+    per_buffer = []
+    grid_walk = _ProbeGrid.walk_all
+
+    def counted_grid_walk(self, chunks, final=False):
         walks.clear()
-        alive = grid_walk(self, prefix, top)
-        per_chunk.append((len(walks), self.touched - self.lo))
-        return alive
+        grid_walk(self, chunks, final)
+        per_buffer.append((len(walks), self.touched - self.lo, final))
 
     monkeypatch.setattr(ProbeInstance, "walk", counted_walk)
-    monkeypatch.setattr(_ProbeGrid, "walk", counted_grid_walk)
+    monkeypatch.setattr(probe_ext.ProbeExtInstance, "walk", counted_escalator_walk)
+    monkeypatch.setattr(_ProbeGrid, "walk_all", counted_grid_walk)
     monkeypatch.setattr(feasibility, "B", size)
     weights = grid_shaped_stream()
-    solve_known_max(iter(weights), *GRID_SHAPE, max(weights))
-    assert len(per_chunk) == -(-len(weights) // size)
+    res = solve_known_max(iter(weights), *GRID_SHAPE, max(weights))
+    assert res.merges is None  # a floor survived
+    buffers = -(-len(weights) // size)
+    assert len(per_buffer) == buffers
     spare = math.ceil(math.log2(1065)) + 1
-    for walked, survivors in per_chunk:
+    *flushed, (last_walked, _, final) = per_buffer
+    for walked, survivors, flushed_final in flushed:
+        assert not flushed_final
         assert survivors <= walked <= survivors + spare
+    assert final and last_walked <= spare
+    # each escalator walked each flushed buffer's one chunk after the grid
+    # did, and nothing of the last buffer
+    assert escalator_walks == [k for k in range(1, buffers) for _ in range(140)]
 
 
 def test_known_max_warning_flag():
