@@ -45,12 +45,15 @@ def as_fraction(value) -> Fraction:
     """Coerce int, str ("1/2", "0.25"), or Fraction to an exact Fraction.
 
     Anything else raises `ValueError`: a float is already a rounded binary
-    value, and a bool would silently count as 0 or 1.
+    value, a bool would silently count as 0 or 1, and "1/0" is no number.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)) and not isinstance(value, bool):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
     raise ValueError(
         f'exact values are given as an int, a string such as "1/10" or a Fraction; '
         f"got {value!r}"

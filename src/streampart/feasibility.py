@@ -20,13 +20,12 @@ ingress rule (a chunk of the text parser, which can hold only non-negative
 ints, only against the declared maximum), and builds each chunk's prefix
 sums once for its live walkers.
 A walker need not be one instance: the grid solvers race their probes and
-escalators as one walker (`schedulers._Race`). It buffers the prefix sums of
-up to `B` elements and walks them a buffer at a time; its probe grid
-(`schedulers._ProbeGrid`) uses the monotony to walk only a few of the probes
-that die in a buffer. The last buffer is walked after the pass, only as far
-as the answer reads: the lowest surviving floor, found by the grid's
-search, and the escalators only if no floor survived. The oracle asks the
-same walk for a whole list: one chunk, from a fresh `ProbeInstance`. The module also holds
+escalators as one walker (`schedulers._Race`), which walks each chunk when
+the next one comes and uses the monotony to walk only a few of the probes
+that die in it. The last chunk is walked after the pass, only as far as the
+answer reads: the lowest surviving floor, found by a binary search, and the
+escalators only if no floor survived. The oracle asks the same walk for a
+whole list: one chunk, from a fresh `ProbeInstance`. The module also holds
 `checked_args` (block count, mode, epsilon), which every entry point shares.
 """
 
@@ -188,7 +187,8 @@ class _Walker:
         when none are stored."""
         fed = self.next_index - 1
         if length is not None and length != fed:
-            raise ValueError(f"stream length mismatch: fed {fed} elements, caller says {length}")
+            raise ValueError(f"stream length mismatch: fed {fed} elements, "
+                             f"caller says {int_text(length)}")
         if self.separators is None:
             return None
         return pad_separators(self.separators, self.num_blocks, fed)
@@ -297,7 +297,7 @@ def _drive(
     by `checked_max`, so the first bad element raises, as it would one
     element at a time. A walker is anything whose `walk(prefix, top)`,
     given a chunk's prefix sums and largest weight, returns whether it is
-    still alive: a `_Walker`, the grid solvers' probe grid or the
+    still alive: a `_Walker`, the grid solvers' race or the
     unknown-knowledge solver. Every walker given is live; one that returns
     False is not walked again. Prefix sums are built only while a walker is
     live.

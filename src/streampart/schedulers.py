@@ -24,7 +24,6 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence
 
-from . import feasibility
 from .core import KnowledgeMismatchError, as_fraction, ceil_fraction, check_count, int_text
 from .feasibility import (
     BUFFER_WORDS,
@@ -54,10 +53,9 @@ UNKNOWN_VALUE_DRIVER_WORDS = 3
 # sum (5 words), then p - 1 interior block starts (block 1 starts at 1) and p
 # block weights: 5 + (p - 1) + p = 4 + 2p
 UNKNOWN_PART_DRIVER_WORDS = 4
-# the race's buffer (`_Race`) holds the prefix sums of up to B elements and,
-# per buffered chunk (at most B of them), its leading 0 and its largest
-# weight: at most 3B words, beside the chunk being read
-RACE_BUFFER_WORDS = BUFFER_WORDS + 3 * B
+# the race (`_Race`) holds the chunk it has not walked yet, beside the chunk
+# being read: its B + 1 prefix sums and its largest weight
+RACE_BUFFER_WORDS = BUFFER_WORDS + B + 2
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,7 @@ class SolveResult:
     # words of the pass's buffers, constant in the stream length: the chunk
     # being read, B weights plus B + 1 prefix sums while a walker is live
     # (every mode but unknown partb), and for the grid solvers the race's
-    # buffered prefix lists (RACE_BUFFER_WORDS); not serialized
+    # held chunk (RACE_BUFFER_WORDS); not serialized
     buffer_words: int = 0
 
     @property
@@ -122,7 +120,7 @@ def _exact_powers(ratio, target) -> list[tuple[int, int]]:
     smallest with ratio**c >= target; all in integers, exactly."""
     ratio = as_fraction(ratio)
     if ratio <= 1:
-        raise ValueError(f"growth ratio must exceed 1, got {ratio}")
+        raise ValueError(f"growth ratio must exceed 1, got {int_text(ratio)}")
     target = as_fraction(target)
     num, den = 1, 1
     powers = [(num, den)]
@@ -155,35 +153,62 @@ def _check_declarations(declared: KnowledgeProfile, length: int, total: int, big
         )
 
 
-class _ProbeGrid:
-    """The race's probes as one walker over their distinct floors, ascending.
-    Success is monotone in the floor, so the live floors are always
-    `floors[lo:]`. A floor at or above the running total (from `touched` on)
-    holds every element in its first block: it has no object until a chunk
-    passes it, and then its probe starts from the total carried into the
-    walk. Per walk, a binary search over `[lo, touched)` walks middle probes
-    to find the lowest survivor; the floors below it are dropped and, unless
-    the walk is the last, the survivors it did not walk are walked.
+class _Race:
+    """The race's probes and escalators as one `_drive` walker, one chunk
+    behind the stream: it holds the prefix sums and largest weight of the
+    chunk `_drive` last handed it, and walks that chunk when the next one
+    comes, or in `close` once the stream has ended.
+
+    The probes race over their distinct floors, ascending. Success is
+    monotone in the floor, so the live floors are always `floors[lo:]`. A
+    floor at or above the running total (from `touched` on) holds every
+    element in its first block: it has no object until a chunk passes it,
+    and then its probe starts from the total carried into the walk. Per
+    chunk, a binary search over `[lo, touched)` walks middle probes to find
+    the lowest survivor, and the floors below it are dropped. A chunk that
+    is not the last then walks the survivors the search did not walk and
+    every escalator. The answer reads only the lowest surviving floor or,
+    when every floor has died, the smallest escalator, and once the stream
+    has ended nothing can kill that floor or make an escalator matter while
+    it lives. So the last chunk runs only the search, which walks the lowest
+    survivor, and walks the escalators only if no floor survived it.
     """
 
-    def __init__(self, floors: list[int], num_blocks: int, store_separators: bool) -> None:
+    def __init__(self, floors: list[int], num_blocks: int, store_separators: bool,
+                 escalators: list[ProbeExtInstance]) -> None:
         self.floors = floors
         self.num_blocks = num_blocks
         self.store = store_separators
+        self.escalators = escalators
         self.lo = 0
         self.touched = 0
         # the probes of floors[lo:touched], None for one not walked yet; after
-        # the final walk, only the lowest survivor's
+        # the last chunk, only the lowest survivor's
         self.probes: list[ProbeInstance | None] = []
         self.total = 0
         self.next_index = 1
+        # the prefix sums and largest weight of the chunk not walked yet
+        self.held: tuple[Sequence[int], int] | None = None
 
     @property
     def alive(self) -> bool:
         return self.lo < len(self.floors)
 
+    def walk(self, prefix: Sequence[int], top: int) -> bool:
+        """Walk the held chunk, which is not the last, and hold this one;
+        the race never fails, so return True."""
+        if self.held is not None:
+            self._advance(*self.held, final=False)
+        self.held = prefix, top
+        return True
+
+    def close(self) -> None:
+        """Walk the held chunk once the stream has ended."""
+        if self.held is not None:
+            self._advance(*self.held, final=True)
+
     def _probe(self, floor: int) -> ProbeInstance:
-        """The probe of a floor the total first passes in this walk."""
+        """The probe of a floor the total first passes in this chunk."""
         probe = ProbeInstance.__new__(ProbeInstance)
         # the race checked the block count once; the floors are non-negative ints
         _Walker.__init__(probe, floor, self.num_blocks, self.store)
@@ -191,93 +216,39 @@ class _ProbeGrid:
         probe.next_index = self.next_index
         return probe
 
-    def walk_all(self, chunks: Sequence[tuple[Sequence[int], int]], final: bool = False) -> None:
-        """Advance the live probes over the next chunks, each given as its
-        prefix sums and largest weight. After the `final` walk only the
-        lowest survivor is read, so the survivors above it are not walked
-        and only its probe is kept."""
-        floors = self.floors
-        lo = self.lo
-        gained = sum(prefix[-1] for prefix, _ in chunks)
-        touched = bisect_left(floors, self.total + gained, self.touched)
-        probes = self.probes + [None] * (touched - self.touched)
-        walked = set()
-        low, high = 0, len(probes)
-        while low < high:
-            mid = (low + high) // 2
-            probe = probes[mid] = probes[mid] or self._probe(floors[lo + mid])
-            if _walk_chunks(probe, chunks):
-                walked.add(mid)
-                high = mid
-            else:
-                low = mid + 1
-        if final:
-            # the search walked the lowest survivor, unless it is untouched
-            del probes[low + 1:]
-        for k in range(low, len(probes)):
-            if k not in walked:
-                # above a survivor, so it survives too
-                probes[k] = probes[k] or self._probe(floors[lo + k])
-                _walk_chunks(probes[k], chunks)
-        self.probes = probes[low:]
-        self.lo = lo + low
-        self.touched = touched
-        self.total += gained
-        self.next_index += sum(len(prefix) - 1 for prefix, _ in chunks)
-
-
-def _walk_chunks(walker: _Walker, chunks: Sequence[tuple[Sequence[int], int]]) -> bool:
-    """Walk one walker over chunks in order while it lives; return whether
-    it is still alive."""
-    for prefix, top in chunks:
-        if not walker.walk(prefix, top):
-            return False
-    return True
-
-
-class _Race:
-    """The probe grid and the escalators as one `_drive` walker, behind a
-    buffer of the prefix sums of up to `feasibility.B` elements, each chunk's
-    list kept as `_drive` built it. A chunk that would overflow the buffer
-    first walks the buffered chunks as they came. The last buffer is walked
-    by `close`, after the pass, knowing that it is the last. The answer
-    reads only the lowest surviving floor or, when every floor has died,
-    the smallest escalator, and once the stream has ended nothing can kill
-    that floor or make an escalator matter while it lives. So the grid runs
-    only its search, which walks the lowest survivor, and the escalators
-    are walked only if no floor survived it.
-    """
-
-    def __init__(self, grid: _ProbeGrid, escalators: list[ProbeExtInstance]) -> None:
-        self.grid = grid
-        self.escalators = escalators
-        # read at call time, so that a patched B drives several flushes
-        self.capacity = feasibility.B
-        self.chunks: list[tuple[Sequence[int], int]] = []
-        self.buffered = 0
-
-    def walk(self, prefix: Sequence[int], top: int) -> bool:
-        """Buffer the next chunk; the race never fails, so return True."""
-        size = len(prefix) - 1
-        if self.buffered + size > self.capacity:
-            self._flush(final=False)
-        self.chunks.append((prefix, top))
-        self.buffered += size
-        return True
-
-    def close(self) -> None:
-        """Walk the last buffer once the stream has ended."""
-        self._flush(final=True)
-
-    def _flush(self, final: bool) -> None:
-        chunks, self.chunks, self.buffered = self.chunks, [], 0
-        grid = self.grid
-        if grid.alive:
-            grid.walk_all(chunks, final)
-            if final and grid.alive:
+    def _advance(self, prefix: Sequence[int], top: int, final: bool) -> None:
+        if self.alive:
+            floors = self.floors
+            lo = self.lo
+            touched = bisect_left(floors, self.total + prefix[-1], self.touched)
+            probes = self.probes + [None] * (touched - self.touched)
+            walked = set()
+            low, high = 0, len(probes)
+            while low < high:
+                mid = (low + high) // 2
+                probe = probes[mid] = probes[mid] or self._probe(floors[lo + mid])
+                if probe.walk(prefix, top):
+                    walked.add(mid)
+                    high = mid
+                else:
+                    low = mid + 1
+            if final:
+                # the search walked the lowest survivor, unless it is untouched
+                del probes[low + 1:]
+            for k in range(low, len(probes)):
+                if k not in walked:
+                    # above a survivor, so it survives too
+                    probes[k] = probes[k] or self._probe(floors[lo + k])
+                    probes[k].walk(prefix, top)
+            self.probes = probes[low:]
+            self.lo = lo + low
+            self.touched = touched
+            self.total += prefix[-1]
+            self.next_index += len(prefix) - 1
+            if final and self.alive:
                 return
         for escalator in self.escalators:
-            _walk_chunks(escalator, chunks)
+            escalator.walk(prefix, top)
 
 
 def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, tag: str,
@@ -292,28 +263,27 @@ def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, 
     escalator bases are m * escalation**j for j = 0..c, the smallest c with
     escalation**c >= 2, and m the declared maximum, in integers. A
     probe needs only its bound's floor, computed in integers, and equal
-    floors behave alike, so the probes race as one `_ProbeGrid` over the
-    distinct floors. The exact bound is built only for the winner: the
-    smallest exact bound among the grid points at the lowest surviving
-    floor. If every probe failed, the escalator with the smallest threshold
-    is the fallback. The grid and the escalators are one `_Race`, which
-    walks them a buffer of up to B elements at a time, and the last buffer
-    only as far as that answer reads. Space is one word for the element
-    counter and one per declared value, plus the words of every grid point
-    and escalator, whether or not the grid built or walked its probe.
+    floors behave alike, so the probes race over the distinct floors. The
+    exact bound is built only for the winner: the smallest exact bound among
+    the grid points at the lowest surviving floor. If every probe failed,
+    the escalator with the smallest threshold is the fallback. The probes
+    and the escalators are one `_Race`, which walks them one chunk at a
+    time, and the last chunk only as far as that answer reads. Space is one
+    word for the element counter and one per declared value, plus the words
+    of every grid point and escalator, whether or not the race built or
+    walked its probe.
     """
     store = mode == PART_MODE
     powers = _exact_powers(1 + epsilon, target)
     num, den = base.numerator, base.denominator
     floors = [(num << i) * up // (den * down) for i in range(doublings) for up, down in powers]
-    grid = _ProbeGrid(sorted(set(floors)), num_blocks, store)
     # p, eps and m were checked where they entered: no escalator checks them again
     m = declared.max_weight
     escalators = [
         ProbeExtInstance.__new__(ProbeExtInstance)._start(m, m * up, down, num_blocks, store)
         for up, down in (_exact_powers(escalation, 2) if escalation else ())
     ]
-    race = _Race(grid, escalators)
+    race = _Race(sorted(set(floors)), num_blocks, store, escalators)
     length, total, biggest = _drive(stream, [race], declared_max=declared.max_weight)
     _check_declarations(declared, length, total, biggest)
     race.close()
@@ -323,11 +293,11 @@ def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, 
         up, down = powers[j]
         return Fraction((num << i) * up, den * down)
 
-    if grid.alive:
-        least = grid.floors[grid.lo]
+    if race.alive:
+        least = race.floors[race.lo]
         bottleneck = min(exact_bound(k) for k, floor in enumerate(floors) if floor == least)
-        if grid.probes:
-            separators = grid.probes[0].finish(length).separators
+        if race.probes:
+            separators = race.probes[0].finish(length).separators
         else:  # the total never passed the winner: it opened no block
             separators = pad_separators([], num_blocks, length) if store else None
         merges = None
@@ -640,8 +610,9 @@ def dispatch(
 
     A declared total wins; otherwise a declared maximum selects the
     doubling-and-ratio solver even when the length is also declared, since
-    its working state is smaller. The max-and-length solver is only reached
-    by calling it directly. With no declarations the 2-approximation runs,
+    its working state does not grow with the length (it is not always the
+    smaller). The max-and-length solver is only reached by calling it
+    directly. With no declarations the 2-approximation runs,
     picking the separator or value-only variant from `mode`.
     """
     if profile.total_weight is not None:

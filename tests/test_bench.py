@@ -133,13 +133,15 @@ def test_run_bench_bad_epsilon_is_a_row_error():
         [
             {"generator": generator, "algorithm": "known-S", "epsilon": "abc"},
             {"generator": generator, "algorithm": "known-S", "epsilon": 0.1},
+            {"generator": generator, "algorithm": "known-S", "epsilon": "1/0"},
             {"generator": generator, "algorithm": "known-S", "epsilon": "1/10"},
         ]
     )
     assert "Invalid literal for Fraction" in records[0].error
     assert records[0].result is None and records[0].epsilon is None
     assert "1/10" in records[1].error and records[1].result is None
-    assert records[2].error is None and str(records[2].epsilon) == "1/10"
+    assert records[2].error == "'1/0' has a zero denominator" and records[2].result is None
+    assert records[3].error is None and str(records[3].epsilon) == "1/10"
 
 
 def test_run_bench_malformed_rows_are_row_errors():

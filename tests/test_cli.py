@@ -75,6 +75,14 @@ def test_solve_knowledge_mismatch(capsys, monkeypatch):
     assert "streampart:" in err
 
 
+def test_solve_zero_denominator_epsilon(capsys, monkeypatch):
+    code, out, err = run_cli(
+        ["solve", "--p", "2", "--know", "m", "--m", "3", "--epsilon", "1/0"],
+        capsys, "1 2 3\n", monkeypatch,
+    )
+    assert (code, out, err) == (1, "", "streampart: '1/0' has a zero denominator\n")
+
+
 def test_solve_missing_input_file(capsys):
     code, _, err = run_cli(
         ["solve", "--p", "2", "--input", "/nonexistent/weights.txt"], capsys

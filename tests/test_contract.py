@@ -18,6 +18,7 @@ from streampart import (
     dispatch,
     gen_index_hard,
     gen_yz_hard,
+    growth_steps,
     opt_bottleneck_binsearch,
     opt_bottleneck_dp,
     probe_ext_run,
@@ -117,6 +118,13 @@ def test_float_bound_slack_and_max_rejected(name, bad):
         EXACT_VALUE_TAKERS[name](bad)
 
 
+@pytest.mark.parametrize("name", EXACT_VALUE_TAKERS)
+def test_zero_denominator_rejected(name):
+    # Fraction("1/0") raises ZeroDivisionError, which no caller expects
+    with pytest.raises(ValueError, match="^'1/0' has a zero denominator$"):
+        EXACT_VALUE_TAKERS[name]("1/0")
+
+
 @pytest.mark.parametrize("bad", [2.0, True])
 @pytest.mark.parametrize(
     "declare",
@@ -182,6 +190,13 @@ def test_first_bad_element_raises_within_a_chunk(head):
         probe_run(head + [2, 1.5, -1], 10, 2)
 
 
+def probe_fed_one():
+    """A probe that has taken one element."""
+    probe = ProbeInstance(5, 2)
+    probe.feed(1)
+    return probe
+
+
 # a value past CPython's 4300-digit limit for int <-> str conversion
 BIG = 10**5000
 DIGITS = "1" + "0" * 5000
@@ -236,6 +251,10 @@ LONG_VALUE_MESSAGES = {
                                    f"merges must be a non-negative int, got -{DIGITS}"),
     "approx_factor_bound slack": (lambda: approx_factor_bound(3, -1), ValueError,
                                   "slack must be non-negative, got -1"),
+    "ProbeInstance.finish": (lambda: probe_fed_one().finish(BIG), ValueError,
+                             f"stream length mismatch: fed 1 elements, caller says {DIGITS}"),
+    "growth_steps": (lambda: growth_steps(Fraction(BIG, BIG + 1), 5), ValueError,
+                     f"growth ratio must exceed 1, got {DIGITS}/1{'0' * 4999}1"),
 }
 
 

@@ -126,11 +126,10 @@ def test_space_peak_words_counts_driver_and_instance_words(tag, mode):
     assert res.space_peak_words == expected
     # the buffers are reported apart: the chunk being read, B weights and
     # B + 1 prefix sums, or only the B weights for unknown partb, which
-    # walks no instance; the grid solvers add the race's buffer of up to B
-    # elements' prefix sums, with each buffered chunk's leading 0 and
-    # largest weight, at most 3B words
+    # walks no instance; the grid solvers add the chunk the race holds, its
+    # B + 1 prefix sums and its largest weight
     if tag != "unknown-2approx":
-        assert res.buffer_words == 2 * B + 1 + 3 * B
+        assert res.buffer_words == 3 * B + 3
     else:
         assert res.buffer_words == (B if mode == PARTB_MODE else 2 * B + 1)
 

@@ -39,7 +39,7 @@ from streampart.schedulers import (
     SOLVERS,
     UNKNOWN_TAG,
     UnknownPartSolver,
-    _ProbeGrid,
+    _Race,
     solve_tagged,
     solve_unknown_part,
     solve_unknown_partb,
@@ -186,7 +186,7 @@ race_streams = st.one_of(
 
 def parsed_chunks(weights: list[int], size: int) -> WeightChunks:
     """`weights` as a `WeightChunks` whose lists hold `size` weights each,
-    as the parser's chunks do, so that one race buffer holds several."""
+    as the parser's chunks do, which `_drive` hands the race as they are."""
     stream = WeightChunks.__new__(WeightChunks)
     stream.chunks = iter([weights[k:k + size] for k in range(0, len(weights), size)])
     return stream
@@ -209,9 +209,9 @@ def parsed_chunks(weights: list[int], size: int) -> WeightChunks:
          epsilon=Fraction(3), size=3, parsed=None)
 @example(weights=[1000], num_blocks=64, tag=KNOWN_MAX_TAG, mode=PART_MODE,
          epsilon=Fraction(1, 100), size=4096, parsed=None)
-# buffers of 7: every floor dies in the last of 6 buffers (elements 36-42),
+# chunks of 7: every floor dies in the last of 6 chunks (elements 36-40),
 # so the escalators first matter there; and in the 6th of 9, so the last
-# three walk only the escalators; also with two parsed chunks per buffer
+# three walk only the escalators; also as parsed chunks of 2
 @example(weights=[1] * 40, num_blocks=2, tag=KNOWN_MAX_TAG, mode=PART_MODE,
          epsilon=Fraction(1, 2), size=7, parsed=None)
 @example(weights=[1] * 60, num_blocks=2, tag=KNOWN_MAX_TAG, mode=PART_MODE,
@@ -245,35 +245,41 @@ def test_probe_grid_matches_the_race_that_walks_every_probe(weights, num_blocks,
        chunking=st.sampled_from(("1", "2", "3", "7", "whole")))
 def test_probe_grid_live_floors_are_upward_closed(weights, num_blocks, floors, mode, chunking):
     store = mode == PART_MODE
-    grid = _ProbeGrid(floors, num_blocks, store)
+    race = _Race(floors, num_blocks, store, [])
     probes = [ProbeInstance(floor, num_blocks, store_separators=store) for floor in floors]
     edges = [0, *chunk_edges(chunking, len(weights), []), len(weights)]
+
+    def walked_through(hi, final):
+        # every probe walked on its own: the live ones are the floors from lo on
+        assert [probe.failure is None for probe in probes] == [
+            k >= race.lo for k in range(len(floors))]
+        total = sum(weights[:hi])
+        assert race.touched == bisect_left(floors, total)
+        # a kept probe is where the probe walked on its own is; a floor the
+        # total has not passed holds every element in its first block; the
+        # last walk keeps only the lowest survivor's probe
+        touched = race.touched - race.lo
+        assert len(race.probes) == (min(touched, 1) if final else touched)
+        for kept, probe in zip(race.probes, probes[race.lo:]):
+            assert (kept.block_ordinal, kept.block_weight, kept.next_index, kept.separators) == (
+                probe.block_ordinal, probe.block_weight, probe.next_index, probe.separators)
+        for probe in probes[race.touched:]:
+            assert (probe.block_ordinal, probe.block_weight, probe.separators) == (
+                1, total, [] if store else None)
+
     for lo, hi in pairwise(edges):
         chunk = weights[lo:hi]
         prefix = list(accumulate(chunk, initial=0))
+        # the race walks the chunk it held, the one before this
+        assert race.walk(prefix, max(chunk))
+        walked_through(lo, final=False)
+        if not race.alive:
+            return
         for probe in probes:
             if probe.failure is None:
                 probe.walk(prefix, max(chunk))
-        # the last walk keeps only the lowest survivor's probe
-        final = hi == len(weights)
-        grid.walk_all([(prefix, max(chunk))], final)
-        # every probe walked on its own: the live ones are the floors from lo on
-        assert [probe.failure is None for probe in probes] == [
-            k >= grid.lo for k in range(len(floors))]
-        total = sum(weights[:hi])
-        assert grid.touched == bisect_left(floors, total)
-        # a kept probe is where the probe walked on its own is; a floor the
-        # total has not passed holds every element in its first block
-        touched = grid.touched - grid.lo
-        assert len(grid.probes) == (min(touched, 1) if final else touched)
-        for kept, probe in zip(grid.probes, probes[grid.lo:]):
-            assert (kept.block_ordinal, kept.block_weight, kept.next_index, kept.separators) == (
-                probe.block_ordinal, probe.block_weight, probe.next_index, probe.separators)
-        for probe in probes[grid.touched:]:
-            assert (probe.block_ordinal, probe.block_weight, probe.separators) == (
-                1, total, [] if store else None)
-        if not grid.alive:
-            break
+    race.close()
+    walked_through(len(weights), final=True)
 
 
 # a probe that dies in the first of three chunks: by an element above its

@@ -21,7 +21,7 @@ from streampart import (
 )
 from streampart import feasibility, probe_ext
 from streampart.feasibility import B, ProbeInstance, _Walker
-from streampart.schedulers import UnknownPartSolver, _ProbeGrid
+from streampart.schedulers import UnknownPartSolver, _Race
 from helpers import CountingStream, random_stream
 
 
@@ -155,10 +155,10 @@ def test_known_max_escalators_skip_the_public_checks(monkeypatch):
 
 @pytest.mark.parametrize("size", [256, B])
 def test_probe_grid_walks_few_dying_probes_per_chunk(size, monkeypatch):
-    # per buffer but the last: every touched survivor once, and the binary
-    # search's dying middles, at most ceil(log2(1065)) + 1 of them; the last
-    # buffer walks only the search's middles, and no escalator when a floor
-    # survives
+    # per held chunk but the last: every touched survivor once, and the
+    # binary search's dying middles, at most ceil(log2(1065)) + 1 of them;
+    # the last chunk walks only the search's middles, and no escalator when
+    # a floor survives
     walks = []
     walk = _Walker.walk
 
@@ -169,35 +169,34 @@ def test_probe_grid_walks_few_dying_probes_per_chunk(size, monkeypatch):
     escalator_walks = []
 
     def counted_escalator_walk(self, prefix, top):
-        escalator_walks.append(len(per_buffer))
+        escalator_walks.append(len(per_chunk))
         return walk(self, prefix, top)
 
-    per_buffer = []
-    grid_walk = _ProbeGrid.walk_all
+    per_chunk = []
+    advance = _Race._advance
 
-    def counted_grid_walk(self, chunks, final=False):
+    def counted_advance(self, prefix, top, final):
         walks.clear()
-        grid_walk(self, chunks, final)
-        per_buffer.append((len(walks), self.touched - self.lo, final))
+        advance(self, prefix, top, final)
+        per_chunk.append((len(walks), self.touched - self.lo, final))
 
     monkeypatch.setattr(ProbeInstance, "walk", counted_walk)
     monkeypatch.setattr(probe_ext.ProbeExtInstance, "walk", counted_escalator_walk)
-    monkeypatch.setattr(_ProbeGrid, "walk_all", counted_grid_walk)
+    monkeypatch.setattr(_Race, "_advance", counted_advance)
     monkeypatch.setattr(feasibility, "B", size)
     weights = grid_shaped_stream()
     res = solve_known_max(iter(weights), *GRID_SHAPE, max(weights))
     assert res.merges is None  # a floor survived
-    buffers = -(-len(weights) // size)
-    assert len(per_buffer) == buffers
+    chunks = -(-len(weights) // size)
+    assert len(per_chunk) == chunks
     spare = math.ceil(math.log2(1065)) + 1
-    *flushed, (last_walked, _, final) = per_buffer
-    for walked, survivors, flushed_final in flushed:
-        assert not flushed_final
+    *walked_early, (last_walked, _, final) = per_chunk
+    for walked, survivors, early_final in walked_early:
+        assert not early_final
         assert survivors <= walked <= survivors + spare
     assert final and last_walked <= spare
-    # each escalator walked each flushed buffer's one chunk after the grid
-    # did, and nothing of the last buffer
-    assert escalator_walks == [k for k in range(1, buffers) for _ in range(140)]
+    # each escalator walked each chunk but the last
+    assert escalator_walks == [k for k in range(chunks - 1) for _ in range(140)]
 
 
 def test_known_max_warning_flag():
