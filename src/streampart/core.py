@@ -18,7 +18,7 @@ from __future__ import annotations
 import io
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from itertools import chain
 from operator import countOf
@@ -42,7 +42,8 @@ class InfeasibleBoundError(ValueError):
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce int, str ("1/2", "0.25"), or Fraction to an exact Fraction.
+    """Coerce int, str ("1/2", "0.25", of any length), or Fraction to an
+    exact Fraction.
 
     Anything else raises `ValueError`: a float is already a rounded binary
     value, a bool would silently count as 0 or 1, and "1/0" is no number.
@@ -51,13 +52,39 @@ def as_fraction(value) -> Fraction:
         return value
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
-            return Fraction(value)
+            try:
+                return Fraction(value)
+            except ValueError:
+                # Fraction(str) reads its digits with int(str), under CPython's
+                # digit limit: a literal past it is read here, anything else
+                # keeps Fraction's message
+                if isinstance(value, str) and (long := _long_fraction(value)) is not None:
+                    return long
+                raise
         except ZeroDivisionError:
             raise ValueError(f"{value!r} has a zero denominator") from None
     raise ValueError(
         f'exact values are given as an int, a string such as "1/10" or a Fraction; '
         f"got {value!r}"
     )
+
+
+def _long_fraction(text: str) -> Fraction | None:
+    """The value of a literal that `Fraction(str)` reads, "a/b" or a
+    decimal, also past CPython's digit limit for `int(str)`: its two parts
+    read with `parse_int`, a decimal with `decimal`. None for any text that
+    `Fraction(str)` refuses whatever its length."""
+    numerator, slash, denominator = text.partition("/")
+    try:
+        if slash:
+            # no space around the slash, no sign on the denominator
+            if numerator != numerator.rstrip() or not denominator[:1].isdigit():
+                return None
+            return Fraction(parse_int(numerator), parse_int(denominator))
+        number = Decimal(text)
+    except (ValueError, InvalidOperation):
+        return None
+    return Fraction(number) if number.is_finite() else None
 
 
 def check_count(name: str, value) -> None:

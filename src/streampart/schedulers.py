@@ -18,11 +18,14 @@ reported as an error instead of an unsound result.
 
 from __future__ import annotations
 
+import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
-from typing import Iterable, Sequence
+from itertools import accumulate, islice, repeat
+from operator import add, mul
+from typing import Iterable, Iterator, Sequence
 
 from .core import KnowledgeMismatchError, as_fraction, ceil_fraction, check_count, int_text
 from .feasibility import (
@@ -115,25 +118,52 @@ class SolveResult:
         }
 
 
-def _exact_powers(ratio, target) -> list[tuple[int, int]]:
-    """(num**j, den**j) for j = 0..c, where ratio = num/den and c is the
-    smallest with ratio**c >= target; all in integers, exactly."""
+def _log(num: int, den: int) -> float:
+    """log(num / den) for num > den > 0, as a float; near 1 from `log1p`,
+    so that a ratio close to 1 does not round to log(1.0) = 0."""
+    if num < 2 * den:
+        return math.log1p((num - den) / den)
+    return math.log(num) - math.log(den)
+
+
+def growth_steps(ratio: Fraction, target) -> int:
+    """Smallest non-negative c with ratio**c >= target, computed exactly: a
+    float estimate from logarithms, corrected with integer powers. A count
+    that could not index a list raises `ValueError`."""
     ratio = as_fraction(ratio)
     if ratio <= 1:
         raise ValueError(f"growth ratio must exceed 1, got {int_text(ratio)}")
     target = as_fraction(target)
-    num, den = 1, 1
-    powers = [(num, den)]
-    while num * target.denominator < target.numerator * den:
-        num *= ratio.numerator
-        den *= ratio.denominator
-        powers.append((num, den))
-    return powers
+    a, b = ratio.numerator, ratio.denominator
+    t, u = target.numerator, target.denominator
+    if t <= u:
+        return 0
+    step = _log(a, b)
+    try:
+        # where log(ratio) underflows, near 1 log(1 + x) / log(1 + y) is x / y
+        estimate = (_log(t, u) / step if step >= sys.float_info.min
+                    else (t - u) * b / ((a - b) * u))
+    except OverflowError:
+        estimate = math.inf
+    if not estimate < sys.maxsize:
+        raise ValueError(
+            f"growth ratio {int_text(ratio)} needs too many steps to reach {int_text(target)}"
+        )
+    # ratio**c >= target as a**c * u >= t * b**c
+    c = max(math.ceil(estimate), 1)
+    while a**c * u < t * b**c:
+        c += 1
+    while c > 1 and a ** (c - 1) * u >= t * b ** (c - 1):
+        c -= 1
+    return c
 
 
-def growth_steps(ratio: Fraction, target) -> int:
-    """Smallest non-negative c with ratio**c >= target, computed exactly."""
-    return len(_exact_powers(ratio, target)) - 1
+def _exact_powers(ratio: Fraction, target) -> Iterator[tuple[int, int]]:
+    """(num**j, den**j) for j = 0..growth_steps(ratio, target), where
+    ratio = num/den: exact, one multiplication per step, and no list."""
+    powers = zip(accumulate(repeat(ratio.numerator), mul, initial=1),
+                 accumulate(repeat(ratio.denominator), mul, initial=1))
+    return islice(powers, growth_steps(ratio, target) + 1)
 
 
 def _check_declarations(declared: KnowledgeProfile, length: int, total: int, biggest: int) -> None:
@@ -172,14 +202,24 @@ class _Race:
     has ended nothing can kill that floor or make an escalator matter while
     it lives. So the last chunk runs only the search, which walks the lowest
     survivor, and walks the escalators only if no floor survived it.
+
+    Given the ratio `escalation`, the escalators start from the integer
+    bases `max_weight * escalation**j` for j = 0..growth_steps(escalation,
+    2). They are built the first time a chunk walks them: chunk 1 when it
+    is not the last, or when no floor survives it, and otherwise never. So
+    they still start at element 1, and a stream of one chunk whose floor
+    survives builds none.
     """
 
     def __init__(self, floors: list[int], num_blocks: int, store_separators: bool,
-                 escalators: list[ProbeExtInstance]) -> None:
+                 max_weight: int | None = None, escalation: Fraction | None = None) -> None:
         self.floors = floors
         self.num_blocks = num_blocks
         self.store = store_separators
-        self.escalators = escalators
+        self.max_weight = max_weight
+        self.escalation = escalation
+        # None until a chunk first walks them
+        self.escalators: list[ProbeExtInstance] | None = None
         self.lo = 0
         self.touched = 0
         # the probes of floors[lo:touched], None for one not walked yet; after
@@ -216,6 +256,18 @@ class _Race:
         probe.next_index = self.next_index
         return probe
 
+    def _walked_escalators(self) -> list[ProbeExtInstance]:
+        """The escalators, built on the first call, before their first walk."""
+        if self.escalators is None:
+            m = self.max_weight
+            # p, eps and m were checked where they entered: no escalator checks them again
+            self.escalators = [
+                ProbeExtInstance.__new__(ProbeExtInstance)._start(m, m * up, down,
+                                                                  self.num_blocks, self.store)
+                for up, down in (_exact_powers(self.escalation, 2) if self.escalation else ())
+            ]
+        return self.escalators
+
     def _advance(self, prefix: Sequence[int], top: int, final: bool) -> None:
         if self.alive:
             floors = self.floors
@@ -247,7 +299,7 @@ class _Race:
             self.next_index += len(prefix) - 1
             if final and self.alive:
                 return
-        for escalator in self.escalators:
+        for escalator in self._walked_escalators():
             escalator.walk(prefix, top)
 
 
@@ -259,69 +311,76 @@ def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, 
     escalator per power of it over the stream, in one pass.
 
     The grid bounds are base * 2**i * (1+eps)**j for i < doublings and
-    j = 0..c, the smallest c with (1+eps)**c >= target, in that order. The
+    j = 0..c, the smallest c with (1+eps)**c >= target. The
     escalator bases are m * escalation**j for j = 0..c, the smallest c with
     escalation**c >= 2, and m the declared maximum, in integers. A
-    probe needs only its bound's floor, computed in integers, and equal
-    floors behave alike, so the probes race over the distinct floors. The
-    exact bound is built only for the winner: the smallest exact bound among
-    the grid points at the lowest surviving floor. If every probe failed,
-    the escalator with the smallest threshold is the fallback. The probes
-    and the escalators are one `_Race`, which walks them one chunk at a
-    time, and the last chunk only as far as that answer reads. Space is one
-    word for the element counter and one per declared value, plus the words
-    of every grid point and escalator, whether or not the race built or
-    walked its probe.
+    probe needs only its bound's floor, and equal floors behave alike, so
+    the probes race over the distinct floors. Each power of 1 + eps costs
+    one division, the floor of its bound at the top doubling level; a lower
+    level's floor is that one shifted right, which is exact. The exact bound
+    is built only for the winner: the smallest exact bound among the grid
+    points at the lowest surviving floor, found by one bisection per level,
+    since a level's floors and bounds both rise with j. If every probe
+    failed, the escalator with the smallest threshold is the fallback. The
+    probes and the escalators are one `_Race`, which walks them one chunk at
+    a time, the last chunk only as far as that answer reads, and builds the
+    escalators only if it walks them. Space is one word for the element
+    counter and one per declared value, plus the words of every grid point
+    and escalator, whether or not the race built or walked it.
     """
     store = mode == PART_MODE
-    powers = _exact_powers(1 + epsilon, target)
     num, den = base.numerator, base.denominator
-    floors = [(num << i) * up // (den * down) for i in range(doublings) for up, down in powers]
-    # p, eps and m were checked where they entered: no escalator checks them again
-    m = declared.max_weight
-    escalators = [
-        ProbeExtInstance.__new__(ProbeExtInstance)._start(m, m * up, down, num_blocks, store)
-        for up, down in (_exact_powers(escalation, 2) if escalation else ())
-    ]
-    race = _Race(sorted(set(floors)), num_blocks, store, escalators)
+    ratio = 1 + epsilon
+    shift = doublings - 1
+    # the floors of the top level, floor(2**shift * x) for each x = base *
+    # ratio**j; level i's floor is that one >> (shift - i), since
+    # floor(floor(2**shift * x) / 2**(shift - i)) = floor(2**i * x)
+    tops = [(num * up << shift) // (den * down) for up, down in _exact_powers(ratio, target)]
+    # the distinct floors, level by level from the lowest, come nearly sorted
+    floors = sorted(dict.fromkeys([top >> k for k in range(shift, -1, -1) for top in tops]))
+    race = _Race(floors, num_blocks, store, declared.max_weight, escalation)
     length, total, biggest = _drive(stream, [race], declared_max=declared.max_weight)
     _check_declarations(declared, length, total, biggest)
     race.close()
 
-    def exact_bound(k: int) -> Fraction:
-        i, j = divmod(k, len(powers))
-        up, down = powers[j]
-        return Fraction((num << i) * up, den * down)
-
     if race.alive:
         least = race.floors[race.lo]
-        bottleneck = min(exact_bound(k) for k, floor in enumerate(floors) if floor == least)
+        # level i's first j whose floor reaches the winner holds the level's
+        # smallest bound at that floor, if its floor equals it
+        bottleneck = min(
+            Fraction((num << i) * ratio.numerator**j, den * ratio.denominator**j)
+            for i in range(doublings)
+            for j in (bisect_left(tops, least << (shift - i)),)
+            if j < len(tops) and tops[j] >> (shift - i) == least
+        )
         if race.probes:
             separators = race.probes[0].finish(length).separators
         else:  # the total never passed the winner: it opened no block
             separators = pad_separators([], num_blocks, length) if store else None
         merges = None
-    elif escalators:
-        ext = min(escalators, key=lambda inst: inst.bottleneck).finish(length)
+    elif race.escalators:
+        ext = min(race.escalators, key=lambda inst: inst.bottleneck).finish(length)
         bottleneck, separators, merges = ext.bottleneck, ext.separators, ext.merges
     else:
         raise RuntimeError("no candidate bound was feasible despite verified declarations")
+    probes = doublings * len(tops)
+    escalators = growth_steps(escalation, 2) + 1 if escalation else 0
     words = 1 + sum(value is not None for value in vars(declared).values())
-    words += len(floors) * ProbeInstance.words_for(num_blocks, store)
-    words += sum(inst.words for inst in escalators)
+    words += probes * ProbeInstance.words_for(num_blocks, store)
+    words += escalators * ProbeExtInstance.words_for(num_blocks, store)
     return SolveResult(
         mode=mode,
         algorithm=tag,
         bottleneck=bottleneck,
         separators=separators,
         merges=merges,
-        instance_count=len(floors) + len(escalators),
+        instance_count=probes + escalators,
         space_peak_words=words,
         elements_read=length,
         epsilon=epsilon,
         warning_flags=warnings,
-        probe_instances=len(floors),
-        probe_ext_instances=len(escalators),
+        probe_instances=probes,
+        probe_ext_instances=escalators,
         buffer_words=RACE_BUFFER_WORDS,
     )
 

@@ -17,7 +17,7 @@ from streampart import (ProbeExtInstance, ProbeFailure, ProbeInstance, ProbeOutc
                         floor_fraction)
 from streampart.feasibility import BUFFER_WORDS, PART_MODE, _drive
 from streampart.schedulers import (KnowledgeProfile, SolveResult, UnknownPartSolver,
-                                   _check_declarations, _exact_powers)
+                                   _check_declarations)
 
 
 def brute_force_optimum(weights: Sequence[int], num_blocks: int) -> int:
@@ -160,14 +160,18 @@ def reference_race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mo
     """`schedulers._race` as one `ProbeInstance` per grid point, every live
     one walked over every chunk: the reference the frontier-searched probe
     grid is checked against. It takes `_race`'s arguments, so a test can
-    put it in `_race`'s place. Its escalators go through the public, checked
-    constructor with the slacks escalation**j - 1, up to the first power of
-    at least 2, so the race's integer start is checked against that route."""
+    put it in `_race`'s place. Its grid steps through the `Fraction` powers of
+    1 + eps up to the first of at least `target`, and floors each bound on
+    its own. Its escalators go through the public, checked constructor with
+    the slacks escalation**j - 1, up to the first power of at least 2, so
+    the race's integer start is checked against that route."""
     store = mode == PART_MODE
-    powers = _exact_powers(1 + epsilon, target)
-    num, den = base.numerator, base.denominator
-    probes = [ProbeInstance((num << i) * up // (den * down), num_blocks, store_separators=store)
-              for i in range(doublings) for up, down in powers]
+    powers = [Fraction(1)]
+    while powers[-1] < target:
+        powers.append(powers[-1] * (1 + epsilon))
+    bounds = [base * 2**i * power for i in range(doublings) for power in powers]
+    probes = [ProbeInstance(floor_fraction(bound), num_blocks, store_separators=store)
+              for bound in bounds]
     slacks = [] if escalation is None else [Fraction(0)]
     while slacks and slacks[-1] < 1:
         slacks.append(escalation ** len(slacks) - 1)
@@ -178,17 +182,11 @@ def reference_race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mo
     length, total, biggest = _drive(stream, probes + escalators,
                                     declared_max=declared.max_weight)
     _check_declarations(declared, length, total, biggest)
-
-    def exact_bound(k: int) -> Fraction:
-        i, j = divmod(k, len(powers))
-        up, down = powers[j]
-        return Fraction((num << i) * up, den * down)
-
     alive = [k for k, inst in enumerate(probes) if inst.failure is None]
     if alive:
         least = min(probes[k].threshold_floor for k in alive)
-        k = min((k for k in alive if probes[k].threshold_floor == least), key=exact_bound)
-        bottleneck, separators, merges = exact_bound(k), probes[k].finish(length).separators, None
+        k = min((k for k in alive if probes[k].threshold_floor == least), key=bounds.__getitem__)
+        bottleneck, separators, merges = bounds[k], probes[k].finish(length).separators, None
     elif escalators:
         ext = min(escalators, key=lambda inst: inst.bottleneck).finish(length)
         bottleneck, separators, merges = ext.bottleneck, ext.separators, ext.merges

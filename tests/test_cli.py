@@ -83,6 +83,21 @@ def test_solve_zero_denominator_epsilon(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "streampart: '1/0' has a zero denominator\n")
 
 
+def test_solve_epsilon_past_the_digit_limit(capsys, monkeypatch):
+    # the epsilon's parts are read past CPython's 4300-digit limit for int(str)
+    zeros = "0" * 5000
+    argv = ["solve", "--p", "2", "--know", "m", "--m", "3", "--epsilon"]
+    code, out, err = run_cli(argv + [f"1{zeros}/1{zeros}0"], capsys, "1 2 3\n", monkeypatch)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(argv + ["1/10"], capsys, "1 2 3\n", monkeypatch)
+    # 1/10**5000 is read exactly; its grid would need about 7 * 10**4999
+    # powers of 1 + eps to reach 2, and is refused before the pass
+    code, out, err = run_cli(argv + [f"1/1{zeros}"], capsys, "1 2 3\n", monkeypatch)
+    ratio = f"1{'0' * 4999}1/1{zeros}"
+    assert (code, out, err) == (
+        1, "", f"streampart: growth ratio {ratio} needs too many steps to reach 2\n")
+
+
 def test_solve_missing_input_file(capsys):
     code, _, err = run_cli(
         ["solve", "--p", "2", "--input", "/nonexistent/weights.txt"], capsys

@@ -147,6 +147,39 @@ def test_fraction_helpers():
     assert ceil_fraction(Fraction(8)) == 8
 
 
+# CPython reads at most 4300 digits with int(str), and so with Fraction(str)
+LONG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("text, value", [
+    (f"1/{LONG}", Fraction(1, 10**5000)),
+    (f" -{LONG}/3 ", Fraction(-(10**5000), 3)),
+    (f"{LONG}/{LONG}0", Fraction(1, 10)),
+    (f"0.{LONG}", Fraction(int(LONG[:4000]) * 10**1001, 10**5001)),
+    (f"{LONG}e-5000", Fraction(1)),
+    (f"+{LONG}", Fraction(10**5000)),
+], ids=["denominator", "numerator", "both", "decimal", "exponent", "integer"])
+def test_as_fraction_reads_literals_past_the_digit_limit(text, value):
+    assert as_fraction(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    f"1 /{LONG}", f"1/ {LONG}", f"{LONG}/-3", f"1/+{LONG}", f"1/{LONG}x", f"nan{LONG}",
+    f"{LONG}.5.5", f"{LONG} 1",
+])
+def test_as_fraction_keeps_fractions_message_past_the_digit_limit(text):
+    with pytest.raises(ValueError) as raised:
+        as_fraction(text)
+    assert str(raised.value) == f"Invalid literal for Fraction: {text!r}"
+
+
+def test_as_fraction_long_zero_denominator():
+    text = "1/" + "0" * 5001
+    with pytest.raises(ValueError) as raised:
+        as_fraction(text)
+    assert str(raised.value) == f"{text!r} has a zero denominator"
+
+
 def test_parse_and_format_round_trip():
     weights = [0, 13, 5, 999999999999999, 1]
     text = format_weights(weights)

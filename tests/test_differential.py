@@ -245,7 +245,7 @@ def test_probe_grid_matches_the_race_that_walks_every_probe(weights, num_blocks,
        chunking=st.sampled_from(("1", "2", "3", "7", "whole")))
 def test_probe_grid_live_floors_are_upward_closed(weights, num_blocks, floors, mode, chunking):
     store = mode == PART_MODE
-    race = _Race(floors, num_blocks, store, [])
+    race = _Race(floors, num_blocks, store)
     probes = [ProbeInstance(floor, num_blocks, store_separators=store) for floor in floors]
     edges = [0, *chunk_edges(chunking, len(weights), []), len(weights)]
 

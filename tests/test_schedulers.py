@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streampart import (
     DeclaredBoundError,
@@ -19,10 +21,11 @@ from streampart import (
     solve_unknown_part,
     solve_unknown_partb,
 )
-from streampart import feasibility, probe_ext
+from streampart import feasibility, probe_ext, schedulers
+from streampart.core import int_text
 from streampart.feasibility import B, ProbeInstance, _Walker
 from streampart.schedulers import UnknownPartSolver, _Race
-from helpers import CountingStream, random_stream
+from helpers import CountingStream, random_stream, reference_race
 
 
 def test_growth_steps_exact():
@@ -35,6 +38,84 @@ def test_growth_steps_exact():
     assert growth_steps(Fraction(129, 128), 2) == 90
     with pytest.raises(ValueError):
         growth_steps(1, 5)
+
+
+def stepped_growth(ratio: Fraction, target: Fraction) -> int:
+    """The smallest c with ratio**c >= target, one step at a time, with the
+    power kept as an unreduced numerator and denominator."""
+    steps, num, den = 0, 1, 1
+    while num * target.denominator < target.numerator * den:
+        num *= ratio.numerator
+        den *= ratio.denominator
+        steps += 1
+    return steps
+
+
+# a numerator and denominator past CPython's 4300-digit limit for int(str)
+LONG = 10**5000
+
+
+@st.composite
+def growth_cases(draw):
+    """A ratio > 1 and a target at most ratio**k, for a k kept small enough
+    to step to: targets <= 1, ratio powers exactly, targets just above the
+    power below (k - 1) and targets between the two, each also with ratios
+    of more than 4300 digits."""
+    long = draw(st.booleans())
+    if draw(st.booleans()):  # from 1 + 1/10**4 to 2
+        excess = Fraction(draw(st.integers(1, 10**4)), 10**4)
+        steps = st.integers(0, 8 if long else 400)
+    else:  # from 2 to 10**6
+        excess = Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6))) + 1
+        steps = st.integers(0, 4 if long else 60)
+    if long:
+        excess += Fraction(draw(st.integers(1, 10**6)), LONG + draw(st.integers(1, 10**6)))
+    ratio = 1 + excess
+    kind = draw(st.sampled_from(("at most 1", "power", "just above", "between")))
+    if kind == "at most 1":
+        return ratio, draw(st.fractions(max_value=1, max_denominator=10**6)) - (
+            Fraction(1, LONG) if long else 0)
+    k = draw(steps)
+    power, below = ratio**k, ratio ** (k - 1)
+    if kind == "power":
+        return ratio, power
+    if kind == "just above":
+        return ratio, below + Fraction(1, LONG if long else 10**30)
+    # from ratio**(k-1) up to ratio**k
+    share = draw(st.fractions(min_value=0, max_value=1, max_denominator=10**9))
+    return ratio, power - (power - below) * share
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(case=growth_cases())
+def test_growth_steps_matches_stepping(case):
+    ratio, target = case
+    assert growth_steps(ratio, target) == stepped_growth(ratio, target)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(ratio=st.one_of(st.fractions(max_value=1, max_denominator=10**9),
+                       st.integers(-10, 1).map(Fraction),
+                       st.integers(0, 10**6).map(lambda k: Fraction(LONG + k, LONG + k + 1))),
+       target=st.fractions(max_denominator=10**6))
+def test_growth_steps_refuses_ratios_at_most_one(ratio, target):
+    with pytest.raises(ValueError) as raised:
+        growth_steps(ratio, target)
+    assert str(raised.value) == f"growth ratio must exceed 1, got {int_text(ratio)}"
+
+
+def test_growth_steps_near_one():
+    # log(ratio) underflows a float; the count still comes out exact
+    ratio = 1 + Fraction(1, LONG)
+    assert growth_steps(ratio, 1) == 0
+    assert growth_steps(ratio, ratio) == 1
+    assert growth_steps(ratio, ratio**3) == 3
+    assert growth_steps(ratio, ratio**3 + Fraction(1, LONG**4)) == 4
+    # about 7 * 10**4999 steps to reach 2: no list could index them
+    with pytest.raises(ValueError) as raised:
+        growth_steps(ratio, 2)
+    assert str(raised.value) == (
+        f"growth ratio {int_text(ratio)} needs too many steps to reach 2")
 
 
 def test_known_total_examples():
@@ -118,9 +199,8 @@ def test_known_max_grid_sizes_at_the_perfbench_shape():
     assert (res.probe_instances, res.probe_ext_instances, res.instance_count) == (1065, 140, 1205)
 
 
-def test_one_element_known_max_builds_no_probe(monkeypatch):
-    # every floor is at least the maximum, which is the whole total: no
-    # element reaches a probe, so none is built, and the lowest floor wins
+def counted_walkers(monkeypatch) -> list[str]:
+    """The class name of every walker built from now on, in order."""
     built = []
     init = _Walker.__init__
 
@@ -129,10 +209,65 @@ def test_one_element_known_max_builds_no_probe(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(_Walker, "__init__", counted)
+    return built
+
+
+def test_one_element_known_max_builds_no_walker(monkeypatch):
+    # every floor is at least the maximum, which is the whole total: no
+    # element reaches a probe, so none is built, and the lowest floor wins;
+    # the one chunk is the last and a floor survives it, so no escalator is
+    # walked, and none is built
+    built = counted_walkers(monkeypatch)
     res = solve_known_max(iter([1000]), *GRID_SHAPE, 1000)
-    assert built == ["ProbeExtInstance"] * 140
+    assert built == []
     assert (res.bottleneck, res.separators) == (1000, (1,) + (2,) * 64)
-    assert (res.probe_instances, res.instance_count) == (1065, 1205)
+    assert (res.probe_instances, res.probe_ext_instances, res.instance_count) == (1065, 140, 1205)
+
+
+def test_two_chunk_known_max_builds_the_escalators_once(monkeypatch):
+    # chunk 1 is not the last, so its walk reads the escalators: they are
+    # built there, all 140 at once, each before its first walk, and never
+    # again; the race starts them without the public checks
+    built = counted_walkers(monkeypatch)
+    first_walks = {}
+    walk = probe_ext.ProbeExtInstance.walk
+
+    def watched_walk(self, prefix, top):
+        first_walks.setdefault(id(self), (self.next_index, self.block_weight, self.merges))
+        return walk(self, prefix, top)
+
+    monkeypatch.setattr(probe_ext.ProbeExtInstance, "walk", watched_walk)
+    checks = []
+    monkeypatch.setattr(probe_ext, "checked_base", lambda *args: checks.append(args))
+    monkeypatch.setattr(feasibility, "B", 1000)
+    weights = grid_shaped_stream()
+    res = solve_known_max(iter(weights), *GRID_SHAPE, max(weights))
+    escalators = [k for k, name in enumerate(built) if name == "ProbeExtInstance"]
+    assert len(escalators) == 140
+    # built in one run, in chunk 1's walk
+    assert escalators == list(range(escalators[0], escalators[0] + 140))
+    assert list(first_walks.values()) == [(1, 0, 0)] * 140
+    assert checks == []
+    assert (res.merges, res.probe_ext_instances, res.instance_count) == (None, 140, 1205)
+
+
+@pytest.mark.parametrize("size", [7, 4096], ids=["many-chunks", "one-chunk"])
+@pytest.mark.parametrize("mode", ["part", "partb"])
+def test_known_max_where_every_floor_dies_matches_the_reference(size, mode, monkeypatch):
+    # 4096 unit weights at p = 2 and eps = 1/2 pass every floor of m = 1's
+    # grid, so an escalator answers; as one chunk, the escalators are built
+    # in the last walk, once no floor survived it
+    monkeypatch.setattr(feasibility, "B", size)
+    weights = [1] * 4096
+    built = counted_walkers(monkeypatch)
+    result = solve_known_max(iter(weights), 2, Fraction(1, 2), 1, mode=mode)
+    assert built.count("ProbeExtInstance") == result.probe_ext_instances
+    monkeypatch.setattr(schedulers, "_race", reference_race)
+    expected = solve_known_max(iter(weights), 2, Fraction(1, 2), 1, mode=mode)
+    assert result.to_json_dict() == expected.to_json_dict()
+    assert (result.merges, result.bottleneck) == (11, 2048)
+    assert (result.probe_instances, result.probe_ext_instances) == (
+        expected.probe_instances, expected.probe_ext_instances)
 
 
 def test_known_max_escalators_skip_the_public_checks(monkeypatch):
