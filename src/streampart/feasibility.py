@@ -26,7 +26,9 @@ that die in it. The last chunk is walked after the pass, only as far as the
 answer reads: the lowest surviving floor, found by a binary search, and the
 escalators only if no floor survived. The oracle asks the same walk for a
 whole list: one chunk, from a fresh `ProbeInstance`. The module also holds
-`checked_args` (block count, mode, epsilon), which every entry point shares.
+`checked_args` (block count, mode, epsilon), which every entry point shares,
+and `sandwich`, the interval that holds a stream's optimum, which bounds
+both the race's search and the oracle's.
 """
 
 from __future__ import annotations
@@ -79,6 +81,17 @@ def checked_args(
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {int_text(epsilon)}")
     return epsilon
+
+
+def sandwich(total: int, biggest: int, num_blocks: int) -> tuple[int, int]:
+    """The closed interval ``[max(ceil(S/p), m), floor((S + (p-1)*m) / p)]``
+    that holds the optimum bottleneck of a stream of total S and largest
+    weight m in p = `num_blocks` blocks. A probe below the low end cannot
+    hold S in p blocks, or cannot hold m. A probe at the high end or above
+    succeeds: had it failed at floor f, each of its p full blocks plus the
+    element after it would weigh at least f + 1, so p(f + 1) <= S + (p-1)m."""
+    return (max(-(-total // num_blocks), biggest),
+            (total + (num_blocks - 1) * biggest) // num_blocks)
 
 
 def pad_separators(interior: Sequence[int], num_blocks: int, length: int) -> tuple[int, ...]:

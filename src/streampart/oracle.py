@@ -1,10 +1,10 @@
 """Exact offline optima for in-memory instances, plus bound realization.
 
 The binary-search oracle walks the closed sandwich interval
-``[max(ceil(S/p), m), floor((S + (p-1)*m) / p)]`` whose upper end is always
-feasible, testing each value with the walk of a streaming probe over the
-whole list's prefix sums, one chunk from a fresh state. The quadratic DP is
-an independent cross-check.
+``[max(ceil(S/p), m), floor((S + (p-1)*m) / p)]`` (`feasibility.sandwich`)
+whose upper end is always feasible, testing each value with the walk of a
+streaming probe over the whole list's prefix sums, one chunk from a fresh
+state. The quadratic DP is an independent cross-check.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .core import InfeasibleBoundError, as_fraction, checked_max, int_text
-from .feasibility import PARTB_MODE, ProbeInstance, checked_args, probe_run
+from .feasibility import PARTB_MODE, ProbeInstance, checked_args, probe_run, sandwich
 
 # the quadratic oracle refuses instances of more than this many n^2 * p cells
 DP_MAX_CELLS = 20_000_000
@@ -31,9 +31,7 @@ def opt_bottleneck_binsearch(weights: Sequence[int], num_blocks: int) -> OracleR
     checked_args(num_blocks, PARTB_MODE)  # a value, no separators
     heaviest = checked_max(weights)
     prefix = list(accumulate(weights, initial=0))
-    total = prefix[-1]
-    low = max(-(-total // num_blocks), heaviest)
-    high = (total + (num_blocks - 1) * heaviest) // num_blocks
+    low, high = sandwich(prefix[-1], heaviest, num_blocks)
     while low < high:
         mid = (low + high) // 2
         if ProbeInstance(mid, num_blocks, store_separators=False).walk(prefix, heaviest):

@@ -38,6 +38,7 @@ from .feasibility import (
     _Walker,
     checked_args,
     pad_separators,
+    sandwich,
 )
 from .probe_ext import ProbeExtInstance
 
@@ -189,19 +190,31 @@ class _Race:
     chunk `_drive` last handed it, and walks that chunk when the next one
     comes, or in `close` once the stream has ended.
 
-    The probes race over their distinct floors, ascending. Success is
-    monotone in the floor, so the live floors are always `floors[lo:]`. A
-    floor at or above the running total (from `touched` on) holds every
-    element in its first block: it has no object until a chunk passes it,
-    and then its probe starts from the total carried into the walk. Per
-    chunk, a binary search over `[lo, touched)` walks middle probes to find
-    the lowest survivor, and the floors below it are dropped. A chunk that
-    is not the last then walks the survivors the search did not walk and
+    The grid is a description, not a list: for ratio = up/down, the floor
+    at level i < doublings and step j <= steps is
+    (num * up**j << i) // (den * down**j), rising with i and with j, and
+    the probes race over the distinct floors, ascending. Success is
+    monotone in the floor, and the sandwich of the prefix read
+    (`feasibility.sandwich`) pins the frontier: a floor below its low end
+    has died, and one at or above its high end lives. A floor at or above
+    the running total holds every element in its first block: it has no
+    object until a chunk passes it, and then its probe starts from the
+    total carried into the walk.
+
+    Per chunk, a level jumps past its floors below the low end unbuilt (by
+    the exact count of `growth_steps`) and builds upward from there: up to
+    the running total on a chunk that is not the last, since every touched
+    survivor must be walked, and on the last only up to its first floor at
+    or above the high end. New floors are never below the previous total,
+    so they extend the kept list. A binary search between the first floors
+    at or above the low and the high end walks middle probes to find the
+    lowest survivor, and the floors below it are dropped. A chunk that is
+    not the last then walks the survivors the search did not walk and
     every escalator. The answer reads only the lowest surviving floor or,
     when every floor has died, the smallest escalator, and once the stream
     has ended nothing can kill that floor or make an escalator matter while
-    it lives. So the last chunk runs only the search, which walks the lowest
-    survivor, and walks the escalators only if no floor survived it.
+    it lives. So the last chunk walks only the search and the lowest
+    survivor, and the escalators only if no floor survived it.
 
     Given the ratio `escalation`, the escalators start from the integer
     bases `max_weight * escalation**j` for j = 0..growth_steps(escalation,
@@ -211,28 +224,43 @@ class _Race:
     survives builds none.
     """
 
-    def __init__(self, floors: list[int], num_blocks: int, store_separators: bool,
-                 max_weight: int | None = None, escalation: Fraction | None = None) -> None:
-        self.floors = floors
+    def __init__(self, num: int, den: int, ratio: Fraction, doublings: int, steps: int,
+                 num_blocks: int, store_separators: bool, max_weight: int | None = None,
+                 escalation: Fraction | None = None) -> None:
+        self.num = num
+        self.den = den
+        self.ratio = ratio
+        self.steps = steps
+        self.shift = doublings - 1
+        # the floors of the top level's first and last steps; level i's
+        # floors run from the first >> (shift - i) to the last >> (shift - i)
+        self.first_top = (num << self.shift) // den
+        self.last_top = (num * ratio.numerator**steps << self.shift) // (
+            den * ratio.denominator**steps)
+        # per level, the next step not built yet and its floor, None past the last step
+        self.levels: list[tuple[int, int | None]] = [
+            (0, self.first_top >> (self.shift - level)) for level in range(doublings)]
         self.num_blocks = num_blocks
         self.store = store_separators
         self.max_weight = max_weight
         self.escalation = escalation
         # None until a chunk first walks them
         self.escalators: list[ProbeExtInstance] | None = None
-        self.lo = 0
-        self.touched = 0
-        # the probes of floors[lo:touched], None for one not walked yet; after
-        # the last chunk, only the lowest survivor's
+        # the live floors the total has passed, ascending, and their probes;
+        # after the last chunk, only the lowest surviving floor, and its
+        # probe, None when the total never passed it
+        self.floors: list[int] = []
         self.probes: list[ProbeInstance | None] = []
         self.total = 0
+        self.biggest = 0
         self.next_index = 1
         # the prefix sums and largest weight of the chunk not walked yet
         self.held: tuple[Sequence[int], int] | None = None
 
     @property
     def alive(self) -> bool:
-        return self.lo < len(self.floors)
+        # a floor at or above the total has not failed
+        return bool(self.floors) or self.last_top >= self.total
 
     def walk(self, prefix: Sequence[int], top: int) -> bool:
         """Walk the held chunk, which is not the last, and hold this one;
@@ -243,9 +271,58 @@ class _Race:
         return True
 
     def close(self) -> None:
-        """Walk the held chunk once the stream has ended."""
-        if self.held is not None:
-            self._advance(*self.held, final=True)
+        """Walk the held chunk once the stream has ended; an empty stream's
+        race walks no element, and its lowest floor wins."""
+        self._advance(*(self.held or ([0], 0)), final=True)
+
+    def _floor(self, level: int, step: int) -> int | None:
+        """The floor at `level` and `step`; None past the last step."""
+        if step > self.steps:
+            return None
+        up, down = self.ratio.numerator, self.ratio.denominator
+        return (self.num * up**step << level) // (self.den * down**step)
+
+    def _first_step(self, level: int, floor: int) -> int:
+        """The first step whose floor at `level` is at least `floor`, by the
+        exact count of `growth_steps`; steps + 1 if the level ends below it."""
+        if floor <= self.first_top >> (self.shift - level):
+            return 0
+        if floor > self.last_top >> (self.shift - level):
+            return self.steps + 1
+        return growth_steps(self.ratio, Fraction(floor * self.den, self.num << level))
+
+    def _build(self, low: int, limit: int, final: bool) -> list[int]:
+        """The distinct floors from `low` up to below `limit` not built yet,
+        ascending, and on the last chunk each level's first at or above it."""
+        fresh = set()
+        for level, (step, floor) in enumerate(self.levels):
+            if floor is not None and floor < low:
+                step = self._first_step(level, low)
+                floor = self._floor(level, step)
+            while floor is not None and floor < limit:
+                fresh.add(floor)
+                step += 1
+                floor = self._floor(level, step)
+            if final and floor is not None:
+                fresh.add(floor)
+            self.levels[level] = step, floor
+        return sorted(fresh)
+
+    def winning_bound(self) -> Fraction:
+        """The smallest exact bound among the grid points at the lowest
+        surviving floor: at each level whose floors span it, the first step
+        that reaches it, if its floor equals it, since a level's floors and
+        bounds both rise."""
+        least = self.floors[0]
+        up, down = self.ratio.numerator, self.ratio.denominator
+        return min(
+            Fraction((self.num << level) * up**step, self.den * down**step)
+            for level in range(self.shift + 1)
+            if (self.first_top >> (self.shift - level) <= least
+                    <= self.last_top >> (self.shift - level))
+            for step in (self._first_step(level, least),)
+            if self._floor(level, step) == least
+        )
 
     def _probe(self, floor: int) -> ProbeInstance:
         """The probe of a floor the total first passes in this chunk."""
@@ -270,32 +347,37 @@ class _Race:
 
     def _advance(self, prefix: Sequence[int], top: int, final: bool) -> None:
         if self.alive:
-            floors = self.floors
-            lo = self.lo
-            touched = bisect_left(floors, self.total + prefix[-1], self.touched)
-            probes = self.probes + [None] * (touched - self.touched)
+            total = self.total + prefix[-1]
+            # the running maximum, not the chunk's: a smaller one would put
+            # the high end below the optimum
+            self.biggest = max(self.biggest, top)
+            low, high = sandwich(total, self.biggest, self.num_blocks)
+            # the floors below the low end died in this chunk: dropped unwalked
+            cut = bisect_left(self.floors, low)
+            fresh = self._build(low, high if final else total, final)
+            floors = self.floors[cut:] + fresh
+            probes = self.probes[cut:] + [None] * len(fresh)
             walked = set()
-            low, high = 0, len(probes)
-            while low < high:
-                mid = (low + high) // 2
-                probe = probes[mid] = probes[mid] or self._probe(floors[lo + mid])
+            # the floor at `hi`, the first at or above the high end, lives
+            lo, hi = 0, bisect_left(floors, high)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                probe = probes[mid] = probes[mid] or self._probe(floors[mid])
                 if probe.walk(prefix, top):
                     walked.add(mid)
-                    high = mid
+                    hi = mid
                 else:
-                    low = mid + 1
-            if final:
-                # the search walked the lowest survivor, unless it is untouched
-                del probes[low + 1:]
-            for k in range(low, len(probes)):
-                if k not in walked:
-                    # above a survivor, so it survives too
-                    probes[k] = probes[k] or self._probe(floors[lo + k])
+                    lo = mid + 1
+            # the survivors the answer reads: on the last chunk the lowest only
+            end = min(lo + 1, len(floors)) if final else len(floors)
+            for k in range(lo, end):
+                if k not in walked and floors[k] < total:
+                    # at or above a survivor, so it survives too
+                    probes[k] = probes[k] or self._probe(floors[k])
                     probes[k].walk(prefix, top)
-            self.probes = probes[low:]
-            self.lo = lo + low
-            self.touched = touched
-            self.total += prefix[-1]
+            self.floors = floors[lo:end]
+            self.probes = probes[lo:end]
+            self.total = total
             self.next_index += len(prefix) - 1
             if final and self.alive:
                 return
@@ -315,46 +397,31 @@ def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, 
     escalator bases are m * escalation**j for j = 0..c, the smallest c with
     escalation**c >= 2, and m the declared maximum, in integers. A
     probe needs only its bound's floor, and equal floors behave alike, so
-    the probes race over the distinct floors. Each power of 1 + eps costs
-    one division, the floor of its bound at the top doubling level; a lower
-    level's floor is that one shifted right, which is exact. The exact bound
-    is built only for the winner: the smallest exact bound among the grid
-    points at the lowest surviving floor, found by one bisection per level,
-    since a level's floors and bounds both rise with j. If every probe
-    failed, the escalator with the smallest threshold is the fallback. The
-    probes and the escalators are one `_Race`, which walks them one chunk at
-    a time, the last chunk only as far as that answer reads, and builds the
-    escalators only if it walks them. Space is one word for the element
+    the probes race over the distinct floors. The probes and the
+    escalators are one `_Race`, which builds only the floors that the
+    sandwich of the prefix read leaves open, walks them one chunk at a
+    time, the last chunk only as far as the answer reads, and builds the
+    escalators only if it walks them. The exact bound is built only for
+    the winner: the smallest exact bound among the grid points at the
+    lowest surviving floor. If every probe failed, the escalator with the
+    smallest threshold is the fallback. Space is one word for the element
     counter and one per declared value, plus the words of every grid point
     and escalator, whether or not the race built or walked it.
     """
     store = mode == PART_MODE
-    num, den = base.numerator, base.denominator
     ratio = 1 + epsilon
-    shift = doublings - 1
-    # the floors of the top level, floor(2**shift * x) for each x = base *
-    # ratio**j; level i's floor is that one >> (shift - i), since
-    # floor(floor(2**shift * x) / 2**(shift - i)) = floor(2**i * x)
-    tops = [(num * up << shift) // (den * down) for up, down in _exact_powers(ratio, target)]
-    # the distinct floors, level by level from the lowest, come nearly sorted
-    floors = sorted(dict.fromkeys([top >> k for k in range(shift, -1, -1) for top in tops]))
-    race = _Race(floors, num_blocks, store, declared.max_weight, escalation)
+    steps = growth_steps(ratio, target)
+    race = _Race(base.numerator, base.denominator, ratio, doublings, steps,
+                 num_blocks, store, declared.max_weight, escalation)
     length, total, biggest = _drive(stream, [race], declared_max=declared.max_weight)
     _check_declarations(declared, length, total, biggest)
     race.close()
 
     if race.alive:
-        least = race.floors[race.lo]
-        # level i's first j whose floor reaches the winner holds the level's
-        # smallest bound at that floor, if its floor equals it
-        bottleneck = min(
-            Fraction((num << i) * ratio.numerator**j, den * ratio.denominator**j)
-            for i in range(doublings)
-            for j in (bisect_left(tops, least << (shift - i)),)
-            if j < len(tops) and tops[j] >> (shift - i) == least
-        )
-        if race.probes:
-            separators = race.probes[0].finish(length).separators
+        bottleneck = race.winning_bound()
+        probe = race.probes[0]
+        if probe is not None:
+            separators = probe.finish(length).separators
         else:  # the total never passed the winner: it opened no block
             separators = pad_separators([], num_blocks, length) if store else None
         merges = None
@@ -363,7 +430,7 @@ def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, 
         bottleneck, separators, merges = ext.bottleneck, ext.separators, ext.merges
     else:
         raise RuntimeError("no candidate bound was feasible despite verified declarations")
-    probes = doublings * len(tops)
+    probes = doublings * (steps + 1)
     escalators = growth_steps(escalation, 2) + 1 if escalation else 0
     words = 1 + sum(value is not None for value in vars(declared).values())
     words += probes * ProbeInstance.words_for(num_blocks, store)

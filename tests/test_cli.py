@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import streampart
+from streampart import schedulers
 from streampart.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -96,6 +97,28 @@ def test_solve_epsilon_past_the_digit_limit(capsys, monkeypatch):
     ratio = f"1{'0' * 4999}1/1{zeros}"
     assert (code, out, err) == (
         1, "", f"streampart: growth ratio {ratio} needs too many steps to reach 2\n")
+
+
+def test_solve_huge_declared_length_builds_no_floor(capsys, monkeypatch):
+    # a declared length of 5001 digits sizes a known-mn grid of about 28,000
+    # powers of 3/2; the race builds a floor only for a chunk it walks, and
+    # the one chunk read is walked after the declarations are checked
+    built = []
+    floor = schedulers._Race._floor
+
+    def counted(self, level, step):
+        built.append((level, step))
+        return floor(self, level, step)
+
+    monkeypatch.setattr(schedulers._Race, "_floor", counted)
+    length = "1" + "0" * 5000
+    code, out, err = run_cli(
+        ["solve", "--p", "2", "--know", "mn", "--m", "3", "--n", length, "--epsilon", "1/2"],
+        capsys, "1 2 3\n", monkeypatch,
+    )
+    assert (code, out, err) == (
+        1, "", f"streampart: declared length {length} but read 3 elements\n")
+    assert built == []
 
 
 def test_solve_missing_input_file(capsys):

@@ -8,7 +8,6 @@ guarantee against the exhaustive optimum, and the known-m guarantee on long
 streams where an escalator answers against the binary-search oracle."""
 
 import random
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, pairwise
 
@@ -31,8 +30,8 @@ from streampart import (
     validate_partitioning,
 )
 from streampart import feasibility, schedulers
-from streampart.core import WeightChunks
-from streampart.feasibility import B, _drive
+from streampart.core import WeightChunks, floor_fraction
+from streampart.feasibility import B, _drive, sandwich
 from streampart.schedulers import (
     EPSILON_GUARANTEE_LIMIT,
     KNOWN_MAX_TAG,
@@ -90,6 +89,21 @@ def test_binsearch_oracle_matches_brute_force(weights, num_blocks):
     assert probe_run(weights, optimum, num_blocks).success
     if optimum > 0:
         assert not probe_run(weights, optimum - 1, num_blocks).success
+
+
+@SETTINGS
+@given(weights=st.one_of(weights_strategy, st.lists(st.just(0), max_size=8),
+                         st.lists(st.integers(0, 1000), max_size=30)),
+       num_blocks=st.one_of(blocks_strategy, st.integers(2, 64)))
+def test_sandwich_holds_the_optimum(weights, num_blocks):
+    # streams rich in zeros, all zeros (m = 0) and wider weights; below the
+    # low end a probe fails, and at the high end it succeeds
+    low, high = sandwich(sum(weights), max(weights, default=0), num_blocks)
+    optimum = opt_bottleneck_binsearch(weights, num_blocks).optimum
+    assert low <= optimum <= high
+    assert probe_run(weights, high, num_blocks).success
+    if low > 0:
+        assert not probe_run(weights, low - 1, num_blocks).success
 
 
 # how a test chunks the stream for the walk: a fixed chunk size, or chunk
@@ -240,32 +254,44 @@ def test_probe_grid_matches_the_race_that_walks_every_probe(weights, num_blocks,
 
 @SETTINGS
 @given(weights=race_streams.filter(bool), num_blocks=blocks_strategy,
-       floors=st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True).map(sorted),
+       base=st.builds(Fraction, st.integers(0, 30), st.integers(1, 4)),
+       ratio=st.sampled_from((Fraction(11, 10), Fraction(5, 4), Fraction(3, 2), Fraction(4))),
+       doublings=st.integers(1, 4), steps=st.integers(0, 8),
        mode=st.sampled_from((PART_MODE, PARTB_MODE)),
        chunking=st.sampled_from(("1", "2", "3", "7", "whole")))
-def test_probe_grid_live_floors_are_upward_closed(weights, num_blocks, floors, mode, chunking):
+def test_probe_grid_live_floors_are_upward_closed(weights, num_blocks, base, ratio, doublings,
+                                                  steps, mode, chunking):
     store = mode == PART_MODE
-    race = _Race(floors, num_blocks, store)
+    race = _Race(base.numerator, base.denominator, ratio, doublings, steps, num_blocks, store)
+    floors = sorted({floor_fraction(base * 2**i * ratio**j)
+                     for i in range(doublings) for j in range(steps + 1)})
     probes = [ProbeInstance(floor, num_blocks, store_separators=store) for floor in floors]
     edges = [0, *chunk_edges(chunking, len(weights), []), len(weights)]
 
     def walked_through(hi, final):
-        # every probe walked on its own: the live ones are the floors from lo on
-        assert [probe.failure is None for probe in probes] == [
-            k >= race.lo for k in range(len(floors))]
+        # every probe walked on its own: the live floors are upward closed
+        live = [floor for floor, probe in zip(floors, probes) if probe.failure is None]
+        assert live == floors[len(floors) - len(live):]
+        assert race.alive == bool(live)
         total = sum(weights[:hi])
-        assert race.touched == bisect_left(floors, total)
-        # a kept probe is where the probe walked on its own is; a floor the
-        # total has not passed holds every element in its first block; the
-        # last walk keeps only the lowest survivor's probe
-        touched = race.touched - race.lo
-        assert len(race.probes) == (min(touched, 1) if final else touched)
-        for kept, probe in zip(race.probes, probes[race.lo:]):
-            assert (kept.block_ordinal, kept.block_weight, kept.next_index, kept.separators) == (
+        # the race keeps the live floors the total has passed, each probe
+        # where the probe walked on its own is; the last walk keeps only
+        # the lowest survivor, with no probe if the total never passed it
+        kept = live[:1] if final else [floor for floor in live if floor < total]
+        assert race.floors == kept
+        assert len(race.probes) == len(kept)
+        for floor, mine in zip(kept, race.probes):
+            probe = probes[floors.index(floor)]
+            if floor >= total:
+                assert mine is None
+                continue
+            assert (mine.block_ordinal, mine.block_weight, mine.next_index, mine.separators) == (
                 probe.block_ordinal, probe.block_weight, probe.next_index, probe.separators)
-        for probe in probes[race.touched:]:
-            assert (probe.block_ordinal, probe.block_weight, probe.separators) == (
-                1, total, [] if store else None)
+        # a floor the total has not passed holds every element in its first block
+        for floor, probe in zip(floors, probes):
+            if floor >= total:
+                assert (probe.block_ordinal, probe.block_weight, probe.separators) == (
+                    1, total, [] if store else None)
 
     for lo, hi in pairwise(edges):
         chunk = weights[lo:hi]

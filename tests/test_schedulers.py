@@ -22,8 +22,8 @@ from streampart import (
     solve_unknown_partb,
 )
 from streampart import feasibility, probe_ext, schedulers
-from streampart.core import int_text
-from streampart.feasibility import B, ProbeInstance, _Walker
+from streampart.core import floor_fraction, int_text
+from streampart.feasibility import B, ProbeInstance, _Walker, sandwich
 from streampart.schedulers import UnknownPartSolver, _Race
 from helpers import CountingStream, random_stream, reference_race
 
@@ -313,7 +313,7 @@ def test_probe_grid_walks_few_dying_probes_per_chunk(size, monkeypatch):
     def counted_advance(self, prefix, top, final):
         walks.clear()
         advance(self, prefix, top, final)
-        per_chunk.append((len(walks), self.touched - self.lo, final))
+        per_chunk.append((len(walks), len(self.probes), final))
 
     monkeypatch.setattr(ProbeInstance, "walk", counted_walk)
     monkeypatch.setattr(probe_ext.ProbeExtInstance, "walk", counted_escalator_walk)
@@ -332,6 +332,47 @@ def test_probe_grid_walks_few_dying_probes_per_chunk(size, monkeypatch):
     assert final and last_walked <= spare
     # each escalator walked each chunk but the last
     assert escalator_walks == [k for k in range(chunks - 1) for _ in range(140)]
+
+
+def test_one_chunk_known_max_builds_and_walks_only_the_sandwich(monkeypatch):
+    # one chunk at perfbench's known-m shape: the race builds the grid's
+    # floors from the low end of the stream's sandwich up to below its high
+    # end, and each level's first floor at or above the high end, and its
+    # search walks at most ceil(log2(k + 1)) + 1 of those k floors; a
+    # floor survives, so no escalator is built
+    weights = grid_shaped_stream()
+    m = max(weights)
+    num_blocks, epsilon = GRID_SHAPE
+    low, high = sandwich(sum(weights), m, num_blocks)
+    fresh = []
+    build = _Race._build
+
+    def counted_build(self, *args):
+        fresh.append(build(self, *args))
+        return fresh[-1]
+
+    walks = []
+    walk = ProbeInstance.walk
+
+    def counted_walk(self, prefix, top):
+        walks.append(self)
+        return walk(self, prefix, top)
+
+    monkeypatch.setattr(_Race, "_build", counted_build)
+    monkeypatch.setattr(ProbeInstance, "walk", counted_walk)
+    built = counted_walkers(monkeypatch)
+    res = solve_known_max(iter(weights), num_blocks, epsilon, m)
+    assert res.merges is None
+    # 15 doubling levels of 71 steps: bounds m * 2**i * (1 + eps)**j
+    assert res.probe_instances == 15 * 71
+    levels = [[floor_fraction(m * 2**i * (1 + epsilon)**j) for j in range(71)]
+              for i in range(15)]
+    inside = {floor for level in levels for floor in level if low <= floor < high}
+    past = {min(floor for floor in level if floor >= high)
+            for level in levels if level[-1] >= high}
+    assert fresh == [sorted(inside | past)]
+    assert len(walks) <= math.ceil(math.log2(len(fresh[0]) + 1)) + 1
+    assert "ProbeExtInstance" not in built
 
 
 def test_known_max_warning_flag():
