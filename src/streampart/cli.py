@@ -20,9 +20,9 @@ from typing import IO
 
 from .bench import load_config, run_bench, write_csv
 from .core import WeightChunks, format_weights, int_text, iter_weights, parse_int
-from .feasibility import MODES, PART_MODE
+from .feasibility import MODES, PART_MODE, PARTB_MODE, checked_args
 from .generators import GENERATORS, GeneratorSpec
-from .oracle import opt_bottleneck_binsearch, opt_bottleneck_dp
+from .oracle import _binsearch_optimum, _dp_optimum
 from .schedulers import (
     KNOWN_MAX_LENGTH_TAG,
     KNOWN_MAX_TAG,
@@ -38,8 +38,8 @@ KNOW_TAGS = {"none": UNKNOWN_TAG, "m": KNOWN_MAX_TAG, "mn": KNOWN_MAX_LENGTH_TAG
              "s": KNOWN_TOTAL_TAG}
 # solver argument name (see schedulers.SOLVERS) -> the `solve` flag that supplies it
 ARG_FLAGS = {"epsilon": "epsilon", "max_weight": "m", "length": "n", "total_weight": "s"}
-# --method choice -> the exact oracle it runs
-ORACLES = {"binsearch": opt_bottleneck_binsearch, "dp": opt_bottleneck_dp}
+# --method choice -> the core of the exact oracle it runs (see oracle.py)
+ORACLES = {"binsearch": _binsearch_optimum, "dp": _dp_optimum}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,7 +138,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
         weights = list(iter_weights(_open_input(stack, args.input)))
-    answer = ORACLES[args.method](weights, args.p)
+    # the parser's weights are checked: the oracle's core takes their max
+    checked_args(args.p, PARTB_MODE)
+    answer = ORACLES[args.method](weights, max(weights, default=0), args.p)
     _print_json({"optimum": answer.optimum, "method": answer.method,
                  "n": len(weights), "p": args.p})
     return 0

@@ -341,7 +341,8 @@ def _parse_chunks(reader: IO[str] | IO[bytes]) -> Iterator[list[int]]:
 
 
 class WeightChunks:
-    """A weight stream parsed from text, held as the parser's chunks.
+    """A weight stream held as chunks that are already checked: parsed from
+    text, or cut from a list that has passed `checked_max`.
 
     The reader is a text reader or a binary one, whose bytes are read as
     ASCII text. Iterating it yields the weights one by one, so it is a
@@ -354,6 +355,16 @@ class WeightChunks:
 
     def __init__(self, reader: IO[str] | IO[bytes]) -> None:
         self.chunks = _parse_chunks(reader)
+
+    @classmethod
+    def of_checked(cls, weights: list[int]) -> "WeightChunks":
+        """The stream of `weights`, a list that has already passed
+        `checked_max`, in slices of `B` (the last one shorter), so that
+        `_drive` cuts it where it would cut `iter(weights)` and does not
+        check it again."""
+        stream = cls.__new__(cls)
+        stream.chunks = (weights[start:start + B] for start in range(0, len(weights), B))
+        return stream
 
     def __iter__(self) -> Iterator[int]:
         return chain.from_iterable(self.chunks)

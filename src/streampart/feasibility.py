@@ -16,9 +16,9 @@ chunk reaches, and resumes where it stopped on the next chunk (the
 "chains-on-chains" probe of Han, Narahari & Choi and of Pinar & Aykanat,
 made resumable). `_drive` is the one reader of a stream: it reads `B`
 elements at a time, checks each chunk with `core.checked_max`, the one
-ingress rule (a chunk of the text parser, which can hold only non-negative
-ints, only against the declared maximum), and builds each chunk's prefix
-sums once for its live walkers.
+ingress rule (a chunk of a `core.WeightChunks`, which can hold only
+non-negative ints, only against the declared maximum), and builds each
+chunk's prefix sums once for its live walkers.
 A walker need not be one instance: the grid solvers race their probes and
 escalators as one walker (`schedulers._Race`), which walks each chunk when
 the next one comes and uses the monotony to walk only a few of the probes
@@ -285,10 +285,10 @@ def _chunked(source: Iterator[int]) -> Iterator[list[int]]:
         yield chunk
 
 
-def _parsed_max(chunk: list[int], declared_max: int | None) -> int:
-    """`core.checked_max` of one of the parser's chunks, which are never
-    empty and hold only non-negative ints: their `max`, and the rescan only
-    when it passes `declared_max`."""
+def _trusted_max(chunk: list[int], declared_max: int | None) -> int:
+    """`core.checked_max` of one of a `WeightChunks`' chunks, which are
+    never empty and hold only non-negative ints: their `max`, and the rescan
+    only when it passes `declared_max`."""
     top = max(chunk)
     if declared_max is not None and top > declared_max:
         checked_max(chunk, declared_max)
@@ -302,9 +302,10 @@ def _drive(
     advance every live walker over each chunk's prefix sums, in one pass;
     return (length, total, max).
 
-    A `WeightChunks` stream is read as the parser's lists, and trusted: they
-    are never empty and hold only non-negative ints, so only their `max` is
-    taken and compared with `declared_max`. Any other stream is collected
+    A `WeightChunks` stream is read as its lists, the parser's or those cut
+    from a list that has passed `checked_max`, and trusted: they are never
+    empty and hold only non-negative ints, so only their `max` is taken and
+    compared with `declared_max`. Any other stream is collected
     into lists of `B` by `_chunked`, and each is checked whole by
     `core.checked_max`. Either way a chunk that breaks the rule is rescanned
     by `checked_max`, so the first bad element raises, as it would one
@@ -316,7 +317,7 @@ def _drive(
     live.
     """
     if isinstance(stream, WeightChunks):
-        chunks, check = stream.chunks, _parsed_max
+        chunks, check = stream.chunks, _trusted_max
     else:
         chunks, check = _chunked(iter(stream)), checked_max
     live = list(walkers)

@@ -5,6 +5,12 @@ The binary-search oracle walks the closed sandwich interval
 whose upper end is always feasible, testing each value with the walk of a
 streaming probe over the whole list's prefix sums, one chunk from a fresh
 state. The quadratic DP is an independent cross-check.
+
+Each public oracle checks its block count and its list (`core.checked_max`)
+and hands both, with the list's largest weight, to its private core. A
+caller that has already checked the list, `bench.run_bench` with its
+`StreamStats` and `streampart oracle` with the parser's list, calls the core
+with that largest weight and does not scan the list again.
 """
 
 from __future__ import annotations
@@ -29,7 +35,12 @@ class OracleResult:
 def opt_bottleneck_binsearch(weights: Sequence[int], num_blocks: int) -> OracleResult:
     """Least feasible bottleneck, by binary search inside the sandwich interval."""
     checked_args(num_blocks, PARTB_MODE)  # a value, no separators
-    heaviest = checked_max(weights)
+    return _binsearch_optimum(weights, checked_max(weights), num_blocks)
+
+
+def _binsearch_optimum(weights: Sequence[int], heaviest: int, num_blocks: int) -> OracleResult:
+    """`opt_bottleneck_binsearch` of checked `weights`, whose largest weight
+    is `heaviest`, and a checked block count."""
     prefix = list(accumulate(weights, initial=0))
     low, high = sandwich(prefix[-1], heaviest, num_blocks)
     while low < high:
@@ -46,7 +57,12 @@ def opt_bottleneck_binsearch(weights: Sequence[int], num_blocks: int) -> OracleR
 def opt_bottleneck_dp(weights: Sequence[int], num_blocks: int) -> OracleResult:
     """Least feasible bottleneck, by the classic quadratic prefix recurrence."""
     checked_args(num_blocks, PARTB_MODE)  # a value, no separators
-    checked_max(weights)
+    return _dp_optimum(weights, checked_max(weights), num_blocks)
+
+
+def _dp_optimum(weights: Sequence[int], heaviest: int, num_blocks: int) -> OracleResult:
+    """`opt_bottleneck_dp` of checked `weights` and a checked block count;
+    it takes `heaviest` to share `_binsearch_optimum`'s arguments."""
     n = len(weights)
     if n * n * num_blocks > DP_MAX_CELLS:
         raise ValueError(

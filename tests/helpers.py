@@ -3,8 +3,9 @@ per-element feasibility machines the chunked walk is checked against, the
 race that builds and walks every grid probe, which the frontier-searched
 probe grid is checked against, the full-regroup 2-approximation the
 unknown-knowledge fast path is checked against, the per-element
-unknown-knowledge walk its event-driven walk is checked against, and the
-maximality check of a probe's separators."""
+unknown-knowledge walk its event-driven walk is checked against, the
+maximality check of a probe's separators, and a counter of the weights the
+weight rule scans."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, pairwise
 from typing import Iterable, Iterator, Sequence
 
+from streampart import core, feasibility, oracle
 from streampart import (ProbeExtInstance, ProbeFailure, ProbeInstance, ProbeOutcome, as_fraction,
                         floor_fraction)
 from streampart.feasibility import BUFFER_WORDS, PART_MODE, _drive
@@ -58,6 +60,21 @@ class CountingStream:
         value = next(self._it)
         self.count += 1
         return value
+
+
+def counted_checked_max(monkeypatch) -> list[int]:
+    """Count the calls of `core.checked_max`, wherever it is called from:
+    the list of the lengths of the lists it was given."""
+    calls: list[int] = []
+    checked_max = core.checked_max
+
+    def counted(weights, declared_max=None):
+        calls.append(len(weights))
+        return checked_max(weights, declared_max)
+
+    for module in (core, feasibility, oracle):
+        monkeypatch.setattr(module, "checked_max", counted)
+    return calls
 
 
 def random_stream(rng: random.Random, max_len: int = 100, max_weight: int = 10) -> list[int]:

@@ -33,11 +33,12 @@ from streampart import (
     solve_known_total,
     solve_unknown_partb,
 )
-from streampart import core, feasibility
 from streampart.cli import KNOW_TAGS, build_parser, main
 from streampart.core import READ_BLOCK, WeightChunks, int_text, parse_int
 from streampart.feasibility import B, _drive
 from streampart.schedulers import SOLVERS, solve_tagged
+
+from helpers import counted_checked_max
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 
@@ -259,21 +260,6 @@ def test_cli_solves_a_long_token(tmp_path, capsys):
     assert (code, captured.err) == (0, "")
     expected = solve_unknown_partb([10**8191 - 1, 5], 2).to_json_dict()
     assert json.loads(captured.out, parse_int=horner) == expected
-
-
-def counted_checked_max(monkeypatch) -> list[int]:
-    """Count the calls of `core.checked_max`, wherever it is called from:
-    the list of the lengths of the lists it was given."""
-    calls: list[int] = []
-    checked_max = core.checked_max
-
-    def counted(weights, declared_max=None):
-        calls.append(len(weights))
-        return checked_max(weights, declared_max)
-
-    for module in (core, feasibility):
-        monkeypatch.setattr(module, "checked_max", counted)
-    return calls
 
 
 def test_parser_chunks_skip_the_weight_rule(monkeypatch):
