@@ -10,6 +10,9 @@ import pytest
 import streampart
 from streampart import schedulers
 from streampart.cli import main
+from streampart.oracle import DP_MAX_CELLS
+
+from helpers import counted_checked_max
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -140,6 +143,29 @@ def test_oracle(capsys, monkeypatch):
     )
     assert json.loads(out)["method"] == "dp"
     assert json.loads(out)["optimum"] == 9
+
+
+def test_oracle_takes_the_parsers_list_as_checked(capsys, monkeypatch):
+    calls = counted_checked_max(monkeypatch)
+
+    def oracle(method, p, text):
+        return run_cli(["oracle", "--p", p, "--method", method], capsys, text, monkeypatch)
+
+    for method in ("binsearch", "dp"):
+        assert oracle(method, "3", "4 0 7\n1 9 2 2\n") == (0, "\n".join([
+            "{", '  "optimum": 11,', f'  "method": "{method}",', '  "n": 7,', '  "p": 3', "}",
+            ""]), "")
+        assert oracle(method, "2", "") == (
+            0, f'{{\n  "optimum": 0,\n  "method": "{method}",\n  "n": 0,\n  "p": 2\n}}\n', "")
+        # a bad token is the parser's error, a bad block count the oracle's
+        assert oracle(method, "1", "1 x 2") == (
+            1, "", "streampart: invalid weight token 'x': expected a non-negative integer\n")
+        assert oracle(method, "1", "1 2") == (
+            1, "", "streampart: block count must be at least 2, got 1\n")
+    assert oracle("dp", "64", "1 " * 1000) == (
+        1, "", f"streampart: instance too large for the quadratic oracle "
+               f"(n^2 * p = 64000000 > {DP_MAX_CELLS})\n")
+    assert calls == []
 
 
 def test_json_output_is_what_json_dumps_writes(capsys, monkeypatch):

@@ -3,10 +3,9 @@
 (`WeightChunks.of_checked`) and the oracle the checked maximum. Checked
 here: those chunks against `_drive`'s own chunking, each record against the
 simple path that checks the list again at every stage, the one check still
-refusing a bad list, the count of weights the checks scan, and the CLI
-oracle, which takes the parser's list as checked."""
+refusing a bad list, and the count of weights the checks scan (the CLI
+oracle, which takes the parser's list as checked, is in test_cli.py)."""
 
-import io
 import random
 
 import pytest
@@ -25,10 +24,8 @@ from streampart import (
     run_bench,
 )
 from streampart import bench
-from streampart.cli import main
 from streampart.core import B, WeightChunks
 from streampart.feasibility import _chunked, _drive, _Walker, checked_args
-from streampart.oracle import DP_MAX_CELLS
 from streampart.schedulers import SOLVERS, UnknownPartSolver, solve_tagged
 
 from helpers import counted_checked_max
@@ -146,30 +143,3 @@ def test_run_bench_scans_each_weight_once(monkeypatch):
             assert record.error is None
             assert calls == [length]
             calls.clear()
-
-
-def run_oracle(argv, capsys, monkeypatch, text):
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    code = main(["oracle", *argv])
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def test_cli_oracle_takes_the_parsers_list_as_checked(capsys, monkeypatch):
-    calls = counted_checked_max(monkeypatch)
-    for method in ("binsearch", "dp"):
-        assert run_oracle(["--p", "3", "--method", method], capsys, monkeypatch,
-                          "4 0 7\n1 9 2 2\n") == (0, "\n".join([
-                              "{", '  "optimum": 11,', f'  "method": "{method}",',
-                              '  "n": 7,', '  "p": 3', "}", ""]), "")
-        assert run_oracle(["--p", "2", "--method", method], capsys, monkeypatch, "") == (
-            0, f'{{\n  "optimum": 0,\n  "method": "{method}",\n  "n": 0,\n  "p": 2\n}}\n', "")
-        # a bad token is the parser's error, a bad block count the oracle's
-        assert run_oracle(["--p", "1", "--method", method], capsys, monkeypatch, "1 x 2") == (
-            1, "", "streampart: invalid weight token 'x': expected a non-negative integer\n")
-        assert run_oracle(["--p", "1", "--method", method], capsys, monkeypatch, "1 2") == (
-            1, "", "streampart: block count must be at least 2, got 1\n")
-    assert run_oracle(["--p", "64", "--method", "dp"], capsys, monkeypatch, "1 " * 1000) == (
-        1, "", f"streampart: instance too large for the quadratic oracle "
-               f"(n^2 * p = 64000000 > {DP_MAX_CELLS})\n")
-    assert calls == []
