@@ -7,11 +7,16 @@ optimum, `bench` runs a config of generator/solver rows and writes CSV.
 Streams are whitespace-separated non-negative integers; `solve` and `oracle`
 read them from --input or stdin. `solve` hands the solver the parser's chunks
 (`core.WeightChunks`) and never materializes the file.
+
+`main` reuses one argparse tree per process (`build_parser` is cached), so
+only a process's first call builds it; each subcommand carries its handler
+as the `handler` default.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import ExitStack
@@ -42,7 +47,13 @@ ARG_FLAGS = {"epsilon": "epsilon", "max_weight": "m", "length": "n", "total_weig
 ORACLES = {"binsearch": _binsearch_optimum, "dp": _dp_optimum}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of the four subcommands, built once per process and
+    shared by every later call (and `main`); do not mutate the returned
+    parser. It holds no per-call state: parsing only reads it, its defaults
+    are immutable, and help text is formatted when printed, so it follows
+    `COLUMNS` at that time."""
     parser = argparse.ArgumentParser(
         prog="streampart",
         description="One-pass partitioning of integer weight streams into "
@@ -60,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--bits", type=str, help="bit string for the index kind")
     gen.add_argument("--seed", type=parse_int, default=0)
     gen.add_argument("--out", type=str, help="output path (default stdout)")
+    gen.set_defaults(handler=cmd_gen)
 
     solve = sub.add_parser("solve", help="solve a stream with a one-pass algorithm")
     solve.add_argument("--p", type=parse_int, required=True, help="number of blocks")
@@ -70,15 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--n", type=parse_int, help="declared length")
     solve.add_argument("--s", type=parse_int, help="declared total weight")
     solve.add_argument("--input", type=str, help="input path (default stdin)")
+    solve.set_defaults(handler=cmd_solve)
 
     oracle = sub.add_parser("oracle", help="compute the exact optimum offline")
     oracle.add_argument("--p", type=parse_int, required=True)
     oracle.add_argument("--method", choices=list(ORACLES), default="binsearch")
     oracle.add_argument("--input", type=str, help="input path (default stdin)")
+    oracle.set_defaults(handler=cmd_oracle)
 
     bench = sub.add_parser("bench", help="run a benchmark config, write CSV")
     bench.add_argument("--config", type=str, required=True, help="JSON row list")
     bench.add_argument("--out", type=str, help="CSV path (default stdout)")
+    bench.set_defaults(handler=cmd_bench)
 
     return parser
 
@@ -162,12 +177,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {"gen": cmd_gen, "solve": cmd_solve, "oracle": cmd_oracle,
-                "bench": cmd_bench}
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except UsageError as exc:
         sys.stderr.write(f"streampart: {exc}\n")
         return 2

@@ -50,6 +50,8 @@ UNKNOWN_TAG = "unknown-2approx"
 # the ratio guarantee of solve_known_max is only established below this
 EPSILON_GUARANTEE_LIMIT = Fraction(1, 64)
 WARN_EPSILON_RANGE = "epsilon-outside-established-guarantee"
+# `growth_steps` refuses a count whose exact powers would pass this many bits
+GROWTH_POWER_BITS = 1 << 25
 
 # element counter, running total, running max
 UNKNOWN_VALUE_DRIVER_WORDS = 3
@@ -129,8 +131,10 @@ def _log(num: int, den: int) -> float:
 
 def growth_steps(ratio: Fraction, target) -> int:
     """Smallest non-negative c with ratio**c >= target, computed exactly: a
-    float estimate from logarithms, corrected with integer powers. A count
-    that could not index a list raises `ValueError`."""
+    float estimate from logarithms, corrected with one pair of integer
+    powers stepped exactly. A count whose powers would exceed
+    `GROWTH_POWER_BITS` (estimated as the count times the bit length of the
+    ratio's larger part) raises `ValueError` before any power is built."""
     ratio = as_fraction(ratio)
     if ratio <= 1:
         raise ValueError(f"growth ratio must exceed 1, got {int_text(ratio)}")
@@ -146,15 +150,19 @@ def growth_steps(ratio: Fraction, target) -> int:
                     else (t - u) * b / ((a - b) * u))
     except OverflowError:
         estimate = math.inf
-    if not estimate < sys.maxsize:
+    if not estimate * max(a.bit_length(), b.bit_length()) <= GROWTH_POWER_BITS:
         raise ValueError(
             f"growth ratio {int_text(ratio)} needs too many steps to reach {int_text(target)}"
         )
-    # ratio**c >= target as a**c * u >= t * b**c
+    # ratio**c >= target as a**c * u >= t * b**c, with up, down = a**c, b**c
     c = max(math.ceil(estimate), 1)
-    while a**c * u < t * b**c:
-        c += 1
-    while c > 1 and a ** (c - 1) * u >= t * b ** (c - 1):
+    up, down = a**c, b**c
+    while up * u < t * down:
+        up, down, c = up * a, down * b, c + 1
+    while c > 1:
+        up, down = up // a, down // b
+        if up * u < t * down:
+            break
         c -= 1
     return c
 

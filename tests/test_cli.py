@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import streampart
-from streampart import schedulers
+from streampart import cli, schedulers
 from streampart.cli import main
 from streampart.oracle import DP_MAX_CELLS
 
@@ -305,3 +306,89 @@ def test_installed_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.split() == ["4", "4"]
+
+
+def test_solve_refuses_a_grid_too_fine_to_build(capsys, monkeypatch):
+    # about 7 * 10**11 powers of 1 + eps to reach 2, each power past
+    # GROWTH_POWER_BITS: refused from the float estimate, before any power
+    code, out, err = run_cli(
+        ["solve", "--p", "2", "--know", "m", "--m", "3", "--epsilon", "1/1000000000000"],
+        capsys, "1 2 3\n", monkeypatch,
+    )
+    assert (code, out, err) == (1, "", "streampart: growth ratio 1000000000001/1000000000000 "
+                                       "needs too many steps to reach 2\n")
+
+
+def run_main(argv, capsys, monkeypatch, stdin_text=""):
+    """`main(argv)` as the process would end it: (exit code, stdout, stderr),
+    also when argparse exits."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+SOLVE = ["solve", "--p", "2", "--know", "m", "--m", "9", "--epsilon", "1/10"]
+# each call of one process, with what it reads and the exit code it ends in
+CALLS = [
+    (SOLVE, "4 9 1 7 3\n", 0),
+    (["solve", "--p", "x"], "", 2),  # argparse's error
+    (["solve", "--p", "2", "--know", "m", "--epsilon", "1/10"], "1 2\n", 2),  # UsageError
+    (["solve", "--p", "2", "--know", "m", "--m", "3", "--epsilon", "1/0"], "1 2 3\n", 1),
+    (["oracle", "--p", "2", "--method", "dp"], "1 2 3 4 5\n", 0),
+    (["gen", "--kind", "uniform", "--n", "6", "--m", "9", "--seed", "4"], "", 0),
+    (["solve", "--help"], "", 0),
+    (SOLVE, "4 9 1 7 3\n", 0),
+]
+
+
+def test_calls_in_one_process_leak_no_state(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    cli.build_parser.cache_clear()
+    shared = [run_main(argv, capsys, monkeypatch, text) for argv, text, _ in CALLS]
+    fresh = []
+    for argv, text, _ in CALLS:
+        cli.build_parser.cache_clear()
+        fresh.append(run_main(argv, capsys, monkeypatch, text))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [code for _, _, code in CALLS]
+    assert shared[0] == shared[-1] and shared[0][1].startswith("{")
+    assert "streampart: --know m requires --m\n" == shared[2][2]
+
+
+def test_help_follows_columns_when_printed(capsys, monkeypatch):
+    parser = cli.build_parser()
+    helps = []
+    for columns in ("200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        helps.append(run_main(["solve", "--help"], capsys, monkeypatch))
+    (wide_code, wide, _), (narrow_code, narrow, _) = helps
+    assert (wide_code, narrow_code) == (0, 0)
+    assert wide.split() == narrow.split()
+    assert len(narrow.splitlines()) > len(wide.splitlines())
+    assert cli.build_parser() is parser
+    # the same text as a parser built while COLUMNS is 40
+    cli.build_parser.cache_clear()
+    assert run_main(["solve", "--help"], capsys, monkeypatch) == helps[1]
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    per_call = []
+    for _ in range(10):
+        assert run_main(["oracle", "--p", "2"], capsys, monkeypatch, "1 2 3\n")[0] == 0
+        per_call.append(len(built))
+    # the first call builds the top parser and its four subcommands
+    assert per_call == [5] * 10

@@ -24,7 +24,7 @@ from streampart import (
 from streampart import feasibility, probe_ext, schedulers
 from streampart.core import floor_fraction, int_text
 from streampart.feasibility import B, ProbeInstance, _Walker, sandwich
-from streampart.schedulers import UnknownPartSolver, _Race
+from streampart.schedulers import GROWTH_POWER_BITS, UnknownPartSolver, _Race
 from helpers import CountingStream, random_stream, reference_race
 
 
@@ -116,6 +116,19 @@ def test_growth_steps_near_one():
         growth_steps(ratio, 2)
     assert str(raised.value) == (
         f"growth ratio {int_text(ratio)} needs too many steps to reach 2")
+
+
+def test_growth_steps_refuses_powers_past_the_bit_limit():
+    # the parts of 2 have at most 2 bits: a count just under half the limit
+    # is computed (its powers are shifts), and one about 4% past it is
+    # refused from the estimate before any power is built
+    steps = GROWTH_POWER_BITS // 2 - 8
+    assert growth_steps(2, 1 << steps) == steps
+    ratio = 1 + Fraction(1, 1 << 21)  # 22 bits, about 1.58 * 10**6 steps to 17/8
+    with pytest.raises(ValueError) as raised:
+        growth_steps(ratio, Fraction(17, 8))
+    assert str(raised.value) == (
+        f"growth ratio {(1 << 21) + 1}/{1 << 21} needs too many steps to reach 17/8")
 
 
 def test_known_total_examples():
