@@ -23,9 +23,8 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
-from operator import add, mul
-from typing import Iterable, Iterator, Sequence
+from operator import add
+from typing import Iterable, Sequence
 
 from .core import KnowledgeMismatchError, as_fraction, ceil_fraction, check_count, int_text
 from .feasibility import (
@@ -129,12 +128,13 @@ def _log(num: int, den: int) -> float:
     return math.log(num) - math.log(den)
 
 
-def growth_steps(ratio: Fraction, target) -> int:
-    """Smallest non-negative c with ratio**c >= target, computed exactly: a
-    float estimate from logarithms, corrected with one pair of integer
-    powers stepped exactly. A count whose powers would exceed
-    `GROWTH_POWER_BITS` (estimated as the count times the bit length of the
-    ratio's larger part) raises `ValueError` before any power is built."""
+def _growth(ratio: Fraction, target) -> tuple[int, int, int]:
+    """(c, a**c, b**c) for ratio = a/b and the smallest non-negative c with
+    ratio**c >= target, computed exactly: a float estimate from logarithms,
+    corrected with one pair of integer powers stepped exactly. A count
+    whose powers would exceed `GROWTH_POWER_BITS` (estimated as the count
+    times the bit length of the ratio's larger part) raises `ValueError`
+    before any power is built."""
     ratio = as_fraction(ratio)
     if ratio <= 1:
         raise ValueError(f"growth ratio must exceed 1, got {int_text(ratio)}")
@@ -142,7 +142,7 @@ def growth_steps(ratio: Fraction, target) -> int:
     a, b = ratio.numerator, ratio.denominator
     t, u = target.numerator, target.denominator
     if t <= u:
-        return 0
+        return 0, 1, 1
     step = _log(a, b)
     try:
         # where log(ratio) underflows, near 1 log(1 + x) / log(1 + y) is x / y
@@ -159,20 +159,18 @@ def growth_steps(ratio: Fraction, target) -> int:
     up, down = a**c, b**c
     while up * u < t * down:
         up, down, c = up * a, down * b, c + 1
-    while c > 1:
-        up, down = up // a, down // b
-        if up * u < t * down:
-            break
-        c -= 1
-    return c
+    # step down while ratio**(c - 1) >= target, that is a**c * b * u >= t * a * b**c
+    bu, ta = b * u, t * a
+    while c > 1 and up * bu >= down * ta:
+        up, down, c = up // a, down // b, c - 1
+    return c, up, down
 
 
-def _exact_powers(ratio: Fraction, target) -> Iterator[tuple[int, int]]:
-    """(num**j, den**j) for j = 0..growth_steps(ratio, target), where
-    ratio = num/den: exact, one multiplication per step, and no list."""
-    powers = zip(accumulate(repeat(ratio.numerator), mul, initial=1),
-                 accumulate(repeat(ratio.denominator), mul, initial=1))
-    return islice(powers, growth_steps(ratio, target) + 1)
+def growth_steps(ratio: Fraction, target) -> int:
+    """Smallest non-negative c with ratio**c >= target: the count of
+    `_growth`, which raises `ValueError` for a ratio at most 1 or a count
+    whose powers would pass `GROWTH_POWER_BITS`."""
+    return _growth(ratio, target)[0]
 
 
 def _check_declarations(declared: KnowledgeProfile, length: int, total: int, biggest: int) -> None:
@@ -209,49 +207,51 @@ class _Race:
     object until a chunk passes it, and then its probe starts from the
     total carried into the walk.
 
-    Per chunk, a level jumps past its floors below the low end unbuilt (by
-    the exact count of `growth_steps`) and builds upward from there: up to
-    the running total on a chunk that is not the last, since every touched
-    survivor must be walked, and on the last only up to its first floor at
-    or above the high end. New floors are never below the previous total,
-    so they extend the kept list. A binary search between the first floors
-    at or above the low and the high end walks middle probes to find the
-    lowest survivor, and the floors below it are dropped. A chunk that is
-    not the last then walks the survivors the search did not walk and
-    every escalator. The answer reads only the lowest surviving floor or,
-    when every floor has died, the smallest escalator, and once the stream
-    has ended nothing can kill that floor or make an escalator matter while
-    it lives. So the last chunk walks only the search and the lowest
-    survivor, and the escalators only if no floor survived it.
+    Each level keeps a cursor (j, num * up**j, den * down**j) at its next
+    step not built, so a floor costs two multiplications and a division.
+    Per chunk, a level below the low end jumps past its floors there
+    unbuilt, to the exact count and powers of `_growth`, and builds upward
+    from there: up to the running total on a chunk that is not the last,
+    since every touched survivor must be walked, and on the last only up
+    to its first floor at or above the high end. New floors are never
+    below the previous total, so they extend the kept list. A binary
+    search between the first floors at or above the low and the high end
+    walks middle probes to find the lowest survivor, and the floors below
+    it are dropped. A chunk that is not the last then walks the survivors
+    the search did not walk and every escalator. The answer reads only the
+    lowest surviving floor or, when every floor has died, the smallest
+    escalator, and once the stream has ended nothing can kill that floor
+    or make an escalator matter while it lives. So the last chunk walks
+    only the search and the lowest survivor, and the escalators only if no
+    floor survived it.
 
     Given the ratio `escalation`, the escalators start from the integer
     bases `max_weight * escalation**j` for j = 0..growth_steps(escalation,
-    2). They are built the first time a chunk walks them: chunk 1 when it
-    is not the last, or when no floor survives it, and otherwise never. So
-    they still start at element 1, and a stream of one chunk whose floor
-    survives builds none.
+    2), a count taken once, here. They are built the first time a chunk
+    walks them: chunk 1 when it is not the last, or when no floor survives
+    it, and otherwise never. So they still start at element 1, and a
+    stream of one chunk whose floor survives builds none.
     """
 
     def __init__(self, num: int, den: int, ratio: Fraction, doublings: int, steps: int,
                  num_blocks: int, store_separators: bool, max_weight: int | None = None,
-                 escalation: Fraction | None = None) -> None:
+                 escalation: Fraction | None = None, powers: tuple[int, int] | None = None) -> None:
         self.num = num
         self.den = den
         self.ratio = ratio
         self.steps = steps
         self.shift = doublings - 1
-        # the floors of the top level's first and last steps; level i's
-        # floors run from the first >> (shift - i) to the last >> (shift - i)
-        self.first_top = (num << self.shift) // den
-        self.last_top = (num * ratio.numerator**steps << self.shift) // (
-            den * ratio.denominator**steps)
-        # per level, the next step not built yet and its floor, None past the last step
-        self.levels: list[tuple[int, int | None]] = [
-            (0, self.first_top >> (self.shift - level)) for level in range(doublings)]
+        # the top level's last floor, from ratio**steps as `powers` when the
+        # caller has it; level i's last floor is last_top >> (shift - i)
+        up, down = powers or (ratio.numerator**steps, ratio.denominator**steps)
+        self.last_top = (num * up << self.shift) // (den * down)
+        # per level, the cursor of the next step not built yet, None past the last step
+        self.levels: list[tuple[int, int, int] | None] = [(0, num, den)] * doublings
         self.num_blocks = num_blocks
         self.store = store_separators
         self.max_weight = max_weight
         self.escalation = escalation
+        self.escalator_count = growth_steps(escalation, 2) + 1 if escalation else 0
         # None until a chunk first walks them
         self.escalators: list[ProbeExtInstance] | None = None
         # the live floors the total has passed, ascending, and their probes;
@@ -283,37 +283,36 @@ class _Race:
         race walks no element, and its lowest floor wins."""
         self._advance(*(self.held or ([0], 0)), final=True)
 
-    def _floor(self, level: int, step: int) -> int | None:
-        """The floor at `level` and `step`; None past the last step."""
-        if step > self.steps:
-            return None
-        up, down = self.ratio.numerator, self.ratio.denominator
-        return (self.num * up**step << level) // (self.den * down**step)
-
-    def _first_step(self, level: int, floor: int) -> int:
-        """The first step whose floor at `level` is at least `floor`, by the
-        exact count of `growth_steps`; steps + 1 if the level ends below it."""
-        if floor <= self.first_top >> (self.shift - level):
-            return 0
+    def _jump(self, level: int, floor: int) -> tuple[int, int, int] | None:
+        """The cursor of the first step whose floor at `level` is at least
+        `floor`, from the exact count and powers of `_growth`; None if the
+        level ends below it."""
         if floor > self.last_top >> (self.shift - level):
-            return self.steps + 1
-        return growth_steps(self.ratio, Fraction(floor * self.den, self.num << level))
+            return None
+        if floor * self.den <= self.num << level:  # the level's first floor, or a base of 0
+            return 0, self.num, self.den
+        step, up, down = _growth(self.ratio, Fraction(floor * self.den, self.num << level))
+        return step, self.num * up, self.den * down
 
     def _build(self, low: int, limit: int, final: bool) -> list[int]:
         """The distinct floors from `low` up to below `limit` not built yet,
         ascending, and on the last chunk each level's first at or above it."""
+        up, down = self.ratio.numerator, self.ratio.denominator
         fresh = set()
-        for level, (step, floor) in enumerate(self.levels):
-            if floor is not None and floor < low:
-                step = self._first_step(level, low)
-                floor = self._floor(level, step)
-            while floor is not None and floor < limit:
+        for level, cursor in enumerate(self.levels):
+            while cursor is not None:
+                step, n, d = cursor
+                floor = (n << level) // d
+                if floor < low:  # only before the first floor built
+                    cursor = self._jump(level, low)
+                    continue
+                if floor >= limit:
+                    if final:
+                        fresh.add(floor)
+                    break
                 fresh.add(floor)
-                step += 1
-                floor = self._floor(level, step)
-            if final and floor is not None:
-                fresh.add(floor)
-            self.levels[level] = step, floor
+                cursor = (step + 1, n * up, d * down) if step < self.steps else None
+            self.levels[level] = cursor
         return sorted(fresh)
 
     def winning_bound(self) -> Fraction:
@@ -322,15 +321,12 @@ class _Race:
         that reaches it, if its floor equals it, since a level's floors and
         bounds both rise."""
         least = self.floors[0]
-        up, down = self.ratio.numerator, self.ratio.denominator
-        return min(
-            Fraction((self.num << level) * up**step, self.den * down**step)
-            for level in range(self.shift + 1)
-            if (self.first_top >> (self.shift - level) <= least
-                    <= self.last_top >> (self.shift - level))
-            for step in (self._first_step(level, least),)
-            if self._floor(level, step) == least
-        )
+        bounds = []
+        for level in range(self.shift + 1):
+            cursor = self._jump(level, least)
+            if cursor is not None and (cursor[1] << level) // cursor[2] == least:
+                bounds.append(Fraction(cursor[1] << level, cursor[2]))
+        return min(bounds)
 
     def _probe(self, floor: int) -> ProbeInstance:
         """The probe of a floor the total first passes in this chunk."""
@@ -342,15 +338,17 @@ class _Race:
         return probe
 
     def _walked_escalators(self) -> list[ProbeExtInstance]:
-        """The escalators, built on the first call, before their first walk."""
+        """The escalators, built on the first call, before their first walk,
+        from the bases (m * up**j, down**j) for escalation = up/down."""
         if self.escalators is None:
             m = self.max_weight
+            num, den = m, 1
+            self.escalators = []
             # p, eps and m were checked where they entered: no escalator checks them again
-            self.escalators = [
-                ProbeExtInstance.__new__(ProbeExtInstance)._start(m, m * up, down,
-                                                                  self.num_blocks, self.store)
-                for up, down in (_exact_powers(self.escalation, 2) if self.escalation else ())
-            ]
+            for _ in range(self.escalator_count):
+                self.escalators.append(ProbeExtInstance.__new__(ProbeExtInstance)._start(
+                    m, num, den, self.num_blocks, self.store))
+                num, den = num * self.escalation.numerator, den * self.escalation.denominator
         return self.escalators
 
     def _advance(self, prefix: Sequence[int], top: int, final: bool) -> None:
@@ -401,26 +399,26 @@ def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, 
     escalator per power of it over the stream, in one pass.
 
     The grid bounds are base * 2**i * (1+eps)**j for i < doublings and
-    j = 0..c, the smallest c with (1+eps)**c >= target. The
-    escalator bases are m * escalation**j for j = 0..c, the smallest c with
-    escalation**c >= 2, and m the declared maximum, in integers. A
-    probe needs only its bound's floor, and equal floors behave alike, so
-    the probes race over the distinct floors. The probes and the
-    escalators are one `_Race`, which builds only the floors that the
-    sandwich of the prefix read leaves open, walks them one chunk at a
-    time, the last chunk only as far as the answer reads, and builds the
-    escalators only if it walks them. The exact bound is built only for
-    the winner: the smallest exact bound among the grid points at the
-    lowest surviving floor. If every probe failed, the escalator with the
+    j = 0..c, the smallest c with (1+eps)**c >= target. The escalator bases
+    are m * escalation**j for j = 0..c, the smallest c with
+    escalation**c >= 2, and m the declared maximum, in integers. A probe
+    needs only its bound's floor, and equal floors behave alike, so the
+    probes race over the distinct floors. The probes and the escalators
+    are one `_Race`, which steps one exact-power cursor per level to build
+    only the floors that the sandwich of the prefix read leaves open,
+    walks them one chunk at a time, the last chunk only as far as the
+    answer reads, and builds the escalators only if it walks them. The
+    exact bound is built only for the winner: the smallest exact bound
+    among the grid points at the lowest surviving floor. If every probe failed, the escalator with the
     smallest threshold is the fallback. Space is one word for the element
     counter and one per declared value, plus the words of every grid point
     and escalator, whether or not the race built or walked it.
     """
     store = mode == PART_MODE
     ratio = 1 + epsilon
-    steps = growth_steps(ratio, target)
+    steps, up, down = _growth(ratio, target)
     race = _Race(base.numerator, base.denominator, ratio, doublings, steps,
-                 num_blocks, store, declared.max_weight, escalation)
+                 num_blocks, store, declared.max_weight, escalation, (up, down))
     length, total, biggest = _drive(stream, [race], declared_max=declared.max_weight)
     _check_declarations(declared, length, total, biggest)
     race.close()
@@ -439,7 +437,7 @@ def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, 
     else:
         raise RuntimeError("no candidate bound was feasible despite verified declarations")
     probes = doublings * (steps + 1)
-    escalators = growth_steps(escalation, 2) + 1 if escalation else 0
+    escalators = race.escalator_count
     words = 1 + sum(value is not None for value in vars(declared).values())
     words += probes * ProbeInstance.words_for(num_blocks, store)
     words += escalators * ProbeExtInstance.words_for(num_blocks, store)

@@ -4,8 +4,9 @@ race that builds and walks every grid probe, which the frontier-searched
 probe grid is checked against, the full-regroup 2-approximation the
 unknown-knowledge fast path is checked against, the per-element
 unknown-knowledge walk its event-driven walk is checked against, the
-maximality check of a probe's separators, and a counter of the weights the
-weight rule scans."""
+maximality check of a probe's separators, a counter of the weights the
+weight rule scans, and a counter of the grid's `_growth` calls and built
+floors."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, pairwise
 from typing import Iterable, Iterator, Sequence
 
-from streampart import core, feasibility, oracle
+from streampart import core, feasibility, oracle, schedulers
 from streampart import (ProbeExtInstance, ProbeFailure, ProbeInstance, ProbeOutcome, as_fraction,
                         floor_fraction)
 from streampart.feasibility import BUFFER_WORDS, PART_MODE, _drive
@@ -75,6 +76,26 @@ def counted_checked_max(monkeypatch) -> list[int]:
     for module in (core, feasibility, oracle):
         monkeypatch.setattr(module, "checked_max", counted)
     return calls
+
+
+def counted_growth_and_builds(monkeypatch) -> tuple[list, list[list[int]]]:
+    """The arguments of every `_growth` call, and the floors of every
+    `_Race._build`, from now on."""
+    counts, fresh = [], []
+    growth = schedulers._growth
+    build = schedulers._Race._build
+
+    def counted_growth(*args):
+        counts.append(args)
+        return growth(*args)
+
+    def counted_build(self, *args):
+        fresh.append(build(self, *args))
+        return fresh[-1]
+
+    monkeypatch.setattr(schedulers, "_growth", counted_growth)
+    monkeypatch.setattr(schedulers._Race, "_build", counted_build)
+    return counts, fresh
 
 
 def random_stream(rng: random.Random, max_len: int = 100, max_weight: int = 10) -> list[int]:

@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 import streampart
-from streampart import cli, schedulers
+from streampart import cli
 from streampart.cli import main
 from streampart.oracle import DP_MAX_CELLS
 
-from helpers import counted_checked_max
+from helpers import counted_checked_max, counted_growth_and_builds
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -105,16 +105,10 @@ def test_solve_epsilon_past_the_digit_limit(capsys, monkeypatch):
 
 def test_solve_huge_declared_length_builds_no_floor(capsys, monkeypatch):
     # a declared length of 5001 digits sizes a known-mn grid of about 28,000
-    # powers of 3/2; the race builds a floor only for a chunk it walks, and
-    # the one chunk read is walked after the declarations are checked
-    built = []
-    floor = schedulers._Race._floor
-
-    def counted(self, level, step):
-        built.append((level, step))
-        return floor(self, level, step)
-
-    monkeypatch.setattr(schedulers._Race, "_floor", counted)
+    # powers of 3/2; the race builds floors only for a chunk it walks, and
+    # the one chunk read is walked after the declarations are checked, so
+    # the grid costs one count with its powers and builds no floor
+    counts, fresh = counted_growth_and_builds(monkeypatch)
     length = "1" + "0" * 5000
     code, out, err = run_cli(
         ["solve", "--p", "2", "--know", "mn", "--m", "3", "--n", length, "--epsilon", "1/2"],
@@ -122,7 +116,7 @@ def test_solve_huge_declared_length_builds_no_floor(capsys, monkeypatch):
     )
     assert (code, out, err) == (
         1, "", f"streampart: declared length {length} but read 3 elements\n")
-    assert built == []
+    assert (fresh, len(counts)) == ([], 1)
 
 
 def test_solve_missing_input_file(capsys):

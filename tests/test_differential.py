@@ -4,8 +4,9 @@ both instance classes against the per-element machines in `helpers`,
 path and its chunked walk against the full regroup, also on streams that
 cross the chunk size, the frontier-searched probe grid against the race that
 walks every probe, the oracle against exhaustive search, every solver's
-guarantee against the exhaustive optimum, and the known-m guarantee on long
-streams where an escalator answers against the binary-search oracle."""
+guarantee against the exhaustive optimum, the known-m guarantee on long
+streams where an escalator answers against the binary-search oracle, and
+the grid solvers at fine eps against the race and the oracle."""
 
 import random
 from fractions import Fraction
@@ -34,7 +35,9 @@ from streampart.core import WeightChunks, floor_fraction
 from streampart.feasibility import B, _drive, sandwich
 from streampart.schedulers import (
     EPSILON_GUARANTEE_LIMIT,
+    KNOWN_MAX_LENGTH_TAG,
     KNOWN_MAX_TAG,
+    KNOWN_TOTAL_TAG,
     SOLVERS,
     UNKNOWN_TAG,
     UnknownPartSolver,
@@ -521,3 +524,41 @@ def test_known_max_escalator_keeps_the_guarantee(seed, num_blocks, epsilon, bloc
     value_only = solve_tagged(KNOWN_MAX_TAG, iter(weights), num_blocks, epsilon, profile,
                               mode=PARTB_MODE)
     assert (value_only.bottleneck, value_only.merges) == (bound, result.merges)
+
+
+# fine grids over a stream of 1500 weights in chunks of 500: each level's
+# cursor jumps to the sandwich's low end and steps over thousands of steps
+FINE_STREAM = random.Random(26).choices(range(1001), k=1500)
+FINE_PROFILE = KnowledgeProfile(max_weight=max(FINE_STREAM), length=len(FINE_STREAM),
+                                total_weight=sum(FINE_STREAM))
+
+
+@pytest.mark.parametrize("num_blocks", [2, 64])
+@pytest.mark.parametrize("tag, epsilon", [
+    *(pytest.param(tag, Fraction(1, 1000), id=f"{tag}-1/1000") for tag in GRID_TAGS),
+    pytest.param(KNOWN_TOTAL_TAG, Fraction(1, 3000), id=f"{KNOWN_TOTAL_TAG}-1/3000"),
+])
+def test_fine_grid_matches_the_race_that_walks_every_probe(tag, epsilon, num_blocks,
+                                                           monkeypatch):
+    monkeypatch.setattr(feasibility, "B", 500)
+    result = solve_tagged(tag, iter(FINE_STREAM), num_blocks, epsilon, FINE_PROFILE)
+    monkeypatch.setattr(schedulers, "_race", reference_race)
+    expected = solve_tagged(tag, iter(FINE_STREAM), num_blocks, epsilon, FINE_PROFILE)
+    assert result.to_json_dict() == expected.to_json_dict()
+    assert (result.probe_instances, result.probe_ext_instances) == (
+        expected.probe_instances, expected.probe_ext_instances)
+
+
+@pytest.mark.parametrize("num_blocks", [2, 64])
+@pytest.mark.parametrize("tag", [KNOWN_MAX_LENGTH_TAG, KNOWN_MAX_TAG])
+def test_fine_grid_keeps_the_guarantee(tag, num_blocks, monkeypatch):
+    # at eps = 1/3000 the race that walks every probe takes seconds a solve,
+    # so these grids are checked against the optimum only
+    epsilon = Fraction(1, 3000)
+    monkeypatch.setattr(feasibility, "B", 500)
+    result = solve_tagged(tag, iter(FINE_STREAM), num_blocks, epsilon, FINE_PROFILE)
+    best = opt_bottleneck_binsearch(FINE_STREAM, num_blocks).optimum
+    bound = result.bottleneck
+    assert best <= bound <= (1 + epsilon) * best
+    assert validate_partitioning(len(FINE_STREAM), num_blocks, result.separators) is None
+    assert bottleneck_of(FINE_STREAM, result.separators) <= bound.numerator // bound.denominator

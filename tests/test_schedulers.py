@@ -25,7 +25,7 @@ from streampart import feasibility, probe_ext, schedulers
 from streampart.core import floor_fraction, int_text
 from streampart.feasibility import B, ProbeInstance, _Walker, sandwich
 from streampart.schedulers import GROWTH_POWER_BITS, UnknownPartSolver, _Race
-from helpers import CountingStream, random_stream, reference_race
+from helpers import CountingStream, counted_growth_and_builds, random_stream, reference_race
 
 
 def test_growth_steps_exact():
@@ -90,7 +90,11 @@ def growth_cases(draw):
 @given(case=growth_cases())
 def test_growth_steps_matches_stepping(case):
     ratio, target = case
-    assert growth_steps(ratio, target) == stepped_growth(ratio, target)
+    steps = stepped_growth(ratio, target)
+    assert growth_steps(ratio, target) == steps
+    # the count's powers, which the race's cursors start from
+    assert schedulers._growth(ratio, target) == (
+        steps, ratio.numerator**steps, ratio.denominator**steps)
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -386,6 +390,34 @@ def test_one_chunk_known_max_builds_and_walks_only_the_sandwich(monkeypatch):
     assert fresh == [sorted(inside | past)]
     assert len(walks) <= math.ceil(math.log2(len(fresh[0]) + 1)) + 1
     assert "ProbeExtInstance" not in built
+
+
+def test_fine_grid_costs_a_count_per_jump_not_a_power_per_floor(monkeypatch):
+    # known-mn at eps = 1/1000 over 6 chunks: the level's cursor steps
+    # over thousands of floors by multiplication, and `_growth` runs only
+    # for the grid's count, at most one jump per level and chunk, and the
+    # winner's bound at each level
+    monkeypatch.setattr(feasibility, "B", 500)
+    weights = random.Random(26).choices(range(1001), k=3000)
+    counts, fresh = counted_growth_and_builds(monkeypatch)
+    res = solve_known_max_length(iter(weights), 64, Fraction(1, 1000), max(weights), len(weights))
+    levels, chunks = 1, 6
+    assert len(fresh) == chunks
+    assert len(counts) <= levels * (chunks + 1) + 1
+    assert (len(counts), sum(map(len, fresh)), res.probe_instances) == (3, 5811, 8012)
+
+
+def test_fine_known_max_on_three_weights_builds_by_stepping(monkeypatch):
+    # [1, 2, 3] at eps = 1/30000 (about 8600 steps of 1 + eps from 3 to 4
+    # at level 0) took over 10 s when each floor built its own powers; now
+    # the doubling count, the grid's count and the escalators' count are
+    # the only `_growth` calls: the sandwich's low end is m, so no level
+    # jumps, and the winner is level 0's first floor
+    counts, fresh = counted_growth_and_builds(monkeypatch)
+    res = solve_known_max(iter([1, 2, 3]), 2, "1/30000", 3)
+    assert [ratio for ratio, _ in counts] == [2, Fraction(30001, 30000), Fraction(60001, 60000)]
+    assert (len(fresh), len(fresh[0])) == (1, 32)
+    assert (res.probe_instances, res.probe_ext_instances) == (644676, 41591)
 
 
 def test_known_max_warning_flag():
