@@ -111,15 +111,23 @@ def _open_input(stack: ExitStack, path: str | None) -> IO[bytes] | IO[str]:
     return sys.stdin
 
 
+def _json_text(value) -> str:
+    """What `json.dumps(payload, indent=2)` writes for `value`, a field of a
+    flat payload: a scalar, or a list of scalars; each int is written with
+    `int_text`, exactly, also past CPython's digit limit for `str`."""
+    if type(value) is int:
+        return int_text(value)
+    if type(value) is list:
+        return "[\n    " + ",\n    ".join(map(_json_text, value)) + "\n  ]" if value else "[]"
+    return json.dumps(value)
+
+
 def _print_json(payload: dict) -> None:
-    """Print a flat `payload` as JSON indented by 2, its ints written back
-    with `int_text`: exactly, also past CPython's digit limit for `str`."""
-    ints = [key for key, value in payload.items() if type(value) is int]
-    text = json.dumps({key: None if key in ints else value
-                       for key, value in payload.items()}, indent=2)
-    for key in ints:
-        text = text.replace(f'"{key}": null', f'"{key}": {int_text(payload[key])}', 1)
-    sys.stdout.write(text + "\n")
+    """Print a flat, non-empty `payload` as `json.dumps(payload, indent=2)`
+    writes it, each value once, through `_json_text`."""
+    lines = ",\n".join(f"  {json.dumps(key)}: {_json_text(value)}"
+                        for key, value in payload.items())
+    sys.stdout.write("{\n" + lines + "\n}\n")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

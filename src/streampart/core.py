@@ -266,7 +266,9 @@ def _to_ints(tokens: list[str]) -> tuple[list[int], str | None]:
     that fails the check is scanned token by token.
     """
     joined = "".join(tokens)
-    if not (joined.isascii() and joined.isdigit()):
+    digits = joined.isascii() and joined.isdigit()
+    del joined  # a second copy of the block's text
+    if not digits:
         for cut, token in enumerate(tokens):
             if not (token.isascii() and token.isdigit()):
                 return _to_ints(tokens[:cut])[0], token
@@ -276,38 +278,45 @@ def _to_ints(tokens: list[str]) -> tuple[list[int], str | None]:
         return list(map(parse_int, tokens)), None
 
 
-def _text_block(pending: str, block: str, at_end: bool) -> tuple[list[int], str | None, str]:
-    """The weights of `pending + block` up to its first bad token, that
-    token (None when there is none), and the last token when it runs to the
-    block's end and so may go on in the next block ("" otherwise)."""
-    tokens = (pending + block).split()
-    pending = tokens.pop() if tokens and not at_end and not block[-1].isspace() else ""
-    weights, bad = _to_ints(tokens)
-    return weights, bad, pending
+def _read_block(reader: IO[str] | IO[bytes], pending: str
+                ) -> tuple[list[int], str | None, str, bool]:
+    """Read the next block of `reader` after `pending`, the token carried
+    from the block before. Return the weights of the two up to the first bad
+    token; that token, or None; the last token when it runs to the block's
+    end and so may go on in the next block, or ""; and whether the stream
+    has ended.
 
-
-def _bytes_block(pending: str, block: bytes, at_end: bool) -> tuple[list[int], str | None, str]:
-    """`_text_block` for a block of bytes, read as ASCII.
-
-    A block of ASCII digits and the whitespace `bytes.split` splits on has
-    the tokens of its text, so one `isdigit()` over it less that whitespace
-    (`bytes.translate`, which, unlike a join of the tokens, holds no buffer
-    per token) and one `map(int, ...)` read it. Any other block (a byte
-    that is not ASCII, a control character that `str.split` splits on and
-    `bytes.split` does not, a token that is no integer, or one past
-    CPython's digit limit for `int`) is decoded alone, so that a decode
-    error names the byte's position in the block, and read as text.
+    This frame holds the one copy of the block and lets it go once it is
+    split, before the tokens are converted. Bytes are read as ASCII text: a
+    text of ASCII digits and the whitespace `bytes.split` splits on has the
+    tokens of its str, so one `isdigit()` over it less that whitespace
+    (`bytes.translate`, which holds no buffer per token) and one
+    `map(int, ...)` read it. Any other bytes (not ASCII, a control
+    character that `str.split` splits on and `bytes.split` does not, or a
+    token that is no integer) are read as str, the block decoded alone, so
+    that a decode error names the byte's position in the block (the carried
+    token is ASCII).
     """
-    text = pending.encode() + block
-    if text.translate(None, _BYTES_SPACE).isdigit():
-        tokens = text.split()
-        del text
-        last = tokens.pop() if not at_end and not block[-1:].isspace() else b""
-        try:
-            return list(map(int, tokens)), None, last.decode()
-        except ValueError:  # past CPython's int() digit limit
-            pass
-    return _text_block(pending, block.decode("ascii"), at_end)
+    text = reader.read(READ_BLOCK)
+    at_end = not text
+    if type(text) is bytes:
+        if pending:
+            text = pending.encode() + text
+        if text.translate(None, _BYTES_SPACE).isdigit():
+            tokens = text.split()
+            last = tokens.pop().decode() if not at_end and not text[-1:].isspace() else ""
+            del text
+            try:
+                return list(map(int, tokens)), None, last, at_end
+            except ValueError:  # past CPython's int() digit limit
+                return list(map(parse_int, map(bytes.decode, tokens))), None, last, at_end
+        text = pending + text[len(pending):].decode("ascii")
+    elif pending:
+        text = pending + text
+    tokens = text.split()
+    last = tokens.pop() if tokens and not at_end and not text[-1].isspace() else ""
+    del text
+    return (*_to_ints(tokens), last, at_end)
 
 
 def _parse_chunks(reader: IO[str] | IO[bytes]) -> Iterator[list[int]]:
@@ -321,12 +330,7 @@ def _parse_chunks(reader: IO[str] | IO[bytes]) -> Iterator[list[int]]:
     """
     pending = ""
     while True:
-        block = reader.read(READ_BLOCK)
-        at_end = not block
-        read_block = _bytes_block if type(block) is bytes else _text_block
-        weights, bad, pending = read_block(pending, block, at_end)
-        # the chunk is walked while this frame waits: it holds no text then
-        del block
+        weights, bad, pending, at_end = _read_block(reader, pending)
         # READ_BLOCK characters hold at most B tokens, but a reader may
         # return more characters than it is asked for
         while len(weights) > B:
@@ -334,6 +338,11 @@ def _parse_chunks(reader: IO[str] | IO[bytes]) -> Iterator[list[int]]:
             del weights[:B]
         if weights:
             yield weights
+        # the chunk is walked while this frame waits, holding no text; it
+        # lets the chunk go before the next block is read, so that at a
+        # chunk boundary the pass keeps alive only its `buffer_words`,
+        # besides one block's text, tokens and ints while it is parsed
+        del weights
         if bad is not None:
             raise ValueError(f"invalid weight token {bad!r}: expected a non-negative integer")
         if at_end:

@@ -314,7 +314,8 @@ def _drive(
     still alive: a `_Walker`, the grid solvers' race or the
     unknown-knowledge solver. Every walker given is live; one that returns
     False is not walked again. Prefix sums are built only while a walker is
-    live.
+    live, and a chunk and its prefix sums are let go once the walkers have
+    had them, before the next chunk is read.
     """
     if isinstance(stream, WeightChunks):
         chunks, check = stream.chunks, _trusted_max
@@ -333,6 +334,8 @@ def _drive(
             prefix = list(accumulate(chunk, initial=0))
             total += prefix[-1]
             live = [walker for walker in live if walker.walk(prefix, top)]
+            del prefix
         else:
             total += sum(chunk)
+        del chunk
     return length, total, biggest

@@ -280,8 +280,10 @@ class _Race:
 
     def close(self) -> None:
         """Walk the held chunk once the stream has ended; an empty stream's
-        race walks no element, and its lowest floor wins."""
+        race walks no element, and its lowest floor wins. The race holds
+        no chunk after it."""
         self._advance(*(self.held or ([0], 0)), final=True)
+        self.held = None
 
     def _jump(self, level: int, floor: int) -> tuple[int, int, int] | None:
         """The cursor of the first step whose floor at `level` is at least

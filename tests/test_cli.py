@@ -193,6 +193,28 @@ def test_json_output_writes_long_ints_exactly(capsys, monkeypatch):
         '  "epsilon": null,', '  "warning_flags": []', "}", ""]))
 
 
+def test_print_json_writes_what_json_dumps_writes(capsys):
+    # a solve payload with separators and a warning, one with an empty
+    # separator list, and an oracle optimum of 5000 digits, which json.dumps
+    # writes only with CPython's digit limit for str(int) lifted
+    weights = [5, 1, 4, 1, 5, 9, 2, 6]
+    solved = streampart.solve_known_max(weights, 3, "1/2", 9).to_json_dict()
+    assert solved["separators"] and solved["warning_flags"]
+    payloads = [solved, {**solved, "separators": []},
+                {"optimum": 10**5000, "method": "binsearch", "n": 2, "p": 2}]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for payload in payloads:
+        cli._print_json(payload)
+        out = capsys.readouterr().out
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert out == json.dumps(payload, indent=2) + "\n"
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
+
 def test_help_lists_the_modes_and_oracles(capsys):
     for argv, choices in ((["solve", "--help"], "{part,partb}"),
                           (["oracle", "--help"], "{binsearch,dp}")):

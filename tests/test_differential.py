@@ -308,6 +308,8 @@ def test_probe_grid_live_floors_are_upward_closed(weights, num_blocks, base, rat
             if probe.failure is None:
                 probe.walk(prefix, max(chunk))
     race.close()
+    # a finished race keeps no prefix sums
+    assert race.held is None
     walked_through(len(weights), final=True)
 
 

@@ -3,7 +3,8 @@ bytes, against `str.split` and `int`, the size of its chunks, errors in
 stream order, the CLI's error texts on bad bytes, numbers past CPython's
 digit limit for `int(str)` and `str(int)`, the CLI against the solver called
 on the list, the trust `_drive` gives the parser's chunks and no other
-stream, and the memory the parser holds while a chunk is walked."""
+stream, and the memory the parser holds while a chunk is walked, while a
+block is read and converted, and over a whole pass."""
 
 import io
 import json
@@ -12,6 +13,8 @@ import re
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -34,9 +37,9 @@ from streampart import (
     solve_unknown_partb,
 )
 from streampart.cli import KNOW_TAGS, build_parser, main
-from streampart.core import READ_BLOCK, WeightChunks, int_text, parse_int
+from streampart.core import READ_BLOCK, WeightChunks, _read_block, int_text, parse_int
 from streampart.feasibility import B, _drive
-from streampart.schedulers import SOLVERS, solve_tagged
+from streampart.schedulers import SOLVERS, _Race, solve_tagged
 
 from helpers import counted_checked_max
 
@@ -449,3 +452,77 @@ def test_parser_holds_no_tokens_while_a_chunk_is_walked():
             # alive: the chunk and its prefix sums, about the same size each,
             # and a block of text; a held token list adds token_bytes
             assert traced - before < 2 * prefix_bytes + token_bytes // 2
+
+
+class SpyReader:
+    """A reader that records the traced memory each time a block is read."""
+
+    def __init__(self, reader) -> None:
+        self.reader = reader
+        self.seen: list[int] = []
+
+    def read(self, size: int):
+        self.seen.append(tracemalloc.get_traced_memory()[0])
+        return self.reader.read(size)
+
+
+@pytest.mark.parametrize("walker", ["none", "no-op", "race"])
+@pytest.mark.parametrize("source", ["bytes", "str", "list", "checked-list"])
+def test_a_pass_holds_one_chunk_at_a_time(source, walker):
+    # four-digit tokens, as above, over several blocks of text or chunks of a list
+    weights = random.Random(7).choices(range(1000, 10000), k=3 * B)
+    text = format_weights(weights)
+    reader = None
+    if source in ("bytes", "str"):
+        data = text.encode("ascii") if source == "bytes" else text
+        reader = SpyReader(io.BytesIO(data) if source == "bytes" else io.StringIO(data))
+        stream = WeightChunks(reader)
+        token_bytes = size_of(data[:READ_BLOCK].split())
+        chunks = chunks_of(text)
+    else:
+        stream = iter(weights) if source == "list" else WeightChunks.of_checked(weights)
+        token_bytes = 0
+        chunks = [weights[start:start + B] for start in range(0, len(weights), B)]
+    assert len(chunks) > 2
+    prefix_bytes = max(size_of(list(accumulate(chunk, initial=0))) for chunk in chunks)
+    walkers = {"none": [], "no-op": [SimpleNamespace(walk=lambda prefix, top: True)],
+               "race": [_Race(sum(weights), 4, Fraction(11, 10), 1, 8, 4, True)]}[walker]
+    # the race holds the prefix sums of the chunk it walks when the next one comes
+    held = prefix_bytes if walker == "race" else 0
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert _drive(stream, walkers)[0] == len(weights)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # alive at most: one block's tokens while it is parsed, one chunk and its
+    # prefix sums (its ints weigh about as much as the sums), two blocks of
+    # text and what the race holds
+    assert peak < token_bytes + 2 * prefix_bytes + 2 * READ_BLOCK + held
+    if reader is not None:
+        # a block is read beside no chunk, prefix sums or text of the pass:
+        # only the race's held prefix sums and its own few objects
+        assert len(reader.seen) > 3
+        assert max(reader.seen) - before < held + 2 * READ_BLOCK
+
+
+@pytest.mark.parametrize("source", ["bytes", "str"])
+def test_a_block_is_converted_without_its_text(source):
+    # four-digit tokens; the first block's last token runs on into the next
+    text = format_weights(random.Random(7).choices(range(1000, 10000), k=3000))
+    data = text.encode("ascii") if source == "bytes" else text
+    tokens = data[:READ_BLOCK].split()[:-1]
+    ints = list(map(int, tokens))
+    reader = io.BytesIO(data) if source == "bytes" else io.StringIO(data)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        weights, bad, _, at_end = _read_block(reader, "")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (weights, bad, at_end) == (ints, None, False)
+    # the block's text, and the str path's joined tokens, are let go before
+    # the tokens are converted
+    assert peak < size_of(tokens) + size_of(ints) + READ_BLOCK // 2
