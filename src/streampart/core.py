@@ -222,6 +222,10 @@ B = 4096
 # characters of text the parser reads at a time
 READ_BLOCK = 1 << 13
 
+# items a list is rewritten in place at a time: a block's tokens become its
+# ints (`_convert`), and a chunk its prefix sums (`feasibility._drive`)
+SLICE = B // 16
+
 # the whitespace `bytes.split()` splits on
 _BYTES_SPACE = b" \t\n\r\x0b\x0c"
 
@@ -262,8 +266,9 @@ def _to_ints(tokens: list[str]) -> tuple[list[int], str | None]:
     """The weights of `tokens` up to the first token that is not a decimal
     integer, and that token (None when there is none).
 
-    One check and one `map(int)` cover a block of valid tokens; only a block
-    that fails the check is scanned token by token.
+    One check covers a block of valid tokens, which `_convert` then turns
+    into their ints in place; only a block that fails the check is scanned
+    token by token.
     """
     joined = "".join(tokens)
     digits = joined.isascii() and joined.isdigit()
@@ -271,11 +276,31 @@ def _to_ints(tokens: list[str]) -> tuple[list[int], str | None]:
     if not digits:
         for cut, token in enumerate(tokens):
             if not (token.isascii() and token.isdigit()):
-                return _to_ints(tokens[:cut])[0], token
-    try:
-        return list(map(int, tokens)), None
-    except ValueError:  # past CPython's int() digit limit
-        return list(map(parse_int, tokens)), None
+                del tokens[cut:]
+                return _convert(tokens), token
+    return _convert(tokens), None
+
+
+def _convert(tokens: list[str] | list[bytes]) -> list[int]:
+    """`tokens`, decimal integers as str or as ASCII bytes, each replaced by
+    its int in place, `SLICE` at a time, so that a block's tokens and its
+    ints are never both whole. A slice with a token past CPython's int()
+    digit limit raises before it is assigned; that slice and the rest are
+    read by `parse_int`."""
+    convert = int
+    for start in range(0, len(tokens), SLICE):
+        end = start + SLICE
+        try:
+            tokens[start:end] = map(convert, tokens[start:end])
+        except ValueError:  # past CPython's int() digit limit
+            convert = _long_int
+            tokens[start:end] = map(convert, tokens[start:end])
+    return tokens
+
+
+def _long_int(token: str | bytes) -> int:
+    """`parse_int` of a str token or of an ASCII bytes one."""
+    return parse_int(token if type(token) is str else token.decode())
 
 
 def _read_block(reader: IO[str] | IO[bytes], pending: str
@@ -287,11 +312,11 @@ def _read_block(reader: IO[str] | IO[bytes], pending: str
     has ended.
 
     This frame holds the one copy of the block and lets it go once it is
-    split, before the tokens are converted. Bytes are read as ASCII text: a
-    text of ASCII digits and the whitespace `bytes.split` splits on has the
-    tokens of its str, so one `isdigit()` over it less that whitespace
-    (`bytes.translate`, which holds no buffer per token) and one
-    `map(int, ...)` read it. Any other bytes (not ASCII, a control
+    split, before `_convert` turns the token list into the weights. Bytes
+    are read as ASCII text: a text of ASCII digits and the whitespace
+    `bytes.split` splits on has the tokens of its str, so one `isdigit()`
+    over it less that whitespace (`bytes.translate`, which holds no buffer
+    per token) and `_convert` read it. Any other bytes (not ASCII, a control
     character that `str.split` splits on and `bytes.split` does not, or a
     token that is no integer) are read as str, the block decoded alone, so
     that a decode error names the byte's position in the block (the carried
@@ -306,10 +331,7 @@ def _read_block(reader: IO[str] | IO[bytes], pending: str
             tokens = text.split()
             last = tokens.pop().decode() if not at_end and not text[-1:].isspace() else ""
             del text
-            try:
-                return list(map(int, tokens)), None, last, at_end
-            except ValueError:  # past CPython's int() digit limit
-                return list(map(parse_int, map(bytes.decode, tokens))), None, last, at_end
+            return _convert(tokens), None, last, at_end
         text = pending + text[len(pending):].decode("ascii")
     elif pending:
         text = pending + text
@@ -338,10 +360,10 @@ def _parse_chunks(reader: IO[str] | IO[bytes]) -> Iterator[list[int]]:
             del weights[:B]
         if weights:
             yield weights
-        # the chunk is walked while this frame waits, holding no text; it
-        # lets the chunk go before the next block is read, so that at a
-        # chunk boundary the pass keeps alive only its `buffer_words`,
-        # besides one block's text, tokens and ints while it is parsed
+        # the chunk, which `_drive` turns into its prefix sums, is walked
+        # while this frame waits, holding no text; it lets the chunk go
+        # before the next block is read, so that the pass holds one list per
+        # block or chunk, besides the block's text while it is split
         del weights
         if bad is not None:
             raise ValueError(f"invalid weight token {bad!r}: expected a non-negative integer")
@@ -356,8 +378,9 @@ class WeightChunks:
     The reader is a text reader or a binary one, whose bytes are read as
     ASCII text. Iterating it yields the weights one by one, so it is a
     stream like any other; `feasibility._drive` reads its chunks, non-empty
-    lists of at most `B` non-negative ints, as they are, and trusts them to
-    hold nothing else.
+    lists of at most `B` non-negative ints, as they are, trusts them to
+    hold nothing else, and owns them: it rewrites each into its prefix
+    sums.
     """
 
     __slots__ = ("chunks",)
@@ -370,7 +393,8 @@ class WeightChunks:
         """The stream of `weights`, a list that has already passed
         `checked_max`, in slices of `B` (the last one shorter), so that
         `_drive` cuts it where it would cut `iter(weights)` and does not
-        check it again."""
+        check it again. Each slice is a new list, which `_drive` owns and
+        rewrites into its prefix sums; `weights` is never changed."""
         stream = cls.__new__(cls)
         stream.chunks = (weights[start:start + B] for start in range(0, len(weights), B))
         return stream

@@ -17,8 +17,8 @@ chunk reaches, and resumes where it stopped on the next chunk (the
 made resumable). `_drive` is the one reader of a stream: it reads `B`
 elements at a time, checks each chunk with `core.checked_max`, the one
 ingress rule (a chunk of a `core.WeightChunks`, which can hold only
-non-negative ints, only against the declared maximum), and builds each
-chunk's prefix sums once for its live walkers.
+non-negative ints, only against the declared maximum), and turns each
+chunk into its prefix sums, in place, once for its live walkers.
 A walker need not be one instance: the grid solvers race their probes and
 escalators as one walker (`schedulers._Race`), which walks each chunk when
 the next one comes and uses the monotony to walk only a few of the probes
@@ -40,16 +40,17 @@ from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, Sequence
 
-from .core import (B, WeightChunks, as_fraction, check_block_count, checked_max, floor_fraction,
-                   int_text)
+from .core import (B, SLICE, WeightChunks, as_fraction, check_block_count, checked_max,
+                   floor_fraction, int_text)
 
 PART_MODE = "part"
 PARTB_MODE = "partb"
 MODES = (PART_MODE, PARTB_MODE)
 
 # A chunk of B elements costs every instance walked over it one call plus one
-# binary search per block it reaches, and the buffer holds B weights and
-# B + 1 prefix sums.
+# binary search per block it reaches. The model bound of its buffer is B
+# weights and B + 1 prefix sums; the process holds one list, which `_drive`
+# turns from the weights into their prefix sums in place.
 BUFFER_WORDS = 2 * B + 1
 
 
@@ -295,6 +296,16 @@ def _trusted_max(chunk: list[int], declared_max: int | None) -> int:
     return top
 
 
+def _prefix_in_place(chunk: list[int]) -> None:
+    """Turn `chunk` into its own prefix sums (``chunk[0] = 0``), `SLICE`
+    sums at a time, so that it never coexists with a full copy of itself."""
+    chunk.insert(0, 0)
+    # each slice starts at the last sum of the one before, which it rewrites
+    # with itself
+    for start in range(0, len(chunk) - 1, SLICE):
+        chunk[start:start + SLICE + 1] = accumulate(chunk[start:start + SLICE + 1])
+
+
 def _drive(
     stream: Iterable[int], walkers: Sequence[_Walker] = (), declared_max: int | None = None
 ) -> tuple[int, int, int]:
@@ -313,9 +324,14 @@ def _drive(
     given a chunk's prefix sums and largest weight, returns whether it is
     still alive: a `_Walker`, the grid solvers' race or the
     unknown-knowledge solver. Every walker given is live; one that returns
-    False is not walked again. Prefix sums are built only while a walker is
-    live, and a chunk and its prefix sums are let go once the walkers have
-    had them, before the next chunk is read.
+    False is not walked again.
+
+    `_drive` owns every chunk it reads: the parser's lists, the slices
+    `WeightChunks.of_checked` cuts and `_chunked`'s lists are all new, never
+    a caller's list. While a walker is live it rewrites each chunk into the
+    chunk's prefix sums, `SLICE` at a time (`_prefix_in_place`), so that a
+    chunk never coexists with a full copy of itself, and lets it go once
+    the walkers have had it, before the next chunk is read.
     """
     if isinstance(stream, WeightChunks):
         chunks, check = stream.chunks, _trusted_max
@@ -331,10 +347,9 @@ def _drive(
         if top > biggest:
             biggest = top
         if live:
-            prefix = list(accumulate(chunk, initial=0))
-            total += prefix[-1]
-            live = [walker for walker in live if walker.walk(prefix, top)]
-            del prefix
+            _prefix_in_place(chunk)
+            total += chunk[-1]
+            live = [walker for walker in live if walker.walk(chunk, top)]
         else:
             total += sum(chunk)
         del chunk

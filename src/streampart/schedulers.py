@@ -96,7 +96,9 @@ class SolveResult:
     # words of the pass's buffers, constant in the stream length: the chunk
     # being read, B weights plus B + 1 prefix sums while a walker is live
     # (every mode but unknown partb), and for the grid solvers the race's
-    # held chunk (RACE_BUFFER_WORDS); not serialized
+    # held chunk (RACE_BUFFER_WORDS); not serialized. A model bound: the
+    # process holds the chunk as one list, its weights rewritten in place
+    # into their prefix sums
     buffer_words: int = 0
 
     @property

@@ -26,6 +26,7 @@ from streampart import (
     DeclaredBoundError,
     KnowledgeMismatchError,
     KnowledgeProfile,
+    ProbeInstance,
     format_weights,
     iter_weights,
     opt_bottleneck_binsearch,
@@ -34,12 +35,13 @@ from streampart import (
     solve_known_max,
     solve_known_max_length,
     solve_known_total,
+    solve_unknown_part,
     solve_unknown_partb,
 )
 from streampart.cli import KNOW_TAGS, build_parser, main
-from streampart.core import READ_BLOCK, WeightChunks, _read_block, int_text, parse_int
+from streampart.core import READ_BLOCK, SLICE, WeightChunks, _read_block, int_text, parse_int
 from streampart.feasibility import B, _drive
-from streampart.schedulers import SOLVERS, _Race, solve_tagged
+from streampart.schedulers import SOLVERS, UnknownPartSolver, _Race, solve_tagged
 
 from helpers import counted_checked_max
 
@@ -265,6 +267,47 @@ def test_cli_solves_a_long_token(tmp_path, capsys):
     assert json.loads(captured.out, parse_int=horner) == expected
 
 
+def test_a_long_token_past_the_first_slice_is_read_exactly(tmp_path, capsys):
+    # one block: more than SLICE short tokens, then a token past CPython's
+    # int() digit limit, then short ones again; the slices before the long
+    # one are converted by `int`, the rest by `parse_int`
+    rng = random.Random(13)
+    tokens = [str(weight) for weight in rng.choices(range(1000), k=SLICE + 40)]
+    tokens += ["9" + LONG[:4999], *map(str, rng.choices(range(1000), k=SLICE + 3))]
+    text = " ".join(tokens) + "\n"
+    assert len(text) < READ_BLOCK
+    expected = list(map(parse_int, tokens))
+    for reader in (io.StringIO(text), io.BytesIO(text.encode("ascii"))):
+        assert list(WeightChunks(reader).chunks) == [expected]
+    path = tmp_path / "long.txt"
+    path.write_text(text, encoding="ascii")
+    assert main(["solve", "--know", "none", "--p", "3", "--input", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out, parse_int=horner) == (
+        solve_unknown_part(expected, 3).to_json_dict())
+
+
+@pytest.mark.parametrize("length", [B // 2, 2 * B + 5], ids=["one-chunk", "multi-chunk"])
+def test_a_callers_list_is_never_rewritten(length):
+    # `_drive` turns each chunk it reads into its prefix sums, in place: the
+    # chunks it reads are its own, never the caller's list
+    weights = random.Random(length).choices(range(1001), k=length)
+    kept = list(weights)
+    # the race holds a chunk's prefix sums past the chunk's walk; the other
+    # two walk them and let them go
+    for solve in (lambda stream: solve_known_max(stream, 4, "1/10", 1000),
+                  lambda stream: solve_unknown_part(stream, 4),
+                  lambda stream: probe_run(stream, sum(weights), 4)):
+        for stream in (WeightChunks.of_checked(weights), iter(weights)):
+            solve(stream)
+    solver, probe = UnknownPartSolver(4), ProbeInstance(sum(weights), 4)
+    for weight in weights:
+        solver.feed(weight)
+        probe.feed(weight)
+    assert weights == kept
+
+
 def test_parser_chunks_skip_the_weight_rule(monkeypatch):
     weights = random.Random(3).choices(range(1001), k=2 * B + 5) + [1000]
     text = format_weights(weights)
@@ -422,6 +465,19 @@ def size_of(items: list) -> int:
     return sys.getsizeof(items) + sum(map(sys.getsizeof, items))
 
 
+def traced_size(make) -> int:
+    """Bytes that tracemalloc counts for what `make()` builds and returns:
+    more than `size_of` for sums, whose ints are allocated a digit longer
+    than they end up."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        made = make()  # noqa: F841  (kept alive until it is measured)
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
 class SpyWalker:
     """A walker that records, in each `walk`, the traced memory and the
     size of the prefix sums it is given."""
@@ -449,9 +505,10 @@ def test_parser_holds_no_tokens_while_a_chunk_is_walked():
             tracemalloc.stop()
         assert len(spy.seen) > 1
         for traced, prefix_bytes in spy.seen:
-            # alive: the chunk and its prefix sums, about the same size each,
-            # and a block of text; a held token list adds token_bytes
-            assert traced - before < 2 * prefix_bytes + token_bytes // 2
+            # alive: the chunk, which has become its prefix sums; a held
+            # token list, or the chunk's ints beside its sums, adds more
+            # than half of token_bytes
+            assert traced - before < prefix_bytes + token_bytes // 2
 
 
 class SpyReader:
@@ -477,14 +534,17 @@ def test_a_pass_holds_one_chunk_at_a_time(source, walker):
         data = text.encode("ascii") if source == "bytes" else text
         reader = SpyReader(io.BytesIO(data) if source == "bytes" else io.StringIO(data))
         stream = WeightChunks(reader)
-        token_bytes = size_of(data[:READ_BLOCK].split())
+        token_bytes = traced_size(lambda: data[:READ_BLOCK].split())
         chunks = chunks_of(text)
     else:
         stream = iter(weights) if source == "list" else WeightChunks.of_checked(weights)
         token_bytes = 0
         chunks = [weights[start:start + B] for start in range(0, len(weights), B)]
     assert len(chunks) > 2
-    prefix_bytes = max(size_of(list(accumulate(chunk, initial=0))) for chunk in chunks)
+    prefix_bytes = max(traced_size(lambda: list(accumulate(chunk, initial=0)))
+                       for chunk in chunks)
+    # one slice being rewritten: a copy of its items and the new ones
+    slice_bytes = traced_size(lambda: (weights[:SLICE], list(accumulate(weights[:SLICE]))))
     walkers = {"none": [], "no-op": [SimpleNamespace(walk=lambda prefix, top: True)],
                "race": [_Race(sum(weights), 4, Fraction(11, 10), 1, 8, 4, True)]}[walker]
     # the race holds the prefix sums of the chunk it walks when the next one comes
@@ -496,10 +556,10 @@ def test_a_pass_holds_one_chunk_at_a_time(source, walker):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # alive at most: one block's tokens while it is parsed, one chunk and its
-    # prefix sums (its ints weigh about as much as the sums), two blocks of
-    # text and what the race holds
-    assert peak < token_bytes + 2 * prefix_bytes + 2 * READ_BLOCK + held
+    # alive at most: what the race holds, and either one block's tokens, or
+    # its ints, while it is parsed, or one chunk, which becomes its prefix
+    # sums; beside them one slice being rewritten and a block of text
+    assert peak < held + max(token_bytes, prefix_bytes) + slice_bytes + 2 * READ_BLOCK
     if reader is not None:
         # a block is read beside no chunk, prefix sums or text of the pass:
         # only the race's held prefix sums and its own few objects
@@ -523,6 +583,10 @@ def test_a_block_is_converted_without_its_text(source):
     finally:
         tracemalloc.stop()
     assert (weights, bad, at_end) == (ints, None, False)
-    # the block's text, and the str path's joined tokens, are let go before
-    # the tokens are converted
-    assert peak < size_of(tokens) + size_of(ints) + READ_BLOCK // 2
+    # alive at most: the block's tokens, or its ints, and beside them the
+    # block's text while it is split, or, once the text and the str path's
+    # joined tokens are let go, one slice being converted: a copy of its
+    # tokens and its ints
+    slice_bytes = traced_size(lambda: (tokens[:SLICE], list(map(int, tokens[:SLICE]))))
+    assert peak < (max(size_of(tokens), size_of(ints)) + max(READ_BLOCK, slice_bytes)
+                   + READ_BLOCK // 2)
