@@ -3,8 +3,9 @@ bytes, against `str.split` and `int`, the size of its chunks, errors in
 stream order, the CLI's error texts on bad bytes, numbers past CPython's
 digit limit for `int(str)` and `str(int)`, the CLI against the solver called
 on the list, the trust `_drive` gives the parser's chunks and no other
-stream, and the memory the parser holds while a chunk is walked, while a
-block is read and converted, and over a whole pass."""
+stream, the caller's list, which no pass rewrites, and the memory the
+parser holds while a chunk is walked, while a block is read and converted,
+and over a whole pass."""
 
 import io
 import json
@@ -558,7 +559,7 @@ def test_a_pass_holds_one_chunk_at_a_time(source, walker):
         tracemalloc.stop()
     # alive at most: what the race holds, and either one block's tokens, or
     # its ints, while it is parsed, or one chunk, which becomes its prefix
-    # sums; beside them one slice being rewritten and a block of text
+    # sums; beside them one slice being rewritten and two blocks of text
     assert peak < held + max(token_bytes, prefix_bytes) + slice_bytes + 2 * READ_BLOCK
     if reader is not None:
         # a block is read beside no chunk, prefix sums or text of the pass:
