@@ -229,6 +229,13 @@ SLICE = B // 16
 # the whitespace `bytes.split()` splits on
 _BYTES_SPACE = b" \t\n\r\x0b\x0c"
 
+# the ints below 2**10, keyed by their canonical decimal text as str and as
+# ASCII bytes: `_convert` looks a token up here before it calls `int`. They
+# are built at import, so that no parse pays for them or counts them in its
+# peak; the two tables share their ints.
+_SMALL_STR = {str(value): value for value in range(1 << 10)}
+_SMALL_BYTES = {key.encode(): value for key, value in _SMALL_STR.items()}
+
 
 def int_text(value: int | Fraction) -> str:
     """`str(value)` for an int or a Fraction of any size: past CPython's
@@ -284,17 +291,28 @@ def _to_ints(tokens: list[str]) -> tuple[list[int], str | None]:
 def _convert(tokens: list[str] | list[bytes]) -> list[int]:
     """`tokens`, decimal integers as str or as ASCII bytes, each replaced by
     its int in place, `SLICE` at a time, so that a block's tokens and its
-    ints are never both whole. A slice with a token past CPython's int()
-    digit limit raises before it is assigned; that slice and the rest are
-    read by `parse_int`."""
-    convert = int
+    ints are never both whole.
+
+    A block climbs a one-way ladder of converters: a lookup in the table of
+    small ints for the tokens' type, then `int`, then `parse_int`. A slice
+    with a token its rung cannot read (not a key of the table, or past
+    CPython's int() digit limit) raises before it is assigned; that slice
+    is read again by the next rung, which reads the rest of the block. The
+    table holds `int(key)` at each key, so every rung gives the same ints.
+    """
+    table = _SMALL_BYTES if tokens and type(tokens[0]) is bytes else _SMALL_STR
+    ladder = iter((table.__getitem__, int, _long_int))
+    convert = next(ladder)
     for start in range(0, len(tokens), SLICE):
         end = start + SLICE
-        try:
-            tokens[start:end] = map(convert, tokens[start:end])
-        except ValueError:  # past CPython's int() digit limit
-            convert = _long_int
-            tokens[start:end] = map(convert, tokens[start:end])
+        while True:
+            try:
+                tokens[start:end] = map(convert, tokens[start:end])
+                break
+            except (KeyError, ValueError):
+                convert = next(ladder, None)
+                if convert is None:
+                    raise
     return tokens
 
 

@@ -1,5 +1,7 @@
 """Text ingress: the chunk parser (`core.WeightChunks`), from text and from
-bytes, against `str.split` and `int`, the size of its chunks, errors in
+bytes, against `str.split` and `int`, its conversion ladder (a table of
+small ints, then `int`, then `parse_int`) at the edges of its slices, the
+size of its chunks, errors in
 stream order, the CLI's error texts on bad bytes, numbers past CPython's
 digit limit for `int(str)` and `str(int)`, the CLI against the solver called
 on the list, the trust `_drive` gives the parser's chunks and no other
@@ -40,7 +42,8 @@ from streampart import (
     solve_unknown_partb,
 )
 from streampart.cli import KNOW_TAGS, build_parser, main
-from streampart.core import READ_BLOCK, SLICE, WeightChunks, _read_block, int_text, parse_int
+from streampart.core import (READ_BLOCK, SLICE, _SMALL_BYTES, _SMALL_STR, WeightChunks, _convert,
+                             _read_block, int_text, parse_int)
 from streampart.feasibility import B, _drive
 from streampart.schedulers import SOLVERS, UnknownPartSolver, _Race, solve_tagged
 
@@ -271,7 +274,8 @@ def test_cli_solves_a_long_token(tmp_path, capsys):
 def test_a_long_token_past_the_first_slice_is_read_exactly(tmp_path, capsys):
     # one block: more than SLICE short tokens, then a token past CPython's
     # int() digit limit, then short ones again; the slices before the long
-    # one are converted by `int`, the rest by `parse_int`
+    # one are looked up in the table of small ints, the rest are read by
+    # `parse_int`
     rng = random.Random(13)
     tokens = [str(weight) for weight in rng.choices(range(1000), k=SLICE + 40)]
     tokens += ["9" + LONG[:4999], *map(str, rng.choices(range(1000), k=SLICE + 3))]
@@ -287,6 +291,70 @@ def test_a_long_token_past_the_first_slice_is_read_exactly(tmp_path, capsys):
     assert captured.err == ""
     assert json.loads(captured.out, parse_int=horner) == (
         solve_unknown_part(expected, 3).to_json_dict())
+
+
+def small_tokens(count: int, seed: int) -> list[str]:
+    """`count` tokens of the table of small ints, the ints below 1024."""
+    return list(map(str, random.Random(seed).choices(range(1024), k=count)))
+
+
+LIMIT_TOKEN = "9" + LONG[:4999]  # past CPython's int() digit limit
+
+# each a block's tokens: where the conversion leaves the table for `int`,
+# and `int` for `parse_int`, against the slices of `_convert`
+LADDER_BLOCKS = {
+    "in-table": small_tokens(3 * SLICE + 7, 1),
+    "miss-first": ["1024", *small_tokens(SLICE + 20, 2)],
+    "miss-at-slice-end": [*small_tokens(SLICE - 1, 3), "4096", *small_tokens(SLICE + 5, 4)],
+    "miss-past-first-slice": [*small_tokens(SLICE + 9, 5), "65535", *small_tokens(40, 6)],
+    "zero-padded": [*small_tokens(SLICE - 2, 7), "007", "0000", *small_tokens(SLICE, 8)],
+    "miss-then-limit": [*small_tokens(10, 9), "1023", "1024", *small_tokens(SLICE + 30, 10),
+                        LIMIT_TOKEN, *small_tokens(SLICE + 3, 11)],
+    "limit-before-miss": [*small_tokens(3, 12), LIMIT_TOKEN, *small_tokens(SLICE + 3, 13)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LADDER_BLOCKS))
+def test_the_conversion_ladder_at_slice_edges(case):
+    tokens = LADDER_BLOCKS[case]
+    text = " ".join(tokens) + "\n"
+    assert len(text) < READ_BLOCK
+    expected = list(map(parse_int, tokens))
+    for reader in (io.StringIO(text), io.BytesIO(text.encode("ascii"))):
+        assert list(WeightChunks(reader).chunks) == [expected]
+
+
+def test_the_small_int_tables_are_exact():
+    canonical = [str(value) for value in range(1024)]
+    assert set(_SMALL_STR) == set(canonical)
+    assert set(_SMALL_BYTES) == {key.encode() for key in canonical}
+    for table in (_SMALL_STR, _SMALL_BYTES):
+        assert all(type(value) is int and value == int(key) for key, value in table.items())
+    # a converted token is the table's own int, shared by both tables: no
+    # int is built per token
+    for tokens in (canonical, [key.encode() for key in canonical]):
+        weights = _convert(list(tokens))
+        assert all(weight is _SMALL_STR[key] for weight, key in zip(weights, canonical))
+
+
+ladder_token_strategy = st.one_of(
+    st.integers(0, 1023).map(str),
+    st.integers(1024, 10**12).map(str),
+    st.builds(lambda zeros, value: "0" * zeros + str(value),
+              st.integers(1, 3), st.integers(0, 2047)),
+    st.just(LIMIT_TOKEN),
+)
+
+
+@SETTINGS
+@given(lead=st.integers(0, 2 * SLICE), body=st.lists(ladder_token_strategy, max_size=30),
+       tail=st.integers(0, SLICE))
+def test_convert_matches_parse_int(lead, body, tail):
+    # the body's tokens land anywhere in the slices, after `lead` table tokens
+    tokens = small_tokens(lead, lead) + body + small_tokens(tail, tail)
+    expected = list(map(parse_int, tokens))
+    assert _convert(list(tokens)) == expected
+    assert _convert([token.encode() for token in tokens]) == expected
 
 
 @pytest.mark.parametrize("length", [B // 2, 2 * B + 5], ids=["one-chunk", "multi-chunk"])
