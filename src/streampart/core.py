@@ -295,24 +295,29 @@ def _convert(tokens: list[str] | list[bytes]) -> list[int]:
 
     A block climbs a one-way ladder of converters: a lookup in the table of
     small ints for the tokens' type, then `int`, then `parse_int`. A slice
-    with a token its rung cannot read (not a key of the table, or past
-    CPython's int() digit limit) raises before it is assigned; that slice
-    is read again by the next rung, which reads the rest of the block. The
-    table holds `int(key)` at each key, so every rung gives the same ints.
+    with a token its rung cannot read raises before it is assigned. At the
+    first token that is no key of the table (the `KeyError` names it), the
+    table's ints are kept up to that token and `int` reads the rest of the
+    block from it, so a miss wastes the lookups of one slice and no `int`
+    call. A slice with a token past CPython's int() digit limit is read
+    again by `parse_int`, which reads the rest of the block. The table
+    holds `int(key)` at each key, so every rung gives the same ints.
     """
-    table = _SMALL_BYTES if tokens and type(tokens[0]) is bytes else _SMALL_STR
-    ladder = iter((table.__getitem__, int, _long_int))
-    convert = next(ladder)
-    for start in range(0, len(tokens), SLICE):
+    convert = (_SMALL_BYTES if tokens and type(tokens[0]) is bytes else _SMALL_STR).__getitem__
+    start = 0
+    while start < len(tokens):
         end = start + SLICE
-        while True:
-            try:
-                tokens[start:end] = map(convert, tokens[start:end])
-                break
-            except (KeyError, ValueError):
-                convert = next(ladder, None)
-                if convert is None:
-                    raise
+        try:
+            tokens[start:end] = map(convert, tokens[start:end])
+            start = end
+        except KeyError as miss:
+            end = tokens.index(miss.args[0], start, end)
+            tokens[start:end] = map(convert, tokens[start:end])
+            start, convert = end, int
+        except ValueError:  # past CPython's int() digit limit
+            if convert is _long_int:
+                raise
+            convert = _long_int
     return tokens
 
 

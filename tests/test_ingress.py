@@ -41,6 +41,7 @@ from streampart import (
     solve_unknown_part,
     solve_unknown_partb,
 )
+import streampart.core
 from streampart.cli import KNOW_TAGS, build_parser, main
 from streampart.core import (READ_BLOCK, SLICE, _SMALL_BYTES, _SMALL_STR, WeightChunks, _convert,
                              _read_block, int_text, parse_int)
@@ -335,6 +336,21 @@ def test_the_small_int_tables_are_exact():
     for tokens in (canonical, [key.encode() for key in canonical]):
         weights = _convert(list(tokens))
         assert all(weight is _SMALL_STR[key] for weight, key in zip(weights, canonical))
+
+
+@pytest.mark.parametrize("miss_at", [0, SLICE - 1, SLICE + 9], ids=["first", "slice-end", "past-slice"])
+def test_int_reads_a_block_from_its_first_miss_on(monkeypatch, miss_at):
+    # the table's ints are kept up to the first token that is no key: `int`
+    # is called on that token and the ones after it, and on none before
+    tokens = [*small_tokens(miss_at, 14), "1024", *small_tokens(SLICE + 5, 15)]
+    expected = list(map(int, tokens))
+    read = []
+    monkeypatch.setattr(streampart.core, "int", lambda token: read.append(token) or int(token),
+                        raising=False)
+    for block in (tokens, [token.encode() for token in tokens]):
+        read.clear()
+        assert _convert(list(block)) == expected
+        assert read == block[miss_at:]
 
 
 ladder_token_strategy = st.one_of(
