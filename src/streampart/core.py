@@ -294,7 +294,8 @@ def _convert(tokens: list[str] | list[bytes]) -> list[int]:
     ints are never both whole.
 
     A block climbs a one-way ladder of converters: a lookup in the table of
-    small ints for the tokens' type, then `int`, then `parse_int`. A slice
+    small ints for the tokens' type, then `int`, then `parse_int`; a block
+    whose first token is no key of the table starts at `int`. A slice
     with a token its rung cannot read raises before it is assigned. At the
     first token that is no key of the table (the `KeyError` names it), the
     table's ints are kept up to that token and `int` reads the rest of the
@@ -303,7 +304,10 @@ def _convert(tokens: list[str] | list[bytes]) -> list[int]:
     again by `parse_int`, which reads the rest of the block. The table
     holds `int(key)` at each key, so every rung gives the same ints.
     """
-    convert = (_SMALL_BYTES if tokens and type(tokens[0]) is bytes else _SMALL_STR).__getitem__
+    if not tokens:
+        return tokens
+    table = _SMALL_BYTES if type(tokens[0]) is bytes else _SMALL_STR
+    convert = table.__getitem__ if tokens[0] in table else int
     start = 0
     while start < len(tokens):
         end = start + SLICE

@@ -54,9 +54,10 @@ GROWTH_POWER_BITS = 1 << 25
 
 # element counter, running total, running max
 UNKNOWN_VALUE_DRIVER_WORDS = 3
-# element counter, running total, running max, bound and smallest adjacent-pair
-# sum (5 words), then p - 1 interior block starts (block 1 starts at 1) and p
-# block weights: 5 + (p - 1) + p = 4 + 2p
+# element counter, running total, running max, bound and the exact smallest
+# adjacent-pair sum of every block but the last (5 words; the last pair is
+# read from the block weights), then p - 1 interior block starts (block 1
+# starts at 1) and p block weights: 5 + (p - 1) + p = 4 + 2p
 UNKNOWN_PART_DRIVER_WORDS = 4
 # the race (`_Race`) holds the chunk it has not walked yet, beside the chunk
 # being read: its B + 1 prefix sums and its largest weight
@@ -519,9 +520,11 @@ class UnknownPartSolver:
     fits the bound, the blocks plus the element are regrouped greedily;
     otherwise the element grows the last block if it fits, and opens a block
     if not. At most p blocks are ever needed and boundaries only move
-    forward. All comparisons are exact via cross-multiplication. The kept
-    pair sum can only be stale low (the last block only grows), which costs
-    an extra full regroup and never a different grouping.
+    forward. All comparisons are exact via cross-multiplication. The solver
+    keeps the exact smallest pair sum of every block but the last, and reads
+    the last pair, which grows with the last block, when the rule needs it:
+    the smallest pair sum the rule tests is exact, so every full regroup
+    merges at least one pair.
 
     It is one of `_drive`'s walkers: `walk` takes each chunk's prefix sums
     and largest weight, and carries the counter, total, maximum and blocks
@@ -543,7 +546,8 @@ class UnknownPartSolver:
         # on read
         self._starts: list[int] = []
         self._sums = [0]
-        # smallest adjacent-pair sum of the blocks; None while there is one
+        # smallest adjacent-pair sum of every block but the last; None while
+        # there are fewer than three blocks
         self._pair: int | None = None
         self.total = 0
         self.max_weight = 0
@@ -579,7 +583,10 @@ class UnknownPartSolver:
         head = max(bisect_left(prefix, blocks * highest - carried) - 1, 0)
         biggest = self.max_weight
         sums = self._sums
-        pair = self._pair
+        rest = self._pair
+        # a lower bound of the smallest pair sum, exact at each event: the
+        # last pair only grows between events
+        pair = _smallest_pair(rest, sums)
         at = 0
         while at < last:
             if at < head:
@@ -613,10 +620,15 @@ class UnknownPartSolver:
                 weight = prefix[at] - prefix[at - 1]
                 cap = 2 * (carried + prefix[at])
             if pair is not None and blocks * pair <= cap:
-                self._regroup(weight, first + at, cap)
-                sums = self._sums
-                pair = self._pair
-                continue
+                # the last pair may have grown past the bound: regroup only
+                # when some pair can merge, else only grow or open
+                pair = _smallest_pair(rest, sums)
+                if blocks * pair <= cap:
+                    self._regroup(weight, first + at, cap)
+                    sums = self._sums
+                    rest = self._pair
+                    pair = _smallest_pair(rest, sums)
+                    continue
             grown = sums[-1] + weight
             if blocks * grown <= cap:
                 sums[-1] = grown
@@ -624,13 +636,15 @@ class UnknownPartSolver:
             if len(sums) == blocks:
                 raise RuntimeError("regrouping exceeded the block budget")
             self._starts.append(first + at)
+            if len(sums) > 1:
+                # the closed last pair joins the others
+                rest = _smallest_pair(rest, sums)
             sums.append(weight)
-            if pair is None or grown < pair:
-                pair = grown
+            pair = grown if rest is None or grown < rest else rest
         self.total = carried + prefix[-1]
         self.elements_read = first + last
         self.max_weight = highest
-        self._pair = pair
+        self._pair = rest
         return True
 
     def _regroup(self, weight: int, index: int, cap: int) -> None:
@@ -655,7 +669,8 @@ class UnknownPartSolver:
             raise RuntimeError("regrouping exceeded the block budget")
         self._starts = starts
         self._sums = sums
-        self._pair = min(map(add, sums, sums[1:]), default=None)
+        # the pairs of sums[:-1]: map stops at the shorter list
+        self._pair = min(map(add, sums, sums[1:-1]), default=None)
 
     def result(self) -> SolveResult:
         return SolveResult(
@@ -670,6 +685,15 @@ class UnknownPartSolver:
             epsilon=None,
             buffer_words=BUFFER_WORDS,
         )
+
+
+def _smallest_pair(rest: int | None, sums: list[int]) -> int | None:
+    """The smallest adjacent-pair sum of the blocks `sums`, given `rest`, that
+    of every block but the last; None with one block."""
+    if len(sums) < 2:
+        return None
+    last = sums[-2] + sums[-1]
+    return last if rest is None or last < rest else rest
 
 
 def solve_unknown_part(stream: Iterable[int], num_blocks: int) -> SolveResult:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, pairwise
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from streampart import core, feasibility, oracle, schedulers
@@ -296,42 +297,36 @@ class ReferenceUnknownPart:
 
 class ReferenceUnknownWalk(UnknownPartSolver):
     """`UnknownPartSolver` with the per-element walk: every element of a
-    chunk runs the regroup, grow and open tests in turn. The event-driven
-    walk is checked against it, state for state, after every chunk."""
+    chunk runs the regroup, grow and open tests in turn, with the smallest
+    pair sum recomputed from the blocks, and `_pair` is recomputed after
+    every element. The event-driven walk is checked against it, state for
+    state, after every chunk."""
 
     def walk(self, prefix: Sequence[int], top: int) -> bool:
         blocks = self.num_blocks
-        carried = self.total
         index = self.elements_read
-        biggest = self.max_weight
-        sums = self._sums
-        pair = self._pair
         for before, running in pairwise(prefix):
             weight = running - before
             index += 1
-            if weight > biggest:
-                biggest = weight
+            self.max_weight = max(self.max_weight, weight)
             # compare p * (acc + w) <= p * bound = 2 * max(max_weight * p, total)
-            cap = 2 * max(biggest * blocks, carried + running)
+            cap = 2 * max(self.max_weight * blocks, self.total + running)
+            sums = self._sums
+            pair = min(map(add, sums, sums[1:]), default=None)
             if pair is not None and blocks * pair <= cap:
                 self._regroup(weight, index, cap)
-                sums = self._sums
-                pair = self._pair
-                continue
-            grown = sums[-1] + weight
-            if blocks * grown <= cap:
-                sums[-1] = grown
-                continue
-            if len(sums) == blocks:
+            elif blocks * (sums[-1] + weight) <= cap:
+                sums[-1] += weight
+            elif len(sums) == blocks:
                 raise RuntimeError("regrouping exceeded the block budget")
-            self._starts.append(index)
-            sums.append(weight)
-            if pair is None or grown < pair:
-                pair = grown
-        self.total = carried + prefix[-1]
+            else:
+                self._starts.append(index)
+                sums.append(weight)
+            # every block but the last
+            closed = self._sums[:-1]
+            self._pair = min(map(add, closed, closed[1:]), default=None)
+        self.total += prefix[-1]
         self.elements_read = index
-        self.max_weight = biggest
-        self._pair = pair
         return True
 
 

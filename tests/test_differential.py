@@ -11,6 +11,7 @@ the grid solvers at fine eps against the race and the oracle."""
 import random
 from fractions import Fraction
 from itertools import accumulate, pairwise
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -458,6 +459,44 @@ def test_unknown_solvers_on_a_perfbench_shaped_stream():
     # perfbench's unknown-part op: 10^4 uniform weights in 0..1000, p = 64,
     # read by `_drive` in chunks of `B`, so most of it is walked event by event
     check_unknown_solvers(boundary_stream(10_000, "unsorted", seed=1131), 64)
+
+
+def guard_regroups(monkeypatch) -> list[int]:
+    """Make every full regroup assert on entry that some pair of its blocks
+    can merge under its cap; return the list of the stream indices of the
+    elements it was entered with."""
+    entered = []
+    regroup = UnknownPartSolver._regroup
+
+    def guarded(solver, weight, index, cap):
+        sums = solver._sums
+        assert solver.num_blocks * min(map(add, sums, sums[1:])) <= cap
+        entered.append(index)
+        regroup(solver, weight, index, cap)
+
+    monkeypatch.setattr(UnknownPartSolver, "_regroup", guarded)
+    return entered
+
+
+def test_no_regroup_is_wasted_on_a_perfbench_shaped_stream(monkeypatch):
+    entered = guard_regroups(monkeypatch)
+    solve_unknown_part(iter(boundary_stream(10_000, "unsorted", seed=1131)), 64)
+    assert entered
+
+
+@pytest.mark.parametrize("size", [1, 50, B])
+@pytest.mark.parametrize("num_blocks", [3, 64])
+@pytest.mark.parametrize("mix", ["zeros", "log-spread", "uniform", "spikes"])
+def test_no_regroup_is_wasted(monkeypatch, mix, num_blocks, size):
+    # a regroup with no pair under the cap would only grow the last block or
+    # open one, which the walk does without it
+    entered = guard_regroups(monkeypatch)
+    weights = mixed_stream(num_blocks * 1000 + size, 3000, mix)
+    solver = UnknownPartSolver(num_blocks)
+    for lo in range(0, len(weights), size):
+        chunk = weights[lo:lo + size]
+        assert solver.walk(list(accumulate(chunk, initial=0)), max(chunk))
+    assert entered
 
 
 def check_unknown_solvers(weights: list[int], num_blocks: int) -> None:
