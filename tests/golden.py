@@ -1,0 +1,124 @@
+"""The CLI golden corpus: seeded input streams, the commands run on each, and
+how a run is recorded (stdout's SHA-256, stderr's full text, the exit code).
+
+`test_golden.py` runs every case through `cli.main` in-process and compares
+it with `golden.json`. A change that alters output on purpose rewrites the
+digests with
+
+    PYTHONPATH=src python tests/golden.py
+
+and says why in `CHANGES.md`. This module is no test file, so pytest does
+not collect it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import random
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from streampart.cli import main
+from streampart.core import int_text, parse_int
+
+GOLDEN_PATH = Path(__file__).with_name("golden.json")
+
+# stdin is a text reader over the stream's bytes, as a terminal or pipe gives
+STDIN_ENCODING = "utf-8"
+
+
+def _uniform(top: int, seed: int, count: int = 5000) -> list[int]:
+    return random.Random(seed).choices(range(top + 1), k=count)
+
+
+def _digits(count: int, seed: int) -> str:
+    """`count` decimal digits, the first of them not 0."""
+    rng = random.Random(seed)
+    return rng.choice("123456789") + "".join(rng.choices("0123456789", k=count - 1))
+
+
+def _text(tokens) -> bytes:
+    return (" ".join(map(str, tokens)) + "\n").encode("ascii")
+
+
+def _stream(tokens) -> tuple[bytes, str]:
+    """The text of `tokens` and its largest weight, written out."""
+    return _text(tokens), int_text(max(map(parse_int, map(str, tokens))))
+
+
+def _inputs() -> dict[str, tuple[bytes, str]]:
+    """Each input's bytes and the maximum weight `solve --know m` declares."""
+    inputs = {f"uniform-0..{top}": _stream(_uniform(top, seed))
+              for top, seed in ((1000, 1), (2047, 2), (10**6, 3))}
+
+    rng = random.Random(4)
+    padded = [f"{value:0{rng.randint(1, 6)}d}" for value in rng.choices(range(2048), k=3000)]
+    inputs["zero-padded"] = _stream(padded)
+
+    small = _uniform(1023, 5, count=400)
+    long_tokens = [*small[:50], _digits(5000, 6), *small[50:60], _digits(8191, 7),
+                   *small[60:70], _digits(31, 8), *small[70:]]
+    inputs["long-tokens"] = _stream(long_tokens)
+
+    # the 256th token is the first outside the parser's table of ints below 1024
+    miss = [*_uniform(1023, 9, count=255), 1024, *_uniform(1023, 10, count=800)]
+    inputs["miss-at-256"] = _stream(miss)
+    long_after_miss = [*_uniform(1023, 11, count=300), 4096, *_uniform(1023, 12, count=20),
+                       _digits(5000, 13), *_uniform(1023, 14, count=300)]
+    inputs["miss-then-5000-digits"] = _stream(long_after_miss)
+
+    # bad bytes after a few slices of good tokens, and an empty stream
+    good = _text(_uniform(1000, 15, count=700))
+    inputs["x"] = (good + b"x " + good, "1000")
+    inputs["c3"] = (good + b"5 \xc3 7 " + good, "1000")
+    inputs["1c"] = (good.replace(b" ", b"\x1c", 40) + good, "1000")
+    inputs["empty"] = (b"", "1000")
+    return inputs
+
+
+def _commands(declared_max: str) -> dict[str, list[str]]:
+    return {
+        "solve-partb": ["solve", "--p", "8", "--mode", "partb"],
+        "solve-part": ["solve", "--p", "8"],
+        "solve-know-m": ["solve", "--p", "8", "--know", "m", "--m", declared_max,
+                         "--epsilon", "1/10"],
+        "oracle": ["oracle", "--p", "8"],
+    }
+
+
+def _run(argv: list[str], stdin: io.TextIOBase) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, stdin
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return {"exit": code, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "stderr": err.getvalue()}
+
+
+def record(directory: Path) -> dict[str, dict]:
+    """Every case's record, keyed "input/source/command": each command runs
+    on each input through `--input` (a file written in `directory`) and
+    through stdin."""
+    records = {}
+    for name, (data, declared_max) in _inputs().items():
+        path = directory / f"{name}.txt"
+        path.write_bytes(data)
+        for command, argv in _commands(declared_max).items():
+            records[f"{name}/input/{command}"] = _run(argv + ["--input", str(path)], sys.stdin)
+            stdin = io.TextIOWrapper(io.BytesIO(data), encoding=STDIN_ENCODING)
+            records[f"{name}/stdin/{command}"] = _run(argv, stdin)
+    return records
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        corpus = record(Path(scratch))
+    GOLDEN_PATH.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(corpus)} cases to {GOLDEN_PATH}")
