@@ -22,7 +22,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from itertools import chain
 from operator import countOf
-from typing import IO, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 
 class InvalidPartitioningError(ValueError):
@@ -222,8 +222,8 @@ B = 4096
 # characters of text the parser reads at a time
 READ_BLOCK = 1 << 13
 
-# items a list is rewritten in place at a time: a block's tokens become its
-# ints (`_convert`), and a chunk its prefix sums (`feasibility._drive`)
+# tokens the parser splits a block into at a time (`_read_block`), and items
+# of a chunk `feasibility._drive` rewrites into its prefix sums at a time
 SLICE = B // 16
 
 # the whitespace `bytes.split()` splits on
@@ -269,60 +269,62 @@ def parse_int(text: str) -> int:
 parse_int.__name__ = "int"
 
 
-def _to_ints(tokens: list[str]) -> tuple[list[int], str | None]:
-    """The weights of `tokens` up to the first token that is not a decimal
-    integer, and that token (None when there is none).
+def _to_ints(tokens: list[str], weights: list[int], convert: Callable | None
+             ) -> tuple[Callable | None, str | None]:
+    """Append to `weights` the ints of one slice's `tokens` up to the first
+    token that is not a decimal integer, by `_convert` from the rung
+    `convert`; return the rung the next slice starts on, and that token
+    (None when there is none).
 
-    One check covers a block of valid tokens, which `_convert` then turns
-    into their ints in place; only a block that fails the check is scanned
-    token by token.
+    One check covers a slice of valid tokens; only a slice that fails it is
+    scanned token by token, and cut at its first bad token.
     """
     joined = "".join(tokens)
     digits = joined.isascii() and joined.isdigit()
-    del joined  # a second copy of the block's text
+    del joined  # a second copy of the slice's text
     if not digits:
         for cut, token in enumerate(tokens):
             if not (token.isascii() and token.isdigit()):
                 del tokens[cut:]
-                return _convert(tokens), token
-    return _convert(tokens), None
+                return _convert(tokens, weights, convert), token
+    return _convert(tokens, weights, convert), None
 
 
-def _convert(tokens: list[str] | list[bytes]) -> list[int]:
-    """`tokens`, decimal integers as str or as ASCII bytes, each replaced by
-    its int in place, `SLICE` at a time, so that a block's tokens and its
-    ints are never both whole.
+def _convert(tokens: list[str] | list[bytes], weights: list[int], convert: Callable | None
+             ) -> Callable | None:
+    """Append to `weights` the ints of one slice's `tokens`, decimal
+    integers as str or as ASCII bytes, read by `convert`, the rung of the
+    block's ladder that the slice starts on (None for the block's first
+    slice); return the rung the next slice starts on.
 
     A block climbs a one-way ladder of converters: a lookup in the table of
     small ints for the tokens' type, then `int`, then `parse_int`; a block
-    whose first token is no key of the table starts at `int`. A slice
-    with a token its rung cannot read raises before it is assigned. At the
-    first token that is no key of the table (the `KeyError` names it), the
-    table's ints are kept up to that token and `int` reads the rest of the
-    block from it, so a miss wastes the lookups of one slice and no `int`
-    call. A slice with a token past CPython's int() digit limit is read
-    again by `parse_int`, which reads the rest of the block. The table
-    holds `int(key)` at each key, so every rung gives the same ints.
+    whose first token is no key of the table starts at `int`. The ints are
+    appended as they are read, so a rung that raises leaves those of the
+    tokens before it in `weights`, and the next rung reads the slice from
+    that token on: `int` from the first token that is no key of the table,
+    so a miss wastes no lookup and no `int` call, and `parse_int` from the
+    first token past CPython's int() digit limit. The table holds
+    `int(key)` at each key, so every rung gives the same ints.
     """
     if not tokens:
-        return tokens
-    table = _SMALL_BYTES if type(tokens[0]) is bytes else _SMALL_STR
-    convert = table.__getitem__ if tokens[0] in table else int
-    start = 0
-    while start < len(tokens):
-        end = start + SLICE
+        return convert
+    if convert is None:
+        table = _SMALL_BYTES if type(tokens[0]) is bytes else _SMALL_STR
+        convert = table.__getitem__ if tokens[0] in table else int
+    start = len(weights)
+    rest = tokens
+    while True:
         try:
-            tokens[start:end] = map(convert, tokens[start:end])
-            start = end
-        except KeyError as miss:
-            end = tokens.index(miss.args[0], start, end)
-            tokens[start:end] = map(convert, tokens[start:end])
-            start, convert = end, int
+            weights.extend(map(convert, rest))
+            return convert
+        except KeyError:  # a token that is no key of the table
+            convert = int
         except ValueError:  # past CPython's int() digit limit
             if convert is _long_int:
                 raise
             convert = _long_int
-    return tokens
+        rest = tokens[len(weights) - start:]
 
 
 def _long_int(token: str | bytes) -> int:
@@ -338,34 +340,47 @@ def _read_block(reader: IO[str] | IO[bytes], pending: str
     end and so may go on in the next block, or ""; and whether the stream
     has ended.
 
-    This frame holds the one copy of the block and lets it go once it is
-    split, before `_convert` turns the token list into the weights. Bytes
-    are read as ASCII text: a text of ASCII digits and the whitespace
-    `bytes.split` splits on has the tokens of its str, so one `isdigit()`
-    over it less that whitespace (`bytes.translate`, which holds no buffer
-    per token) and `_convert` read it. Any other bytes (not ASCII, a control
+    The block is split `SLICE` tokens at a time: `split(None, SLICE)` cuts
+    only at whitespace, so it gives one slice's tokens and the unsplit rest
+    of the block, which becomes the text the next slice is split from. Each
+    slice is converted onto the block's list of weights and let go before
+    the next is split, so that no more than one slice's tokens are alive,
+    and the conversion ladder is carried from slice to slice. Bytes are read
+    as ASCII text: a text of ASCII digits and the whitespace `bytes.split`
+    splits on has the tokens of its str, so one `isdigit()` over it less
+    that whitespace (`bytes.translate`, which holds no buffer per token)
+    lets `_convert` read its slices. Any other bytes (not ASCII, a control
     character that `str.split` splits on and `bytes.split` does not, or a
     token that is no integer) are read as str, the block decoded alone, so
     that a decode error names the byte's position in the block (the carried
-    token is ASCII).
+    token is ASCII); there `_to_ints` checks each slice's digits.
     """
     text = reader.read(READ_BLOCK)
     at_end = not text
     if type(text) is bytes:
         if pending:
             text = pending.encode() + text
-        if text.translate(None, _BYTES_SPACE).isdigit():
-            tokens = text.split()
-            last = tokens.pop().decode() if not at_end and not text[-1:].isspace() else ""
-            del text
-            return _convert(tokens), None, last, at_end
-        text = pending + text[len(pending):].decode("ascii")
+        if not text.translate(None, _BYTES_SPACE).isdigit():
+            text = pending + text[len(pending):].decode("ascii")
     elif pending:
         text = pending + text
-    tokens = text.split()
-    last = tokens.pop() if tokens and not at_end and not text[-1].isspace() else ""
-    del text
-    return (*_to_ints(tokens), last, at_end)
+    checked = type(text) is bytes
+    # the last token may go on in the next block unless whitespace ends this one
+    open_end = not at_end and not text[-1:].isspace()
+    weights: list[int] = []
+    convert = bad = None
+    last = ""
+    while text and bad is None:
+        tokens = text.split(None, SLICE)
+        text = tokens.pop() if len(tokens) > SLICE else text[:0]
+        if open_end and not text:
+            last = tokens.pop().decode() if checked else tokens.pop()
+        if checked:
+            convert = _convert(tokens, weights, convert)
+        else:
+            convert, bad = _to_ints(tokens, weights, convert)
+        del tokens  # before the next slice is split
+    return weights, bad, last, at_end
 
 
 def _parse_chunks(reader: IO[str] | IO[bytes]) -> Iterator[list[int]]:
@@ -390,7 +405,8 @@ def _parse_chunks(reader: IO[str] | IO[bytes]) -> Iterator[list[int]]:
         # the chunk, which `_drive` turns into its prefix sums, is walked
         # while this frame waits, holding no text; it lets the chunk go
         # before the next block is read, so that the pass holds one list per
-        # block or chunk, besides the block's text while it is split
+        # block or chunk, besides one slice's tokens and the block's text
+        # while it is split
         del weights
         if bad is not None:
             raise ValueError(f"invalid weight token {bad!r}: expected a non-negative integer")

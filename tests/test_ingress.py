@@ -43,8 +43,8 @@ from streampart import (
 )
 import streampart.core
 from streampart.cli import KNOW_TAGS, build_parser, main
-from streampart.core import (READ_BLOCK, SLICE, _SMALL_BYTES, _SMALL_STR, WeightChunks, _convert,
-                             _read_block, int_text, parse_int)
+from streampart.core import (READ_BLOCK, SLICE, _SMALL_BYTES, _SMALL_STR, WeightChunks, _read_block,
+                             int_text, parse_int)
 from streampart.feasibility import B, _drive
 from streampart.schedulers import SOLVERS, UnknownPartSolver, _Race, solve_tagged
 
@@ -109,15 +109,16 @@ def test_parser_block_edges(text, expected):
 
 
 class WholeText:
-    """A reader that returns all of its text (a str, or bytes) on the first
-    `read`, however few characters it is asked for."""
+    """A reader that returns each of its pieces of text (all str, or all
+    bytes) whole, one per `read`, however few characters it is asked for,
+    and then empty text."""
 
-    def __init__(self, text: str | bytes) -> None:
-        self.text = text
+    def __init__(self, *pieces: str | bytes) -> None:
+        self.pieces = list(pieces)
+        self.empty = pieces[0][:0]
 
     def read(self, size: int) -> str | bytes:
-        text, self.text = self.text, self.text[:0]
-        return text
+        return self.pieces.pop(0) if self.pieces else self.empty
 
 
 @pytest.mark.parametrize("text", [
@@ -301,8 +302,18 @@ def small_tokens(count: int, seed: int) -> list[str]:
 
 LIMIT_TOKEN = "9" + LONG[:4999]  # past CPython's int() digit limit
 
+
+def read_whole_block(tokens: list[str], as_bytes: bool) -> list[int]:
+    """The weights `_read_block` reads from one block that holds all of
+    `tokens`, however many, as str or as ASCII bytes."""
+    text = " ".join(tokens) + "\n"
+    reader = WholeText(text.encode("ascii") if as_bytes else text)
+    weights, bad, last, at_end = _read_block(reader, "")
+    assert (bad, last, at_end) == (None, "", False)
+    return weights
+
 # each a block's tokens: where the conversion leaves the table for `int`,
-# and `int` for `parse_int`, against the slices of `_convert`
+# and `int` for `parse_int`, against the slices `_read_block` splits
 LADDER_BLOCKS = {
     "in-table": small_tokens(3 * SLICE + 7, 1),
     "miss-first": ["1024", *small_tokens(SLICE + 20, 2)],
@@ -313,6 +324,55 @@ LADDER_BLOCKS = {
                         LIMIT_TOKEN, *small_tokens(SLICE + 3, 11)],
     "limit-before-miss": [*small_tokens(3, 12), LIMIT_TOKEN, *small_tokens(SLICE + 3, 13)],
 }
+
+
+# each a block's tokens, against the slices `_read_block` splits: one
+# slice's worth, one token fewer or more, two slices' worth, a miss that
+# opens the second slice, and a token past the digit limit in the third
+SLICE_EDGE_BLOCKS = {
+    "slice-less-one": small_tokens(SLICE - 1, 21),
+    "one-slice": small_tokens(SLICE, 22),
+    "slice-and-one": small_tokens(SLICE + 1, 23),
+    "two-slices": small_tokens(2 * SLICE, 24),
+    "miss-opens-second-slice": [*small_tokens(SLICE, 25), "1024", *small_tokens(SLICE, 26)],
+    "limit-in-third-slice": [*small_tokens(2 * SLICE + 5, 27), LIMIT_TOKEN, *small_tokens(9, 28)],
+}
+
+
+@pytest.mark.parametrize("carried", [False, True], ids=["ends-on-space", "carried"])
+@pytest.mark.parametrize("sep", [" ", "\t\n\t\n", " \n\r\x0b\x0c\t"], ids=["space", "tabs", "run"])
+@pytest.mark.parametrize("case", sorted(SLICE_EDGE_BLOCKS))
+@pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+def test_slice_edges(as_bytes, case, sep, carried):
+    # one block of the case's tokens, each cut at a run of whitespace, then
+    # a block "89 7"; when carried, the first block's last token runs on
+    # into the second, which ends it
+    tokens = SLICE_EDGE_BLOCKS[case]
+    pieces = [sep.join(tokens) + ("" if carried else sep), "89 7\n"]
+    tokens = [*tokens[:-1], tokens[-1] + "89", "7"] if carried else [*tokens, "89", "7"]
+    if as_bytes:
+        pieces = [piece.encode("ascii") for piece in pieces]
+    expected = list(map(parse_int, tokens))
+    assert list(WeightChunks(WholeText(*pieces)).chunks) == [expected[:-2], expected[-2:]]
+
+
+@pytest.mark.parametrize("as_bytes, bad", [(False, "x"), (False, "-3"), (False, "٣"),
+                                           (True, "x"), (True, "-3")])
+def test_a_bad_token_in_a_later_slice(as_bytes, bad):
+    tokens = [*small_tokens(SLICE + 7, 29), bad, *small_tokens(SLICE, 30)]
+
+    def reader(tokens):
+        text = " ".join(tokens) + "\n"
+        return io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text)
+
+    weights, found, _, _ = _read_block(reader(tokens), "")
+    assert (weights, found) == (list(map(parse_int, tokens[:SLICE + 7])), bad)
+    # the weights before the bad token are handed on and checked first
+    with pytest.raises(ValueError, match=re.escape(f"invalid weight token {bad!r}")):
+        solve_known_max(WeightChunks(reader(tokens)), 2, "1/10", 1023)
+    too_big = [*tokens[:SLICE + 2], "1024", *tokens[SLICE + 3:]]
+    with pytest.raises(DeclaredBoundError, match="^element 1024 exceeds"):
+        solve_known_max(WeightChunks(reader(too_big)), 2, "1/10", 1023)
 
 
 @pytest.mark.parametrize("case", sorted(LADDER_BLOCKS))
@@ -333,8 +393,8 @@ def test_the_small_int_tables_are_exact():
         assert all(type(value) is int and value == int(key) for key, value in table.items())
     # a converted token is the table's own int, shared by both tables: no
     # int is built per token
-    for tokens in (canonical, [key.encode() for key in canonical]):
-        weights = _convert(list(tokens))
+    for as_bytes in (False, True):
+        weights = read_whole_block(canonical, as_bytes)
         assert all(weight is _SMALL_STR[key] for weight, key in zip(weights, canonical))
 
 
@@ -347,10 +407,10 @@ def test_int_reads_a_block_from_its_first_miss_on(monkeypatch, miss_at):
     read = []
     monkeypatch.setattr(streampart.core, "int", lambda token: read.append(token) or int(token),
                         raising=False)
-    for block in (tokens, [token.encode() for token in tokens]):
+    for as_bytes in (False, True):
         read.clear()
-        assert _convert(list(block)) == expected
-        assert read == block[miss_at:]
+        assert read_whole_block(tokens, as_bytes) == expected
+        assert read == [token.encode() if as_bytes else token for token in tokens[miss_at:]]
 
 
 ladder_token_strategy = st.one_of(
@@ -369,8 +429,8 @@ def test_convert_matches_parse_int(lead, body, tail):
     # the body's tokens land anywhere in the slices, after `lead` table tokens
     tokens = small_tokens(lead, lead) + body + small_tokens(tail, tail)
     expected = list(map(parse_int, tokens))
-    assert _convert(list(tokens)) == expected
-    assert _convert([token.encode() for token in tokens]) == expected
+    assert read_whole_block(tokens, False) == expected
+    assert read_whole_block(tokens, True) == expected
 
 
 @pytest.mark.parametrize("length", [B // 2, 2 * B + 5], ids=["one-chunk", "multi-chunk"])
@@ -579,7 +639,8 @@ def test_parser_holds_no_tokens_while_a_chunk_is_walked():
     # four-digit tokens, so a block's token strings weigh more than its ints
     text = " ".join(map(str, random.Random(7).choices(range(1000, 10000), k=3 * B)))
     for source in (text, text.encode("ascii")):
-        token_bytes = size_of(source[:READ_BLOCK].split())
+        # one slice's tokens: the most the parser holds while it splits a block
+        token_bytes = size_of(source[:READ_BLOCK].split(None, SLICE)[:SLICE])
         spy = SpyWalker()
         stream = WeightChunks(io.StringIO(source) if source is text else io.BytesIO(source))
         tracemalloc.start()
@@ -591,9 +652,11 @@ def test_parser_holds_no_tokens_while_a_chunk_is_walked():
         assert len(spy.seen) > 1
         for traced, prefix_bytes in spy.seen:
             # alive: the chunk, which has become its prefix sums; a held
-            # token list, or the chunk's ints beside its sums, adds more
-            # than half of token_bytes
-            assert traced - before < prefix_bytes + token_bytes // 2
+            # slice of tokens, or the chunk's ints beside its sums, adds
+            # more than token_bytes beside the few KB by which tracemalloc's
+            # count of the sums passes `size_of` (each sum is allocated a
+            # digit longer than it ends up)
+            assert traced - before < prefix_bytes + token_bytes
 
 
 class SpyReader:
@@ -619,7 +682,7 @@ def test_a_pass_holds_one_chunk_at_a_time(source, walker):
         data = text.encode("ascii") if source == "bytes" else text
         reader = SpyReader(io.BytesIO(data) if source == "bytes" else io.StringIO(data))
         stream = WeightChunks(reader)
-        token_bytes = traced_size(lambda: data[:READ_BLOCK].split())
+        token_bytes = traced_size(lambda: data[:READ_BLOCK].split(None, SLICE)[:SLICE])
         chunks = chunks_of(text)
     else:
         stream = iter(weights) if source == "list" else WeightChunks.of_checked(weights)
@@ -641,9 +704,10 @@ def test_a_pass_holds_one_chunk_at_a_time(source, walker):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # alive at most: what the race holds, and either one block's tokens, or
-    # its ints, while it is parsed, or one chunk, which becomes its prefix
-    # sums; beside them one slice being rewritten and two blocks of text
+    # alive at most: what the race holds, and either one slice's tokens, or
+    # the block's ints, while it is parsed, or one chunk, which becomes its
+    # prefix sums; beside them one slice being rewritten and two blocks of
+    # text
     assert peak < held + max(token_bytes, prefix_bytes) + slice_bytes + 2 * READ_BLOCK
     if reader is not None:
         # a block is read beside no chunk, prefix sums or text of the pass:
@@ -668,10 +732,35 @@ def test_a_block_is_converted_without_its_text(source):
     finally:
         tracemalloc.stop()
     assert (weights, bad, at_end) == (ints, None, False)
-    # alive at most: the block's tokens, or its ints, and beside them the
-    # block's text while it is split, or, once the text and the str path's
-    # joined tokens are let go, one slice being converted: a copy of its
-    # tokens and its ints
-    slice_bytes = traced_size(lambda: (tokens[:SLICE], list(map(int, tokens[:SLICE]))))
-    assert peak < (max(size_of(tokens), size_of(ints)) + max(READ_BLOCK, slice_bytes)
-                   + READ_BLOCK // 2)
+    # alive at most: the block's ints, one slice's tokens, and the text the
+    # slice is split from, which the slices before it have shortened; a
+    # block's tokens, or a second slice of them, add more than the margin
+    slice_bytes = traced_size(lambda: data[:READ_BLOCK].split(None, SLICE)[:SLICE])
+    assert peak < size_of(ints) + slice_bytes + READ_BLOCK
+
+
+@pytest.mark.parametrize("source", ["bytes", "str"])
+def test_a_block_is_split_one_slice_at_a_time(source):
+    # tokens of the table of small ints, whose ints the table owns, over
+    # several blocks: the parse allocates text, tokens and lists only
+    weights = random.Random(8).choices(range(1024), k=3 * B)
+    text = format_weights(weights)
+    data = text.encode("ascii") if source == "bytes" else text
+    chunks = chunks_of(text)
+    assert len(chunks) > 2
+    chunk_bytes = max(map(sys.getsizeof, chunks))
+    slice_bytes = traced_size(lambda: data[:READ_BLOCK].split(None, SLICE)[:SLICE])
+    stream = WeightChunks(io.BytesIO(data) if source == "bytes" else io.StringIO(data))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert _drive(stream, [])[0] == len(weights)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # alive: one slice's tokens, beside the text it is split from and the
+    # unsplit rest, which the slices before it have shortened, and the
+    # chunk's list, which they have filled: less than one block's text, the
+    # chunk's list and one slice's tokens. Two slices' tokens alive at once,
+    # or a whole block's, pass that
+    assert peak < READ_BLOCK + chunk_bytes + slice_bytes
