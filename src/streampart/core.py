@@ -364,7 +364,7 @@ def _read_block(reader: IO[str] | IO[bytes], pending: str
             text = pending + text[len(pending):].decode("ascii")
     elif pending:
         text = pending + text
-    checked = type(text) is bytes
+    checked = type(text) is bytes  # a bytes block's digits were checked whole above
     # the last token may go on in the next block unless whitespace ends this one
     open_end = not at_end and not text[-1:].isspace()
     weights: list[int] = []

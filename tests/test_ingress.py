@@ -398,7 +398,8 @@ def test_the_small_int_tables_are_exact():
         assert all(weight is _SMALL_STR[key] for weight, key in zip(weights, canonical))
 
 
-@pytest.mark.parametrize("miss_at", [0, SLICE - 1, SLICE + 9], ids=["first", "slice-end", "past-slice"])
+@pytest.mark.parametrize("miss_at", [0, SLICE - 1, SLICE, SLICE + 9],
+                         ids=["first", "slice-end", "second-slice", "past-slice"])
 def test_int_reads_a_block_from_its_first_miss_on(monkeypatch, miss_at):
     # the table's ints are kept up to the first token that is no key: `int`
     # is called on that token and the ones after it, and on none before
