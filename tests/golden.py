@@ -45,48 +45,77 @@ def _text(tokens) -> bytes:
     return (" ".join(map(str, tokens)) + "\n").encode("ascii")
 
 
-def _stream(tokens) -> tuple[bytes, str]:
-    """The text of `tokens` and its largest weight, written out."""
-    return _text(tokens), int_text(max(map(parse_int, map(str, tokens))))
+def _stream(data: bytes, top: str | None = None) -> tuple[bytes, dict[str, str]]:
+    """`data` and what `solve` declares of it, written out: the largest
+    weight (`top` when given), the length and the total of its tokens that
+    are decimal integers, read as utf-8 text."""
+    weights = [parse_int(token) for token in data.decode(STDIN_ENCODING, "replace").split()
+               if token.isascii() and token.isdigit()]
+    return data, {"m": top or int_text(max(weights)), "n": int_text(len(weights)),
+                  "s": int_text(sum(weights))}
 
 
-def _inputs() -> dict[str, tuple[bytes, str]]:
-    """Each input's bytes and the maximum weight `solve --know m` declares."""
-    inputs = {f"uniform-0..{top}": _stream(_uniform(top, seed))
+def _inputs() -> dict[str, tuple[bytes, dict[str, str]]]:
+    """Each input's bytes and its declarations (`_stream`)."""
+    inputs = {f"uniform-0..{top}": _stream(_text(_uniform(top, seed)))
               for top, seed in ((1000, 1), (2047, 2), (10**6, 3))}
 
     rng = random.Random(4)
     padded = [f"{value:0{rng.randint(1, 6)}d}" for value in rng.choices(range(2048), k=3000)]
-    inputs["zero-padded"] = _stream(padded)
+    inputs["zero-padded"] = _stream(_text(padded))
 
     small = _uniform(1023, 5, count=400)
     long_tokens = [*small[:50], _digits(5000, 6), *small[50:60], _digits(8191, 7),
                    *small[60:70], _digits(31, 8), *small[70:]]
-    inputs["long-tokens"] = _stream(long_tokens)
+    inputs["long-tokens"] = _stream(_text(long_tokens))
 
     # the 256th token is the first outside the parser's table of ints below 1024
     miss = [*_uniform(1023, 9, count=255), 1024, *_uniform(1023, 10, count=800)]
-    inputs["miss-at-256"] = _stream(miss)
+    inputs["miss-at-256"] = _stream(_text(miss))
     long_after_miss = [*_uniform(1023, 11, count=300), 4096, *_uniform(1023, 12, count=20),
                        _digits(5000, 13), *_uniform(1023, 14, count=300)]
-    inputs["miss-then-5000-digits"] = _stream(long_after_miss)
+    inputs["miss-then-5000-digits"] = _stream(_text(long_after_miss))
 
     # bad bytes after a few slices of good tokens, and an empty stream
     good = _text(_uniform(1000, 15, count=700))
-    inputs["x"] = (good + b"x " + good, "1000")
-    inputs["c3"] = (good + b"5 \xc3 7 " + good, "1000")
-    inputs["1c"] = (good.replace(b" ", b"\x1c", 40) + good, "1000")
-    inputs["empty"] = (b"", "1000")
+    inputs["x"] = _stream(good + b"x " + good, "1000")
+    inputs["c3"] = _stream(good + b"5 \xc3 7 " + good, "1000")
+    inputs["1c"] = _stream(good.replace(b" ", b"\x1c", 40) + good, "1000")
+    inputs["empty"] = _stream(b"", "1000")
+
+    # text at the parser's block ends: 8190 characters "1 ", then the two
+    # characters that end the first block of 8192 (of bytes through
+    # --input, of characters through stdin), then ASCII tokens
+    ones, after = "1 " * 4095, " ".join(map(str, _uniform(1000, 16, count=3000))) + "\n"
+    # a non-ASCII token runs from the first block into the second
+    inputs["carried-non-ascii"] = _stream((ones + "1\u0663" + after).encode())
+    # an ASCII token runs on into a block that is not ASCII
+    inputs["carried-into-nbsp"] = _stream((ones + "12" + "3\u00a04 " + after).encode())
+    # a two-byte character over bytes 8191 and 8192
+    inputs["straddle-8192"] = _stream((ones + "7\u00a0" + after).encode())
+    inputs["1c-at-block-end"] = _stream((ones + "1\x1c" + after).encode())
+    # a first block of whitespace only
+    inputs["blank-first-block"] = _stream((" \n\t" * 3000 + after).encode())
+    # no-break and ideographic spaces between the tokens: text that stdin
+    # reads and --input refuses
+    spaces = random.Random(17).choices([" ", "\u00a0", "\u3000", "\n"], k=3000)
+    tokens = map(str, _uniform(1000, 18, count=3000))
+    inputs["nbsp-u3000"] = _stream("".join(map("".join, zip(tokens, spaces))).encode())
     return inputs
 
 
-def _commands(declared_max: str) -> dict[str, list[str]]:
+def _commands(declared: dict[str, str]) -> dict[str, list[str]]:
     return {
         "solve-partb": ["solve", "--p", "8", "--mode", "partb"],
         "solve-part": ["solve", "--p", "8"],
-        "solve-know-m": ["solve", "--p", "8", "--know", "m", "--m", declared_max,
+        "solve-know-m": ["solve", "--p", "8", "--know", "m", "--m", declared["m"],
+                         "--epsilon", "1/10"],
+        "solve-know-mn": ["solve", "--p", "8", "--know", "mn", "--m", declared["m"],
+                          "--n", declared["n"], "--epsilon", "1/10"],
+        "solve-know-s": ["solve", "--p", "8", "--know", "s", "--s", declared["s"],
                          "--epsilon", "1/10"],
         "oracle": ["oracle", "--p", "8"],
+        "oracle-dp": ["oracle", "--p", "8", "--method", "dp"],
     }
 
 
@@ -107,10 +136,10 @@ def record(directory: Path) -> dict[str, dict]:
     on each input through `--input` (a file written in `directory`) and
     through stdin."""
     records = {}
-    for name, (data, declared_max) in _inputs().items():
+    for name, (data, declared) in _inputs().items():
         path = directory / f"{name}.txt"
         path.write_bytes(data)
-        for command, argv in _commands(declared_max).items():
+        for command, argv in _commands(declared).items():
             records[f"{name}/input/{command}"] = _run(argv + ["--input", str(path)], sys.stdin)
             stdin = io.TextIOWrapper(io.BytesIO(data), encoding=STDIN_ENCODING)
             records[f"{name}/stdin/{command}"] = _run(argv, stdin)
