@@ -229,12 +229,11 @@ SLICE = B // 16
 # the whitespace `bytes.split()` splits on
 _BYTES_SPACE = b" \t\n\r\x0b\x0c"
 
-# the ints below 2**10, keyed by their canonical decimal text as str and as
-# ASCII bytes: `_convert` looks a token up here before it calls `int`. They
-# are built at import, so that no parse pays for them or counts them in its
-# peak; the two tables share their ints.
-_SMALL_STR = {str(value): value for value in range(1 << 10)}
-_SMALL_BYTES = {key.encode(): value for key, value in _SMALL_STR.items()}
+# the ints below 2**10, keyed by their canonical decimal text as ASCII bytes:
+# `_convert` looks a bytes token up here before it calls `int`; text reaches
+# it only as the bytes of an ASCII block (`_read_block`). It is built at
+# import, so that no parse pays for it or counts it in its peak.
+_SMALL_BYTES = {str(value).encode(): value for value in range(1 << 10)}
 
 
 def int_text(value: int | Fraction) -> str:
@@ -269,15 +268,16 @@ def parse_int(text: str) -> int:
 parse_int.__name__ = "int"
 
 
-def _to_ints(tokens: list[str], weights: list[int], convert: Callable | None
-             ) -> tuple[Callable | None, str | None]:
-    """Append to `weights` the ints of one slice's `tokens` up to the first
-    token that is not a decimal integer, by `_convert` from the rung
-    `convert`; return the rung the next slice starts on, and that token
-    (None when there is none).
+def _to_ints(tokens: list[str], weights: list[int], convert: Callable
+             ) -> tuple[Callable, str | None]:
+    """Append to `weights` the ints of one slice's str `tokens` up to the
+    first token that is not a decimal integer, by `_convert` from the rung
+    `convert` (`int` or past it: the table is keyed by bytes); return the
+    rung the next slice starts on, and that token (None when there is none).
 
-    One check covers a slice of valid tokens; only a slice that fails it is
-    scanned token by token, and cut at its first bad token.
+    This is the fallback for a block that is not ASCII digits and
+    whitespace. One check covers a slice of valid tokens; only a slice that
+    fails it is scanned token by token, and cut at its first bad token.
     """
     joined = "".join(tokens)
     digits = joined.isascii() and joined.isdigit()
@@ -293,25 +293,25 @@ def _to_ints(tokens: list[str], weights: list[int], convert: Callable | None
 def _convert(tokens: list[str] | list[bytes], weights: list[int], convert: Callable | None
              ) -> Callable | None:
     """Append to `weights` the ints of one slice's `tokens`, decimal
-    integers as str or as ASCII bytes, read by `convert`, the rung of the
-    block's ladder that the slice starts on (None for the block's first
-    slice); return the rung the next slice starts on.
+    integers as ASCII bytes, or as str from `_to_ints`, read by `convert`,
+    the rung of the block's ladder that the slice starts on (None for a
+    bytes block's first slice); return the rung the next slice starts on.
 
     A block climbs a one-way ladder of converters: a lookup in the table of
-    small ints for the tokens' type, then `int`, then `parse_int`; a block
-    whose first token is no key of the table starts at `int`. The ints are
-    appended as they are read, so a rung that raises leaves those of the
-    tokens before it in `weights`, and the next rung reads the slice from
-    that token on: `int` from the first token that is no key of the table,
-    so a miss wastes no lookup and no `int` call, and `parse_int` from the
-    first token past CPython's int() digit limit. The table holds
-    `int(key)` at each key, so every rung gives the same ints.
+    small ints (`_SMALL_BYTES`, for bytes tokens only), then `int`, then
+    `parse_int`; a bytes block whose first token is no key of the table,
+    and every str block, start at `int`. The ints are appended as they are
+    read, so a rung that raises leaves those of the tokens before it in
+    `weights`, and the next rung reads the slice from that token on: `int`
+    from the first token that is no key of the table, so a miss wastes no
+    lookup and no `int` call, and `parse_int` from the first token past
+    CPython's int() digit limit. The table holds `int(key)` at each key, so
+    every rung gives the same ints.
     """
     if not tokens:
         return convert
     if convert is None:
-        table = _SMALL_BYTES if type(tokens[0]) is bytes else _SMALL_STR
-        convert = table.__getitem__ if tokens[0] in table else int
+        convert = _SMALL_BYTES.__getitem__ if tokens[0] in _SMALL_BYTES else int
     start = len(weights)
     rest = tokens
     while True:
@@ -345,30 +345,35 @@ def _read_block(reader: IO[str] | IO[bytes], pending: str
     of the block, which becomes the text the next slice is split from. Each
     slice is converted onto the block's list of weights and let go before
     the next is split, so that no more than one slice's tokens are alive,
-    and the conversion ladder is carried from slice to slice. Bytes are read
-    as ASCII text: a text of ASCII digits and the whitespace `bytes.split`
-    splits on has the tokens of its str, so one `isdigit()` over it less
-    that whitespace (`bytes.translate`, which holds no buffer per token)
-    lets `_convert` read its slices. Any other bytes (not ASCII, a control
-    character that `str.split` splits on and `bytes.split` does not, or a
-    token that is no integer) are read as str, the block decoded alone, so
-    that a decode error names the byte's position in the block (the carried
-    token is ASCII); there `_to_ints` checks each slice's digits.
+    and the conversion ladder is carried from slice to slice.
+
+    ASCII text is read as bytes, from either reader: a str block is joined
+    with the carried token first, which may not be ASCII, and the two are
+    encoded if they are. A text of ASCII digits and the whitespace
+    `bytes.split` splits on has the tokens of its str, so one `isdigit()`
+    over it less that whitespace (`bytes.translate`, which holds no buffer
+    per token) lets `_convert` read its slices. Any other text (not ASCII, a
+    control character that `str.split` splits on and `bytes.split` does
+    not, or a token that is no integer) is read as str, a binary reader's
+    block decoded alone, so that a decode error names the byte's position
+    in the block (its carried token is ASCII); there `_to_ints` checks each
+    slice's digits, and the ladder starts at `int`.
     """
     text = reader.read(READ_BLOCK)
     at_end = not text
-    if type(text) is bytes:
-        if pending:
-            text = pending.encode() + text
-        if not text.translate(None, _BYTES_SPACE).isdigit():
-            text = pending + text[len(pending):].decode("ascii")
-    elif pending:
+    if type(text) is str:
         text = pending + text
-    checked = type(text) is bytes  # a bytes block's digits were checked whole above
+        if text.isascii():
+            text = text.encode()
+    elif pending:
+        text = pending.encode() + text
+    if type(text) is bytes and not text.translate(None, _BYTES_SPACE).isdigit():
+        text = pending + text[len(pending):].decode("ascii")
+    checked = type(text) is bytes  # its digits were checked whole above
     # the last token may go on in the next block unless whitespace ends this one
     open_end = not at_end and not text[-1:].isspace()
     weights: list[int] = []
-    convert = bad = None
+    convert, bad = None if checked else int, None
     last = ""
     while text and bad is None:
         tokens = text.split(None, SLICE)

@@ -11,16 +11,19 @@ and over a whole pass."""
 
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from streampart import (
@@ -43,8 +46,8 @@ from streampart import (
 )
 import streampart.core
 from streampart.cli import KNOW_TAGS, build_parser, main
-from streampart.core import (READ_BLOCK, SLICE, _SMALL_BYTES, _SMALL_STR, WeightChunks, _read_block,
-                             int_text, parse_int)
+from streampart.core import (READ_BLOCK, SLICE, _SMALL_BYTES, WeightChunks, _read_block, int_text,
+                             parse_int)
 from streampart.feasibility import B, _drive
 from streampart.schedulers import SOLVERS, UnknownPartSolver, _Race, solve_tagged
 
@@ -73,7 +76,18 @@ def horner(digits: str) -> int:
 # digits and the characters `str.split` splits on: runs of whitespace,
 # leading zeros, empty text, and the separators \x1c-\x1f, which
 # `bytes.split` does not split on
-text_strategy = st.text("0123456789 \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f", max_size=60)
+ASCII_TEXT = "0123456789 \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+# no ASCII: four spaces that `str.split` splits on (no-break, em,
+# ideographic and next-line), and "٣", an Arabic-Indic digit, which
+# `str.isdigit` accepts but no token may hold
+NON_ASCII = "\u00a0\u2003\u3000\x85\u0663"
+text_strategy = st.one_of(
+    st.text(ASCII_TEXT + NON_ASCII, max_size=60),
+    # a few characters of either kind, at a block's end where the lead puts
+    # them, then ASCII text: the next block is ASCII
+    st.builds(str.__add__, st.text(ASCII_TEXT + NON_ASCII, min_size=1, max_size=3),
+              st.text(ASCII_TEXT, max_size=60)),
+)
 # filler characters in front: none, or enough to put the text across the
 # end of the first or second block, so that its tokens straddle a boundary
 # or end exactly on one
@@ -81,18 +95,47 @@ lead_strategy = st.one_of(st.just(0), st.integers(READ_BLOCK - 16, READ_BLOCK + 
                           st.integers(2 * READ_BLOCK - 16, 2 * READ_BLOCK + 4))
 
 
+def parsed(reader) -> tuple[list[list[int]], str | None]:
+    """The parser's chunks of `reader` up to its first bad token, and the
+    message that token raises, or None."""
+    chunks = []
+    try:
+        for chunk in WeightChunks(reader).chunks:
+            chunks.append(chunk)
+    except ValueError as exc:
+        return chunks, str(exc)
+    return chunks, None
+
+
 @SETTINGS
 @given(body=text_strategy, lead=lead_strategy)
+# a block that ends inside a token that is not ASCII, then an ASCII block:
+# the two are joined before the ASCII test
+@example(body="\u06632 3 4", lead=READ_BLOCK - 1)
+@example(body="\u0663\u00a05", lead=2 * READ_BLOCK - 3)
 def test_parser_matches_split_and_int(body, lead):
     text = ("3 " * lead)[:lead] + body
-    expected = [int(token) for token in text.split()]
-    chunks = chunks_of(text)
-    assert [w for chunk in chunks for w in chunk] == expected
+    tokens = text.split()
+    # `str.split`, each token checked for ASCII digits: the weights before
+    # the first bad token, and that token's error
+    good = [token.isascii() and token.isdigit() for token in tokens]
+    cut = good.index(False) if False in good else len(tokens)
+    expected = [int(token) for token in tokens[:cut]]
+    error = (f"invalid weight token {tokens[cut]!r}: expected a non-negative integer"
+             if cut < len(tokens) else None)
+    chunks, raised = parsed(io.StringIO(text))
+    assert ([w for chunk in chunks for w in chunk], raised) == (expected, error)
     assert all(0 < len(chunk) <= B for chunk in chunks)
-    assert list(iter_weights(io.StringIO(text))) == expected
-    assert parse_weights(text) == expected
-    # the same text as bytes: the same weights in chunks of the same sizes
-    assert byte_chunks_of(text) == chunks
+    if error is None:
+        assert list(iter_weights(io.StringIO(text))) == expected
+        assert parse_weights(text) == expected
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            parse_weights(text)
+    if text.isascii():
+        # the same text as bytes: the same weights in chunks of the same
+        # sizes, and the same error
+        assert parsed(io.BytesIO(text.encode("ascii"))) == (chunks, raised)
 
 
 @pytest.mark.parametrize("text, expected", [
@@ -144,20 +187,34 @@ def test_an_oversized_read_is_cut_into_chunks_of_b():
 
 # tokens that are not non-negative decimal integers; "٣" is an
 # Arabic-Indic digit, which `str.isdigit` accepts but ASCII does not hold
-BAD_TOKENS = ["x", "-3", "1.5", "+2", "0x1", "٣"]
+BAD_TOKENS = ["x", "-3", "1.5", "+2", "0x1", "٣", "1٣"]
 MAXIMUM = 1000
+# whitespace that `str.split` splits on and `bytes.split` does not
+OTHER_SPACES = ["\x1c", "\x1f", "\x85", "\u00a0", "\u2003", "\u3000"]
+
+
+# a token's index: any, or, as often, one about the end of the first
+# block (the text is mostly one-character tokens and spaces, so the token
+# at `B - 1` opens the block's last two characters); it is cut to the
+# stream's length
+index_strategy = st.one_of(st.integers(0, 3 * B), st.integers(B - 3, B + 1), st.just(B - 1))
 
 
 @SETTINGS
-@given(length=st.integers(2, 3 * B), data=st.data())
-def test_text_errors_follow_stream_order(length, data):
-    bad_at = data.draw(st.integers(0, length - 1))
-    big_at = data.draw(st.integers(0, length - 1).filter(lambda k: k != bad_at))
-    bad = data.draw(st.sampled_from(BAD_TOKENS))
+@given(length=st.integers(2, 3 * B), bad_at=index_strategy, big_at=index_strategy,
+       bad=st.sampled_from(BAD_TOKENS), space_at=index_strategy,
+       space=st.sampled_from(OTHER_SPACES))
+# a first block that ends inside a token that is not ASCII, then ASCII text
+@example(length=2 * B, bad_at=B - 1, big_at=B + 9, bad="1٣", space_at=3, space="\x1c")
+def test_text_errors_follow_stream_order(length, bad_at, big_at, bad, space_at, space):
+    bad_at, big_at = min(bad_at, length - 1), min(big_at, length - 1)
+    assume(big_at != bad_at)
     tokens = ["7"] * length
     tokens[bad_at] = bad
     tokens[big_at] = str(MAXIMUM + 1)
-    text = " ".join(tokens)
+    # one space that is not `bytes.split` whitespace, after a token
+    space_at = min(space_at, length - 2)
+    text = " ".join(tokens[:space_at + 1]) + space + " ".join(tokens[space_at + 1:])
     # the parser's chunks, from text and from bytes, and its weights one by
     # one, which `_drive` collects into chunks of its own; a non-ASCII
     # token is no ASCII text, so it is read from text only
@@ -386,23 +443,24 @@ def test_the_conversion_ladder_at_slice_edges(case):
 
 
 def test_the_small_int_tables_are_exact():
-    canonical = [str(value) for value in range(1024)]
-    assert set(_SMALL_STR) == set(canonical)
-    assert set(_SMALL_BYTES) == {key.encode() for key in canonical}
-    for table in (_SMALL_STR, _SMALL_BYTES):
-        assert all(type(value) is int and value == int(key) for key, value in table.items())
-    # a converted token is the table's own int, shared by both tables: no
-    # int is built per token
+    # one table, keyed by bytes: text reaches it as an ASCII block's bytes
+    canonical = [str(value).encode() for value in range(1024)]
+    assert set(_SMALL_BYTES) == set(canonical)
+    assert all(type(value) is int and value == int(key) for key, value in _SMALL_BYTES.items())
+    assert not hasattr(streampart.core, "_SMALL_STR")
+    # a converted token is the table's own int, from either reader: no int
+    # is built per token
     for as_bytes in (False, True):
-        weights = read_whole_block(canonical, as_bytes)
-        assert all(weight is _SMALL_STR[key] for weight, key in zip(weights, canonical))
+        weights = read_whole_block([key.decode() for key in canonical], as_bytes)
+        assert all(weight is _SMALL_BYTES[key] for weight, key in zip(weights, canonical))
 
 
 @pytest.mark.parametrize("miss_at", [0, SLICE - 1, SLICE, SLICE + 9],
                          ids=["first", "slice-end", "second-slice", "past-slice"])
 def test_int_reads_a_block_from_its_first_miss_on(monkeypatch, miss_at):
     # the table's ints are kept up to the first token that is no key: `int`
-    # is called on that token and the ones after it, and on none before
+    # is called on that token and the ones after it, and on none before; an
+    # ASCII block from a text reader is read as its bytes too
     tokens = [*small_tokens(miss_at, 14), "1024", *small_tokens(SLICE + 5, 15)]
     expected = list(map(int, tokens))
     read = []
@@ -411,7 +469,63 @@ def test_int_reads_a_block_from_its_first_miss_on(monkeypatch, miss_at):
     for as_bytes in (False, True):
         read.clear()
         assert read_whole_block(tokens, as_bytes) == expected
-        assert read == [token.encode() if as_bytes else token for token in tokens[miss_at:]]
+        assert read == [token.encode() for token in tokens[miss_at:]]
+
+
+# Run under `python -bb`, where comparing str with bytes raises: it parses
+# blocks that fall back to str (a \x1c or no-break space separator, a bad
+# token, a token past the digit limit, not ASCII after an ASCII block) and
+# blocks of table tokens, from a text reader and, for ASCII text, a binary
+# one, against `str.split` with each token checked for ASCII digits.
+BYTES_WARNING_SCRIPT = r"""
+import io
+from streampart import iter_weights, parse_weights
+from streampart.core import parse_int
+
+def reference(text):
+    weights = []
+    for token in text.split():
+        if not (token.isascii() and token.isdigit()):
+            return weights, f"invalid weight token {token!r}: expected a non-negative integer"
+        weights.append(parse_int(token))
+    return weights, None
+
+def parsed(parse, text):
+    weights = []
+    try:
+        weights.extend(parse(text))
+    except ValueError as exc:
+        return weights, str(exc)
+    return weights, None
+
+table = " ".join(str(k % 1024) for k in range(5000))
+texts = [
+    table, table + " 0012 1024 7\n",
+    "12\x1c34 5 " + table, table + " 12\x1c34 5",
+    "12\u00a034 5 " + table, "1 " * 4095 + "12" + "\u00a07 " + table,
+    "7 x 8 " + table, table + " 7 x 8",
+    "9" * 5000 + " 3 " + table, table + " " + "9" * 5000 + " 3",
+]
+for text in texts:
+    expected = reference(text)
+    # `parse_weights` returns no list when it raises
+    assert parsed(parse_weights, text) == (expected if expected[1] is None else ([], expected[1]))
+    assert parsed(lambda t: iter_weights(io.StringIO(t)), text) == expected, text[:40]
+    if text.isascii():
+        binary = parsed(lambda t: iter_weights(io.BytesIO(t.encode("ascii"))), text)
+        assert binary == expected, text[:40]
+"""
+
+
+def test_the_parser_never_compares_str_with_bytes():
+    # a str token looked up in the bytes-keyed table would compare the two:
+    # `hash("12") == hash(b"12")`
+    env = dict(os.environ)
+    package_root = str(Path(streampart.core.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-bb", "-c", BYTES_WARNING_SCRIPT],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 ladder_token_strategy = st.one_of(
