@@ -229,10 +229,9 @@ SLICE = B // 16
 # the whitespace `bytes.split()` splits on
 _BYTES_SPACE = b" \t\n\r\x0b\x0c"
 
-# the ints below 2**10, keyed by their canonical decimal text as ASCII bytes:
-# `_convert` looks a bytes token up here before it calls `int`; text reaches
-# it only as the bytes of an ASCII block (`_read_block`). It is built at
-# import, so that no parse pays for it or counts it in its peak.
+# the ints below 2**10, keyed by their canonical decimal text as ASCII bytes
+# (text meets it as an ASCII block's bytes): `_convert` looks a token up here
+# before it calls `int`. Built at import, so that no parse pays for it.
 _SMALL_BYTES = {str(value).encode(): value for value in range(1 << 10)}
 
 
@@ -270,14 +269,13 @@ parse_int.__name__ = "int"
 
 def _to_ints(tokens: list[str], weights: list[int], convert: Callable
              ) -> tuple[Callable, str | None]:
-    """Append to `weights` the ints of one slice's str `tokens` up to the
-    first token that is not a decimal integer, by `_convert` from the rung
-    `convert` (`int` or past it: the table is keyed by bytes); return the
-    rung the next slice starts on, and that token (None when there is none).
+    """Append to `weights` the ints of one slice's str `tokens`, the
+    fallback's, up to the first token that is not a decimal integer, by
+    `_convert` from the rung `convert` (`int` or past it); return the rung
+    the next slice starts on, and that token (None when there is none).
 
-    This is the fallback for a block that is not ASCII digits and
-    whitespace. One check covers a slice of valid tokens; only a slice that
-    fails it is scanned token by token, and cut at its first bad token.
+    One check covers a slice of valid tokens; only a slice that fails it is
+    scanned token by token, and cut at its first bad token.
     """
     joined = "".join(tokens)
     digits = joined.isascii() and joined.isdigit()
@@ -298,15 +296,14 @@ def _convert(tokens: list[str] | list[bytes], weights: list[int], convert: Calla
     bytes block's first slice); return the rung the next slice starts on.
 
     A block climbs a one-way ladder of converters: a lookup in the table of
-    small ints (`_SMALL_BYTES`, for bytes tokens only), then `int`, then
-    `parse_int`; a bytes block whose first token is no key of the table,
-    and every str block, start at `int`. The ints are appended as they are
-    read, so a rung that raises leaves those of the tokens before it in
-    `weights`, and the next rung reads the slice from that token on: `int`
-    from the first token that is no key of the table, so a miss wastes no
-    lookup and no `int` call, and `parse_int` from the first token past
-    CPython's int() digit limit. The table holds `int(key)` at each key, so
-    every rung gives the same ints.
+    small ints, then `int`, then `parse_int`; a str block, and a block
+    whose first token is no key of the table, start at `int`. The ints are
+    appended as they are read, so a rung that raises leaves those of the
+    tokens before it in `weights`, and the next rung reads the slice from
+    that token on: `int` from the first token that is no key of the table,
+    so a miss wastes no lookup and no `int` call, and `parse_int` from the
+    first token past CPython's int() digit limit. The table holds
+    `int(key)` at each key, so every rung gives the same ints.
     """
     if not tokens:
         return convert
@@ -345,19 +342,17 @@ def _read_block(reader: IO[str] | IO[bytes], pending: str
     of the block, which becomes the text the next slice is split from. Each
     slice is converted onto the block's list of weights and let go before
     the next is split, so that no more than one slice's tokens are alive,
-    and the conversion ladder is carried from slice to slice.
-
-    ASCII text is read as bytes, from either reader: a str block is joined
-    with the carried token first, which may not be ASCII, and the two are
-    encoded if they are. A text of ASCII digits and the whitespace
-    `bytes.split` splits on has the tokens of its str, so one `isdigit()`
-    over it less that whitespace (`bytes.translate`, which holds no buffer
-    per token) lets `_convert` read its slices. Any other text (not ASCII, a
-    control character that `str.split` splits on and `bytes.split` does
-    not, or a token that is no integer) is read as str, a binary reader's
-    block decoded alone, so that a decode error names the byte's position
-    in the block (its carried token is ASCII); there `_to_ints` checks each
-    slice's digits, and the ladder starts at `int`.
+    and the conversion ladder is carried from slice to slice. ASCII text
+    is read as bytes from either reader: a str block is joined with the
+    carried token, which may not be ASCII, and encoded if the two are. A
+    text of ASCII digits and the whitespace `bytes.split` splits on has the
+    tokens of its str, so one `isdigit()` over it less that whitespace
+    (`bytes.translate`, which holds no buffer per token) lets `_convert`
+    read its slices. Any other text (not ASCII, a control character that
+    `str.split` splits on and `bytes.split` does not, or a token that is no
+    integer) is read as str, a bytes block decoded alone, so that a decode
+    error names the byte's position in the block (its carried token is
+    ASCII); there `_to_ints` checks each slice's digits, from `int` on.
     """
     text = reader.read(READ_BLOCK)
     at_end = not text
