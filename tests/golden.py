@@ -1,8 +1,11 @@
-"""The CLI golden corpus: seeded input streams, the commands run on each, and
-how a run is recorded (stdout's SHA-256, stderr's full text, the exit code).
+"""The golden corpora. The CLI corpus: seeded input streams, the commands
+run on each, and how a run is recorded (stdout's SHA-256, stderr's full
+text, the exit code). The library corpus: the unknown-knowledge solves of
+seeded weight mixes, each recorded as the SHA-256 of its result.
 
-`test_golden.py` runs every case through `cli.main` in-process and compares
-it with `golden.json`. A change that alters output on purpose rewrites the
+`test_golden.py` runs every CLI case through `cli.main` in-process and
+compares it with `golden.json`, and every library case with
+`golden_library.json`. A change that alters output on purpose rewrites the
 digests with
 
     PYTHONPATH=src python tests/golden.py
@@ -22,10 +25,13 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from helpers import MIXES, mixed_stream
+from streampart import solve_unknown_part, solve_unknown_partb
 from streampart.cli import main
-from streampart.core import int_text, parse_int
+from streampart.core import WeightChunks, int_text, parse_int
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
+LIBRARY_PATH = Path(__file__).with_name("golden_library.json")
 
 # stdin is a text reader over the stream's bytes, as a terminal or pipe gives
 STDIN_ENCODING = "utf-8"
@@ -146,8 +152,37 @@ def record(directory: Path) -> dict[str, dict]:
     return records
 
 
+def _digest(result) -> str:
+    """The SHA-256 of a solve's JSON fields, its instance count and its
+    buffer words."""
+    fields = {"result": result.to_json_dict(), "instance_count": result.instance_count,
+              "buffer_words": result.buffer_words}
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
+
+
+def record_library() -> dict[str, str]:
+    """Every library case's digest, keyed "solver/mix/p/n/reading": both
+    unknown-knowledge solvers on each mix's seeded stream of n weights, read
+    as checked chunks and as a plain iterator."""
+    records = {}
+    for mix in MIXES:
+        for length in (3000, 20000):
+            weights = mixed_stream(length + MIXES.index(mix), length, mix)
+            for num_blocks in (3, 8, 64):
+                for solver in (solve_unknown_part, solve_unknown_partb):
+                    key = f"{solver.__name__}/{mix}/{num_blocks}/{length}"
+                    records[f"{key}/of_checked"] = _digest(
+                        solver(WeightChunks.of_checked(weights), num_blocks))
+                    records[f"{key}/iter"] = _digest(solver(iter(weights), num_blocks))
+    return records
+
+
+def _write(path: Path, corpus: dict) -> None:
+    path.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(corpus)} cases to {path}")
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
-        corpus = record(Path(scratch))
-    GOLDEN_PATH.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(corpus)} cases to {GOLDEN_PATH}")
+        _write(GOLDEN_PATH, record(Path(scratch)))
+    _write(LIBRARY_PATH, record_library())

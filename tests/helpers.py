@@ -5,8 +5,8 @@ probe grid is checked against, the full-regroup 2-approximation the
 unknown-knowledge fast path is checked against, the per-element
 unknown-knowledge walk its event-driven walk is checked against, the
 maximality check of a probe's separators, a counter of the weights the
-weight rule scans, and a counter of the grid's `_growth` calls and built
-floors."""
+weight rule scans, a counter of the grid's `_growth` calls and built
+floors, and seeded streams of four weight mixes."""
 
 from __future__ import annotations
 
@@ -116,6 +116,33 @@ def seeded_corpus(
 
 
 P_CHOICES = (2, 3, 5, 8)
+
+
+MIXES = ("zeros", "log-spread", "uniform", "spikes")
+
+
+def mixed_stream(seed: int, length: int, mix: str) -> list[int]:
+    """`length` seeded weights of one mix: mostly zeros, spread over four
+    decades, uniform in 0..1000, or small weights with rare spikes, each a
+    new maximum between 1/64 of the total so far and all of it, which lifts
+    p * max back above the total mid-stream."""
+    rng = random.Random(seed)
+    if mix == "uniform":
+        return rng.choices(range(1001), k=length)
+    weights = []
+    total = 0
+    for _ in range(length):
+        if mix == "zeros":
+            weight = rng.randint(1, 9) if rng.random() < 0.2 else 0
+        elif mix == "log-spread":
+            weight = rng.randint(0, 10 ** rng.randint(0, 4))
+        elif rng.random() < 0.005:
+            weight = total // rng.choice((1, 4, 16, 64)) + 101
+        else:
+            weight = rng.randint(0, 100)
+        weights.append(weight)
+        total += weight
+    return weights
 
 
 def paired_blocks(index: int) -> int:

@@ -48,11 +48,13 @@ from streampart.schedulers import (
     solve_unknown_partb,
 )
 from helpers import (
+    MIXES,
     ReferenceEscalator,
     ReferenceProbe,
     ReferenceUnknownPart,
     ReferenceUnknownWalk,
     brute_force_optimum,
+    mixed_stream,
     reference_race,
 )
 
@@ -373,30 +375,6 @@ def test_unknown_part_walk_matches_full_regroup(weights, num_blocks, chunking):
     assert solver.elements_read == reference.elements_read
 
 
-def mixed_stream(seed: int, length: int, mix: str) -> list[int]:
-    """`length` seeded weights of one mix: mostly zeros, spread over four
-    decades, uniform in 0..1000, or small weights with rare spikes, each a
-    new maximum between 1/64 of the total so far and all of it, which lifts
-    p * max back above the total mid-stream."""
-    rng = random.Random(seed)
-    if mix == "uniform":
-        return rng.choices(range(1001), k=length)
-    weights = []
-    total = 0
-    for _ in range(length):
-        if mix == "zeros":
-            weight = rng.randint(1, 9) if rng.random() < 0.2 else 0
-        elif mix == "log-spread":
-            weight = rng.randint(0, 10 ** rng.randint(0, 4))
-        elif rng.random() < 0.005:
-            weight = total // rng.choice((1, 4, 16, 64)) + 101
-        else:
-            weight = rng.randint(0, 100)
-        weights.append(weight)
-        total += weight
-    return weights
-
-
 def walker_state(solver: UnknownPartSolver) -> tuple:
     return (solver._starts, solver._sums, solver._pair, solver.total, solver.max_weight,
             solver.elements_read)
@@ -406,7 +384,7 @@ def walker_state(solver: UnknownPartSolver) -> tuple:
 # walk goes event by event; at p = 2 no event ever comes
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), length=st.integers(200, 3000),
-       mix=st.sampled_from(("zeros", "log-spread", "uniform", "spikes")),
+       mix=st.sampled_from(MIXES),
        num_blocks=st.sampled_from((2, 3, 64)), size=st.sampled_from((1, 3, 50, 4096)))
 def test_unknown_part_walk_matches_per_element_walk(seed, length, mix, num_blocks, size):
     weights = mixed_stream(seed, length, mix)
@@ -486,7 +464,7 @@ def test_no_regroup_is_wasted_on_a_perfbench_shaped_stream(monkeypatch):
 
 @pytest.mark.parametrize("size", [1, 50, B])
 @pytest.mark.parametrize("num_blocks", [3, 64])
-@pytest.mark.parametrize("mix", ["zeros", "log-spread", "uniform", "spikes"])
+@pytest.mark.parametrize("mix", MIXES)
 def test_no_regroup_is_wasted(monkeypatch, mix, num_blocks, size):
     # a regroup with no pair under the cap would only grow the last block or
     # open one, which the walk does without it
