@@ -23,7 +23,6 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Iterable, Sequence
 
 from .core import KnowledgeMismatchError, as_fraction, ceil_fraction, check_count, int_text
@@ -523,8 +522,10 @@ class UnknownPartSolver:
     forward. All comparisons are exact via cross-multiplication. The solver
     keeps the exact smallest pair sum of every block but the last, and reads
     the last pair, which grows with the last block, when the rule needs it:
-    the smallest pair sum the rule tests is exact, so every full regroup
-    merges at least one pair.
+    the smallest pair sum the rule tests is exact, so every regroup merges
+    at least one pair. A regroup changes the blocks in place, in one scan
+    that merges each run of blocks the greedy would join and also finds the
+    new smallest pair sum.
 
     It is one of `_drive`'s walkers: `walk` takes each chunk's prefix sums
     and largest weight, and carries the counter, total, maximum and blocks
@@ -586,7 +587,9 @@ class UnknownPartSolver:
         rest = self._pair
         # a lower bound of the smallest pair sum, exact at each event: the
         # last pair only grows between events
-        pair = _smallest_pair(rest, sums)
+        pair = sums[-2] + sums[-1] if len(sums) > 1 else None
+        if rest is not None and rest < pair:
+            pair = rest
         at = 0
         while at < last:
             if at < head:
@@ -622,12 +625,15 @@ class UnknownPartSolver:
             if pair is not None and blocks * pair <= cap:
                 # the last pair may have grown past the bound: regroup only
                 # when some pair can merge, else only grow or open
-                pair = _smallest_pair(rest, sums)
+                pair = sums[-2] + sums[-1]
+                if rest is not None and rest < pair:
+                    pair = rest
                 if blocks * pair <= cap:
                     self._regroup(weight, first + at, cap)
-                    sums = self._sums
                     rest = self._pair
-                    pair = _smallest_pair(rest, sums)
+                    pair = sums[-2] + sums[-1] if len(sums) > 1 else None
+                    if rest is not None and rest < pair:
+                        pair = rest
                     continue
             grown = sums[-1] + weight
             if blocks * grown <= cap:
@@ -638,7 +644,9 @@ class UnknownPartSolver:
             self._starts.append(first + at)
             if len(sums) > 1:
                 # the closed last pair joins the others
-                rest = _smallest_pair(rest, sums)
+                closed = sums[-2] + sums[-1]
+                if rest is None or closed < rest:
+                    rest = closed
             sums.append(weight)
             pair = grown if rest is None or grown < rest else rest
         self.total = carried + prefix[-1]
@@ -648,29 +656,55 @@ class UnknownPartSolver:
         return True
 
     def _regroup(self, weight: int, index: int, cap: int) -> None:
-        """The full greedy regroup of the blocks and the incoming element."""
-        blocks = self.num_blocks
-        starts = []
-        sums = []
-        acc = self._sums[0]
-        # not the probe walk: a probe and a bisect per block over the blocks'
-        # prefix sums made a regroup at p=64 about 4x slower (68 against
-        # 16 us) and cut perfbench unknown-part from about 422k to 331k
-        # elements/s (seeds 711-716)
-        for start, w in zip(self._starts + [index], self._sums[1:] + [weight]):
-            if blocks * (acc + w) <= cap:
-                acc += w
-            else:
-                sums.append(acc)
-                starts.append(start)
-                acc = w
-        sums.append(acc)
-        if len(sums) > blocks:
+        """The greedy regroup of the blocks and the incoming element, in place.
+
+        With `limit` = cap // p, p * (acc + w) <= cap exactly when acc + w <=
+        limit. The greedy opens an output block only at an input block's
+        start, so its output is the input with each maximal run merged: left
+        to right, a run starts at a block whose pair with the next fits the
+        limit, and grows while the next block fits too. One scan from block 0
+        splices each run where it finds it and keeps the smallest pair sum of
+        every output block but the last; no block list is built.
+        """
+        sums = self._sums
+        starts = self._starts
+        sums.append(weight)
+        starts.append(index)
+        limit = cap // self.num_blocks
+        # `held` is the sum of the pair that ends at block i - 1: it counts
+        # towards `low` once that block starts no run and is not the last.
+        # cap starts both, as no pair sum exceeds it (the blocks hold the
+        # total, at most cap / 2)
+        low = held = cap
+        i = 0
+        left = sums[0]
+        last = len(sums) - 1
+        while i < last:
+            i += 1
+            right = sums[i]
+            both = left + right
+            if both > limit:
+                if held < low:
+                    low = held
+                held = both
+                left = right
+                continue
+            # a run from block i - 1: merge on while the next block fits
+            end = i + 1
+            while end <= last and both + sums[end] <= limit:
+                both += sums[end]
+                end += 1
+            i -= 1
+            sums[i:end] = (both,)
+            del starts[i:end - 1]
+            last = len(sums) - 1
+            held = sums[i - 1] + both if i else cap
+            left = both
+        # cannot fire: the walk regroups only when some pair merges
+        # (`test_no_regroup_is_wasted`), so at most p blocks are left
+        if len(sums) > self.num_blocks:
             raise RuntimeError("regrouping exceeded the block budget")
-        self._starts = starts
-        self._sums = sums
-        # the pairs of sums[:-1]: map stops at the shorter list
-        self._pair = min(map(add, sums, sums[1:-1]), default=None)
+        self._pair = low if last > 1 else None
 
     def result(self) -> SolveResult:
         return SolveResult(
@@ -685,15 +719,6 @@ class UnknownPartSolver:
             epsilon=None,
             buffer_words=BUFFER_WORDS,
         )
-
-
-def _smallest_pair(rest: int | None, sums: list[int]) -> int | None:
-    """The smallest adjacent-pair sum of the blocks `sums`, given `rest`, that
-    of every block but the last; None with one block."""
-    if len(sums) < 2:
-        return None
-    last = sums[-2] + sums[-1]
-    return last if rest is None or last < rest else rest
 
 
 def solve_unknown_part(stream: Iterable[int], num_blocks: int) -> SolveResult:

@@ -323,11 +323,12 @@ class ReferenceUnknownPart:
 
 
 class ReferenceUnknownWalk(UnknownPartSolver):
-    """`UnknownPartSolver` with the per-element walk: every element of a
-    chunk runs the regroup, grow and open tests in turn, with the smallest
-    pair sum recomputed from the blocks, and `_pair` is recomputed after
-    every element. The event-driven walk is checked against it, state for
-    state, after every chunk."""
+    """`UnknownPartSolver` with the per-element walk and the full-rebuild
+    regroup: every element of a chunk runs the regroup, grow and open tests
+    in turn, with the smallest pair sum recomputed from the blocks, a
+    regroup builds new block lists, and `_pair` is recomputed after every
+    element. The event-driven walk and its in-place regroup are checked
+    against it, state for state, after every chunk."""
 
     def walk(self, prefix: Sequence[int], top: int) -> bool:
         blocks = self.num_blocks
@@ -355,6 +356,26 @@ class ReferenceUnknownWalk(UnknownPartSolver):
         self.total += prefix[-1]
         self.elements_read = index
         return True
+
+    def _regroup(self, weight: int, index: int, cap: int) -> None:
+        blocks = self.num_blocks
+        starts = []
+        sums = []
+        acc = self._sums[0]
+        for start, w in zip(self._starts + [index], self._sums[1:] + [weight]):
+            if blocks * (acc + w) <= cap:
+                acc += w
+            else:
+                sums.append(acc)
+                starts.append(start)
+                acc = w
+        sums.append(acc)
+        if len(sums) > blocks:
+            raise RuntimeError("regrouping exceeded the block budget")
+        self._starts = starts
+        self._sums = sums
+        # the pairs of sums[:-1]: map stops at the shorter list
+        self._pair = min(map(add, sums, sums[1:-1]), default=None)
 
 
 def greedy_maximality_check(weights: Sequence[int], outcome: ProbeOutcome, bound) -> bool:

@@ -9,6 +9,7 @@ streams where an escalator answers against the binary-search oracle, and
 the grid solvers at fine eps against the race and the oracle."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, pairwise
 from operator import add
@@ -475,6 +476,47 @@ def test_no_regroup_is_wasted(monkeypatch, mix, num_blocks, size):
         chunk = weights[lo:lo + size]
         assert solver.walk(list(accumulate(chunk, initial=0)), max(chunk))
     assert entered
+
+
+def greedy_runs(blocks: list[int], num_blocks: int, cap: int) -> list[tuple[int, int]]:
+    """The (first block, block count) of each run the greedy regroup of
+    `blocks` under `cap` merges: each output block of two or more."""
+    runs = []
+    first, acc = 0, blocks[0]
+    for at, weight in enumerate(blocks[1:], 1):
+        if num_blocks * (acc + weight) <= cap:
+            acc += weight
+        else:
+            runs.append((first, at - first))
+            first, acc = at, weight
+    runs.append((first, len(blocks) - first))
+    return [run for run in runs if run[1] > 1]
+
+
+def test_the_regroup_scan_reaches_each_of_its_cases(monkeypatch):
+    # the in-place scan splices each run as it finds it and keeps the smallest
+    # pair sum as it goes: each case below moves the indices it splices at or
+    # the pairs it counts
+    seen = Counter()
+    regroup = UnknownPartSolver._regroup
+
+    def classified(solver, weight, index, cap):
+        sums, starts = solver._sums, solver._starts
+        blocks = sums + [weight]
+        runs = greedy_runs(blocks, solver.num_blocks, cap)
+        regroup(solver, weight, index, cap)
+        assert solver._sums is sums and solver._starts is starts
+        seen["a run of 3 or more blocks"] += any(size > 2 for _, size in runs)
+        seen["two runs"] += len(runs) > 1
+        seen["a run at block 0"] += runs[0][0] == 0
+        seen["the element merged into the last block"] += sum(runs[-1]) == len(blocks)
+        seen["_pair left as None"] += solver._pair is None
+
+    monkeypatch.setattr(UnknownPartSolver, "_regroup", classified)
+    for mix in ("zeros", "spikes", "uniform"):
+        for num_blocks in (3, 8, 64):
+            solve_unknown_part(iter(mixed_stream(num_blocks, 3000, mix)), num_blocks)
+    assert len(seen) == 5 and all(seen.values()), seen
 
 
 def check_unknown_solvers(weights: list[int], num_blocks: int) -> None:
