@@ -1,7 +1,7 @@
 """The golden corpora. The CLI corpus: seeded input streams, the commands
 run on each, and how a run is recorded (stdout's SHA-256, stderr's full
-text, the exit code). The library corpus: the unknown-knowledge solves of
-seeded weight mixes, each recorded as the SHA-256 of its result.
+text, the exit code). The library corpus: the unknown-knowledge and grid
+solves of seeded weight mixes, each recorded as the SHA-256 of its result.
 
 `test_golden.py` runs every CLI case through `cli.main` in-process and
 compares it with `golden.json`, and every library case with
@@ -23,12 +23,15 @@ import random
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 from helpers import MIXES, mixed_stream
-from streampart import solve_unknown_part, solve_unknown_partb
+from streampart import (solve_known_max, solve_known_max_length, solve_known_total,
+                        solve_unknown_part, solve_unknown_partb)
 from streampart.cli import main
 from streampart.core import WeightChunks, int_text, parse_int
+from streampart.feasibility import MODES
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 LIBRARY_PATH = Path(__file__).with_name("golden_library.json")
@@ -110,8 +113,8 @@ def _inputs() -> dict[str, tuple[bytes, dict[str, str]]]:
     return inputs
 
 
-def _commands(declared: dict[str, str]) -> dict[str, list[str]]:
-    return {
+def _commands(name: str, declared: dict[str, str]) -> dict[str, list[str]]:
+    commands = {
         "solve-partb": ["solve", "--p", "8", "--mode", "partb"],
         "solve-part": ["solve", "--p", "8"],
         "solve-know-m": ["solve", "--p", "8", "--know", "m", "--m", declared["m"],
@@ -123,6 +126,18 @@ def _commands(declared: dict[str, str]) -> dict[str, list[str]]:
         "oracle": ["oracle", "--p", "8"],
         "oracle-dp": ["oracle", "--p", "8", "--method", "dp"],
     }
+    if name.startswith("uniform-"):
+        # false declarations: a total or a length one too high, a maximum one too low
+        def off(key: str, by: int) -> str:
+            return int_text(parse_int(declared[key]) + by)
+
+        commands["solve-know-s-lie"] = ["solve", "--p", "8", "--know", "s", "--s", off("s", 1),
+                                        "--epsilon", "1/10"]
+        commands["solve-know-mn-lie"] = ["solve", "--p", "8", "--know", "mn", "--m", declared["m"],
+                                         "--n", off("n", 1), "--epsilon", "1/10"]
+        commands["solve-know-m-lie"] = ["solve", "--p", "8", "--know", "m", "--m", off("m", -1),
+                                        "--epsilon", "1/10"]
+    return commands
 
 
 def _run(argv: list[str], stdin: io.TextIOBase) -> dict:
@@ -145,7 +160,7 @@ def record(directory: Path) -> dict[str, dict]:
     for name, (data, declared) in _inputs().items():
         path = directory / f"{name}.txt"
         path.write_bytes(data)
-        for command, argv in _commands(declared).items():
+        for command, argv in _commands(name, declared).items():
             records[f"{name}/input/{command}"] = _run(argv + ["--input", str(path)], sys.stdin)
             stdin = io.TextIOWrapper(io.BytesIO(data), encoding=STDIN_ENCODING)
             records[f"{name}/stdin/{command}"] = _run(argv, stdin)
@@ -154,16 +169,42 @@ def record(directory: Path) -> dict[str, dict]:
 
 def _digest(result) -> str:
     """The SHA-256 of a solve's JSON fields, its instance count and its
-    buffer words."""
+    buffer words. An int past CPython's digit limit for `str` (a fine
+    grid's exact bottleneck) is written in full: the limit is lifted while
+    the JSON is written, which leaves the text of smaller ints as it was."""
     fields = {"result": result.to_json_dict(), "instance_count": result.instance_count,
               "buffer_words": result.buffer_words}
-    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(fields, sort_keys=True)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# each grid solver and what it declares of a stream
+GRID_SOLVERS = (
+    (solve_known_total, lambda weights: (sum(weights),)),
+    (solve_known_max_length, lambda weights: (max(weights), len(weights))),
+    (solve_known_max, lambda weights: (max(weights),)),
+)
+# the grid solves' (epsilon, p) per stream length: p = 3 and 64 at 1/100,
+# and p = 64 at 1/1000 on the long streams
+GRID_SHAPES = {
+    3000: ((Fraction(1, 100), 3), (Fraction(1, 100), 64)),
+    20000: ((Fraction(1, 100), 3), (Fraction(1, 100), 64), (Fraction(1, 1000), 64)),
+}
 
 
 def record_library() -> dict[str, str]:
-    """Every library case's digest, keyed "solver/mix/p/n/reading": both
+    """Every library case's digest. Keyed "solver/mix/p/n/reading": both
     unknown-knowledge solvers on each mix's seeded stream of n weights, read
-    as checked chunks and as a plain iterator."""
+    as checked chunks and as a plain iterator. Keyed
+    "solver/mix/p/n/epsilon/mode": each grid solver, given true
+    declarations, on the same streams read as checked chunks, in both
+    modes; and known-m on a stream of ones whose optimum passes every
+    probe's bound, so that an escalator answers."""
     records = {}
     for mix in MIXES:
         for length in (3000, 20000):
@@ -174,6 +215,18 @@ def record_library() -> dict[str, str]:
                     records[f"{key}/of_checked"] = _digest(
                         solver(WeightChunks.of_checked(weights), num_blocks))
                     records[f"{key}/iter"] = _digest(solver(iter(weights), num_blocks))
+            for epsilon, num_blocks in GRID_SHAPES[length]:
+                for solver, declare in GRID_SOLVERS:
+                    for mode in MODES:
+                        key = f"{solver.__name__}/{mix}/{num_blocks}/{length}/{epsilon}/{mode}"
+                        records[key] = _digest(solver(WeightChunks.of_checked(weights), num_blocks,
+                                                      epsilon, *declare(weights), mode=mode))
+    # at p = 2 and eps = 1/100 the top probe bound is below 2**15 * 1.01,
+    # and the optimum of 80000 ones is 40000
+    ones = [1] * 80000
+    for mode in MODES:
+        records[f"solve_known_max/ones/2/80000/1/100/{mode}"] = _digest(
+            solve_known_max(WeightChunks.of_checked(ones), 2, Fraction(1, 100), 1, mode=mode))
     return records
 
 
