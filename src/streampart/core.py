@@ -395,8 +395,9 @@ def _parse_chunks(reader: IO[str] | IO[bytes]) -> Iterator[list[int]]:
     pending = ""
     while True:
         weights, bad, pending, at_end = _read_block(reader, pending)
-        # READ_BLOCK characters hold at most B tokens, but a reader may
-        # return more characters than it is asked for
+        # READ_BLOCK characters hold at most B tokens, but the token carried
+        # into them makes B + 1, and a reader may return more characters
+        # than it is asked for
         while len(weights) > B:
             yield weights[:B]
             del weights[:B]

@@ -23,6 +23,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .core import KnowledgeMismatchError, as_fraction, ceil_fraction, check_count, int_text
@@ -199,33 +200,36 @@ class _Race:
     comes, or in `close` once the stream has ended.
 
     The grid is a description, not a list: for ratio = up/down, the floor
-    at level i < doublings and step j <= steps is
-    (num * up**j << i) // (den * down**j), rising with i and with j, and
-    the probes race over the distinct floors, ascending. Success is
-    monotone in the floor, and the sandwich of the prefix read
-    (`feasibility.sandwich`) pins the frontier: a floor below its low end
-    has died, and one at or above its high end lives. A floor at or above
-    the running total holds every element in its first block: it has no
-    object until a chunk passes it, and then its probe starts from the
-    total carried into the walk.
+    at level i < doublings and step j <= steps, the smallest j with
+    ratio**j >= target, is (num * up**j << i) // (den * down**j), rising
+    with i and with j, and the probes race over the distinct floors,
+    ascending. Success is monotone in the floor, and the sandwich of the
+    prefix read (`feasibility.sandwich`) pins the frontier: a floor below
+    its low end has died, and one at or above its high end lives. A floor
+    at or above the running total holds every element in its first block:
+    it has no probe until a chunk builds it, and then its probe starts from
+    the total carried into the walk.
 
-    Each level keeps a cursor (j, num * up**j, den * down**j) at its next
-    step not built, so a floor costs two multiplications and a division.
-    Per chunk, a level below the low end jumps past its floors there
-    unbuilt, to the exact count and powers of `_growth`, and builds upward
-    from there: up to the running total on a chunk that is not the last,
-    since every touched survivor must be walked, and on the last only up
-    to its first floor at or above the high end. New floors are never
-    below the previous total, so they extend the kept list. A binary
-    search between the first floors at or above the low and the high end
-    walks middle probes to find the lowest survivor, and the floors below
-    it are dropped. A chunk that is not the last then walks the survivors
-    the search did not walk and every escalator. The answer reads only the
-    lowest surviving floor or, when every floor has died, the smallest
-    escalator, and once the stream has ended nothing can kill that floor
-    or make an escalator matter while it lives. So the last chunk walks
-    only the search and the lowest survivor, and the escalators only if no
-    floor survived it.
+    The race keeps one list, `probes`: the live probes of the floors built
+    so far, ascending by floor. Each level keeps a cursor
+    (j, num * up**j, den * down**j) at its next step not built, so a floor
+    costs two multiplications and a division. Per chunk, the probes below
+    the low end are dropped unwalked, and a level below it jumps past its
+    floors there unbuilt, to the exact count and powers of `_growth`, and
+    builds upward from there: up to the running total on a chunk that is
+    not the last, since every touched survivor must be walked, and on the
+    last only the lowest floor of any level at or above the high end, the
+    survivor the search is sure of. New floors are never below the
+    previous total, so their probes extend the list. A binary search
+    between the first probes at or above the low and the high end walks
+    middle probes to find the lowest survivor, and the probes below it are
+    dropped. The answer reads only the lowest surviving floor or, when
+    every floor has died, the smallest escalator, and once the stream has
+    ended nothing can kill that floor or make an escalator matter while it
+    lives. So the last chunk keeps only the lowest survivor. Every chunk
+    then walks each kept probe the search did not walk, which is one whose
+    next element is still in the chunk; a chunk that is not the last walks
+    every escalator too, and the last walks them only if no floor survived.
 
     Given the ratio `escalation`, the escalators start from the integer
     bases `max_weight * escalation**j` for j = 0..growth_steps(escalation,
@@ -235,17 +239,15 @@ class _Race:
     stream of one chunk whose floor survives builds none.
     """
 
-    def __init__(self, num: int, den: int, ratio: Fraction, doublings: int, steps: int,
+    def __init__(self, num: int, den: int, ratio: Fraction, doublings: int, target,
                  num_blocks: int, store_separators: bool, max_weight: int | None = None,
-                 escalation: Fraction | None = None, powers: tuple[int, int] | None = None) -> None:
+                 escalation: Fraction | None = None) -> None:
         self.num = num
         self.den = den
         self.ratio = ratio
-        self.steps = steps
+        self.steps, up, down = _growth(ratio, target)
         self.shift = doublings - 1
-        # the top level's last floor, from ratio**steps as `powers` when the
-        # caller has it; level i's last floor is last_top >> (shift - i)
-        up, down = powers or (ratio.numerator**steps, ratio.denominator**steps)
+        # the top level's last floor; level i's last floor is last_top >> (shift - i)
         self.last_top = (num * up << self.shift) // (den * down)
         # per level, the cursor of the next step not built yet, None past the last step
         self.levels: list[tuple[int, int, int] | None] = [(0, num, den)] * doublings
@@ -256,11 +258,9 @@ class _Race:
         self.escalator_count = growth_steps(escalation, 2) + 1 if escalation else 0
         # None until a chunk first walks them
         self.escalators: list[ProbeExtInstance] | None = None
-        # the live floors the total has passed, ascending, and their probes;
-        # after the last chunk, only the lowest surviving floor, and its
-        # probe, None when the total never passed it
-        self.floors: list[int] = []
-        self.probes: list[ProbeInstance | None] = []
+        # the live probes of the floors built, ascending by floor; after the
+        # last chunk only the lowest survivor's, walked to the stream's end
+        self.probes: list[ProbeInstance] = []
         self.total = 0
         self.biggest = 0
         self.next_index = 1
@@ -270,7 +270,7 @@ class _Race:
     @property
     def alive(self) -> bool:
         # a floor at or above the total has not failed
-        return bool(self.floors) or self.last_top >= self.total
+        return bool(self.probes) or self.last_top >= self.total
 
     def walk(self, prefix: Sequence[int], top: int) -> bool:
         """Walk the held chunk, which is not the last, and hold this one;
@@ -300,9 +300,10 @@ class _Race:
 
     def _build(self, low: int, limit: int, final: bool) -> list[int]:
         """The distinct floors from `low` up to below `limit` not built yet,
-        ascending, and on the last chunk each level's first at or above it."""
+        ascending, and on the last chunk the lowest at or above it."""
         up, down = self.ratio.numerator, self.ratio.denominator
         fresh = set()
+        past = []  # each level's first floor at or above `limit`
         for level, cursor in enumerate(self.levels):
             while cursor is not None:
                 step, n, d = cursor
@@ -311,12 +312,13 @@ class _Race:
                     cursor = self._jump(level, low)
                     continue
                 if floor >= limit:
-                    if final:
-                        fresh.add(floor)
+                    past.append(floor)
                     break
                 fresh.add(floor)
                 cursor = (step + 1, n * up, d * down) if step < self.steps else None
             self.levels[level] = cursor
+        if final and past:
+            fresh.add(min(past))
         return sorted(fresh)
 
     def winning_bound(self) -> Fraction:
@@ -324,7 +326,7 @@ class _Race:
         surviving floor: at each level whose floors span it, the first step
         that reaches it, if its floor equals it, since a level's floors and
         bounds both rise."""
-        least = self.floors[0]
+        least = self.probes[0].threshold_floor
         bounds = []
         for level in range(self.shift + 1):
             cursor = self._jump(level, least)
@@ -333,7 +335,9 @@ class _Race:
         return min(bounds)
 
     def _probe(self, floor: int) -> ProbeInstance:
-        """The probe of a floor the total first passes in this chunk."""
+        """The probe of a floor built in this chunk, at or above the total
+        carried into it: every element before the chunk is in its first
+        block."""
         probe = ProbeInstance.__new__(ProbeInstance)
         # the race checked the block count once; the floors are non-negative ints
         _Walker.__init__(probe, floor, self.num_blocks, self.store)
@@ -362,33 +366,29 @@ class _Race:
             # the high end below the optimum
             self.biggest = max(self.biggest, top)
             low, high = sandwich(total, self.biggest, self.num_blocks)
-            # the floors below the low end died in this chunk: dropped unwalked
-            cut = bisect_left(self.floors, low)
-            fresh = self._build(low, high if final else total, final)
-            floors = self.floors[cut:] + fresh
-            probes = self.probes[cut:] + [None] * len(fresh)
-            walked = set()
-            # the floor at `hi`, the first at or above the high end, lives
-            lo, hi = 0, bisect_left(floors, high)
+            probes = self.probes
+            # the probes below the low end died in this chunk: dropped unwalked
+            del probes[:bisect_left(probes, low, key=attrgetter("threshold_floor"))]
+            probes.extend(map(self._probe, self._build(low, high if final else total, final)))
+            # the probe at `hi`, the first at or above the high end, lives
+            lo, hi = 0, bisect_left(probes, high, key=attrgetter("threshold_floor"))
             while lo < hi:
                 mid = (lo + hi) // 2
-                probe = probes[mid] = probes[mid] or self._probe(floors[mid])
-                if probe.walk(prefix, top):
-                    walked.add(mid)
+                if probes[mid].walk(prefix, top):
                     hi = mid
                 else:
                     lo = mid + 1
-            # the survivors the answer reads: on the last chunk the lowest only
-            end = min(lo + 1, len(floors)) if final else len(floors)
-            for k in range(lo, end):
-                if k not in walked and floors[k] < total:
-                    # at or above a survivor, so it survives too
-                    probes[k] = probes[k] or self._probe(floors[k])
-                    probes[k].walk(prefix, top)
-            self.floors = floors[lo:end]
-            self.probes = probes[lo:end]
+            del probes[:lo]
+            if final:  # the answer reads only the lowest survivor
+                del probes[1:]
+            stop = self.next_index + len(prefix) - 1
+            for probe in probes:
+                # at or above a survivor, so it survives too; one the search
+                # walked is past the chunk
+                if probe.next_index < stop:
+                    probe.walk(prefix, top)
             self.total = total
-            self.next_index += len(prefix) - 1
+            self.next_index = stop
             if final and self.alive:
                 return
         for escalator in self._walked_escalators():
@@ -408,39 +408,34 @@ def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, 
     escalation**c >= 2, and m the declared maximum, in integers. A probe
     needs only its bound's floor, and equal floors behave alike, so the
     probes race over the distinct floors. The probes and the escalators
-    are one `_Race`, which steps one exact-power cursor per level to build
-    only the floors that the sandwich of the prefix read leaves open,
-    walks them one chunk at a time, the last chunk only as far as the
-    answer reads, and builds the escalators only if it walks them. The
-    exact bound is built only for the winner: the smallest exact bound
-    among the grid points at the lowest surviving floor. If every probe failed, the escalator with the
-    smallest threshold is the fallback. Space is one word for the element
+    are one `_Race`, which keeps one list of live probes, steps one
+    exact-power cursor per level to build only the floors that the
+    sandwich of the prefix read leaves open, walks them one chunk at a
+    time, the last chunk only as far as the answer reads, and builds the
+    escalators only if it walks them. The exact bound is built only for
+    the winner, the lowest surviving floor's probe: the smallest exact
+    bound among the grid points at that floor. If every probe failed, the
+    escalator with the smallest threshold is the fallback. Space is one word for the element
     counter and one per declared value, plus the words of every grid point
     and escalator, whether or not the race built or walked it.
     """
     store = mode == PART_MODE
-    ratio = 1 + epsilon
-    steps, up, down = _growth(ratio, target)
-    race = _Race(base.numerator, base.denominator, ratio, doublings, steps,
-                 num_blocks, store, declared.max_weight, escalation, (up, down))
+    race = _Race(base.numerator, base.denominator, 1 + epsilon, doublings, target,
+                 num_blocks, store, declared.max_weight, escalation)
     length, total, biggest = _drive(stream, [race], declared_max=declared.max_weight)
     _check_declarations(declared, length, total, biggest)
     race.close()
 
     if race.alive:
         bottleneck = race.winning_bound()
-        probe = race.probes[0]
-        if probe is not None:
-            separators = probe.finish(length).separators
-        else:  # the total never passed the winner: it opened no block
-            separators = pad_separators([], num_blocks, length) if store else None
+        separators = race.probes[0].finish(length).separators
         merges = None
     elif race.escalators:
         ext = min(race.escalators, key=lambda inst: inst.bottleneck).finish(length)
         bottleneck, separators, merges = ext.bottleneck, ext.separators, ext.merges
     else:
         raise RuntimeError("no candidate bound was feasible despite verified declarations")
-    probes = doublings * (steps + 1)
+    probes = doublings * (race.steps + 1)
     escalators = race.escalator_count
     words = 1 + sum(value is not None for value in vars(declared).values())
     words += probes * ProbeInstance.words_for(num_blocks, store)

@@ -269,7 +269,10 @@ def test_probe_grid_matches_the_race_that_walks_every_probe(weights, num_blocks,
 def test_probe_grid_live_floors_are_upward_closed(weights, num_blocks, base, ratio, doublings,
                                                   steps, mode, chunking):
     store = mode == PART_MODE
-    race = _Race(base.numerator, base.denominator, ratio, doublings, steps, num_blocks, store)
+    # the target ratio**steps gives exactly `steps` steps
+    race = _Race(base.numerator, base.denominator, ratio, doublings, ratio**steps, num_blocks,
+                 store)
+    assert race.steps == steps
     floors = sorted({floor_fraction(base * 2**i * ratio**j)
                      for i in range(doublings) for j in range(steps + 1)})
     probes = [ProbeInstance(floor, num_blocks, store_separators=store) for floor in floors]
@@ -281,17 +284,13 @@ def test_probe_grid_live_floors_are_upward_closed(weights, num_blocks, base, rat
         assert live == floors[len(floors) - len(live):]
         assert race.alive == bool(live)
         total = sum(weights[:hi])
-        # the race keeps the live floors the total has passed, each probe
-        # where the probe walked on its own is; the last walk keeps only
-        # the lowest survivor, with no probe if the total never passed it
+        # the race keeps one probe per live floor the total has passed, each
+        # where the probe walked on its own is; the last walk keeps only the
+        # lowest survivor, walked to the stream's end
         kept = live[:1] if final else [floor for floor in live if floor < total]
-        assert race.floors == kept
-        assert len(race.probes) == len(kept)
-        for floor, mine in zip(kept, race.probes):
-            probe = probes[floors.index(floor)]
-            if floor >= total:
-                assert mine is None
-                continue
+        assert [mine.threshold_floor for mine in race.probes] == kept
+        for mine in race.probes:
+            probe = probes[floors.index(mine.threshold_floor)]
             assert (mine.block_ordinal, mine.block_weight, mine.next_index, mine.separators) == (
                 probe.block_ordinal, probe.block_weight, probe.next_index, probe.separators)
         # a floor the total has not passed holds every element in its first block

@@ -54,6 +54,7 @@ def test_spike_structure():
     assert gen_spike(100, 50, seed=3) == stream
     assert gen_spike(10, 0) == [0] * 10
     assert gen_spike(3, 9).count(9) == 1
+    assert gen_spike(0, 5) == []
 
 
 def test_index_hard_frozen():

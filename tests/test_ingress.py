@@ -108,6 +108,9 @@ def parsed(reader) -> tuple[list[list[int]], str | None]:
 # the two are joined before the ASCII test
 @example(body="\u06632 3 4", lead=READ_BLOCK - 1)
 @example(body="\u0663 5", lead=2 * READ_BLOCK - 1)
+# a token carried out of the first block, then a block of B tokens: B + 1
+# weights from one block
+@example(body="1 " * 4095 + "15" + " 7" * 4096, lead=0)
 def test_parser_matches_split_and_int(body, lead):
     text = ("3 " * lead)[:lead] + body
     tokens = text.split()
@@ -804,7 +807,8 @@ def test_a_pass_holds_one_chunk_at_a_time(source, walker):
     # one slice being rewritten: a copy of its items and the new ones
     slice_bytes = traced_size(lambda: (weights[:SLICE], list(accumulate(weights[:SLICE]))))
     walkers = {"none": [], "no-op": [SimpleNamespace(walk=lambda prefix, top: True)],
-               "race": [_Race(sum(weights), 4, Fraction(11, 10), 1, 8, 4, True)]}[walker]
+               "race": [_Race(sum(weights), 4, Fraction(11, 10), 1, Fraction(11, 10)**8, 4,
+                              True)]}[walker]
     # the race holds the prefix sums of the chunk it walks when the next one comes
     held = prefix_bytes if walker == "race" else 0
     tracemalloc.start()

@@ -229,14 +229,14 @@ def counted_walkers(monkeypatch) -> list[str]:
     return built
 
 
-def test_one_element_known_max_builds_no_walker(monkeypatch):
-    # every floor is at least the maximum, which is the whole total: no
-    # element reaches a probe, so none is built, and the lowest floor wins;
-    # the one chunk is the last and a floor survives it, so no escalator is
-    # walked, and none is built
+def test_one_element_known_max_builds_only_its_winner(monkeypatch):
+    # every floor is at least the maximum, which is the whole total, so the
+    # lowest floor wins: the one chunk is the last, and the race builds only
+    # the winner's probe, which holds the element in its first block; a
+    # floor survives, so no escalator is walked, and none is built
     built = counted_walkers(monkeypatch)
     res = solve_known_max(iter([1000]), *GRID_SHAPE, 1000)
-    assert built == []
+    assert built == ["ProbeInstance"]
     assert (res.bottleneck, res.separators) == (1000, (1,) + (2,) * 64)
     assert (res.probe_instances, res.probe_ext_instances, res.instance_count) == (1065, 140, 1205)
 
@@ -354,9 +354,9 @@ def test_probe_grid_walks_few_dying_probes_per_chunk(size, monkeypatch):
 def test_one_chunk_known_max_builds_and_walks_only_the_sandwich(monkeypatch):
     # one chunk at perfbench's known-m shape: the race builds the grid's
     # floors from the low end of the stream's sandwich up to below its high
-    # end, and each level's first floor at or above the high end, and its
-    # search walks at most ceil(log2(k + 1)) + 1 of those k floors; a
-    # floor survives, so no escalator is built
+    # end, and the lowest floor at or above the high end, the search's sure
+    # survivor, and it walks at most ceil(log2(k + 1)) + 1 of those k
+    # floors; a floor survives, so no escalator is built
     weights = grid_shaped_stream()
     m = max(weights)
     num_blocks, epsilon = GRID_SHAPE
@@ -387,7 +387,7 @@ def test_one_chunk_known_max_builds_and_walks_only_the_sandwich(monkeypatch):
     inside = {floor for level in levels for floor in level if low <= floor < high}
     past = {min(floor for floor in level if floor >= high)
             for level in levels if level[-1] >= high}
-    assert fresh == [sorted(inside | past)]
+    assert fresh == [sorted(inside | {min(past)})]
     assert len(walks) <= math.ceil(math.log2(len(fresh[0]) + 1)) + 1
     assert "ProbeExtInstance" not in built
 
@@ -412,11 +412,13 @@ def test_fine_known_max_on_three_weights_builds_by_stepping(monkeypatch):
     # at level 0) took over 10 s when each floor built its own powers; now
     # the doubling count, the grid's count and the escalators' count are
     # the only `_growth` calls: the sandwich's low end is m, so no level
-    # jumps, and the winner is level 0's first floor
+    # jumps, and the winner is level 0's first floor; the race builds the
+    # floors below the high end, 3 (level 0's first), and the lowest at or
+    # above it, 4, and none of the other levels' first floors
     counts, fresh = counted_growth_and_builds(monkeypatch)
     res = solve_known_max(iter([1, 2, 3]), 2, "1/30000", 3)
     assert [ratio for ratio, _ in counts] == [2, Fraction(30001, 30000), Fraction(60001, 60000)]
-    assert (len(fresh), len(fresh[0])) == (1, 32)
+    assert fresh == [[3, 4]]
     assert (res.probe_instances, res.probe_ext_instances) == (644676, 41591)
 
 
