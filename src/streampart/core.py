@@ -148,6 +148,9 @@ def validate_partitioning(length: int, num_blocks: int, separators: Sequence[int
         return str(exc)
     if len(separators) != num_blocks + 1:
         return f"expected {int_text(num_blocks + 1)} separators, got {len(separators)}"
+    for k, separator in enumerate(separators):
+        if type(separator) is not int:  # a bool, a float or a str is no index
+            return f"separator s_{k} must be an int, got {separator!r}"
     if separators[0] != 1:
         return f"first separator must be 1, got {int_text(separators[0])}"
     if separators[-1] != length + 1:

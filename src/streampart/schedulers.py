@@ -131,19 +131,13 @@ def _log(num: int, den: int) -> float:
     return math.log(num) - math.log(den)
 
 
-def _growth(ratio: Fraction, target) -> tuple[int, int, int]:
-    """(c, a**c, b**c) for ratio = a/b and the smallest non-negative c with
-    ratio**c >= target, computed exactly: a float estimate from logarithms,
-    corrected with one pair of integer powers stepped exactly. A count
-    whose powers would exceed `GROWTH_POWER_BITS` (estimated as the count
-    times the bit length of the ratio's larger part) raises `ValueError`
-    before any power is built."""
-    ratio = as_fraction(ratio)
-    if ratio <= 1:
-        raise ValueError(f"growth ratio must exceed 1, got {int_text(ratio)}")
-    target = as_fraction(target)
-    a, b = ratio.numerator, ratio.denominator
-    t, u = target.numerator, target.denominator
+def _growth(a: int, b: int, t: int, u: int) -> tuple[int, int, int]:
+    """(c, a**c, b**c) for the ratio a/b > 1 and the smallest non-negative c
+    with (a/b)**c >= t/u, all ints, computed exactly: a float estimate from
+    logarithms, corrected with one pair of integer powers stepped exactly.
+    A count whose powers would exceed `GROWTH_POWER_BITS` (estimated as the
+    count times the bit length of the ratio's larger part) raises
+    `ValueError` before any power is built."""
     if t <= u:
         return 0, 1, 1
     step = _log(a, b)
@@ -154,15 +148,14 @@ def _growth(ratio: Fraction, target) -> tuple[int, int, int]:
     except OverflowError:
         estimate = math.inf
     if not estimate * max(a.bit_length(), b.bit_length()) <= GROWTH_POWER_BITS:
-        raise ValueError(
-            f"growth ratio {int_text(ratio)} needs too many steps to reach {int_text(target)}"
-        )
-    # ratio**c >= target as a**c * u >= t * b**c, with up, down = a**c, b**c
+        raise ValueError(f"growth ratio {int_text(Fraction(a, b))} needs too many steps "
+                         f"to reach {int_text(Fraction(t, u))}")
+    # (a/b)**c >= t/u as a**c * u >= t * b**c, with up, down = a**c, b**c
     c = max(math.ceil(estimate), 1)
     up, down = a**c, b**c
     while up * u < t * down:
         up, down, c = up * a, down * b, c + 1
-    # step down while ratio**(c - 1) >= target, that is a**c * b * u >= t * a * b**c
+    # step down while (a/b)**(c - 1) >= t/u, that is a**c * b * u >= t * a * b**c
     bu, ta = b * u, t * a
     while c > 1 and up * bu >= down * ta:
         up, down, c = up // a, down // b, c - 1
@@ -170,10 +163,14 @@ def _growth(ratio: Fraction, target) -> tuple[int, int, int]:
 
 
 def growth_steps(ratio: Fraction, target) -> int:
-    """Smallest non-negative c with ratio**c >= target: the count of
-    `_growth`, which raises `ValueError` for a ratio at most 1 or a count
-    whose powers would pass `GROWTH_POWER_BITS`."""
-    return _growth(ratio, target)[0]
+    """Smallest non-negative c with ratio**c >= target, for a ratio and a
+    target that `as_fraction` reads: `_growth`'s count on their parts. A
+    ratio at most 1, or a count whose powers would pass
+    `GROWTH_POWER_BITS`, raises `ValueError`."""
+    ratio, target = as_fraction(ratio), as_fraction(target)
+    if ratio <= 1:
+        raise ValueError(f"growth ratio must exceed 1, got {int_text(ratio)}")
+    return _growth(ratio.numerator, ratio.denominator, target.numerator, target.denominator)[0]
 
 
 def _check_declarations(declared: KnowledgeProfile, length: int, total: int, biggest: int) -> None:
@@ -199,16 +196,17 @@ class _Race:
     chunk `_drive` last handed it, and walks that chunk when the next one
     comes, or in `close` once the stream has ended.
 
-    The grid is a description, not a list: for ratio = up/down, the floor
-    at level i < doublings and step j <= steps, the smallest j with
-    ratio**j >= target, is (num * up**j << i) // (den * down**j), rising
-    with i and with j, and the probes race over the distinct floors,
-    ascending. Success is monotone in the floor, and the sandwich of the
-    prefix read (`feasibility.sandwich`) pins the frontier: a floor below
-    its low end has died, and one at or above its high end lives. A floor
-    at or above the running total holds every element in its first block:
-    it has no probe until a chunk builds it, and then its probe starts from
-    the total carried into the walk.
+    The grid is a description, not a list: for ratio = up/down, kept as
+    those ints, the floor at level i < doublings and step j <= steps, the
+    smallest j with ratio**j >= target, is
+    (num * up**j << i) // (den * down**j), rising with i and with j, and
+    the probes race over the distinct floors, ascending. Success is
+    monotone in the floor, and the sandwich of the prefix read
+    (`feasibility.sandwich`) pins the frontier: a floor below its low end
+    has died, and one at or above its high end lives. A floor at or above
+    the running total holds every element in its first block: it has no
+    probe until a chunk builds it, and then its probe starts from the total
+    carried into the walk.
 
     The race keeps one list, `probes`: the live probes of the floors built
     so far, ascending by floor. Each level keeps a cursor
@@ -231,12 +229,13 @@ class _Race:
     next element is still in the chunk; a chunk that is not the last walks
     every escalator too, and the last walks them only if no floor survived.
 
-    Given the ratio `escalation`, the escalators start from the integer
-    bases `max_weight * escalation**j` for j = 0..growth_steps(escalation,
-    2), a count taken once, here. They are built the first time a chunk
-    walks them: chunk 1 when it is not the last, or when no floor survives
-    it, and otherwise never. So they still start at element 1, and a
-    stream of one chunk whose floor survives builds none.
+    Given the ratio `escalation`, also kept as its parts, the escalators
+    start from the integer bases `max_weight * escalation**j` for j = 0..c,
+    c = growth_steps(escalation, 2), a count taken once, here. They are
+    built the first time a chunk walks them: chunk 1 when it is not the
+    last, or when no floor survives it, and otherwise never. So they still
+    start at element 1, and a stream of one chunk whose floor survives
+    builds none. Every count and power is `_growth`'s, on ints.
     """
 
     def __init__(self, num: int, den: int, ratio: Fraction, doublings: int, target,
@@ -244,8 +243,8 @@ class _Race:
                  escalation: Fraction | None = None) -> None:
         self.num = num
         self.den = den
-        self.ratio = ratio
-        self.steps, up, down = _growth(ratio, target)
+        self.up, self.down = ratio.numerator, ratio.denominator
+        self.steps, up, down = _growth(self.up, self.down, target.numerator, target.denominator)
         self.shift = doublings - 1
         # the top level's last floor; level i's last floor is last_top >> (shift - i)
         self.last_top = (num * up << self.shift) // (den * down)
@@ -254,8 +253,9 @@ class _Race:
         self.num_blocks = num_blocks
         self.store = store_separators
         self.max_weight = max_weight
-        self.escalation = escalation
-        self.escalator_count = growth_steps(escalation, 2) + 1 if escalation else 0
+        # the escalation's (up, down), or None for a race without escalators
+        self.escalation = escalation and (escalation.numerator, escalation.denominator)
+        self.escalator_count = _growth(*self.escalation, 2, 1)[0] + 1 if escalation else 0
         # None until a chunk first walks them
         self.escalators: list[ProbeExtInstance] | None = None
         # the live probes of the floors built, ascending by floor; after the
@@ -266,11 +266,6 @@ class _Race:
         self.next_index = 1
         # the prefix sums and largest weight of the chunk not walked yet
         self.held: tuple[Sequence[int], int] | None = None
-
-    @property
-    def alive(self) -> bool:
-        # a floor at or above the total has not failed
-        return bool(self.probes) or self.last_top >= self.total
 
     def walk(self, prefix: Sequence[int], top: int) -> bool:
         """Walk the held chunk, which is not the last, and hold this one;
@@ -289,26 +284,28 @@ class _Race:
 
     def _jump(self, level: int, floor: int) -> tuple[int, int, int] | None:
         """The cursor of the first step whose floor at `level` is at least
-        `floor`, from the exact count and powers of `_growth`; None if the
-        level ends below it."""
+        `floor`, from the exact count and powers of `_growth` for the target
+        floor * den / (num << level); None if the level ends below it."""
         if floor > self.last_top >> (self.shift - level):
             return None
         if floor * self.den <= self.num << level:  # the level's first floor, or a base of 0
             return 0, self.num, self.den
-        step, up, down = _growth(self.ratio, Fraction(floor * self.den, self.num << level))
+        step, up, down = _growth(self.up, self.down, floor * self.den, self.num << level)
         return step, self.num * up, self.den * down
 
     def _build(self, low: int, limit: int, final: bool) -> list[int]:
         """The distinct floors from `low` up to below `limit` not built yet,
         ascending, and on the last chunk the lowest at or above it."""
-        up, down = self.ratio.numerator, self.ratio.denominator
+        up, down = self.up, self.down
         fresh = set()
         past = []  # each level's first floor at or above `limit`
         for level, cursor in enumerate(self.levels):
             while cursor is not None:
                 step, n, d = cursor
                 floor = (n << level) // d
-                if floor < low:  # only before the first floor built
+                # below the low end: the level's first floor, or one a heavy
+                # chunk lifted the low end past after the level built it
+                if floor < low:
                     cursor = self._jump(level, low)
                     continue
                 if floor >= limit:
@@ -322,10 +319,10 @@ class _Race:
         return sorted(fresh)
 
     def winning_bound(self) -> Fraction:
-        """The smallest exact bound among the grid points at the lowest
-        surviving floor: at each level whose floors span it, the first step
-        that reaches it, if its floor equals it, since a level's floors and
-        bounds both rise."""
+        """The race's one `Fraction`: the smallest exact bound among the
+        grid points at the lowest surviving floor. At each level whose
+        floors span it, that is the first step that reaches it, if its floor
+        equals it, since a level's floors and bounds both rise."""
         least = self.probes[0].threshold_floor
         bounds = []
         for level in range(self.shift + 1):
@@ -356,41 +353,43 @@ class _Race:
             for _ in range(self.escalator_count):
                 self.escalators.append(ProbeExtInstance.__new__(ProbeExtInstance)._start(
                     m, num, den, self.num_blocks, self.store))
-                num, den = num * self.escalation.numerator, den * self.escalation.denominator
+                num, den = num * self.escalation[0], den * self.escalation[1]
         return self.escalators
 
     def _advance(self, prefix: Sequence[int], top: int, final: bool) -> None:
-        if self.alive:
-            total = self.total + prefix[-1]
-            # the running maximum, not the chunk's: a smaller one would put
-            # the high end below the optimum
-            self.biggest = max(self.biggest, top)
-            low, high = sandwich(total, self.biggest, self.num_blocks)
-            probes = self.probes
-            # the probes below the low end died in this chunk: dropped unwalked
-            del probes[:bisect_left(probes, low, key=attrgetter("threshold_floor"))]
-            probes.extend(map(self._probe, self._build(low, high if final else total, final)))
-            # the probe at `hi`, the first at or above the high end, lives
-            lo, hi = 0, bisect_left(probes, high, key=attrgetter("threshold_floor"))
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if probes[mid].walk(prefix, top):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            del probes[:lo]
-            if final:  # the answer reads only the lowest survivor
-                del probes[1:]
-            stop = self.next_index + len(prefix) - 1
-            for probe in probes:
-                # at or above a survivor, so it survives too; one the search
-                # walked is past the chunk
-                if probe.next_index < stop:
-                    probe.walk(prefix, top)
-            self.total = total
-            self.next_index = stop
-            if final and self.alive:
-                return
+        """Walk one chunk. Once every floor has died, the race has no probe
+        and no cursor (it died in a chunk that built up to the total, above
+        its top floor), so it builds and walks only the escalators."""
+        total = self.total + prefix[-1]
+        # the running maximum, not the chunk's: a smaller one would put the
+        # high end below the optimum
+        self.biggest = max(self.biggest, top)
+        low, high = sandwich(total, self.biggest, self.num_blocks)
+        probes = self.probes
+        # the probes below the low end died in this chunk: dropped unwalked
+        del probes[:bisect_left(probes, low, key=attrgetter("threshold_floor"))]
+        probes.extend(map(self._probe, self._build(low, high if final else total, final)))
+        # the probe at `hi`, the first at or above the high end, lives
+        lo, hi = 0, bisect_left(probes, high, key=attrgetter("threshold_floor"))
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if probes[mid].walk(prefix, top):
+                hi = mid
+            else:
+                lo = mid + 1
+        del probes[:lo]
+        if final:  # the answer reads only the lowest survivor
+            del probes[1:]
+        stop = self.next_index + len(prefix) - 1
+        for probe in probes:
+            # at or above a survivor, so it survives too; one the search
+            # walked is past the chunk
+            if probe.next_index < stop:
+                probe.walk(prefix, top)
+        self.total = total
+        self.next_index = stop
+        if final and probes:
+            return
         for escalator in self._walked_escalators():
             escalator.walk(prefix, top)
 
@@ -426,7 +425,7 @@ def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, 
     _check_declarations(declared, length, total, biggest)
     race.close()
 
-    if race.alive:
+    if race.probes:
         bottleneck = race.winning_bound()
         separators = race.probes[0].finish(length).separators
         merges = None

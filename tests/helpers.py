@@ -80,8 +80,8 @@ def counted_checked_max(monkeypatch) -> list[int]:
 
 
 def counted_growth_and_builds(monkeypatch) -> tuple[list, list[list[int]]]:
-    """The arguments of every `_growth` call, and the floors of every
-    `_Race._build`, from now on."""
+    """The int arguments (a, b, t, u) of every `_growth` call, ratio a/b
+    and target t/u, and the floors of every `_Race._build`, from now on."""
     counts, fresh = [], []
     growth = schedulers._growth
     build = schedulers._Race._build

@@ -40,6 +40,14 @@ def test_bottleneck_rejects_bad_separators():
         bottleneck_of([1, 2, 3], (1, 5, 4))
     with pytest.raises(InvalidPartitioningError):
         bottleneck_of([1, 2, 3], (2, 3, 4))
+    # a separator that is no int is refused before it is compared or sliced
+    for separators in ((1, 2.0, 4), (1, "2", 4), (True, 2, 4)):
+        with pytest.raises(InvalidPartitioningError):
+            bottleneck_of([1, 2, 3], separators)
+        with pytest.raises(InvalidPartitioningError):
+            block_weights([1, 2, 3], separators)
+        with pytest.raises(InvalidPartitioningError):
+            check_partitioning(3, 2, separators)
 
 
 def test_validate_partitioning_examples():
@@ -49,6 +57,9 @@ def test_validate_partitioning_examples():
     assert "last separator" in validate_partitioning(5, 2, (1, 4, 5))
     assert "expected 3 separators" in validate_partitioning(5, 2, (1, 6))
     assert "block count" in validate_partitioning(5, 1, (1, 6))
+    assert validate_partitioning(3, 2, (1, 2.0, 4)) == "separator s_1 must be an int, got 2.0"
+    assert validate_partitioning(3, 2, (1, "2", 4)) == "separator s_1 must be an int, got '2'"
+    assert validate_partitioning(3, 2, (True, 2, 4)) == "separator s_0 must be an int, got True"
 
 
 def test_check_partitioning_raises():

@@ -25,7 +25,8 @@ from streampart import feasibility, probe_ext, schedulers
 from streampart.core import floor_fraction, int_text
 from streampart.feasibility import B, ProbeInstance, _Walker, sandwich
 from streampart.schedulers import GROWTH_POWER_BITS, UnknownPartSolver, _Race
-from helpers import CountingStream, counted_growth_and_builds, random_stream, reference_race
+from helpers import (MIXES, CountingStream, counted_growth_and_builds, mixed_stream,
+                     random_stream, reference_race)
 
 
 def test_growth_steps_exact():
@@ -92,9 +93,10 @@ def test_growth_steps_matches_stepping(case):
     ratio, target = case
     steps = stepped_growth(ratio, target)
     assert growth_steps(ratio, target) == steps
-    # the count's powers, which the race's cursors start from
-    assert schedulers._growth(ratio, target) == (
-        steps, ratio.numerator**steps, ratio.denominator**steps)
+    # the count's powers, which the race's cursors start from, on the int parts
+    a, b = ratio.numerator, ratio.denominator
+    assert schedulers._growth(a, b, target.numerator, target.denominator) == (
+        steps, a**steps, b**steps)
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -351,6 +353,32 @@ def test_probe_grid_walks_few_dying_probes_per_chunk(size, monkeypatch):
     assert escalator_walks == [k for k in range(chunks - 1) for _ in range(140)]
 
 
+@pytest.mark.parametrize("mix", MIXES)
+@pytest.mark.parametrize("num_blocks", [2, 3, 64])
+def test_known_total_and_length_keep_a_window_of_log_p_probes(mix, num_blocks, monkeypatch):
+    # known-S and known-mn keep live floors in [low, S) with low >= S/p,
+    # and one geometric level has at most growth_steps(1 + eps, p) points
+    # in [x, p * x): after every chunk the race keeps at most that many
+    # probes (known-m's interleaved levels can keep a few more)
+    epsilon = Fraction(1, 100)
+    bound = growth_steps(1 + epsilon, num_blocks)
+    peaks = []
+    advance = _Race._advance
+
+    def counted_advance(self, prefix, top, final):
+        advance(self, prefix, top, final)
+        peaks.append(len(self.probes))
+
+    monkeypatch.setattr(_Race, "_advance", counted_advance)
+    weights = mixed_stream(0, 20000, mix)
+    solve_known_total(iter(weights), num_blocks, epsilon, sum(weights))
+    solve_known_max_length(iter(weights), num_blocks, epsilon, max(weights), len(weights))
+    assert len(peaks) == 2 * -(-len(weights) // B)
+    assert max(peaks) <= bound
+    if mix == "uniform":  # the bound is reached
+        assert max(peaks) == bound
+
+
 def test_one_chunk_known_max_builds_and_walks_only_the_sandwich(monkeypatch):
     # one chunk at perfbench's known-m shape: the race builds the grid's
     # floors from the low end of the stream's sandwich up to below its high
@@ -417,7 +445,8 @@ def test_fine_known_max_on_three_weights_builds_by_stepping(monkeypatch):
     # above it, 4, and none of the other levels' first floors
     counts, fresh = counted_growth_and_builds(monkeypatch)
     res = solve_known_max(iter([1, 2, 3]), 2, "1/30000", 3)
-    assert [ratio for ratio, _ in counts] == [2, Fraction(30001, 30000), Fraction(60001, 60000)]
+    # as int parts: 2 up to 1/delta**2 = (60001/2)**2, then 1 + eps and 1 + eps/2 up to 2
+    assert counts == [(2, 1, 60001**2, 4), (30001, 30000, 2, 1), (60001, 60000, 2, 1)]
     assert fresh == [[3, 4]]
     assert (res.probe_instances, res.probe_ext_instances) == (644676, 41591)
 
