@@ -86,7 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="compute the exact optimum offline")
     oracle.add_argument("--p", type=parse_int, required=True)
-    oracle.add_argument("--method", choices=list(ORACLES), default="binsearch")
+    oracle.add_argument("--method", choices=list(ORACLES), default="binsearch",
+                        help="binsearch: greedy probes inside the sandwich interval; "
+                        "dp: the prefix recurrence, which does not probe")
     oracle.add_argument("--input", type=str, help="input path (default stdin)")
     oracle.set_defaults(handler=cmd_oracle)
 

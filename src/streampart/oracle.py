@@ -4,7 +4,7 @@ The binary-search oracle walks the closed sandwich interval
 ``[max(ceil(S/p), m), floor((S + (p-1)*m) / p)]`` (`feasibility.sandwich`)
 whose upper end is always feasible, testing each value with the walk of a
 streaming probe over the whole list's prefix sums, one chunk from a fresh
-state. The quadratic DP is an independent cross-check.
+state. The DP, which does not probe, is an independent cross-check.
 
 Each public oracle checks its block count and its list (`core.checked_max`)
 and hands both, with the list's largest weight, to its private core. A
@@ -21,10 +21,6 @@ from typing import Sequence
 
 from .core import InfeasibleBoundError, as_fraction, checked_max, int_text
 from .feasibility import PARTB_MODE, ProbeInstance, checked_args, probe_run, sandwich
-
-# the quadratic oracle refuses instances of more than this many n^2 * p cells
-DP_MAX_CELLS = 20_000_000
-
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -55,7 +51,9 @@ def _binsearch_optimum(weights: Sequence[int], heaviest: int, num_blocks: int) -
 
 
 def opt_bottleneck_dp(weights: Sequence[int], num_blocks: int) -> OracleResult:
-    """Least feasible bottleneck, by the classic quadratic prefix recurrence."""
+    """Least feasible bottleneck, by the prefix recurrence over the block
+    count, whose split points only move right: O(n * min(p, n)) time, two
+    rows of n + 1 ints, at any size."""
     checked_args(num_blocks, PARTB_MODE)  # a value, no separators
     return _dp_optimum(weights, checked_max(weights), num_blocks)
 
@@ -64,30 +62,20 @@ def _dp_optimum(weights: Sequence[int], heaviest: int, num_blocks: int) -> Oracl
     """`opt_bottleneck_dp` of checked `weights` and a checked block count;
     it takes `heaviest` to share `_binsearch_optimum`'s arguments."""
     n = len(weights)
-    if n * n * num_blocks > DP_MAX_CELLS:
-        raise ValueError(
-            f"instance too large for the quadratic oracle "
-            f"(n^2 * p = {int_text(n * n * num_blocks)} > {DP_MAX_CELLS})"
-        )
     prefix = list(accumulate(weights, initial=0))
     # best[i] = least bottleneck for the first i elements with the current block budget
     best = prefix[:]
-    effective = min(num_blocks, n) if n else 1
-    for _ in range(2, effective + 1):
+    for _ in range(1, min(num_blocks, n)):
         nxt = [0] * (n + 1)
+        # max(best[j], prefix[i] - prefix[j]) is least at the first j whose
+        # head best[j] reaches its tail, or at the j before it; best[j] grows
+        # and the tail shrinks with j, and that j never moves left as i grows
+        j = 0
         for i in range(1, n + 1):
             target = prefix[i]
-            value = target  # j = 0: everything in the last block
-            for j in range(1, i + 1):
-                candidate = best[j]
-                tail = target - prefix[j]
-                if tail > candidate:
-                    candidate = tail
-                if candidate < value:
-                    value = candidate
-                if tail <= best[j]:
-                    break  # best[j] grows and the tail shrinks with j
-            nxt[i] = value
+            while best[j] < target - prefix[j]:
+                j += 1
+            nxt[i] = min(best[j], target - prefix[j - 1]) if j else best[j]
         best = nxt
     return OracleResult(best[n], "dp")
 

@@ -1,18 +1,19 @@
-"""Shared test utilities: independent optima, counting streams, corpora, the
-per-element feasibility machines the chunked walk is checked against, the
-race that builds and walks every grid probe, which the frontier-searched
-probe grid is checked against, the full-regroup 2-approximation the
-unknown-knowledge fast path is checked against, the per-element
-unknown-knowledge walk its event-driven walk is checked against, the
-maximality check of a probe's separators, a counter of the weights the
-weight rule scans, a counter of the grid's `_growth` calls and built
-floors, and seeded streams of four weight mixes."""
+"""Shared test utilities: independent optima (exhaustive search and the
+quadratic DP), counting streams, corpora, the per-element feasibility
+machines the chunked walk is checked against, the race that builds and
+walks every grid probe, which the frontier-searched probe grid is checked
+against, the full-regroup 2-approximation the unknown-knowledge fast path
+is checked against, the per-element unknown-knowledge walk its
+event-driven walk is checked against, the maximality check of a probe's
+separators, a counter of the weights the weight rule scans, a counter of
+the grid's `_growth` calls and built floors, and seeded streams of four
+weight mixes."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, pairwise
+from itertools import accumulate, combinations_with_replacement, pairwise
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
@@ -46,6 +47,35 @@ def brute_force_optimum(weights: Sequence[int], num_blocks: int) -> int:
         if worst < best:
             best = worst
     return best
+
+
+def quadratic_dp_optimum(weights: Sequence[int], num_blocks: int) -> int:
+    """Minimum bottleneck by the quadratic prefix recurrence over the block
+    count, trying every split of each prefix (stopping where the tail no
+    longer exceeds the head). It is the reference the DP oracle's monotone
+    split points are checked against; O(n^2 * p), for small instances."""
+    n = len(weights)
+    prefix = list(accumulate(weights, initial=0))
+    # best[i] = least bottleneck for the first i elements with the current block budget
+    best = prefix[:]
+    effective = min(num_blocks, n) if n else 1
+    for _ in range(2, effective + 1):
+        nxt = [0] * (n + 1)
+        for i in range(1, n + 1):
+            target = prefix[i]
+            value = target  # j = 0: everything in the last block
+            for j in range(1, i + 1):
+                candidate = best[j]
+                tail = target - prefix[j]
+                if tail > candidate:
+                    candidate = tail
+                if candidate < value:
+                    value = candidate
+                if tail <= best[j]:
+                    break  # best[j] grows and the tail shrinks with j
+            nxt[i] = value
+        best = nxt
+    return best[n]
 
 
 class CountingStream:

@@ -11,7 +11,6 @@ import pytest
 import streampart
 from streampart import cli
 from streampart.cli import main
-from streampart.oracle import DP_MAX_CELLS
 
 from helpers import counted_checked_max, counted_growth_and_builds
 
@@ -157,9 +156,9 @@ def test_oracle_takes_the_parsers_list_as_checked(capsys, monkeypatch):
             1, "", "streampart: invalid weight token 'x': expected a non-negative integer\n")
         assert oracle(method, "1", "1 2") == (
             1, "", "streampart: block count must be at least 2, got 1\n")
-    assert oracle("dp", "64", "1 " * 1000) == (
-        1, "", f"streampart: instance too large for the quadratic oracle "
-               f"(n^2 * p = 64000000 > {DP_MAX_CELLS})\n")
+    # the DP answers at any size
+    assert oracle("dp", "64", "1 " * 1000) == (0, "\n".join([
+        "{", '  "optimum": 16,', '  "method": "dp",', '  "n": 1000,', '  "p": 64', "}", ""]), "")
     assert calls == []
 
 

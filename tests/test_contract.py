@@ -226,9 +226,8 @@ LONG_VALUE_MESSAGES = {
                           f"(element-exceeds-threshold)"),
     "probe_ext_run": (lambda: probe_ext_run([BIG], Fraction(BIG - 1), 2), DeclaredBoundError,
                       f"element {DIGITS} exceeds declared maximum weight {NINES}"),
-    "opt_bottleneck_dp": (lambda: opt_bottleneck_dp([1], BIG), ValueError,
-                          f"instance too large for the quadratic oracle "
-                          f"(n^2 * p = {DIGITS} > 20000000)"),
+    "opt_bottleneck_dp": (lambda: opt_bottleneck_dp([1, -BIG], 2), ValueError,
+                          f"weights must be non-negative integers, got -{DIGITS}"),
     "gen_yz_hard length": (lambda: gen_yz_hard(10, BIG, 1), ValueError,
                            f"length must be at least 4*pairs - 2 = 3{'9' * 4999}8, got 10"),
     "gen_yz_hard bob index": (lambda: gen_yz_hard(4 * BIG, BIG, BIG + 1), ValueError,

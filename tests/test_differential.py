@@ -3,11 +3,13 @@ both instance classes against the per-element machines in `helpers`,
 `realize_partition` against the per-element probe, the unknown-knowledge fast
 path and its chunked walk against the full regroup, also on streams that
 cross the chunk size, the frontier-searched probe grid against the race that
-walks every probe, the oracle against exhaustive search, every solver's
-guarantee against the exhaustive optimum, the known-m guarantee on long
-streams where an escalator answers against the binary-search oracle, and
-the grid solvers at fine eps against the race and the oracle."""
+walks every probe, the oracles against exhaustive search, the DP oracle
+against the quadratic DP, the two exact oracles against each other, every
+solver's guarantee against the exhaustive optimum, the known-m guarantee on
+long streams where an escalator answers against the binary-search oracle,
+and the grid solvers at fine eps against the race and the oracle."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -28,12 +30,14 @@ from streampart import (
     block_weights,
     bottleneck_of,
     opt_bottleneck_binsearch,
+    opt_bottleneck_dp,
     probe_run,
     realize_partition,
     validate_partitioning,
 )
 from streampart import feasibility, schedulers
-from streampart.core import WeightChunks, floor_fraction
+from streampart.cli import ORACLES, main
+from streampart.core import WeightChunks, floor_fraction, parse_int
 from streampart.feasibility import B, _drive, sandwich
 from streampart.schedulers import (
     EPSILON_GUARANTEE_LIMIT,
@@ -56,8 +60,10 @@ from helpers import (
     ReferenceUnknownWalk,
     brute_force_optimum,
     mixed_stream,
+    quadratic_dp_optimum,
     reference_race,
 )
+import golden
 
 SETTINGS = settings(max_examples=300, deadline=None, database=None, derandomize=True)
 
@@ -96,6 +102,52 @@ def test_binsearch_oracle_matches_brute_force(weights, num_blocks):
     assert probe_run(weights, optimum, num_blocks).success
     if optimum > 0:
         assert not probe_run(weights, optimum - 1, num_blocks).success
+
+
+@SETTINGS
+@given(weights=st.lists(st.one_of(st.just(0), st.integers(0, 9), st.integers(0, 1000)),
+                        max_size=12),
+       num_blocks=blocks_strategy)
+def test_dp_oracle_matches_the_quadratic_dp_and_brute_force(weights, num_blocks):
+    optimum = opt_bottleneck_dp(weights, num_blocks).optimum
+    assert optimum == quadratic_dp_optimum(weights, num_blocks)
+    assert optimum == brute_force_optimum(weights, num_blocks)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       length=st.one_of(st.integers(0, 100), st.integers(0, 10**4)),
+       mix=st.sampled_from(MIXES), num_blocks=st.one_of(blocks_strategy, st.integers(2, 128)))
+@example(seed=1, length=5, mix="spikes", num_blocks=64)
+@example(seed=2, length=10**4, mix="zeros", num_blocks=64)
+def test_the_two_exact_oracles_agree(seed, length, mix, num_blocks):
+    # zero runs, spikes that lift the maximum mid-stream, and p past n
+    weights = mixed_stream(seed, length, mix)
+    assert (opt_bottleneck_dp(weights, num_blocks).optimum
+            == opt_bottleneck_binsearch(weights, num_blocks).optimum)
+
+
+@pytest.mark.parametrize("length", [2000, 10**4])
+def test_the_two_exact_oracles_agree_on_perfbench_shaped_streams(length):
+    # perfbench's streams: uniform weights in 0..1000, p = 64
+    weights = random.Random(length).choices(range(1001), k=length)
+    assert (opt_bottleneck_dp(weights, 64).optimum
+            == opt_bottleneck_binsearch(weights, 64).optimum)
+
+
+def test_the_two_oracle_commands_agree_on_the_golden_inputs(tmp_path, capsys):
+    # each golden parser input through --input: the same exit code and error
+    # from both methods, and the same optimum when the text parses
+    for name, (data, _) in golden._inputs().items():
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(data)
+        printed = []
+        for method in ORACLES:
+            code = main(["oracle", "--p", "8", "--method", method, "--input", str(path)])
+            out, err = capsys.readouterr()
+            optimum = json.loads(out, parse_int=parse_int)["optimum"] if code == 0 else out
+            printed.append((code, err, optimum))
+        assert printed[0] == printed[1], name
 
 
 @SETTINGS

@@ -63,8 +63,8 @@ def test_domain_errors():
         opt_bottleneck_binsearch([1, 2], 1)
     with pytest.raises(ValueError):
         opt_bottleneck_dp([1, 2], 1)
-    with pytest.raises(ValueError):
-        opt_bottleneck_dp([1] * 2000, 8)  # over the size guard
+    # no size cap: n^2 * p = 32,000,000 cells would have been refused
+    assert opt_bottleneck_dp([1] * 2000, 8).optimum == 250
 
 
 def test_realize_examples():
