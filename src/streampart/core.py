@@ -229,10 +229,8 @@ READ_BLOCK = 1 << 13
 # of a chunk `feasibility._drive` rewrites into its prefix sums at a time
 SLICE = B // 16
 
-# the whitespace `bytes.split()` splits on, and a table that makes spaces of
-# the separators `str.split()` splits on and `bytes.split()` does not
+# the whitespace `bytes.split()` splits on
 _BYTES_SPACE = b" \t\n\r\x0b\x0c"
-_SEPARATORS_AS_SPACES = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
 
 # the ints below 2**10, keyed by their canonical decimal text as ASCII bytes
 # (text meets it as an ASCII block's bytes): `_convert` looks a token up here
@@ -353,12 +351,11 @@ def _read_block(reader: IO[str] | IO[bytes], pending: str
     text of ASCII digits and the whitespace `bytes.split` splits on has the
     tokens of its str, so one `isdigit()` over it less that whitespace
     (`bytes.translate`, which holds no buffer per token) lets `_convert`
-    read its slices. A text that fails this check is checked again with
-    `\x1c`-`\x1f`, which `str.split` splits on and `bytes.split` does not,
-    made spaces. Any other text (not ASCII, or a token that is no integer)
-    is read as str, a bytes block decoded alone, so that a decode error
-    names the byte's position in the block (its carried token is ASCII);
-    there `_to_ints` checks each slice's digits, from `int` on.
+    read its slices. Any other text (not ASCII, a control character that
+    `str.split` splits on and `bytes.split` does not, or a token that is no
+    integer) is read as str, a bytes block decoded alone, so that a decode
+    error names the byte's position in the block (its carried token is
+    ASCII); there `_to_ints` checks each slice's digits, from `int` on.
     """
     text = reader.read(READ_BLOCK)
     at_end = not text
@@ -369,9 +366,7 @@ def _read_block(reader: IO[str] | IO[bytes], pending: str
     elif pending:
         text = pending.encode() + text
     if type(text) is bytes and not text.translate(None, _BYTES_SPACE).isdigit():
-        text = text.translate(_SEPARATORS_AS_SPACES)
-        if not text.translate(None, _BYTES_SPACE).isdigit():
-            text = pending + text[len(pending):].decode("ascii")
+        text = pending + text[len(pending):].decode("ascii")
     checked = type(text) is bytes  # its digits were checked whole above
     # the last token may go on in the next block unless whitespace ends this one
     open_end = not at_end and not text[-1:].isspace()

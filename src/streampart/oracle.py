@@ -22,6 +22,7 @@ from typing import Sequence
 from .core import InfeasibleBoundError, as_fraction, checked_max, int_text
 from .feasibility import PARTB_MODE, ProbeInstance, checked_args, probe_run, sandwich
 
+
 @dataclass(frozen=True)
 class OracleResult:
     optimum: int
@@ -53,19 +54,22 @@ def _binsearch_optimum(weights: Sequence[int], heaviest: int, num_blocks: int) -
 def opt_bottleneck_dp(weights: Sequence[int], num_blocks: int) -> OracleResult:
     """Least feasible bottleneck, by the prefix recurrence over the block
     count, whose split points only move right: O(n * min(p, n)) time, two
-    rows of n + 1 ints, at any size."""
+    rows of n + 1 ints, so quadratic in n as p nears n."""
     checked_args(num_blocks, PARTB_MODE)  # a value, no separators
     return _dp_optimum(weights, checked_max(weights), num_blocks)
 
 
 def _dp_optimum(weights: Sequence[int], heaviest: int, num_blocks: int) -> OracleResult:
-    """`opt_bottleneck_dp` of checked `weights` and a checked block count;
-    it takes `heaviest` to share `_binsearch_optimum`'s arguments."""
+    """`opt_bottleneck_dp` of checked `weights`, whose largest weight is
+    `heaviest`, and a checked block count; it stops at the first block
+    count whose optimum is `heaviest`, which no more blocks can go below."""
     n = len(weights)
     prefix = list(accumulate(weights, initial=0))
     # best[i] = least bottleneck for the first i elements with the current block budget
     best = prefix[:]
     for _ in range(1, min(num_blocks, n)):
+        if best[n] == heaviest:
+            break
         nxt = [0] * (n + 1)
         # max(best[j], prefix[i] - prefix[j]) is least at the first j whose
         # head best[j] reaches its tail, or at the j before it; best[j] grows

@@ -470,27 +470,11 @@ def test_int_reads_a_block_from_its_first_miss_on(monkeypatch, miss_at):
         assert read == [token.encode() for token in tokens[miss_at:]]
 
 
-def test_ascii_separators_keep_a_block_on_the_bytes_path(monkeypatch):
-    # \x1c-\x1f, which `str.split` splits on and `bytes.split` does not,
-    # are read as spaces: from either reader the block is read as bytes and
-    # never reaches `_to_ints`, the str path; a block that ends in one ends
-    # its last token, and a carried token runs on into the first
-    tokens = [*small_tokens(SLICE + 5, 16), "1024", "7"]
-    text = "".join(token + "\x1c\x1d\x1e\x1f "[k % 5] for k, token in enumerate(tokens))
-    assert text[-1] == "\x1e"
-    monkeypatch.setattr(streampart.core, "_to_ints", lambda *args: pytest.fail("read as str"))
-    for block in (text, text.encode("ascii")):
-        assert _read_block(WholeText(block), "") == (list(map(int, tokens)), None, "", False)
-        assert _read_block(WholeText(block), "12") == (
-            [int("12" + tokens[0]), *map(int, tokens[1:])], None, "", False)
-
-
 # Run under `python -bb`, where comparing str with bytes raises: it parses
-# blocks that fall back to str (a no-break space separator, a bad token, a
-# token past the digit limit, not ASCII after an ASCII block), blocks
-# separated by \x1c and blocks of table tokens, from a text reader and,
-# for ASCII text, a binary one, against `str.split` with each token
-# checked for ASCII digits.
+# blocks that fall back to str (a \x1c or no-break space separator, a bad
+# token, a token past the digit limit, not ASCII after an ASCII block) and
+# blocks of table tokens, from a text reader and, for ASCII text, a binary
+# one, against `str.split` with each token checked for ASCII digits.
 BYTES_WARNING_SCRIPT = r"""
 import io
 from streampart import iter_weights, parse_weights

@@ -10,7 +10,7 @@ from streampart import (
     opt_bottleneck_dp,
     realize_partition,
 )
-from helpers import brute_force_optimum, random_stream
+from helpers import MIXES, brute_force_optimum, mixed_stream, random_stream
 
 
 def test_binsearch_examples():
@@ -45,6 +45,13 @@ def test_oracles_agree_on_larger_instances():
         a = opt_bottleneck_binsearch(weights, p).optimum
         b = opt_bottleneck_dp(weights, p).optimum
         assert a == b
+    # each weight mix (zero runs, spikes that lift the maximum mid-stream,
+    # and perfbench's streams, uniform in 0..1000) up to 10^4 weights, p > n
+    for mix in MIXES:
+        for length, p in ((5, 64), (300, 512), (2000, 64), (10**4, 64), (10**4, 3)):
+            weights = mixed_stream(length, length, mix)
+            a = opt_bottleneck_binsearch(weights, p).optimum
+            assert a == opt_bottleneck_dp(weights, p).optimum, (mix, length, p)
 
 
 def test_optimum_within_closed_interval():
@@ -65,6 +72,8 @@ def test_domain_errors():
         opt_bottleneck_dp([1, 2], 1)
     # no size cap: n^2 * p = 32,000,000 cells would have been refused
     assert opt_bottleneck_dp([1] * 2000, 8).optimum == 250
+    # one block already holds the largest weight alone: no more levels run
+    assert opt_bottleneck_dp([0] * 5000 + [7], 5000).optimum == 7
 
 
 def test_realize_examples():
