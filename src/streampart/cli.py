@@ -19,9 +19,8 @@ import argparse
 import functools
 import json
 import sys
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import fields
-from typing import IO
 
 from .bench import load_config, run_bench, write_csv
 from .core import WeightChunks, format_weights, int_text, iter_weights, parse_int
@@ -104,13 +103,10 @@ class UsageError(Exception):
     """Usage problem detected after argparse; exits with status 2."""
 
 
-def _open_input(stack: ExitStack, path: str | None) -> IO[bytes] | IO[str]:
-    """The --input file, opened binary and closed with `stack` (the parser
-    reads its bytes as ASCII text), or stdin, as text, when no path is
-    given."""
-    if path:
-        return stack.enter_context(open(path, "rb"))
-    return sys.stdin
+def _open_input(path: str | None):
+    """The --input file, opened binary (the parser reads its bytes as ASCII
+    text), or stdin as text, which `with` leaves open, when no path is given."""
+    return open(path, "rb") if path else nullcontext(sys.stdin)
 
 
 def _json_text(value) -> str:
@@ -153,16 +149,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if missing:
         raise UsageError(f"--know {args.know} requires {', '.join(missing)}")
     profile = KnowledgeProfile(max_weight=args.m, length=args.n, total_weight=args.s)
-    with ExitStack() as stack:
-        stream = WeightChunks(_open_input(stack, args.input))
-        result = solve_tagged(tag, stream, args.p, args.epsilon, profile, mode=args.mode)
+    with _open_input(args.input) as reader:
+        result = solve_tagged(tag, WeightChunks(reader), args.p, args.epsilon, profile,
+                              mode=args.mode)
     _print_json(result.to_json_dict())
     return 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    with ExitStack() as stack:
-        weights = list(iter_weights(_open_input(stack, args.input)))
+    with _open_input(args.input) as reader:
+        weights = list(iter_weights(reader))
     # the parser's weights are checked: the oracle's core takes their max
     checked_args(args.p, PARTB_MODE)
     answer = ORACLES[args.method](weights, max(weights, default=0), args.p)

@@ -252,14 +252,16 @@ def int_text(value: int | Fraction) -> str:
     return numerator if value.denominator == 1 else f"{numerator}/{int_text(value.denominator)}"
 
 
-def parse_int(text: str) -> int:
-    """`int(text)`, also past CPython's digit limit for `int(str)`: there a
-    decimal integer (an optional sign, then ASCII digits) is read exactly
-    with `decimal`, and any other text raises `int`'s `ValueError`."""
+def parse_int(text: str | bytes) -> int:
+    """`int(text)` of str or ASCII bytes, also past CPython's digit limit:
+    there a decimal integer (an optional sign, then ASCII digits) is read
+    exactly with `decimal`, and any other text raises `int`'s `ValueError`."""
     try:
         return int(text)
     except ValueError:
         body = text.strip()
+        if type(body) is bytes:
+            body = body.decode("latin-1")  # a byte past ASCII fails the check below
         digits = body[1:] if body[:1] in ("+", "-") else body
         if not (digits.isascii() and digits.isdigit()):
             raise
@@ -270,33 +272,26 @@ def parse_int(text: str) -> int:
 parse_int.__name__ = "int"
 
 
-def _to_ints(tokens: list[str], weights: list[int], convert: Callable
-             ) -> tuple[Callable, str | None]:
-    """Append to `weights` the ints of one slice's str `tokens`, the
-    fallback's, up to the first token that is not a decimal integer, by
-    `_convert` from the rung `convert` (`int` or past it); return the rung
-    the next slice starts on, and that token (None when there is none).
-
-    One check covers a slice of valid tokens; only a slice that fails it is
-    scanned token by token, and cut at its first bad token.
-    """
+def _first_bad(tokens: list[str]) -> str | None:
+    """Cut a str slice, the fallback's, at its first token that is not a
+    decimal integer, and return that token (None when there is none): one
+    check covers a slice of valid tokens, and only a slice that fails it is
+    scanned token by token."""
     joined = "".join(tokens)
-    digits = joined.isascii() and joined.isdigit()
-    del joined  # a second copy of the slice's text
-    if not digits:
+    if not (joined.isascii() and joined.isdigit()):
         for cut, token in enumerate(tokens):
             if not (token.isascii() and token.isdigit()):
                 del tokens[cut:]
-                return _convert(tokens, weights, convert), token
-    return _convert(tokens, weights, convert), None
+                return token
+    return None
 
 
 def _convert(tokens: list[str] | list[bytes], weights: list[int], convert: Callable | None
              ) -> Callable | None:
     """Append to `weights` the ints of one slice's `tokens`, decimal
-    integers as ASCII bytes, or as str from `_to_ints`, read by `convert`,
-    the rung of the block's ladder that the slice starts on (None for a
-    bytes block's first slice); return the rung the next slice starts on.
+    integers as ASCII bytes or as str, read by `convert`, the rung of the
+    block's ladder that the slice starts on (None for a bytes block's first
+    slice); return the rung the next slice starts on.
 
     A block climbs a one-way ladder of converters: a lookup in the table of
     small ints, then `int`, then `parse_int`; a str block, and a block
@@ -321,15 +316,10 @@ def _convert(tokens: list[str] | list[bytes], weights: list[int], convert: Calla
         except KeyError:  # a token that is no key of the table
             convert = int
         except ValueError:  # past CPython's int() digit limit
-            if convert is _long_int:
+            if convert is parse_int:
                 raise
-            convert = _long_int
+            convert = parse_int
         rest = tokens[len(weights) - start:]
-
-
-def _long_int(token: str | bytes) -> int:
-    """`parse_int` of a str token or of an ASCII bytes one."""
-    return parse_int(token if type(token) is str else token.decode())
 
 
 def _read_block(reader: IO[str] | IO[bytes], pending: str
@@ -355,7 +345,8 @@ def _read_block(reader: IO[str] | IO[bytes], pending: str
     `str.split` splits on and `bytes.split` does not, or a token that is no
     integer) is read as str, a bytes block decoded alone, so that a decode
     error names the byte's position in the block (its carried token is
-    ASCII); there `_to_ints` checks each slice's digits, from `int` on.
+    ASCII); there `_first_bad` cuts each slice at its first bad token, and
+    the ladder starts at `int`.
     """
     text = reader.read(READ_BLOCK)
     at_end = not text
@@ -378,10 +369,9 @@ def _read_block(reader: IO[str] | IO[bytes], pending: str
         text = tokens.pop() if len(tokens) > SLICE else text[:0]
         if open_end and not text:
             last = tokens.pop().decode() if checked else tokens.pop()
-        if checked:
-            convert = _convert(tokens, weights, convert)
-        else:
-            convert, bad = _to_ints(tokens, weights, convert)
+        if not checked:
+            bad = _first_bad(tokens)
+        convert = _convert(tokens, weights, convert)
         del tokens  # before the next slice is split
     return weights, bad, last, at_end
 

@@ -6,8 +6,9 @@ against, the full-regroup 2-approximation the unknown-knowledge fast path
 is checked against, the per-element unknown-knowledge walk its
 event-driven walk is checked against, the maximality check of a probe's
 separators, a counter of the weights the weight rule scans, a counter of
-the grid's `_growth` calls and built floors, and seeded streams of four
-weight mixes."""
+the grid's `_growth` calls and built floors, seeded streams of four
+weight mixes, and the hypothesis settings every Tier-1 property test
+starts from."""
 
 from __future__ import annotations
 
@@ -17,12 +18,18 @@ from itertools import accumulate, combinations_with_replacement, pairwise
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
+from hypothesis import settings
+
 from streampart import core, feasibility, oracle, schedulers
 from streampart import (ProbeExtInstance, ProbeFailure, ProbeInstance, ProbeOutcome, as_fraction,
                         floor_fraction)
 from streampart.feasibility import BUFFER_WORDS, PART_MODE, _drive
 from streampart.schedulers import (KnowledgeProfile, SolveResult, UnknownPartSolver,
                                    _check_declarations)
+
+# reproducible property tests: no deadline, no example database, a fixed
+# seed; each test states only its example count
+TIER1 = settings(deadline=None, database=None, derandomize=True)
 
 
 def brute_force_optimum(weights: Sequence[int], num_blocks: int) -> int:

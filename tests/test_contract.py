@@ -8,6 +8,7 @@ import pytest
 from streampart import (
     DeclaredBoundError,
     InfeasibleBoundError,
+    KnowledgeMismatchError,
     KnowledgeProfile,
     ProbeExtInstance,
     ProbeInstance,
@@ -254,6 +255,13 @@ LONG_VALUE_MESSAGES = {
                              f"stream length mismatch: fed 1 elements, caller says {DIGITS}"),
     "growth_steps": (lambda: growth_steps(Fraction(BIG, BIG + 1), 5), ValueError,
                      f"growth ratio must exceed 1, got {DIGITS}/1{'0' * 4999}1"),
+    "solve_known_max element": (lambda: solve_known_max([BIG], 2, "1/64", 1), DeclaredBoundError,
+                                f"element {DIGITS} exceeds declared maximum weight 1"),
+    "solve_known_total sum": (lambda: solve_known_total([BIG], 2, "1/10", 1),
+                              KnowledgeMismatchError,
+                              f"declared total weight 1 but the stream sums to {DIGITS}"),
+    "probe_run weight": (lambda: probe_run([1, -BIG], 5, 2), ValueError,
+                         f"weights must be non-negative integers, got -{DIGITS}"),
 }
 
 

@@ -54,6 +54,7 @@ from streampart.schedulers import (
 )
 from helpers import (
     MIXES,
+    TIER1,
     ReferenceEscalator,
     ReferenceProbe,
     ReferenceUnknownPart,
@@ -65,7 +66,7 @@ from helpers import (
 )
 import golden
 
-SETTINGS = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+SETTINGS = settings(TIER1, max_examples=300)
 
 # short streams rich in zeros; p up to 6 often exceeds the length
 weights_strategy = st.lists(st.one_of(st.just(0), st.integers(0, 9)), max_size=8)
@@ -104,7 +105,7 @@ def test_binsearch_oracle_matches_brute_force(weights, num_blocks):
         assert not probe_run(weights, optimum - 1, num_blocks).success
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@settings(TIER1, max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), length=st.integers(13, 150),
        mix=st.sampled_from(MIXES), num_blocks=st.one_of(st.integers(2, 16), st.integers(2, 200)))
 @example(seed=1, length=150, mix="uniform", num_blocks=200)
@@ -246,7 +247,7 @@ def parsed_chunks(weights: list[int], size: int) -> WeightChunks:
     return stream
 
 
-@settings(max_examples=250, deadline=None, database=None, derandomize=True)
+@settings(TIER1, max_examples=250)
 @given(weights=race_streams, num_blocks=st.sampled_from((2, 3, 8, 64)),
        tag=st.sampled_from(GRID_TAGS), mode=st.sampled_from((PART_MODE, PARTB_MODE)),
        epsilon=st.sampled_from((Fraction(1, 100), Fraction(1, 65), Fraction(1, 10),
@@ -418,7 +419,7 @@ def walker_state(solver: UnknownPartSolver) -> tuple:
 
 # streams long enough for the total to pass p * max at p = 64, where the
 # walk goes event by event; at p = 2 no event ever comes
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@settings(TIER1, max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), length=st.integers(200, 3000),
        mix=st.sampled_from(MIXES),
        num_blocks=st.sampled_from((2, 3, 64)), size=st.sampled_from((1, 3, 50, 4096)))
@@ -572,7 +573,7 @@ def check_unknown_solvers(weights: list[int], num_blocks: int) -> None:
     assert value_only.elements_read == length
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@settings(TIER1, max_examples=200)
 @given(weights=st.lists(st.one_of(st.just(0), st.integers(0, 9)), max_size=7),
        num_blocks=st.integers(2, 4), tag=st.sampled_from(sorted(SOLVERS)),
        mode=st.sampled_from((PART_MODE, PARTB_MODE)),
@@ -597,7 +598,7 @@ def test_every_solver_sandwiches_the_optimum(weights, num_blocks, tag, mode, eps
         assert result.separators is None
 
 
-@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@settings(TIER1, max_examples=15)
 @given(seed=st.integers(0, 2**32 - 1), num_blocks=st.sampled_from((2, 3)),
        epsilon=st.sampled_from((Fraction(1, 65), Fraction(1, 100))),
        block_length=st.integers(40_000, 100_000), zero_odds=st.integers(10, 1000))

@@ -30,7 +30,6 @@ from streampart import (
     PART_MODE,
     PARTB_MODE,
     DeclaredBoundError,
-    KnowledgeMismatchError,
     KnowledgeProfile,
     ProbeInstance,
     format_weights,
@@ -51,9 +50,9 @@ from streampart.core import (READ_BLOCK, SLICE, _SMALL_BYTES, WeightChunks, _rea
 from streampart.feasibility import B, _drive
 from streampart.schedulers import SOLVERS, UnknownPartSolver, _Race, solve_tagged
 
-from helpers import counted_checked_max
+from helpers import TIER1, counted_checked_max
 
-SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+SETTINGS = settings(TIER1, max_examples=200)
 
 
 def chunks_of(text: str) -> list[list[int]]:
@@ -612,19 +611,6 @@ def test_result_json_writes_the_epsilon_exactly(epsilon, text):
         assert result.to_json_dict()["epsilon"] == text
 
 
-def test_messages_print_long_values():
-    digits = "1" + "0" * 5000
-    with pytest.raises(DeclaredBoundError,
-                       match=f"^element {digits} exceeds declared maximum weight 1$"):
-        solve_known_max([HUGE], 2, "1/64", 1)
-    with pytest.raises(KnowledgeMismatchError,
-                       match=f"^declared total weight 1 but the stream sums to {digits}$"):
-        solve_known_total([HUGE], 2, "1/10", 1)
-    with pytest.raises(ValueError,
-                       match=f"^weights must be non-negative integers, got -{digits}$"):
-        probe_run([1, -HUGE], 5, 2)
-
-
 def test_parse_int_reads_past_the_digit_limit():
     digits = "1" + "0" * 5000
     assert parse_int(digits) == HUGE
@@ -635,6 +621,14 @@ def test_parse_int_reads_past_the_digit_limit():
     # as `int` refuses it
     for bad in (digits + ".5", digits + "e3", "x" + digits, "--" + digits, digits + "_"):
         with pytest.raises(ValueError):
+            parse_int(bad)
+    # ASCII bytes are read as their text, and refused as `int` refuses them
+    assert parse_int(digits.encode()) == HUGE
+    assert parse_int(b"1234") == 1234
+    with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: b'12x'$"):
+        parse_int(b"12x")
+    for bad in (b"\xa0" + digits.encode(), digits.encode() + b"_"):
+        with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: b'"):
             parse_int(bad)
     # argparse names a `type=` function in its message: "invalid int value"
     assert parse_int.__name__ == "int"

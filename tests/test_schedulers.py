@@ -25,7 +25,7 @@ from streampart import feasibility, probe_ext, schedulers
 from streampart.core import floor_fraction, int_text
 from streampart.feasibility import B, ProbeInstance, _Walker, sandwich
 from streampart.schedulers import GROWTH_POWER_BITS, UnknownPartSolver, _Race
-from helpers import (MIXES, CountingStream, counted_growth_and_builds, mixed_stream,
+from helpers import (MIXES, TIER1, CountingStream, counted_growth_and_builds, mixed_stream,
                      random_stream, reference_race)
 
 
@@ -87,7 +87,7 @@ def growth_cases(draw):
     return ratio, power - (power - below) * share
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(TIER1, max_examples=300)
 @given(case=growth_cases())
 def test_growth_steps_matches_stepping(case):
     ratio, target = case
@@ -99,7 +99,7 @@ def test_growth_steps_matches_stepping(case):
         steps, a**steps, b**steps)
 
 
-@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@settings(TIER1, max_examples=100)
 @given(ratio=st.one_of(st.fractions(max_value=1, max_denominator=10**9),
                        st.integers(-10, 1).map(Fraction),
                        st.integers(0, 10**6).map(lambda k: Fraction(LONG + k, LONG + k + 1))),
@@ -353,15 +353,9 @@ def test_probe_grid_walks_few_dying_probes_per_chunk(size, monkeypatch):
     assert escalator_walks == [k for k in range(chunks - 1) for _ in range(140)]
 
 
-@pytest.mark.parametrize("mix", MIXES)
-@pytest.mark.parametrize("num_blocks", [2, 3, 64])
-def test_known_total_and_length_keep_a_window_of_log_p_probes(mix, num_blocks, monkeypatch):
-    # known-S and known-mn keep live floors in [low, S) with low >= S/p,
-    # and one geometric level has at most growth_steps(1 + eps, p) points
-    # in [x, p * x): after every chunk the race keeps at most that many
-    # probes (known-m's interleaved levels can keep a few more)
-    epsilon = Fraction(1, 100)
-    bound = growth_steps(1 + epsilon, num_blocks)
+def race_peaks(monkeypatch) -> list[int]:
+    """The number of probes the race keeps after each chunk it walks,
+    appended as the solves after this call run."""
     peaks = []
     advance = _Race._advance
 
@@ -370,6 +364,19 @@ def test_known_total_and_length_keep_a_window_of_log_p_probes(mix, num_blocks, m
         peaks.append(len(self.probes))
 
     monkeypatch.setattr(_Race, "_advance", counted_advance)
+    return peaks
+
+
+@pytest.mark.parametrize("mix", MIXES)
+@pytest.mark.parametrize("num_blocks", [2, 3, 64])
+def test_known_total_and_length_keep_a_window_of_log_p_probes(mix, num_blocks, monkeypatch):
+    # known-S and known-mn keep live floors in [low, S) with low >= S/p,
+    # and one geometric level has at most growth_steps(1 + eps, p) points
+    # in [x, p * x): after every chunk the race keeps at most that many
+    # probes
+    epsilon = Fraction(1, 100)
+    bound = growth_steps(1 + epsilon, num_blocks)
+    peaks = race_peaks(monkeypatch)
     weights = mixed_stream(0, 20000, mix)
     solve_known_total(iter(weights), num_blocks, epsilon, sum(weights))
     solve_known_max_length(iter(weights), num_blocks, epsilon, max(weights), len(weights))
@@ -377,6 +384,27 @@ def test_known_total_and_length_keep_a_window_of_log_p_probes(mix, num_blocks, m
     assert max(peaks) <= bound
     if mix == "uniform":  # the bound is reached
         assert max(peaks) == bound
+
+
+@pytest.mark.parametrize("mix", MIXES)
+@pytest.mark.parametrize("num_blocks", [2, 3, 64])
+def test_known_max_keeps_a_window_of_log_p_probes_per_level_start(mix, num_blocks,
+                                                                 monkeypatch):
+    # known-m's levels interleave: in [x, p * x) each of the at most
+    # ceil(log2 p) level starts there can add one point to the
+    # growth_steps(1 + eps, p) of one level, and each level's last point,
+    # past the next level's start, one more (README, "How the grid solvers
+    # scale")
+    epsilon = Fraction(1, 100)
+    bound = growth_steps(1 + epsilon, num_blocks) + 2 * (num_blocks - 1).bit_length()
+    peaks = race_peaks(monkeypatch)
+    weights = mixed_stream(0, 20000, mix)
+    solve_known_max(iter(weights), num_blocks, epsilon, max(weights))
+    assert len(peaks) == -(-len(weights) // B)
+    assert max(peaks) <= bound
+    # every mix but the spikes passes one level's count
+    assert (max(peaks) == 1) if mix == "spikes" else (
+        growth_steps(1 + epsilon, num_blocks) < max(peaks))
 
 
 def test_one_chunk_known_max_builds_and_walks_only_the_sandwich(monkeypatch):

@@ -28,7 +28,7 @@ from streampart.core import B, WeightChunks
 from streampart.feasibility import _chunked, _drive, _Walker, checked_args
 from streampart.schedulers import SOLVERS, UnknownPartSolver, solve_tagged
 
-from helpers import counted_checked_max
+from helpers import TIER1, counted_checked_max
 
 LENGTHS = (0, 1, B - 1, B, B + 1, 2 * B + 3)
 
@@ -91,7 +91,7 @@ def reference_record(row: dict) -> tuple:
 
 @pytest.mark.parametrize("mode", (PART_MODE, PARTB_MODE))
 @pytest.mark.parametrize("tag", list(SOLVERS))
-@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@settings(TIER1, max_examples=30)
 @given(p=st.sampled_from((2, 3, 64)), length=st.sampled_from(LENGTHS),
        top=st.integers(0, 1000), seed=st.integers(0, 2**16),
        epsilon=st.sampled_from(("1/100", "1/10", "1")))
