@@ -225,12 +225,17 @@ B = 4096
 # characters of text the parser reads at a time
 READ_BLOCK = 1 << 13
 
-# tokens the parser splits a block into at a time (`_read_block`), and items
-# of a chunk `feasibility._drive` rewrites into its prefix sums at a time
+# tokens the parser splits a block into at a time (`_read_block`), and
+# weights of a chunk `feasibility._drive` turns into prefix sums at a time
 SLICE = B // 16
 
-# the whitespace `bytes.split()` splits on
+# the whitespace `bytes.split()` splits on, and `bytes.strip()` and `int`
+# strip from bytes
 _BYTES_SPACE = b" \t\n\r\x0b\x0c"
+
+# `int` strips from str the whitespace `str.strip()` strips but the ASCII
+# separators \x1c-\x1f, which it refuses: this maps them to a non-digit
+_NO_INT_SPACE = dict.fromkeys(range(0x1C, 0x20), "x")
 
 # the ints below 2**10, keyed by their canonical decimal text as ASCII bytes
 # (text meets it as an ASCII block's bytes): `_convert` looks a token up here
@@ -253,17 +258,20 @@ def int_text(value: int | Fraction) -> str:
 
 
 def parse_int(text: str | bytes) -> int:
-    """`int(text)` of str or ASCII bytes, also past CPython's digit limit:
-    there a decimal integer (an optional sign, then ASCII digits) is read
-    exactly with `decimal`, and any other text raises `int`'s `ValueError`."""
+    """`int(text)` of str or bytes, also past CPython's digit limit: there
+    the text `int` reads with no limit (an optional sign, then decimal
+    digits with single underscores between them, inside the whitespace
+    `int` strips) is read exactly with `decimal`, and any other text raises
+    `int`'s `ValueError`."""
     try:
         return int(text)
     except ValueError:
-        body = text.strip()
-        if type(body) is bytes:
-            body = body.decode("latin-1")  # a byte past ASCII fails the check below
+        if type(text) is bytes:
+            body = text.strip().decode("latin-1")  # a byte past ASCII is no digit
+        else:
+            body = text.translate(_NO_INT_SPACE).strip()
         digits = body[1:] if body[:1] in ("+", "-") else body
-        if not (digits.isascii() and digits.isdigit()):
+        if not all(map(str.isdecimal, digits.split("_"))):
             raise
     return int(Decimal(body))
 
@@ -416,8 +424,8 @@ class WeightChunks:
     ASCII text. Iterating it yields the weights one by one, so it is a
     stream like any other; `feasibility._drive` reads its chunks, non-empty
     lists of at most `B` non-negative ints, as they are, trusts them to
-    hold nothing else, and owns them: it rewrites each into its prefix
-    sums.
+    hold nothing else, and owns them: it empties each as it builds its
+    prefix sums.
     """
 
     __slots__ = ("chunks",)
@@ -431,7 +439,7 @@ class WeightChunks:
         `checked_max`, in slices of `B` (the last one shorter), so that
         `_drive` cuts it where it would cut `iter(weights)` and does not
         check it again. Each slice is a new list, which `_drive` owns and
-        rewrites into its prefix sums; `weights` is never changed."""
+        empties as it builds its prefix sums; `weights` is never changed."""
         stream = cls.__new__(cls)
         stream.chunks = (weights[start:start + B] for start in range(0, len(weights), B))
         return stream

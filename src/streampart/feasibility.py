@@ -17,15 +17,17 @@ chunk reaches, and resumes where it stopped on the next chunk (the
 made resumable). `_drive` is the one reader of a stream: it reads `B`
 elements at a time, checks each chunk with `core.checked_max`, the one
 ingress rule (a chunk of a `core.WeightChunks`, which can hold only
-non-negative ints, only against the declared maximum), and turns each
-chunk into its prefix sums, in place, once for its live walkers.
+non-negative ints, only against the declared maximum), and builds each
+chunk's prefix sums once for its live walkers, one machine word each
+unless a sum could pass 2**64 - 1 (`_prefix_sums`).
 A walker need not be one instance: the grid solvers race their probes and
 escalators as one walker (`schedulers._Race`), which walks each chunk when
 the next one comes and uses the monotony to walk only a few of the probes
 that die in it. The last chunk is walked after the pass, only as far as the
 answer reads: the lowest surviving floor, found by a binary search, and the
 escalators only if no floor survived. The oracle asks the same walk for a
-whole list: one chunk, from a fresh `ProbeInstance`. The module also holds
+whole list, its prefix sums held the same way: one chunk, from a fresh
+`ProbeInstance`. The module also holds
 `checked_args` (block count, mode, epsilon), which every entry point shares,
 and `sandwich`, the interval that holds a stream's optimum, which bounds
 both the race's search and the oracle's.
@@ -33,6 +35,7 @@ both the race's search and the oracle's.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -49,8 +52,9 @@ MODES = (PART_MODE, PARTB_MODE)
 
 # A chunk of B elements costs every instance walked over it one call plus one
 # binary search per block it reaches. The model bound of its buffer is B
-# weights and B + 1 prefix sums; the process holds one list, which `_drive`
-# turns from the weights into their prefix sums in place.
+# weights and B + 1 prefix sums, a word each; the process holds the sums as
+# machine words (an `array('Q')`) unless one could pass 2**64 - 1, and lets
+# the weights go a slice at a time as their sums are built.
 BUFFER_WORDS = 2 * B + 1
 
 
@@ -296,14 +300,24 @@ def _trusted_max(chunk: list[int], declared_max: int | None) -> int:
     return top
 
 
-def _prefix_in_place(chunk: list[int]) -> None:
-    """Turn `chunk` into its own prefix sums (``chunk[0] = 0``), `SLICE`
-    sums at a time, so that it never coexists with a full copy of itself."""
-    chunk.insert(0, 0)
-    # each slice starts at the last sum of the one before, which it rewrites
-    # with itself
-    for start in range(0, len(chunk) - 1, SLICE):
-        chunk[start:start + SLICE + 1] = accumulate(chunk[start:start + SLICE + 1])
+def _sum_buffer(top: int, length: int) -> array | list[int]:
+    """A buffer for the prefix sums of `length` weights of at most `top`,
+    holding its first sum, 0: one machine word per sum, an `array('Q')`,
+    unless a sum could pass 2**64 - 1, and then a list of ints."""
+    return [0] if top * length >> 64 else array("Q", (0,))
+
+
+def _prefix_sums(chunk: list[int], top: int) -> array | list[int]:
+    """The prefix sums of `chunk`, whose largest weight is `top`
+    (``prefix[0] = 0``), in a `_sum_buffer`. They are built `SLICE` weights
+    at a time, each slice deleted from `chunk` once its sums are made, so
+    that the weights go as their sums come; `chunk` ends empty."""
+    prefix = _sum_buffer(top, len(chunk))
+    while chunk:
+        # each slice starts from the last sum of the one before
+        prefix.extend(accumulate(chunk[:SLICE], initial=prefix.pop()))
+        del chunk[:SLICE]
+    return prefix
 
 
 def _drive(
@@ -328,10 +342,10 @@ def _drive(
 
     `_drive` owns every chunk it reads: the parser's lists, the slices
     `WeightChunks.of_checked` cuts and `_chunked`'s lists are all new, never
-    a caller's list. While a walker is live it rewrites each chunk into the
-    chunk's prefix sums, `SLICE` at a time (`_prefix_in_place`), so that a
-    chunk never coexists with a full copy of itself, and lets it go once
-    the walkers have had it, before the next chunk is read.
+    a caller's list. While a walker is live it builds each chunk's prefix
+    sums with `_prefix_sums`, which empties the chunk as it goes, and lets
+    the sums go once the walkers have had them, before the next chunk is
+    read.
     """
     if isinstance(stream, WeightChunks):
         chunks, check = stream.chunks, _trusted_max
@@ -347,9 +361,10 @@ def _drive(
         if top > biggest:
             biggest = top
         if live:
-            _prefix_in_place(chunk)
-            total += chunk[-1]
-            live = [walker for walker in live if walker.walk(chunk, top)]
+            prefix = _prefix_sums(chunk, top)
+            total += prefix[-1]
+            live = [walker for walker in live if walker.walk(prefix, top)]
+            del prefix
         else:
             total += sum(chunk)
         del chunk

@@ -4,7 +4,10 @@ The binary-search oracle walks the closed sandwich interval
 ``[max(ceil(S/p), m), floor((S + (p-1)*m) / p)]`` (`feasibility.sandwich`)
 whose upper end is always feasible, testing each value with the walk of a
 streaming probe over the whole list's prefix sums, one chunk from a fresh
-state. The DP, which does not probe, is an independent cross-check.
+state. It holds the sums as a pass does: machine words, an `array('Q')`,
+unless a sum could pass 2**64 - 1. The DP, which does not probe, is an
+independent cross-check; its inner loop reads every cell, so it keeps its
+sums and rows as lists of ints.
 
 Each public oracle checks its block count and its list (`core.checked_max`)
 and hands both, with the list's largest weight, to its private core. A
@@ -20,7 +23,8 @@ from itertools import accumulate
 from typing import Sequence
 
 from .core import InfeasibleBoundError, as_fraction, checked_max, int_text
-from .feasibility import PARTB_MODE, ProbeInstance, checked_args, probe_run, sandwich
+from .feasibility import (PARTB_MODE, ProbeInstance, _sum_buffer, checked_args, probe_run,
+                          sandwich)
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,8 @@ def opt_bottleneck_binsearch(weights: Sequence[int], num_blocks: int) -> OracleR
 def _binsearch_optimum(weights: Sequence[int], heaviest: int, num_blocks: int) -> OracleResult:
     """`opt_bottleneck_binsearch` of checked `weights`, whose largest weight
     is `heaviest`, and a checked block count."""
-    prefix = list(accumulate(weights, initial=0))
+    prefix = _sum_buffer(heaviest, len(weights))
+    prefix.extend(accumulate(weights))
     low, high = sandwich(prefix[-1], heaviest, num_blocks)
     while low < high:
         mid = (low + high) // 2

@@ -98,8 +98,9 @@ class SolveResult:
     # being read, B weights plus B + 1 prefix sums while a walker is live
     # (every mode but unknown partb), and for the grid solvers the race's
     # held chunk (RACE_BUFFER_WORDS); not serialized. A model bound: the
-    # process holds the chunk as one list, its weights rewritten in place
-    # into their prefix sums
+    # process holds the prefix sums as machine words (an `array('Q')`, a
+    # list of ints only when a sum could pass 2**64 - 1) and lets the
+    # weights go a slice at a time as their sums are built
     buffer_words: int = 0
 
     @property

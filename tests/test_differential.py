@@ -7,10 +7,13 @@ walks every probe, the oracle against exhaustive search, the DP oracle
 against the quadratic DP, the two oracle commands against each other, every
 solver's guarantee against the exhaustive optimum, the known-m guarantee on
 long streams where an escalator answers against the binary-search oracle,
-and the grid solvers at fine eps against the race and the oracle."""
+the grid solvers at fine eps against the race and the oracle, and every
+pass and the binary-search oracle over prefix sums held as machine words
+and as ints, both kinds in one pass."""
 
 import json
 import random
+from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, pairwise
@@ -35,7 +38,7 @@ from streampart import (
     realize_partition,
     validate_partitioning,
 )
-from streampart import feasibility, schedulers
+from streampart import feasibility, oracle, schedulers
 from streampart.cli import ORACLES, main
 from streampart.core import WeightChunks, floor_fraction, parse_int
 from streampart.feasibility import B, _drive, sandwich
@@ -659,3 +662,116 @@ def test_fine_grid_keeps_the_guarantee(tag, num_blocks, monkeypatch):
     assert best <= bound <= (1 + epsilon) * best
     assert validate_partitioning(len(FINE_STREAM), num_blocks, result.separators) is None
     assert bottleneck_of(FINE_STREAM, result.separators) <= bound.numerator // bound.denominator
+
+
+# the largest weight of which a chunk of B has prefix sums that fit a
+# machine word, below 2**64
+WORD_WEIGHT = (2**64 - 1) // B
+
+
+def word_and_long_runs(seed: int) -> list[int]:
+    """Runs of B weights, one chunk each, that alternate between weights
+    whose chunk's prefix sums fit machine words (0..1000, and WORD_WEIGHT)
+    and weights whose sums could pass 2**64 - 1 (WORD_WEIGHT + 1, and
+    weights near 2**62), then half a chunk of 0..1000."""
+    rng = random.Random(seed)
+
+    def small(length: int) -> list[int]:
+        return rng.choices(range(1001), k=length)
+
+    runs = [small(B), [WORD_WEIGHT] * B, small(B), [WORD_WEIGHT + 1] * B, small(B),
+            [rng.randrange(2**62 - 1000, 2**62) for _ in range(B)], small(B // 2)]
+    return [weight for run in runs for weight in run]
+
+
+WIDE_RUNS = word_and_long_runs(7)
+WIDE_PROFILE = KnowledgeProfile(max_weight=max(WIDE_RUNS), length=len(WIDE_RUNS),
+                                total_weight=sum(WIDE_RUNS))
+# the buffer `_drive` hands its walkers for each of the runs' chunks
+WIDE_BUFFERS = [array, array, array, list, array, list, array]
+
+
+class BufferSpy:
+    """A walker that records the type of each chunk's prefix sums."""
+
+    def __init__(self) -> None:
+        self.types: list[type] = []
+
+    def walk(self, prefix, top) -> bool:
+        self.types.append(type(prefix))
+        return True
+
+
+def test_a_pass_hands_machine_words_where_the_sums_fit():
+    for stream in (WeightChunks.of_checked(WIDE_RUNS), iter(WIDE_RUNS)):
+        spy = BufferSpy()
+        assert _drive(stream, [spy]) == (len(WIDE_RUNS), sum(WIDE_RUNS), max(WIDE_RUNS))
+        assert spy.types == WIDE_BUFFERS
+
+
+@pytest.mark.parametrize("mode", [PART_MODE, PARTB_MODE])
+@pytest.mark.parametrize("tag", GRID_TAGS)
+def test_race_over_both_buffers_matches_the_race_that_walks_every_probe(tag, mode,
+                                                                        monkeypatch):
+    def solve():
+        return solve_tagged(tag, WeightChunks.of_checked(WIDE_RUNS), 8, Fraction(1, 10),
+                            WIDE_PROFILE, mode=mode)
+
+    result = solve()
+    monkeypatch.setattr(schedulers, "_race", reference_race)
+    expected = solve()
+    assert result.to_json_dict() == expected.to_json_dict()
+    assert (result.probe_instances, result.probe_ext_instances) == (
+        expected.probe_instances, expected.probe_ext_instances)
+
+
+def test_unknown_part_over_both_buffers_matches_the_full_regroup():
+    result = solve_unknown_part(WeightChunks.of_checked(WIDE_RUNS), 8)
+    reference = ReferenceUnknownPart(8)
+    for weight in WIDE_RUNS:
+        reference.feed(weight)
+    assert list(result.separators) == reference.separators
+    assert result.bottleneck == reference.bound
+    assert result.elements_read == reference.elements_read
+
+
+@pytest.mark.parametrize("mode", [PART_MODE, PARTB_MODE])
+def test_probe_over_both_buffers_matches_the_per_element_probe(mode):
+    store = mode == PART_MODE
+    best = oracle._dp_optimum(WIDE_RUNS, max(WIDE_RUNS), 8).optimum
+    # the optimum, whose first block spans chunks of both kinds; one below
+    # it, which dies; and 2**63, which opens blocks in chunks of both kinds
+    # before it dies
+    for threshold in (best, best - 1, 2**63):
+        reference = ReferenceProbe(threshold, 8, store)
+        feed_reference(reference, WIDE_RUNS)
+        walked = ProbeInstance(threshold, 8, store_separators=store)
+        _drive(WeightChunks.of_checked(WIDE_RUNS), [walked])
+        assert_same_state(walked, reference)
+        outcome = probe_run(WeightChunks.of_checked(WIDE_RUNS), threshold, 8, mode=mode)
+        assert outcome.success is (reference.failure is None)
+        if outcome.success and store:
+            assert outcome.separators == feasibility.pad_separators(
+                reference.separators, 8, len(WIDE_RUNS))
+
+
+@pytest.mark.parametrize("weights, buffer", [
+    (WIDE_RUNS[:B], array),  # 0..1000
+    ([WORD_WEIGHT] * B, array),  # sums up to B * WORD_WEIGHT < 2**64
+    (WIDE_RUNS[:3 * B], list),  # the same, among 0..1000: 3 * B * WORD_WEIGHT could pass it
+    (WIDE_RUNS, list),
+], ids=["small", "word-edge", "past-word", "all-runs"])
+def test_binsearch_over_either_buffer_matches_the_dp(weights, buffer, monkeypatch):
+    seen = set()
+    walk = ProbeInstance.walk
+
+    def spied(probe, prefix, top):
+        seen.add(type(prefix))
+        return walk(probe, prefix, top)
+
+    monkeypatch.setattr(ProbeInstance, "walk", spied)
+    heaviest = max(weights)
+    for num_blocks in (2, 8):
+        assert (oracle._binsearch_optimum(weights, heaviest, num_blocks).optimum
+                == oracle._dp_optimum(weights, heaviest, num_blocks).optimum)
+    assert seen == {buffer}

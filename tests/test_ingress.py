@@ -3,11 +3,12 @@ bytes, against `str.split` and `int`, its conversion ladder (a table of
 small ints, then `int`, then `parse_int`) at the edges of its slices, the
 size of its chunks, errors in
 stream order, the CLI's error texts on bad bytes, numbers past CPython's
-digit limit for `int(str)` and `str(int)`, the CLI against the solver called
-on the list, the trust `_drive` gives the parser's chunks and no other
-stream, the caller's list, which no pass rewrites, and the memory the
-parser holds while a chunk is walked, while a block is read and converted,
-and over a whole pass."""
+digit limit for `int(str)` and `str(int)`, `parse_int` against `int` with no
+digit limit, the CLI against the solver called on the list, the trust
+`_drive` gives the parser's chunks and no other stream, the caller's list,
+which no pass rewrites, the memory the parser holds while a chunk is walked,
+while a block is read and converted, and over a whole pass, and the one
+machine word a pass holds per prefix sum."""
 
 import io
 import json
@@ -17,6 +18,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -547,8 +549,8 @@ def test_convert_matches_parse_int(lead, body, tail):
 
 @pytest.mark.parametrize("length", [B // 2, 2 * B + 5], ids=["one-chunk", "multi-chunk"])
 def test_a_callers_list_is_never_rewritten(length):
-    # `_drive` turns each chunk it reads into its prefix sums, in place: the
-    # chunks it reads are its own, never the caller's list
+    # `_drive` empties each chunk it reads as it builds the chunk's prefix
+    # sums: the chunks it reads are its own, never the caller's list
     weights = random.Random(length).choices(range(1001), k=length)
     kept = list(weights)
     # the race holds a chunk's prefix sums past the chunk's walk; the other
@@ -632,6 +634,47 @@ def test_parse_int_reads_past_the_digit_limit():
             parse_int(bad)
     # argparse names a `type=` function in its message: "invalid int value"
     assert parse_int.__name__ == "int"
+
+
+def int_with_no_limit(text: str | bytes) -> int | None:
+    """`int(text)` with CPython's digit limit lifted, or None where it
+    raises; the limit is restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    except ValueError:
+        return None
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("text", [
+    "\x1c2", "2\x1f", "\x1c" + "1" * 5001, "\xa0" + "1" * 5001, "1" * 5001 + "\x1d",
+    "\u3000-" + "7" * 5001 + "\x85", "1_0" * 2500, "_1" + "0" * 5001, "1" * 5001 + "__0",
+    "\u0661" * 5001, "\xb2" * 5001, "+ " + "1" * 5001, "\x00" + "1" * 5001],
+    ids=["fs-lead", "us-tail", "fs-long", "nbsp-long", "gs-long-tail", "unicode-space-long",
+         "underscores-long", "underscore-lead", "double-underscore", "arabic-digits",
+         "superscripts", "sign-space", "nul"])
+def test_parse_int_reads_what_int_reads_with_no_limit(text):
+    # on both sides of the digit limit, and as str and as UTF-8 bytes, which
+    # `int` strips and reads differently
+    for form in (text, text.encode()):
+        expected = int_with_no_limit(form)
+        if expected is None:
+            with pytest.raises(ValueError):
+                parse_int(form)
+        else:
+            assert parse_int(form) == expected
+
+
+def test_cli_refuses_a_block_count_int_refuses(capsys, monkeypatch):
+    # `str.strip` strips the ASCII separators \x1c-\x1f, which `int` refuses
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3\n"))
+    with pytest.raises(SystemExit) as exited:
+        main(["solve", "--p", "\x1c2", "--mode", "partb"])
+    assert exited.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --p: invalid int value: '\\x1c2'\n")
 
 
 def test_cli_reads_a_declaration_past_the_digit_limit(capsys, monkeypatch):
@@ -758,11 +801,10 @@ def test_parser_holds_no_tokens_while_a_chunk_is_walked():
             tracemalloc.stop()
         assert len(spy.seen) > 1
         for traced, prefix_bytes in spy.seen:
-            # alive: the chunk, which has become its prefix sums; a held
-            # slice of tokens, or the chunk's ints beside its sums, adds
-            # more than token_bytes beside the few KB by which tracemalloc's
-            # count of the sums passes `size_of` (each sum is allocated a
-            # digit longer than it ends up)
+            # alive: the chunk's prefix sums, held as machine words, which
+            # `size_of` counts as the ints they are read out as, and what
+            # the parser still holds: one slice's tokens fit below the
+            # bound, a block's tokens pass it
             assert traced - before < prefix_bytes + token_bytes
 
 
@@ -798,7 +840,7 @@ def test_a_pass_holds_one_chunk_at_a_time(source, walker):
     assert len(chunks) > 2
     prefix_bytes = max(traced_size(lambda: list(accumulate(chunk, initial=0)))
                        for chunk in chunks)
-    # one slice being rewritten: a copy of its items and the new ones
+    # one slice being summed: a copy of its weights and their sums
     slice_bytes = traced_size(lambda: (weights[:SLICE], list(accumulate(weights[:SLICE]))))
     walkers = {"none": [], "no-op": [SimpleNamespace(walk=lambda prefix, top: True)],
                "race": [_Race(sum(weights), 4, Fraction(11, 10), 1, Fraction(11, 10)**8, 4,
@@ -813,15 +855,75 @@ def test_a_pass_holds_one_chunk_at_a_time(source, walker):
     finally:
         tracemalloc.stop()
     # alive at most: what the race holds, and either one slice's tokens, or
-    # the block's ints, while it is parsed, or one chunk, which becomes its
-    # prefix sums; beside them one slice being rewritten and two blocks of
-    # text
+    # the block's ints, while it is parsed, or one chunk, whose weights go a
+    # slice at a time as its prefix sums are built; beside them one slice
+    # being summed and two blocks of text
     assert peak < held + max(token_bytes, prefix_bytes) + slice_bytes + 2 * READ_BLOCK
     if reader is not None:
         # a block is read beside no chunk, prefix sums or text of the pass:
         # only the race's held prefix sums and its own few objects
         assert len(reader.seen) > 3
         assert max(reader.seen) - before < held + 2 * READ_BLOCK
+
+
+def test_a_part_pass_hands_its_walker_one_word_per_sum(monkeypatch):
+    # parser text of 0..1000: every chunk's prefix sums are machine words, 8
+    # bytes each beside the array's header and the room `array` keeps to
+    # grow (a sixteenth and 7 items at most); a list of ints takes 36 or more
+    weights = random.Random(7).choices(range(1001), k=3 * B)
+    seen = []
+    walk = UnknownPartSolver.walk
+
+    def spied(solver, prefix, top):
+        seen.append((type(prefix), len(prefix), sys.getsizeof(prefix)))
+        return walk(solver, prefix, top)
+
+    monkeypatch.setattr(UnknownPartSolver, "walk", spied)
+    result = solve_unknown_part(WeightChunks(io.BytesIO(format_weights(weights).encode())), 64)
+    assert result.elements_read == len(weights)
+    assert len(seen) > 2
+    header = sys.getsizeof(array("Q"))
+    for kind, length, size in seen:
+        assert kind is array
+        assert size <= header + 8 * (length + length // 16 + 7)
+
+
+def test_a_pass_peaks_below_half_of_a_chunks_sums_as_ints():
+    # parser text of 0..1000, whose ints the table of small ints owns: the
+    # pass holds a block's text, one chunk's list and its sums as words
+    weights = random.Random(7).choices(range(1001), k=3 * B)
+    data = format_weights(weights).encode("ascii")
+    chunks = list(WeightChunks(io.BytesIO(data)).chunks)
+    assert len(chunks) > 2
+    int_sums = max(traced_size(lambda: list(accumulate(chunk, initial=0))) for chunk in chunks)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _drive(WeightChunks(io.BytesIO(data)), [SimpleNamespace(walk=lambda prefix, top: True)])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= int_sums // 2
+
+
+def test_fresh_ints_are_let_go_as_their_sums_are_built():
+    # four-digit weights that the stream makes one at a time, so that the
+    # chunk holds the only reference to each: its weights go a slice at a
+    # time as its sums are built, so the pass peaks below a chunk's sums as
+    # a list of ints and one slice being summed
+    weights = random.Random(7).choices(range(1000, 10000), k=3 * B)
+    int_sums = max(traced_size(lambda: list(accumulate(weights[start:start + B], initial=0)))
+                   for start in range(0, len(weights), B))
+    slice_bytes = traced_size(lambda: (weights[:SLICE], list(accumulate(weights[:SLICE]))))
+    stream = (weight + 0 for weight in weights)  # a new int each
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert solve_unknown_part(stream, 64).elements_read == len(weights)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < int_sums + slice_bytes
 
 
 @pytest.mark.parametrize("source", ["bytes", "str"])
