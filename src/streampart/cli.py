@@ -5,8 +5,9 @@ streaming solvers and prints a JSON result object, `oracle` prints the exact
 optimum, `bench` runs a config of generator/solver rows and writes CSV.
 
 Streams are whitespace-separated non-negative integers; `solve` and `oracle`
-read them from --input or stdin. `solve` hands the solver the parser's chunks
-(`core.WeightChunks`) and never materializes the file.
+read them from --input, unbuffered, or from stdin. `solve` hands the solver
+the parser's chunks (`core.WeightChunks`) and never materializes the file;
+with --input it holds no reader buffer either, only the parser's block.
 
 `main` reuses one argparse tree per process (`build_parser` is cached), so
 only a process's first call builds it; each subcommand carries its handler
@@ -104,9 +105,12 @@ class UsageError(Exception):
 
 
 def _open_input(path: str | None):
-    """The --input file, opened binary (the parser reads its bytes as ASCII
-    text), or stdin as text, which `with` leaves open, when no path is given."""
-    return open(path, "rb") if path else nullcontext(sys.stdin)
+    """The --input file, opened raw: an unbuffered binary `io.FileIO`, so
+    that each block the parser reads goes from the file into its bytes
+    and no reader buffer is alive beside it (the parser reads bytes as
+    ASCII text, and a short read only moves where a block ends); or stdin
+    as text, which `with` leaves open, when no path is given."""
+    return open(path, "rb", buffering=0) if path else nullcontext(sys.stdin)
 
 
 def _json_text(value) -> str:

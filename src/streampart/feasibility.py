@@ -133,7 +133,9 @@ class _Walker:
         self.block_ordinal = 1
         self.block_weight = 0
         self.next_index = 1
-        self.separators: list[int] | None = [] if store_separators else None
+        # the index of each element that opened a block, one machine word
+        # each (an index is at most n + 1)
+        self.separators: array | None = array("Q") if store_separators else None
         self.failure: ProbeFailure | None = None
 
     @classmethod

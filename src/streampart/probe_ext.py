@@ -93,7 +93,8 @@ class ProbeExtInstance(_Walker):
         # floor of the exact rational 2^merges * base, not a repeated floor
         self.threshold_floor = (self._num << self.merges) // self._den
         if self.separators is not None:
-            self.separators = (self.separators + [index])[1::2]
+            self.separators.append(index)
+            self.separators = self.separators[1::2]
         self.block_ordinal = blocks // 2 + 1
         if blocks % 2 == 0:
             self.block_weight = element  # tentative boundary kept: fresh block

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -195,7 +196,10 @@ class _Race:
     """The race's probes and escalators as one `_drive` walker, one chunk
     behind the stream: it holds the prefix sums and largest weight of the
     chunk `_drive` last handed it, and walks that chunk when the next one
-    comes, or in `close` once the stream has ended.
+    comes, or in `close` once the stream has ended. It holds the sums as
+    `_drive` built them, machine words, unless its walks would make more
+    new ints reading them than the chunk has sums: then as a list of ints,
+    made once (`_holdable`). A wide race's chunks after its first are lists.
 
     The grid is a description, not a list: for ratio = up/down, kept as
     those ints, the floor at level i < doublings and step j <= steps, the
@@ -265,7 +269,8 @@ class _Race:
         self.total = 0
         self.biggest = 0
         self.next_index = 1
-        # the prefix sums and largest weight of the chunk not walked yet
+        # the prefix sums (words, or a list of ints for a wide race) and
+        # largest weight of the chunk not walked yet
         self.held: tuple[Sequence[int], int] | None = None
 
     def walk(self, prefix: Sequence[int], top: int) -> bool:
@@ -273,8 +278,20 @@ class _Race:
         the race never fails, so return True."""
         if self.held is not None:
             self._advance(*self.held, final=False)
-        self.held = prefix, top
+        self.held = self._holdable(prefix), top
         return True
+
+    def _holdable(self, prefix: Sequence[int]) -> Sequence[int]:
+        """The prefix sums as the race holds them. A walk makes a new int of
+        every sum it reads from an `array('Q')`, about
+        `len(prefix).bit_length()` of them, so when the instances that will
+        walk the chunk, the kept probes and the escalators built so far,
+        would read more sums than it has, they are made once: a list of
+        ints, and `_drive` lets the array go. Otherwise `prefix` itself."""
+        walkers = len(self.probes) + len(self.escalators or ())
+        if isinstance(prefix, array) and walkers * len(prefix).bit_length() > len(prefix):
+            return list(prefix)
+        return prefix
 
     def close(self) -> None:
         """Walk the held chunk once the stream has ended; an empty stream's

@@ -2,8 +2,11 @@ import argparse
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -124,6 +127,47 @@ def test_solve_missing_input_file(capsys):
     )
     assert code == 1
     assert "streampart:" in err
+
+
+def test_input_is_opened_raw(tmp_path):
+    path = tmp_path / "w.txt"
+    path.write_text("1 2 3\n")
+    with cli._open_input(str(path)) as reader:
+        # unbuffered: no reader buffer beside the parser's block
+        assert type(reader) is io.FileIO
+        assert reader.read(1 << 13) == b"1 2 3\n"
+
+
+def write_in_pieces(path, data: bytes, size: int) -> None:
+    with open(path, "wb", buffering=0) as pipe:
+        for start in range(0, len(data), size):
+            pipe.write(data[start:start + size])
+            time.sleep(0.001)  # so that the reader takes each piece on its own
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("argv", [
+    ["solve", "--p", "8", "--know", "m", "--m", "1000", "--epsilon", "1/10"],
+    ["oracle", "--p", "8"],
+], ids=["solve", "oracle"])
+def test_a_pipe_read_in_short_pieces_prints_what_a_file_does(argv, tmp_path, capsys):
+    # more than one 8 KiB block, written to the pipe 300 bytes at a time: a
+    # raw read returns what the pipe holds, so blocks end inside tokens
+    weights = random.Random(5).choices(range(1001), k=3000)
+    data = (" ".join(map(str, weights)) + "\n").encode("ascii")
+    path = tmp_path / "w.txt"
+    path.write_bytes(data)
+    assert main(argv + ["--input", str(path)]) == 0
+    expected = capsys.readouterr().out
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=write_in_pieces, args=(fifo, data, 300), daemon=True)
+    writer.start()
+    assert main(argv + ["--input", str(fifo)]) == 0
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert capsys.readouterr().out == expected
+    assert json.loads(expected)["n" if argv[0] == "oracle" else "elements_read"] == 3000
 
 
 def test_oracle(capsys, monkeypatch):

@@ -11,6 +11,7 @@ the grid solvers at fine eps against the race and the oracle, and every
 pass and the binary-search oracle over prefix sums held as machine words
 and as ints, both kinds in one pass."""
 
+import io
 import json
 import random
 from array import array
@@ -39,6 +40,7 @@ from streampart import (
     validate_partitioning,
 )
 from streampart import feasibility, oracle, schedulers
+from streampart.bench import run_bench
 from streampart.cli import ORACLES, main
 from streampart.core import WeightChunks, floor_fraction, parse_int
 from streampart.feasibility import B, _drive, sandwich
@@ -184,7 +186,9 @@ def feed_reference(reference, weights: list[int]) -> None:
 def assert_same_state(walked, reference) -> None:
     assert walked.failure is reference.failure
     assert walked.next_index == reference.next_index  # the failing index + 1
-    assert walked.separators == reference.separators
+    # a walker stores its separators as machine words, the reference as a list
+    separators = walked.separators
+    assert (separators if separators is None else list(separators)) == reference.separators
     assert walked.threshold_floor == reference.threshold_floor
     assert getattr(walked, "merges", 0) == reference.merges
     if walked.failure is None:
@@ -336,7 +340,9 @@ def test_probe_grid_live_floors_are_upward_closed(weights, num_blocks, base, rat
         # a floor the total has not passed holds every element in its first block
         for floor, probe in zip(floors, probes):
             if floor >= total:
-                assert (probe.block_ordinal, probe.block_weight, probe.separators) == (
+                separators = probe.separators
+                assert (probe.block_ordinal, probe.block_weight,
+                        separators if separators is None else list(separators)) == (
                     1, total, [] if store else None)
 
     for lo, hi in pairwise(edges):
@@ -775,3 +781,109 @@ def test_binsearch_over_either_buffer_matches_the_dp(weights, buffer, monkeypatc
         assert (oracle._binsearch_optimum(weights, heaviest, num_blocks).optimum
                 == oracle._dp_optimum(weights, heaviest, num_blocks).optimum)
     assert seen == {buffer}
+
+
+class HandedSpy:
+    """Records the stream index each instance walk starts at and the type
+    of the prefix sums it is handed, for the grid's instances and the
+    unknown-knowledge walker."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.seen: list[tuple[int, type]] = []
+        for cls in (feasibility._Walker, UnknownPartSolver):
+            monkeypatch.setattr(cls, "walk", self._spied(cls.walk))
+
+    def _spied(self, walk):
+        def spied(walker, prefix, top):
+            self.seen.append((getattr(walker, "next_index", 0), type(prefix)))
+            return walk(walker, prefix, top)
+        return spied
+
+    @property
+    def types(self) -> set[type]:
+        return {kind for _, kind in self.seen}
+
+
+def test_one_chunk_and_unknown_solves_walk_machine_words(monkeypatch):
+    spy = HandedSpy(monkeypatch)
+    # perfbench's known-m-grid shape, parsed from its text, which ends in a
+    # newline: one chunk, whose walk comes after the pass, so the race holds
+    # it with no probe built
+    weights = random.Random(9001).choices(range(1001), k=2000)
+    text = (" ".join(map(str, weights)) + "\n").encode("ascii")
+    solve_tagged(KNOWN_MAX_TAG, WeightChunks(io.BytesIO(text)), 64, Fraction(1, 100),
+                 KnowledgeProfile(max_weight=max(weights)))
+    assert spy.seen and spy.types == {array}
+    spy.seen.clear()
+    # perfbench's unknown-part shape: no race, three chunks
+    solve_unknown_part(WeightChunks.of_checked(random.Random(9001).choices(range(1001),
+                                                                          k=10_000)), 64)
+    assert len(spy.seen) == 3 and spy.types == {array}
+
+
+def bench_sweep_shapes() -> list[dict]:
+    """Rows of perfbench's bench-sweep shapes: 400 weights, and the one
+    weight its memory pass solves, for every solver, mode, p and eps; the
+    hard families at p = 2; and the two 200,000-weight rows."""
+    rows = [{"generator": {"kind": kind, "n": n, "m": 1000, "seed": 11}, "algorithm": tag,
+             "mode": mode, "p": num_blocks, "epsilon": epsilon}
+            for tag in [*GRID_TAGS, UNKNOWN_TAG]
+            for epsilon in ([None] if tag == UNKNOWN_TAG else ["1/10", "1/100"])
+            for kind, n in (("uniform", 400), ("spike", 400), ("constant", 1))
+            for num_blocks in (4, 64) for mode in (PART_MODE, PARTB_MODE)]
+    for tag in [*GRID_TAGS, UNKNOWN_TAG]:
+        epsilon = None if tag == UNKNOWN_TAG else "1/100"
+        for generator in ({"kind": "yz", "n": 400, "t": 50, "i": 7, "seed": 11},
+                          {"kind": "index", "bits": "01" * 75, "i": 150}):
+            rows.append({"generator": generator, "algorithm": tag, "mode": PART_MODE, "p": 2,
+                         "epsilon": epsilon})
+    big = {"kind": "uniform", "n": 200_000, "m": 1000, "seed": 11}
+    rows.append({"generator": big, "algorithm": UNKNOWN_TAG, "mode": PARTB_MODE, "p": 64,
+                 "epsilon": None})
+    rows.append({"generator": big, "algorithm": KNOWN_TOTAL_TAG, "mode": PARTB_MODE, "p": 4,
+                 "epsilon": "1/10"})
+    return rows
+
+
+def test_bench_sweep_rows_walk_machine_words(monkeypatch):
+    spy = HandedSpy(monkeypatch)
+    records = run_bench(bench_sweep_shapes())
+    assert not [record.error for record in records if record.error]
+    # the long known-S row races over 49 chunks with a window of a few probes
+    assert len(spy.seen) > 49 and spy.types == {array}
+
+
+def test_a_wide_race_walks_lists_from_its_second_held_chunk(monkeypatch):
+    spy = HandedSpy(monkeypatch)
+    weights = random.Random(7).choices(range(1001), k=3 * B)
+    solve_tagged(KNOWN_MAX_LENGTH_TAG, WeightChunks.of_checked(weights), 64, Fraction(1, 1000),
+                 KnowledgeProfile(max_weight=max(weights), length=len(weights)))
+    handed = {}
+    for start, kind in spy.seen:
+        handed.setdefault((start - 1) // B, set()).add(kind)
+    # chunk 1 is held before any probe is built; its walk keeps thousands of
+    # probes, so the race holds each later chunk as a list of ints
+    assert handed == {0: {array}, 1: {list}, 2: {list}}
+
+
+@settings(TIER1, max_examples=150)
+@given(weights=race_streams, num_blocks=st.sampled_from((2, 3, 8, 64)),
+       tag=st.sampled_from(GRID_TAGS), mode=st.sampled_from((PART_MODE, PARTB_MODE)),
+       epsilon=st.sampled_from((Fraction(1, 100), Fraction(1, 10), Fraction(1, 2))),
+       size=st.sampled_from((1, 3, 7)), holds_lists=st.booleans())
+def test_race_holding_either_buffer_matches_the_race_that_walks_every_probe(
+        weights, num_blocks, tag, mode, epsilon, size, holds_lists):
+    profile = KnowledgeProfile(max_weight=max(weights, default=0), length=len(weights),
+                               total_weight=sum(weights))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(feasibility, "B", size)
+        # the rule forced on (every held chunk a list of ints) or off
+        patch.setattr(_Race, "_holdable",
+                      (lambda race, prefix: list(prefix)) if holds_lists else
+                      (lambda race, prefix: prefix))
+        result = solve_tagged(tag, iter(weights), num_blocks, epsilon, profile, mode=mode)
+        patch.setattr(schedulers, "_race", reference_race)
+        expected = solve_tagged(tag, iter(weights), num_blocks, epsilon, profile, mode=mode)
+    assert result.to_json_dict() == expected.to_json_dict()
+    assert (result.probe_instances, result.probe_ext_instances) == (
+        expected.probe_instances, expected.probe_ext_instances)

@@ -25,9 +25,9 @@ def test_feed_trace_records_separator_at_opening_element():
     inst = ProbeInstance(9, 2)
     for w in (1, 2, 3):
         inst.feed(w)
-    assert inst.alive and inst.separators == []
+    assert inst.alive and list(inst.separators) == []
     inst.feed(4)  # 6 + 4 > 9, so 4 opens block 2 at index 4
-    assert inst.separators == [4]
+    assert list(inst.separators) == [4]
     inst.feed(5)
     assert inst.alive
     assert inst.finish(5).separators == (1, 4, 6)

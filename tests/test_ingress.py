@@ -775,13 +775,13 @@ def traced_size(make) -> int:
 
 class SpyWalker:
     """A walker that records, in each `walk`, the traced memory and the
-    size of the prefix sums it is given."""
+    bytes of the prefix sums it is given, an `array('Q')` of words."""
 
     def __init__(self) -> None:
         self.seen: list[tuple[int, int]] = []
 
     def walk(self, prefix, top) -> bool:
-        self.seen.append((tracemalloc.get_traced_memory()[0], size_of(prefix)))
+        self.seen.append((tracemalloc.get_traced_memory()[0], sys.getsizeof(prefix)))
         return True
 
 
@@ -801,10 +801,9 @@ def test_parser_holds_no_tokens_while_a_chunk_is_walked():
             tracemalloc.stop()
         assert len(spy.seen) > 1
         for traced, prefix_bytes in spy.seen:
-            # alive: the chunk's prefix sums, held as machine words, which
-            # `size_of` counts as the ints they are read out as, and what
-            # the parser still holds: one slice's tokens fit below the
-            # bound, a block's tokens pass it
+            # alive: the chunk's prefix sums, 8 bytes a word, and what the
+            # parser still holds: one slice's tokens fit below the bound, a
+            # block's tokens pass it
             assert traced - before < prefix_bytes + token_bytes
 
 
