@@ -41,7 +41,7 @@ from .schedulers import (
 # --know choice -> the solver tag it selects
 KNOW_TAGS = {"none": UNKNOWN_TAG, "m": KNOWN_MAX_TAG, "mn": KNOWN_MAX_LENGTH_TAG,
              "s": KNOWN_TOTAL_TAG}
-# solver argument name (see schedulers.SOLVERS) -> the `solve` flag that supplies it
+# name a tag requires (see schedulers.SOLVERS) -> the `solve` flag that supplies it
 ARG_FLAGS = {"epsilon": "epsilon", "max_weight": "m", "length": "n", "total_weight": "s"}
 # --method choice -> the core of the exact oracle it runs (see oracle.py)
 ORACLES = {"binsearch": _binsearch_optimum, "dp": _dp_optimum}
@@ -147,7 +147,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     tag = KNOW_TAGS[args.know]
-    _, names = SOLVERS[tag]
+    names = SOLVERS[tag]
     flags = [ARG_FLAGS[name] for name in names]
     missing = ["--" + flag for flag in flags if getattr(args, flag) is None]
     if missing:

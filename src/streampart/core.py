@@ -330,13 +330,24 @@ def _convert(tokens: list[str] | list[bytes], weights: list[int], convert: Calla
         rest = tokens[len(weights) - start:]
 
 
-def _read_block(reader: IO[str] | IO[bytes], pending: str
-                ) -> tuple[list[int], str | None, str, bool]:
+def _read_block(reader: IO[str] | IO[bytes], pending: str | tuple[str, str | bytes]
+                ) -> tuple[list[int], str | None, str | tuple[str, str | bytes], bool]:
     """Read the next block of `reader` after `pending`, the token carried
-    from the block before. Return the weights of the two up to the first bad
-    token; that token, or None; the last token when it runs to the block's
-    end and so may go on in the next block, or ""; and whether the stream
-    has ended.
+    from the block before, or that token and this block's text when it was
+    read already. Return the weights of the two up to the first bad token;
+    that token, or None; what the next block starts from, which is the last
+    token when it runs to the block's end and so may go on in the next
+    block, or "", paired with the next block's text when it was read; and
+    whether the stream has ended.
+
+    A read shorter than asked whose block ends inside a token may have
+    reached the end of the text, so the block reads once more before it
+    carries the token: an empty read ends the stream, and the token is the
+    block's last weight; any other text is the next block's text, so no
+    block boundary moves. A reader that fills its reads returns a short
+    read only at the end, and this read is the one the next block would
+    have made. A full read that ends inside the text's last token still
+    leaves that token a block, and a chunk, of its own.
 
     The block is split `SLICE` tokens at a time: `split(None, SLICE)` cuts
     only at whitespace, so it gives one slice's tokens and the unsplit rest
@@ -356,8 +367,8 @@ def _read_block(reader: IO[str] | IO[bytes], pending: str
     ASCII); there `_first_bad` cuts each slice at its first bad token, and
     the ladder starts at `int`.
     """
-    text = reader.read(READ_BLOCK)
-    at_end = not text
+    pending, text = pending if type(pending) is tuple else (pending, reader.read(READ_BLOCK))
+    short, at_end = len(text) < READ_BLOCK, not text
     if type(text) is str:
         text = pending + text
         if text.isascii():
@@ -369,6 +380,10 @@ def _read_block(reader: IO[str] | IO[bytes], pending: str
     checked = type(text) is bytes  # its digits were checked whole above
     # the last token may go on in the next block unless whitespace ends this one
     open_end = not at_end and not text[-1:].isspace()
+    after = None
+    if open_end and short:
+        after = reader.read(READ_BLOCK)
+        open_end, at_end = bool(after), not after
     weights: list[int] = []
     convert, bad = None if checked else int, None
     last = ""
@@ -381,7 +396,7 @@ def _read_block(reader: IO[str] | IO[bytes], pending: str
             bad = _first_bad(tokens)
         convert = _convert(tokens, weights, convert)
         del tokens  # before the next slice is split
-    return weights, bad, last, at_end
+    return weights, bad, (last, after) if after else last, at_end
 
 
 def _parse_chunks(reader: IO[str] | IO[bytes]) -> Iterator[list[int]]:
@@ -405,7 +420,8 @@ def _parse_chunks(reader: IO[str] | IO[bytes]) -> Iterator[list[int]]:
         if weights:
             yield weights
         # the chunk, which `_drive` turns into its prefix sums, is walked
-        # while this frame waits, holding no text; it lets the chunk go
+        # while this frame waits, holding no text but a carried token and
+        # the text a short read read after it, if any; it lets the chunk go
         # before the next block is read, so that the pass holds one list per
         # block or chunk, besides one slice's tokens and the block's text
         # while it is split

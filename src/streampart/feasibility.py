@@ -70,17 +70,13 @@ class ProbeOutcome:
     separators: tuple[int, ...] | None = None
 
 
-def checked_args(
-    num_blocks: int, mode: str = PART_MODE, epsilon=None, *, needs_epsilon: bool = False
-) -> Fraction | None:
+def checked_args(num_blocks: int, mode: str = PART_MODE, epsilon=None) -> Fraction | None:
     """Validate the arguments every public entry point shares; return
     epsilon as a Fraction (a float epsilon is refused by `as_fraction`)."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     check_block_count(num_blocks, mode == PART_MODE)
     if epsilon is None:
-        if needs_epsilon:
-            raise ValueError("epsilon is required for the approximation solvers")
         return None
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:

@@ -412,12 +412,24 @@ class _Race:
             escalator.walk(prefix, top)
 
 
+def _grid(tag: str, num_blocks: int, epsilon: Fraction, declared: KnowledgeProfile) -> tuple:
+    """The race of a grid tag, as its solver's docstring gives it: the base,
+    target, doublings, escalation (None: no escalators) and warnings."""
+    if tag == KNOWN_TOTAL_TAG:
+        return Fraction(declared.total_weight, num_blocks), num_blocks, 1, None, ()
+    if tag == KNOWN_MAX_LENGTH_TAG:
+        return Fraction(declared.max_weight), max(declared.length, 1), 1, None, ()
+    warnings = (WARN_EPSILON_RANGE,) if epsilon >= EPSILON_GUARANTEE_LIMIT else ()
+    delta = epsilon / (1 + epsilon / 2)
+    doublings = growth_steps(Fraction(2), 1 / delta**2) + 1
+    return Fraction(declared.max_weight), 2, doublings, 1 + epsilon / 2, warnings
+
+
 def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, tag: str,
-          declared: KnowledgeProfile, base: Fraction, target,
-          doublings: int = 1, escalation: Fraction | None = None,
-          warnings: tuple[str, ...] = ()) -> SolveResult:
+          declared: KnowledgeProfile) -> SolveResult:
     """Race one probe per grid bound and, given the ratio `escalation`, one
-    escalator per power of it over the stream, in one pass.
+    escalator per power of it over the stream, in one pass; `_grid` gives
+    the grid and the escalation.
 
     The grid bounds are base * 2**i * (1+eps)**j for i < doublings and
     j = 0..c, the smallest c with (1+eps)**c >= target. The escalator bases
@@ -436,6 +448,7 @@ def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, 
     counter and one per declared value, plus the words of every grid point
     and escalator, whether or not the race built or walked it.
     """
+    base, target, doublings, escalation, warnings = _grid(tag, num_blocks, epsilon, declared)
     store = mode == PART_MODE
     race = _Race(base.numerator, base.denominator, 1 + epsilon, doublings, target,
                  num_blocks, store, declared.max_weight, escalation)
@@ -478,10 +491,8 @@ def solve_known_total(
     stream: Iterable[int], num_blocks: int, epsilon, total_weight: int, *, mode: str = PART_MODE
 ) -> SolveResult:
     """Candidates (total/p) * (1+eps)^i for i = 0..steps(p); smallest success wins."""
-    epsilon = checked_args(num_blocks, mode, epsilon, needs_epsilon=True)
-    declared = KnowledgeProfile(total_weight=total_weight)
-    return _race(stream, num_blocks, epsilon, mode, KNOWN_TOTAL_TAG, declared,
-                 Fraction(total_weight, num_blocks), num_blocks)
+    return solve_tagged(KNOWN_TOTAL_TAG, stream, num_blocks, epsilon,
+                        KnowledgeProfile(total_weight=total_weight), mode=mode)
 
 
 def solve_known_max_length(
@@ -494,10 +505,8 @@ def solve_known_max_length(
     mode: str = PART_MODE,
 ) -> SolveResult:
     """Candidates max * (1+eps)^i for i = 0..steps(length); smallest success wins."""
-    epsilon = checked_args(num_blocks, mode, epsilon, needs_epsilon=True)
-    declared = KnowledgeProfile(max_weight=max_weight, length=length)
-    return _race(stream, num_blocks, epsilon, mode, KNOWN_MAX_LENGTH_TAG, declared,
-                 Fraction(max_weight), max(length, 1))
+    return solve_tagged(KNOWN_MAX_LENGTH_TAG, stream, num_blocks, epsilon,
+                        KnowledgeProfile(max_weight=max_weight, length=length), mode=mode)
 
 
 def solve_known_max(
@@ -512,15 +521,8 @@ def solve_known_max(
     (1+eps) of optimal whenever it is non-trivial); escalator results are
     the fallback for the large-optimum regime where every probe fails.
     """
-    epsilon = checked_args(num_blocks, mode, epsilon, needs_epsilon=True)
-    declared = KnowledgeProfile(max_weight=max_weight)
-    warnings: tuple[str, ...] = ()
-    if epsilon >= EPSILON_GUARANTEE_LIMIT:
-        warnings = (WARN_EPSILON_RANGE,)
-    delta = epsilon / (1 + epsilon / 2)
-    doubling_levels = growth_steps(Fraction(2), 1 / delta**2) + 1
-    return _race(stream, num_blocks, epsilon, mode, KNOWN_MAX_TAG, declared,
-                 Fraction(max_weight), 2, doubling_levels, 1 + epsilon / 2, warnings)
+    return solve_tagged(KNOWN_MAX_TAG, stream, num_blocks, epsilon,
+                        KnowledgeProfile(max_weight=max_weight), mode=mode)
 
 
 class UnknownPartSolver:
@@ -758,19 +760,12 @@ def solve_unknown_partb(stream: Iterable[int], num_blocks: int) -> SolveResult:
     )
 
 
-def _solve_unknown(stream: Iterable[int], num_blocks: int, *, mode: str) -> SolveResult:
-    checked_args(num_blocks, mode)
-    solver = solve_unknown_part if mode == PART_MODE else solve_unknown_partb
-    return solver(stream, num_blocks)
-
-
-# tag -> (solver, the names of the arguments it takes after num_blocks:
-# "epsilon", then KnowledgeProfile fields in the solver's positional order)
+# tag -> the names it requires: "epsilon", then KnowledgeProfile fields
 SOLVERS = {
-    KNOWN_TOTAL_TAG: (solve_known_total, ("epsilon", "total_weight")),
-    KNOWN_MAX_LENGTH_TAG: (solve_known_max_length, ("epsilon", "max_weight", "length")),
-    KNOWN_MAX_TAG: (solve_known_max, ("epsilon", "max_weight")),
-    UNKNOWN_TAG: (_solve_unknown, ()),
+    KNOWN_TOTAL_TAG: ("epsilon", "total_weight"),
+    KNOWN_MAX_LENGTH_TAG: ("epsilon", "max_weight", "length"),
+    KNOWN_MAX_TAG: ("epsilon", "max_weight"),
+    UNKNOWN_TAG: (),
 }
 
 
@@ -783,16 +778,25 @@ def solve_tagged(
     *,
     mode: str = PART_MODE,
 ) -> SolveResult:
-    """Run the solver registered under `tag`, handing it epsilon and the
-    declarations it takes from `profile`; other declarations are ignored."""
+    """Run the solver registered under `tag`, the one place where a tag becomes a
+    solve: check the tag, the epsilon and declarations it requires, then the
+    shared arguments (epsilon only if the tag takes it), and route; ignore others."""
     if not isinstance(tag, str) or tag not in SOLVERS:
         raise ValueError(f"unknown algorithm tag {tag!r}")
-    solver, names = SOLVERS[tag]
-    given = {"epsilon": epsilon, **vars(profile)}
-    missing = [name for name in names if given[name] is None]
+    # the comprehensions read only `names`: each local one reads is a cell held through the pass
+    names = SOLVERS[tag]
+    missing = [name for name, value in {"epsilon": epsilon, **vars(profile)}.items()
+               if name in names and value is None]
     if missing:
         raise ValueError(f"{tag} requires {', '.join(missing)}")
-    return solver(stream, num_blocks, *(given[name] for name in names), mode=mode)
+    epsilon = checked_args(num_blocks, mode, epsilon if names else None)
+    if not names:
+        solver = solve_unknown_part if mode == PART_MODE else solve_unknown_partb
+        return solver(stream, num_blocks)
+    if any(value is not None and name not in names for name, value in vars(profile).items()):
+        profile = KnowledgeProfile(*[value if name in names else None
+                                     for name, value in vars(profile).items()])
+    return _race(stream, num_blocks, epsilon, mode, tag, profile)
 
 
 def dispatch(

@@ -110,6 +110,8 @@ def _inputs() -> dict[str, tuple[bytes, dict[str, str]]]:
     spaces = random.Random(17).choices([" ", "\u00a0", "\u3000", "\n"], k=3000)
     tokens = map(str, _uniform(1000, 18, count=3000))
     inputs["nbsp-u3000"] = _stream("".join(map("".join, zip(tokens, spaces))).encode())
+    # a last token that no whitespace ends, in a last block shorter than 8192
+    inputs["no-final-newline"] = _stream(_text(_uniform(1000, 19))[:-1])
     return inputs
 
 

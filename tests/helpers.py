@@ -257,17 +257,18 @@ class ReferenceEscalator(ReferenceProbe):
 
 
 def reference_race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str,
-                   tag: str, declared: KnowledgeProfile, base: Fraction, target,
-                   doublings: int = 1, escalation: Fraction | None = None,
-                   warnings: tuple[str, ...] = ()) -> SolveResult:
+                   tag: str, declared: KnowledgeProfile) -> SolveResult:
     """`schedulers._race` as one `ProbeInstance` per grid point, every live
     one walked over every chunk: the reference the frontier-searched probe
-    grid is checked against. It takes `_race`'s arguments, so a test can
-    put it in `_race`'s place. Its grid steps through the `Fraction` powers of
+    grid is checked against. It takes `_race`'s arguments and the same grid
+    (`schedulers._grid`), so a test can put it in `_race`'s place. Its grid
+    steps through the `Fraction` powers of
     1 + eps up to the first of at least `target`, and floors each bound on
     its own. Its escalators go through the public, checked constructor with
     the slacks escalation**j - 1, up to the first power of at least 2, so
     the race's integer start is checked against that route."""
+    base, target, doublings, escalation, warnings = schedulers._grid(tag, num_blocks, epsilon,
+                                                                     declared)
     store = mode == PART_MODE
     powers = [Fraction(1)]
     while powers[-1] < target:

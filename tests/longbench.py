@@ -4,7 +4,9 @@ revision, on solves that perfbench's four workloads do not run.
     PYTHONPATH=src python tests/longbench.py --parent <rev> --rounds 6 --out LONG.json
 
 Each row is one library solve of `random.Random(7).choices(range(1001),
-k=n)` at p = 64 in part mode, read as `WeightChunks.of_checked`. The parent
+k=n)` at p = 64 in part mode, read as `WeightChunks.of_checked` or, in a
+row read as text, parsed by `WeightChunks(io.BytesIO(text))` from the
+weights joined by spaces with no final newline. The parent
 is exported with `git archive` into a temporary directory. Every run is a
 fresh process whose `PYTHONPATH` is one side's `src/`; in each round every
 row runs once a side, the parent first in even rounds and this tree first
@@ -42,21 +44,28 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 NUM_BLOCKS = 64
-# (solver tag, n, eps)
+# how a row reads its stream
+SOURCES = {
+    "checked": "WeightChunks.of_checked(weights)",
+    "text": "WeightChunks(io.BytesIO(text)), text the weights joined by spaces as ASCII "
+            "bytes with no final newline",
+}
+# (solver tag, n, eps, source)
 ROWS = [
-    ("known-mn", 10**6, "1/1000"),
-    ("known-S", 10**6, "1/1000"),
-    ("known-m", 10**5, "1/1000"),
-    ("known-mn", 10**5, "1/3000"),
-    ("known-mn", 10**5, "1/100"),
+    ("known-mn", 10**6, "1/1000", "checked"),
+    ("known-S", 10**6, "1/1000", "checked"),
+    ("known-m", 10**5, "1/1000", "checked"),
+    ("known-mn", 10**5, "1/3000", "checked"),
+    ("known-mn", 10**5, "1/100", "checked"),
+    ("known-m", 2000, "1/100", "text"),
 ]
 
 
-def row_name(tag: str, n: int, epsilon: str) -> str:
-    return f"{tag} n={n} eps={epsilon}"
+def row_name(tag: str, n: int, epsilon: str, source: str) -> str:
+    return f"{tag} n={n} eps={epsilon}" + ("" if source == "checked" else f" {source}")
 
 
-def child(tag: str, n: int, epsilon: str, measure: str) -> dict:
+def child(tag: str, n: int, epsilon: str, source: str, measure: str) -> dict:
     """One solve of the row in this process, with the `streampart` on
     `PYTHONPATH`: its digest and what `measure` asks for."""
     from streampart import cli, feasibility, schedulers
@@ -72,7 +81,10 @@ def child(tag: str, n: int, epsilon: str, measure: str) -> dict:
                                   ("growth", schedulers, "_growth")):
             counts[name] = 0
             setattr(owner, attr, counted(getattr(owner, attr), counts, name))
-    stream = WeightChunks.of_checked(weights)
+    if source == "text":
+        stream = WeightChunks(io.BytesIO(" ".join(map(str, weights)).encode("ascii")))
+    else:
+        stream = WeightChunks.of_checked(weights)
     out = {}
     if measure == "peak":
         tracemalloc.start()
@@ -102,10 +114,10 @@ def counted(function, counts: dict, name: str):
 
 def run_side(src: Path, row: tuple, measure: str) -> dict:
     """A fresh process that runs `child` on `src`'s `streampart`."""
-    tag, n, epsilon = row
+    tag, n, epsilon, source = row
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, __file__, "--child", tag, str(n), epsilon, measure],
-                          env=env, check=True, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, __file__, "--child", tag, str(n), epsilon, source,
+                           measure], env=env, check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
 
 
@@ -163,6 +175,7 @@ def main(argv: list[str] | None = None) -> int:
         parent_times, change_times = record["parent"]["times"], record["change"]["times"]
         rows[row_name(*row)] = {
             "tag": row[0], "n": row[1], "epsilon": row[2], "p": NUM_BLOCKS,
+            "stream": SOURCES[row[3]],
             **{side: {"cpu_s": summary(record[side].pop("times")),
                       "sha256": digests[side], **record[side]} for side in sides},
             "change_over_parent": (statistics.median(change_times)
@@ -178,8 +191,8 @@ def main(argv: list[str] | None = None) -> int:
         "parent_commit": parent,
         "change": f"the working tree over {head}",
         "rounds": args.rounds,
-        "stream": "random.Random(7).choices(range(1001), k=n), part mode, "
-                  "WeightChunks.of_checked",
+        "stream": "weights = random.Random(7).choices(range(1001), k=n), part mode, "
+                  "read as each row's stream says",
         "protocol": "one fresh process per run and side; each round runs every row once a "
                     "side, the parent first in even rounds (counted from 0); cpu_s is "
                     "time.process_time of the solve alone; peak_bytes is tracemalloc's peak "
@@ -199,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
-        tag, n, epsilon, measure = sys.argv[2:]
-        print(json.dumps(child(tag, int(n), epsilon, measure)))
+        tag, n, epsilon, source, measure = sys.argv[2:]
+        print(json.dumps(child(tag, int(n), epsilon, source, measure)))
     else:
         sys.exit(main())

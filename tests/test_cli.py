@@ -1,4 +1,5 @@
 import argparse
+import functools
 import io
 import json
 import os
@@ -12,8 +13,10 @@ from pathlib import Path
 import pytest
 
 import streampart
-from streampart import cli
+from streampart import cli, feasibility
 from streampart.cli import main
+from streampart.core import WeightChunks
+from streampart.schedulers import solve_known_max
 
 from helpers import counted_checked_max, counted_growth_and_builds
 
@@ -152,22 +155,55 @@ def write_in_pieces(path, data: bytes, size: int) -> None:
 ], ids=["solve", "oracle"])
 def test_a_pipe_read_in_short_pieces_prints_what_a_file_does(argv, tmp_path, capsys):
     # more than one 8 KiB block, written to the pipe 300 bytes at a time: a
-    # raw read returns what the pipe holds, so blocks end inside tokens
+    # raw read returns what the pipe holds, so blocks end inside tokens; and
+    # the same text without its final newline, which ends inside a token
     weights = random.Random(5).choices(range(1001), k=3000)
-    data = (" ".join(map(str, weights)) + "\n").encode("ascii")
-    path = tmp_path / "w.txt"
-    path.write_bytes(data)
-    assert main(argv + ["--input", str(path)]) == 0
+    for end in (b"\n", b""):
+        data = " ".join(map(str, weights)).encode("ascii") + end
+        path = tmp_path / f"w{len(end)}.txt"
+        path.write_bytes(data)
+        assert main(argv + ["--input", str(path)]) == 0
+        expected = capsys.readouterr().out
+        fifo = tmp_path / f"fifo{len(end)}"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=write_in_pieces, args=(fifo, data, 300), daemon=True)
+        writer.start()
+        assert main(argv + ["--input", str(fifo)]) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert capsys.readouterr().out == expected
+        assert json.loads(expected)["n" if argv[0] == "oracle" else "elements_read"] == 3000
+
+
+@pytest.mark.parametrize("source", ["input", "stdin", "library"])
+@pytest.mark.parametrize("end", ["newline", "no-newline"])
+def test_a_text_that_ends_inside_a_token_is_one_chunk(end, source, tmp_path, capsys,
+                                                      monkeypatch):
+    # perfbench's known-m-grid stream, one parser block: the race walks its
+    # one chunk as the last, whether or not a newline ends the text
+    weights = random.Random(9001).choices(range(1001), k=2000)
+    data = " ".join(map(str, weights)).encode("ascii") + (b"\n" if end == "newline" else b"")
+    solve = functools.partial(solve_known_max, num_blocks=64, epsilon="1/100",
+                              max_weight=max(weights))
+    cli._print_json(solve(WeightChunks.of_checked(weights)).to_json_dict())
     expected = capsys.readouterr().out
-    fifo = tmp_path / "fifo"
-    os.mkfifo(fifo)
-    writer = threading.Thread(target=write_in_pieces, args=(fifo, data, 300), daemon=True)
-    writer.start()
-    assert main(argv + ["--input", str(fifo)]) == 0
-    writer.join(timeout=10)
-    assert not writer.is_alive()
+    walks = []
+    walk = feasibility._Walker.walk
+    monkeypatch.setattr(feasibility._Walker, "walk",
+                        lambda walker, *args: walks.append(walker) or walk(walker, *args))
+    _, fresh = counted_growth_and_builds(monkeypatch)
+    argv = ["solve", "--p", "64", "--know", "m", "--m", str(max(weights)), "--epsilon", "1/100"]
+    if source == "input":
+        path = tmp_path / "w.txt"
+        path.write_bytes(data)
+        assert main(argv + ["--input", str(path)]) == 0
+    elif source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="ascii"))
+        assert main(argv) == 0
+    else:
+        cli._print_json(solve(WeightChunks(io.BytesIO(data))).to_json_dict())
     assert capsys.readouterr().out == expected
-    assert json.loads(expected)["n" if argv[0] == "oracle" else "elements_read"] == 3000
+    assert (len(walks), len(fresh)) == (3, 1)
 
 
 def test_oracle(capsys, monkeypatch):

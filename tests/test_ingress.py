@@ -184,6 +184,22 @@ def test_an_oversized_read_is_cut_into_chunks_of_b():
         assert [w for chunk in chunks for w in chunk] == [1] * (2 * B) + [5]
 
 
+@pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+def test_a_short_read_that_ends_inside_a_token_reads_once_more(as_bytes):
+    def reader(*pieces: str) -> WholeText:
+        return WholeText(*(piece.encode("ascii") if as_bytes else piece for piece in pieces))
+
+    # the read after it is empty: the token is the block's last weight
+    assert _read_block(reader("1 2 34"), "") == ([1, 2, 34], None, "", True)
+    # it returns text: the token is carried, and that text is the next block's
+    after = "5 6\n".encode("ascii") if as_bytes else "5 6\n"
+    assert _read_block(reader("1 2 34", "5 6\n"), "") == ([1, 2], None, ("34", after), False)
+    assert list(WeightChunks(reader("1 2 34", "5 6\n", "7")).chunks) == [[1, 2], [345, 6], [7]]
+    # a full read that ends the text inside a token leaves that token alone
+    full = "1 " * (READ_BLOCK // 2 - 1) + "23"
+    assert list(map(len, WeightChunks(reader(full)).chunks)) == [READ_BLOCK // 2 - 1, 1]
+
+
 # tokens that are not non-negative decimal integers; "٣" is an
 # Arabic-Indic digit, which `str.isdigit` accepts but ASCII does not hold
 BAD_TOKENS = ["x", "-3", "1.5", "+2", "0x1", "٣", "1٣"]
@@ -747,7 +763,7 @@ def test_cli_prints_the_solver_result_on_the_list(know, mode, tmp_path, capsys):
     path.write_text(format_weights(weights) + "\n", encoding="ascii")
     tag = KNOW_TAGS[know]
     argv = ["solve", "--know", know, "--p", "5", "--mode", mode, "--input", str(path)]
-    for name in SOLVERS[tag][1]:
+    for name in SOLVERS[tag]:
         argv += FLAG_VALUES[name](weights)
     assert main(argv) == 0
     profile = KnowledgeProfile(max(weights), len(weights), sum(weights))

@@ -7,7 +7,8 @@ import pytest
 
 from streampart import GeneratorSpec, KnowledgeProfile, StreamStats, dispatch, run_bench
 from streampart.cli import main
-from streampart.schedulers import SOLVERS, solve_tagged
+from streampart.schedulers import (SOLVERS, solve_known_max, solve_known_max_length,
+                                   solve_known_total, solve_tagged)
 
 GENERATOR = {"kind": "uniform", "n": 24, "m": 9, "seed": 7}
 NUM_BLOCKS = 3
@@ -72,3 +73,43 @@ def test_solve_tagged_rejects_unknown_tags_and_missing_declarations():
         solve_tagged("magic", iter([1]), 2, None, KnowledgeProfile())
     with pytest.raises(ValueError, match="known-mn requires length"):
         solve_tagged("known-mn", iter([1]), 2, "1/2", KnowledgeProfile(max_weight=1))
+
+
+# each grid solver's epsilon and declarations with one of them None, and
+# the error that names it
+MISSING = {
+    "known-S requires total_weight": (solve_known_total, ("1/2", None)),
+    "known-S requires epsilon": (solve_known_total, (None, 3)),
+    "known-mn requires max_weight": (solve_known_max_length, ("1/2", None, 2)),
+    "known-mn requires length": (solve_known_max_length, ("1/2", 2, None)),
+    "known-mn requires epsilon": (solve_known_max_length, (None, 2, 2)),
+    "known-m requires max_weight": (solve_known_max, ("1/2", None)),
+    "known-m requires epsilon": (solve_known_max, (None, 2)),
+}
+
+
+@pytest.mark.parametrize("message", sorted(MISSING))
+def test_grid_solvers_called_directly_name_what_is_missing(message):
+    solver, given = MISSING[message]
+    # the same requirement check as every other entry point
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solver(iter([1, 2]), 2, *given)
+
+
+@pytest.mark.parametrize("mode", ["part", "partb"])
+def test_the_unknown_solver_ignores_epsilon(mode, tmp_path, capsys):
+    weights = GeneratorSpec(**GENERATOR).make()
+    path = tmp_path / "w.txt"
+    path.write_text(" ".join(map(str, weights)) + "\n")
+    printed, solved, routed = [], [], []
+    for given in ([], ["--epsilon", "garbage"]):
+        assert main(["solve", "--p", str(NUM_BLOCKS), "--mode", mode, "--know", "none",
+                     "--input", str(path), *given]) == 0
+        printed.append(capsys.readouterr().out)
+    for epsilon in (None, "garbage"):
+        solved.append(solve_tagged("unknown-2approx", iter(weights), NUM_BLOCKS, epsilon,
+                                   KnowledgeProfile(), mode=mode).to_json_dict())
+        routed.append(dispatch(iter(weights), NUM_BLOCKS, epsilon, KnowledgeProfile(),
+                               mode=mode).to_json_dict())
+    assert printed[0] == printed[1]
+    assert solved[0] == solved[1] == routed[0] == routed[1] == json.loads(printed[0])
