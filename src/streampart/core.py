@@ -230,8 +230,9 @@ READ_BLOCK = 1 << 13
 SLICE = B // 16
 
 # the whitespace `bytes.split()` splits on, and `bytes.strip()` and `int`
-# strip from bytes
-_BYTES_SPACE = b" \t\n\r\x0b\x0c"
+# strip from bytes, as str and as bytes
+_SPACE = " \t\n\r\x0b\x0c"
+_BYTES_SPACE = _SPACE.encode()
 
 # `int` strips from str the whitespace `str.strip()` strips but the ASCII
 # separators \x1c-\x1f, which it refuses: this maps them to a non-digit
@@ -330,24 +331,29 @@ def _convert(tokens: list[str] | list[bytes], weights: list[int], convert: Calla
         rest = tokens[len(weights) - start:]
 
 
-def _read_block(reader: IO[str] | IO[bytes], pending: str | tuple[str, str | bytes]
-                ) -> tuple[list[int], str | None, str | tuple[str, str | bytes], bool]:
+def _read_block(reader: IO[str] | IO[bytes], pending: str | tuple[str, str | bytes, bool]
+                ) -> tuple[list[int], str | None, str | tuple[str, str | bytes, bool], bool]:
     """Read the next block of `reader` after `pending`, the token carried
-    from the block before, or that token and this block's text when it was
-    read already. Return the weights of the two up to the first bad token;
-    that token, or None; what the next block starts from, which is the last
-    token when it runs to the block's end and so may go on in the next
-    block, or "", paired with the next block's text when it was read; and
-    whether the stream has ended.
+    from the block before, or that token, this block's text or its start
+    when it was read already, and whether the block reads the rest of its
+    text after that start. Return the weights of the two up to the first
+    bad token; that token, or None; what the next block starts from, which
+    is the last token when it runs to the block's end and so may go on in
+    the next block, or "", with the next block's text or its start when it
+    was read; and whether the stream has ended.
 
-    A read shorter than asked whose block ends inside a token may have
-    reached the end of the text, so the block reads once more before it
-    carries the token: an empty read ends the stream, and the token is the
-    block's last weight; any other text is the next block's text, so no
-    block boundary moves. A reader that fills its reads returns a short
-    read only at the end, and this read is the one the next block would
-    have made. A full read that ends inside the text's last token still
-    leaves that token a block, and a chunk, of its own.
+    A block that ends inside a token may have reached the end of the text,
+    so it reads once more before it carries the token. After a read
+    shorter than asked that is the read the next block would have made, as
+    a reader that fills its reads returns a short read only at the end, and
+    it is the next block's text. After a full read it is one character, the
+    start of the next block's text. An empty read ends the stream, and the
+    token is the block's last weight; after a full read, a whitespace
+    character of `_SPACE` ends the token, which stays in this block; any
+    other text is carried with the token, so no block's text moves and a
+    decode error names the same position. One case still leaves the text's
+    last token a block, and a chunk, of its own: a full read that ends
+    inside it with more of it to come.
 
     The block is split `SLICE` tokens at a time: `split(None, SLICE)` cuts
     only at whitespace, so it gives one slice's tokens and the unsplit rest
@@ -367,7 +373,12 @@ def _read_block(reader: IO[str] | IO[bytes], pending: str | tuple[str, str | byt
     ASCII); there `_first_bad` cuts each slice at its first bad token, and
     the ladder starts at `int`.
     """
-    pending, text = pending if type(pending) is tuple else (pending, reader.read(READ_BLOCK))
+    if type(pending) is tuple:
+        pending, text, begun = pending
+        if begun and len(text) < READ_BLOCK:
+            text += reader.read(READ_BLOCK - len(text))
+    else:
+        text = reader.read(READ_BLOCK)
     short, at_end = len(text) < READ_BLOCK, not text
     if type(text) is str:
         text = pending + text
@@ -381,9 +392,17 @@ def _read_block(reader: IO[str] | IO[bytes], pending: str | tuple[str, str | byt
     # the last token may go on in the next block unless whitespace ends this one
     open_end = not at_end and not text[-1:].isspace()
     after = None
-    if open_end and short:
-        after = reader.read(READ_BLOCK)
+    if open_end:
+        after = reader.read(READ_BLOCK if short else 1)
         open_end, at_end = bool(after), not after
+        if open_end and not short:
+            # whitespace that text splits on from either reader
+            open_end = after[:1] not in (_BYTES_SPACE if type(after) is bytes else _SPACE)
+            if type(after) is bytes and len(after) == 1:
+                # CPython's shared object of that byte, as a text reader's
+                # character is: a raw read's new one would stay alive beside
+                # the walk and the next block's text
+                after = bytes([after[0]])
     weights: list[int] = []
     convert, bad = None if checked else int, None
     last = ""
@@ -396,7 +415,7 @@ def _read_block(reader: IO[str] | IO[bytes], pending: str | tuple[str, str | byt
             bad = _first_bad(tokens)
         convert = _convert(tokens, weights, convert)
         del tokens  # before the next slice is split
-    return weights, bad, (last, after) if after else last, at_end
+    return weights, bad, (last, after, not short) if after else last, at_end
 
 
 def _parse_chunks(reader: IO[str] | IO[bytes]) -> Iterator[list[int]]:
@@ -421,10 +440,10 @@ def _parse_chunks(reader: IO[str] | IO[bytes]) -> Iterator[list[int]]:
             yield weights
         # the chunk, which `_drive` turns into its prefix sums, is walked
         # while this frame waits, holding no text but a carried token and
-        # the text a short read read after it, if any; it lets the chunk go
-        # before the next block is read, so that the pass holds one list per
-        # block or chunk, besides one slice's tokens and the block's text
-        # while it is split
+        # the text a short read, or the character a full one, read after
+        # it, if any; it lets the chunk go before the next block is read,
+        # so that the pass holds one list per block or chunk, besides one
+        # slice's tokens and the block's text while it is split
         del weights
         if bad is not None:
             raise ValueError(f"invalid weight token {bad!r}: expected a non-negative integer")

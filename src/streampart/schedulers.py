@@ -546,11 +546,17 @@ class UnknownPartSolver:
     to the next chunk. Its one loop hands the rule the next element that
     can regroup or open a block. In the chunk's head, before the total
     reaches p times the chunk's maximum, that is every element. From there
-    the bound is 2 * total / p, and two bisects find the next one: a regroup
+    the bound is 2 * total / p, and one bisect finds the next one, the
+    first whose prefix sum passes the smaller of two thresholds: a regroup
     is due once the total reaches p * pair / 2, and an opening once the last
     block outgrows a floor set by the total; the elements between only grow
-    the last block. At p = 2 the one block holds the whole total, so no
-    block ever opens and the opening bisect is skipped.
+    the last block. The pair is the smaller of the exact smallest pair sum
+    of the other blocks and the last pair as it is at the search, which is
+    left out once p times it passes 2 * (total + the chunk's maximum): each
+    element then adds p times its weight to the one and at most twice that
+    maximum to the cap, so it cannot fit before the next event. At p = 2
+    the one block holds the whole total, so no block ever opens and the
+    opening threshold is skipped.
     """
 
     def __init__(self, num_blocks: int) -> None:
@@ -599,8 +605,9 @@ class UnknownPartSolver:
         biggest = self.max_weight
         sums = self._sums
         rest = self._pair
-        # a lower bound of the smallest pair sum, exact at each event: the
-        # last pair only grows between events
+        # in the head, a lower bound of the smallest pair sum, exact at each
+        # event: the last pair only grows between events (past the head each
+        # search sets it afresh)
         pair = sums[-2] + sums[-1] if len(sums) > 1 else None
         if rest is not None and rest < pair:
             pair = rest
@@ -615,21 +622,28 @@ class UnknownPartSolver:
                 cap = 2 * max(biggest * blocks, carried + prefix[at])
             else:
                 # past the head, event by event: the last block holds `offset`
-                # plus the prefix sum it has reached; a regroup is due at the
-                # first k with p * pair <= 2 * (carried + prefix[k]), an opening
-                # at the first k with p * (offset + prefix[k]) > 2 * (carried +
+                # plus the prefix sum it has reached, and one search finds the
+                # first k whose prefix[k] passes the smaller of two thresholds: a
+                # regroup is due once p * pair <= 2 * (carried + prefix[k]), an
+                # opening once p * (offset + prefix[k]) > 2 * (carried +
                 # prefix[k]), never at p = 2 (the one block holds the total)
                 offset = sums[-1] - prefix[at]
-                if blocks == 2:
-                    opening = last + 1
-                else:
-                    opening = bisect_right(prefix, (2 * carried - blocks * offset) // (blocks - 2),
-                                           at + 1)
-                if pair is None:
-                    regroup = last + 1
-                else:
-                    regroup = bisect_left(prefix, -(-blocks * pair // 2) - carried, at + 1)
-                at = min(regroup, opening)
+                pair = rest
+                if len(sums) > 1:
+                    # the last pair as it is now. Until the next event each
+                    # element adds p times its weight to p * tail and at most
+                    # 2 * top to the cap, so past 2 * (carried + prefix[at] +
+                    # top) it cannot fit before then, and only `rest` can
+                    tail = sums[-2] + sums[-1]
+                    if (pair is None or tail < pair) and (
+                            blocks * tail <= 2 * (carried + prefix[at] + top)):
+                        pair = tail
+                threshold = None if pair is None else -(-blocks * pair // 2) - carried - 1
+                if blocks > 2:
+                    opening = (2 * carried - blocks * offset) // (blocks - 2)
+                    if threshold is None or opening < threshold:
+                        threshold = opening
+                at = last + 1 if threshold is None else bisect_right(prefix, threshold, at + 1)
                 if at > last:
                     sums[-1] = offset + prefix[last]
                     break

@@ -4,7 +4,8 @@ revision, on solves that perfbench's four workloads do not run.
     PYTHONPATH=src python tests/longbench.py --parent <rev> --rounds 6 --out LONG.json
 
 Each row is one library solve of `random.Random(7).choices(range(1001),
-k=n)` at p = 64 in part mode, read as `WeightChunks.of_checked` or, in a
+k=n)` at p = 64 in part mode, by a grid race or, in the `unknown-2approx`
+row, by the unknown-knowledge walk, read as `WeightChunks.of_checked` or, in a
 row read as text, parsed by `WeightChunks(io.BytesIO(text))` from the
 weights joined by spaces with no final newline. The parent
 is exported with `git archive` into a temporary directory. Every run is a
@@ -14,7 +15,9 @@ in odd ones, since the host's speed drifts between rounds. A timed run
 records the CPU time (`time.process_time`) of the solve alone and the
 SHA-256 of the JSON that `streampart solve` would print for it. Two untimed
 runs a side give tracemalloc's peak over the solve, and the number of
-`_Walker.walk`, `_Race._build` and `_growth` calls, counted by wrapping.
+`_Walker.walk`, `_Race._build`, `_growth` and `UnknownPartSolver._regroup`
+calls and of searches (`bisect_left` and `bisect_right` calls in
+`schedulers`), counted by wrapping.
 
 The output holds, per row and side, the median and quartiles of the CPU
 times (`statistics.quantiles(n=4, method='inclusive')`) and every run, the
@@ -50,7 +53,7 @@ SOURCES = {
     "text": "WeightChunks(io.BytesIO(text)), text the weights joined by spaces as ASCII "
             "bytes with no final newline",
 }
-# (solver tag, n, eps, source)
+# (solver tag, n, eps or None, source)
 ROWS = [
     ("known-mn", 10**6, "1/1000", "checked"),
     ("known-S", 10**6, "1/1000", "checked"),
@@ -58,19 +61,21 @@ ROWS = [
     ("known-mn", 10**5, "1/3000", "checked"),
     ("known-mn", 10**5, "1/100", "checked"),
     ("known-m", 2000, "1/100", "text"),
+    ("unknown-2approx", 10**6, None, "checked"),
 ]
 
 
-def row_name(tag: str, n: int, epsilon: str, source: str) -> str:
-    return f"{tag} n={n} eps={epsilon}" + ("" if source == "checked" else f" {source}")
+def row_name(tag: str, n: int, epsilon: str | None, source: str) -> str:
+    return (f"{tag} n={n}" + ("" if epsilon is None else f" eps={epsilon}")
+            + ("" if source == "checked" else f" {source}"))
 
 
-def child(tag: str, n: int, epsilon: str, source: str, measure: str) -> dict:
+def child(tag: str, n: int, epsilon: str | None, source: str, measure: str) -> dict:
     """One solve of the row in this process, with the `streampart` on
     `PYTHONPATH`: its digest and what `measure` asks for."""
     from streampart import cli, feasibility, schedulers
     from streampart.core import WeightChunks
-    from streampart.schedulers import KnowledgeProfile, solve_tagged
+    from streampart.schedulers import KnowledgeProfile, UnknownPartSolver, solve_tagged
 
     weights = random.Random(7).choices(range(1001), k=n)
     profile = KnowledgeProfile(max_weight=max(weights), length=n, total_weight=sum(weights))
@@ -78,7 +83,10 @@ def child(tag: str, n: int, epsilon: str, source: str, measure: str) -> dict:
     if measure == "counts":
         for name, owner, attr in (("walk", feasibility._Walker, "walk"),
                                   ("build", schedulers._Race, "_build"),
-                                  ("growth", schedulers, "_growth")):
+                                  ("growth", schedulers, "_growth"),
+                                  ("regroup", UnknownPartSolver, "_regroup"),
+                                  ("search", schedulers, "bisect_left"),
+                                  ("search", schedulers, "bisect_right")):
             counts[name] = 0
             setattr(owner, attr, counted(getattr(owner, attr), counts, name))
     if source == "text":
@@ -89,7 +97,7 @@ def child(tag: str, n: int, epsilon: str, source: str, measure: str) -> dict:
     if measure == "peak":
         tracemalloc.start()
     start = time.process_time()
-    result = solve_tagged(tag, stream, NUM_BLOCKS, Fraction(epsilon), profile)
+    result = solve_tagged(tag, stream, NUM_BLOCKS, epsilon and Fraction(epsilon), profile)
     cpu = time.process_time() - start
     if measure == "peak":
         out["peak_bytes"] = tracemalloc.get_traced_memory()[1]
@@ -116,8 +124,8 @@ def run_side(src: Path, row: tuple, measure: str) -> dict:
     """A fresh process that runs `child` on `src`'s `streampart`."""
     tag, n, epsilon, source = row
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, __file__, "--child", tag, str(n), epsilon, source,
-                           measure], env=env, check=True, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, __file__, "--child", tag, str(n), str(epsilon),
+                           source, measure], env=env, check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
 
 
@@ -213,6 +221,7 @@ def main(argv: list[str] | None = None) -> int:
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
         tag, n, epsilon, source, measure = sys.argv[2:]
-        print(json.dumps(child(tag, int(n), epsilon, source, measure)))
+        print(json.dumps(child(tag, int(n), None if epsilon == "None" else epsilon, source,
+                               measure)))
     else:
         sys.exit(main())

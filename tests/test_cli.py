@@ -15,7 +15,7 @@ import pytest
 import streampart
 from streampart import cli, feasibility
 from streampart.cli import main
-from streampart.core import WeightChunks
+from streampart.core import READ_BLOCK, WeightChunks
 from streampart.schedulers import solve_known_max
 
 from helpers import counted_checked_max, counted_growth_and_builds
@@ -176,13 +176,21 @@ def test_a_pipe_read_in_short_pieces_prints_what_a_file_does(argv, tmp_path, cap
 
 
 @pytest.mark.parametrize("source", ["input", "stdin", "library"])
-@pytest.mark.parametrize("end", ["newline", "no-newline"])
-def test_a_text_that_ends_inside_a_token_is_one_chunk(end, source, tmp_path, capsys,
+@pytest.mark.parametrize("end, size", [
+    ("newline", None), ("no-newline", None),
+    # padded in front with spaces so that the first full read ends exactly
+    # on the last token's last digit
+    ("no-newline", READ_BLOCK), ("newline", READ_BLOCK + 1),
+], ids=["newline", "no-newline", "no-newline-one-block", "newline-one-block-and-one"])
+def test_a_text_that_ends_inside_a_token_is_one_chunk(end, size, source, tmp_path, capsys,
                                                       monkeypatch):
     # perfbench's known-m-grid stream, one parser block: the race walks its
     # one chunk as the last, whether or not a newline ends the text
     weights = random.Random(9001).choices(range(1001), k=2000)
     data = " ".join(map(str, weights)).encode("ascii") + (b"\n" if end == "newline" else b"")
+    if size is not None:
+        data = data.rjust(size)
+        assert len(data) == size
     solve = functools.partial(solve_known_max, num_blocks=64, epsilon="1/100",
                               max_weight=max(weights))
     cli._print_json(solve(WeightChunks.of_checked(weights)).to_json_dict())

@@ -421,6 +421,46 @@ def test_unknown_part_walk_matches_full_regroup(weights, num_blocks, chunking):
     assert solver.elements_read == reference.elements_read
 
 
+@st.composite
+def cutoff_streams(draw) -> list[int]:
+    """Runs of zeros and small weights, each followed by one weight near
+    the maximum, cut to a length about the chunk size. A light run grows
+    the last pair p times faster than the cap and leaves it past the walk's
+    cutoff, 2 * (total + top) / p, and the heavy weight after it lifts the
+    cap by nearly 2 * top: the last pair comes back within reach."""
+    length = draw(st.sampled_from((B - 1, B, B + 1, 2 * B + 7)))
+    top = draw(st.integers(1, 1000))
+    light = draw(st.integers(1, 9))
+    run = draw(st.integers(1, 120))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    weights = []
+    while len(weights) < length:
+        weights += [rng.randint(0, light) if rng.random() < 0.5 else 0
+                    for _ in range(rng.randint(1, run))]
+        weights.append(top - rng.randint(0, min(top, 3)))
+    return weights[:length]
+
+
+@settings(TIER1, max_examples=24)
+@given(weights=cutoff_streams(), num_blocks=st.sampled_from((2, 3, 4, 64)))
+def test_unknown_part_regroups_the_last_pair_back_within_reach(weights, num_blocks):
+    # fed one element at a time, each chunk's top is its one weight, so the
+    # cutoff is tight; `_drive` walks chunks of `B`, whose top is the maximum
+    solver = UnknownPartSolver(num_blocks)
+    reference = ReferenceUnknownPart(num_blocks)
+    for weight in weights:
+        solver.feed(weight)
+        reference.feed(weight)
+        assert solver.separators == reference.separators
+        assert solver.block_weights == reference.block_weights
+        assert solver.bound == reference.bound
+    chunked = UnknownPartSolver(num_blocks)
+    _drive(WeightChunks.of_checked(weights), [chunked])
+    assert chunked.separators == reference.separators
+    assert chunked.block_weights == reference.block_weights
+    assert chunked.bound == reference.bound
+
+
 def walker_state(solver: UnknownPartSolver) -> tuple:
     return (solver._starts, solver._sums, solver._pair, solver.total, solver.max_weight,
             solver.elements_read)

@@ -193,11 +193,14 @@ def test_a_short_read_that_ends_inside_a_token_reads_once_more(as_bytes):
     assert _read_block(reader("1 2 34"), "") == ([1, 2, 34], None, "", True)
     # it returns text: the token is carried, and that text is the next block's
     after = "5 6\n".encode("ascii") if as_bytes else "5 6\n"
-    assert _read_block(reader("1 2 34", "5 6\n"), "") == ([1, 2], None, ("34", after), False)
+    assert _read_block(reader("1 2 34", "5 6\n"), "") == ([1, 2], None, ("34", after, False),
+                                                          False)
     assert list(WeightChunks(reader("1 2 34", "5 6\n", "7")).chunks) == [[1, 2], [345, 6], [7]]
-    # a full read that ends the text inside a token leaves that token alone
+    # a full read that ends inside a token reads one character more: the end
+    # of the text, or whitespace, ends the token in the block
     full = "1 " * (READ_BLOCK // 2 - 1) + "23"
-    assert list(map(len, WeightChunks(reader(full)).chunks)) == [READ_BLOCK // 2 - 1, 1]
+    assert list(map(len, WeightChunks(reader(full)).chunks)) == [READ_BLOCK // 2]
+    assert list(map(len, WeightChunks(reader(full, "\n")).chunks)) == [READ_BLOCK // 2]
 
 
 # tokens that are not non-negative decimal integers; "٣" is an

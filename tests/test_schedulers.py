@@ -22,7 +22,7 @@ from streampart import (
     solve_unknown_partb,
 )
 from streampart import feasibility, probe_ext, schedulers
-from streampart.core import floor_fraction, int_text
+from streampart.core import WeightChunks, floor_fraction, int_text
 from streampart.feasibility import B, ProbeInstance, _Walker, sandwich
 from streampart.schedulers import GROWTH_POWER_BITS, UnknownPartSolver, _Race
 from helpers import (MIXES, TIER1, CountingStream, counted_growth_and_builds, mixed_stream,
@@ -521,6 +521,38 @@ def test_unknown_part_examples():
 
     res = solve_unknown_part(iter([0, 0]), 2)
     assert res.bottleneck == 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_unknown_walker_searches_once_per_event(seed, monkeypatch):
+    # past a chunk's head one search finds each event, a regroup or an
+    # opening: the head's search and the search that finds no event come
+    # once per chunk, and few searches stop at an element that only grows
+    counts = {"searches": 0, "regroups": 0, "removed": 0}
+
+    def counted(search):
+        def wrapper(*args, **kwargs):
+            counts["searches"] += 1
+            return search(*args, **kwargs)
+        return wrapper
+
+    regroup = UnknownPartSolver._regroup
+
+    def counted_regroup(solver, *args):
+        before = len(solver._sums)
+        regroup(solver, *args)
+        counts["regroups"] += 1
+        counts["removed"] += before - len(solver._sums)
+
+    monkeypatch.setattr(schedulers, "bisect_left", counted(schedulers.bisect_left))
+    monkeypatch.setattr(schedulers, "bisect_right", counted(schedulers.bisect_right))
+    monkeypatch.setattr(UnknownPartSolver, "_regroup", counted_regroup)
+    weights = random.Random(seed).choices(range(1001), k=10**4)
+    solver = UnknownPartSolver(64)
+    feasibility._drive(WeightChunks.of_checked(weights), [solver])
+    openings = len(solver._sums) - 1 + counts["removed"]
+    chunks = -(-len(weights) // B)
+    assert counts["searches"] <= 1.05 * (counts["regroups"] + openings) + chunks
 
 
 def test_unknown_partb_examples():
