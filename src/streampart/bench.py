@@ -45,7 +45,7 @@ def _float(value: Fraction) -> float:
         return math.inf
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class BenchRecord:
     generator: GeneratorSpec | None  # None when the row's generator fields are malformed
     num_blocks: int
@@ -70,7 +70,9 @@ class BenchRecord:
         fields, then the result's, then the record's own, which win (an
         unknown-knowledge result has no epsilon, the record does). Exact
         values are written with `int_text`."""
-        values = {} if self.generator is None else dict(vars(self.generator))
+        spec = self.generator
+        values = {} if spec is None else {name: getattr(spec, name)
+                                         for name in GeneratorSpec.__match_args__}
         if self.result is not None:
             values.update(self.result.to_json_dict(),
                           bottleneck_float=_float(self.result.bottleneck))

@@ -11,7 +11,11 @@ with --input it holds no reader buffer either, only the parser's block.
 
 `main` reuses one argparse tree per process (`build_parser` is cached), so
 only a process's first call builds it; each subcommand carries its handler
-as the `handler` default.
+as the `handler` default. A call that names a subcommand first is parsed
+once, by that subcommand's parser, and what it leaves is reported by the
+top parser, as the whole tree's `parse_args` reports it; any other argv
+(none, `-h`, an unknown name) goes to the top parser. JSON is written
+field by field (`_print_json`), with each int through `int_text`.
 """
 
 from __future__ import annotations
@@ -60,6 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
         "p contiguous blocks with a small maximum block weight.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # name -> subcommand parser, for `main`
+    parser.commands = sub.choices
 
     gen = sub.add_parser("gen", help="generate a weight stream")
     gen.add_argument("--kind", required=True, choices=list(GENERATORS))
@@ -115,20 +121,24 @@ def _open_input(path: str | None):
 
 def _json_text(value) -> str:
     """What `json.dumps(payload, indent=2)` writes for `value`, a field of a
-    flat payload: a scalar, or a list of scalars; each int is written with
-    `int_text`, exactly, also past CPython's digit limit for `str`."""
+    flat payload: a scalar, or a list of ints or of other scalars; each int
+    is written with `int_text`, exactly, also past CPython's digit limit for
+    `str`."""
     if type(value) is int:
         return int_text(value)
     if type(value) is list:
-        return "[\n    " + ",\n    ".join(map(_json_text, value)) + "\n  ]" if value else "[]"
+        if not value:
+            return "[]"
+        items = map(int_text if type(value[0]) is int else json.dumps, value)
+        return "[\n    " + ",\n    ".join(items) + "\n  ]"
     return json.dumps(value)
 
 
 def _print_json(payload: dict) -> None:
     """Print a flat, non-empty `payload` as `json.dumps(payload, indent=2)`
-    writes it, each value once, through `_json_text`."""
-    lines = ",\n".join(f"  {json.dumps(key)}: {_json_text(value)}"
-                        for key, value in payload.items())
+    writes it, each value once, through `_json_text`; its keys are
+    identifiers, which JSON writes as they are, in quotes."""
+    lines = ",\n".join(f'  "{key}": {_json_text(value)}' for key, value in payload.items())
     sys.stdout.write("{\n" + lines + "\n}\n")
 
 
@@ -187,7 +197,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # no subcommand: help, usage or an unknown name
+        args = parser.parse_args(argv)
+    else:
+        # what the top parser does with it: the rest, parsed once by the
+        # subcommand's parser, and what it leaves reported by the top parser
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.handler(args)
     except UsageError as exc:

@@ -136,7 +136,7 @@ def gen_yz_hard(length: int, pairs: int, bob_index: int, seed: int = 0) -> list[
     return first + second
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeneratorSpec:
     """Declarative description of a generated stream (bench config rows)."""
 

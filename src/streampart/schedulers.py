@@ -65,7 +65,7 @@ UNKNOWN_PART_DRIVER_WORDS = 4
 RACE_BUFFER_WORDS = BUFFER_WORDS + B + 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KnowledgeProfile:
     """What the caller declares about the stream before the pass."""
 
@@ -74,13 +74,17 @@ class KnowledgeProfile:
     total_weight: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("max_weight", "length", "total_weight"):
-            value = getattr(self, name)
+        for name, value in _declared(self).items():
             if value is not None:
                 check_count(f"declared {name}", value)
 
 
-@dataclass
+def _declared(profile: KnowledgeProfile) -> dict:
+    """The profile's fields by name, in their order, declared or None."""
+    return {name: getattr(profile, name) for name in KnowledgeProfile.__match_args__}
+
+
+@dataclass(slots=True)
 class SolveResult:
     mode: str
     algorithm: str
@@ -201,9 +205,10 @@ class _Race:
     new ints reading them than the chunk has sums: then as a list of ints,
     made once (`_holdable`). A wide race's chunks after its first are lists.
 
-    The grid is a description, not a list: for ratio = up/down, kept as
-    those ints, the floor at level i < doublings and step j <= steps, the
-    smallest j with ratio**j >= target, is
+    The grid is a description, not a list, and the race takes it as `_grid`
+    gives it, every rational an int pair in lowest terms: for the base
+    num/den and the ratio up/down, the floor at level i < doublings and
+    step j <= steps, the smallest j with ratio**j >= target, is
     (num * up**j << i) // (den * down**j), rising with i and with j, and
     the probes race over the distinct floors, ascending. Success is
     monotone in the floor, and the sandwich of the prefix read
@@ -234,7 +239,7 @@ class _Race:
     next element is still in the chunk; a chunk that is not the last walks
     every escalator too, and the last walks them only if no floor survived.
 
-    Given the ratio `escalation`, also kept as its parts, the escalators
+    Given the ratio `escalation`, also an int pair, the escalators
     start from the integer bases `max_weight * escalation**j` for j = 0..c,
     c = growth_steps(escalation, 2), a count taken once, here. They are
     built the first time a chunk walks them: chunk 1 when it is not the
@@ -243,13 +248,13 @@ class _Race:
     builds none. Every count and power is `_growth`'s, on ints.
     """
 
-    def __init__(self, num: int, den: int, ratio: Fraction, doublings: int, target,
-                 num_blocks: int, store_separators: bool, max_weight: int | None = None,
-                 escalation: Fraction | None = None) -> None:
-        self.num = num
-        self.den = den
-        self.up, self.down = ratio.numerator, ratio.denominator
-        self.steps, up, down = _growth(self.up, self.down, target.numerator, target.denominator)
+    def __init__(self, base: tuple[int, int], ratio: tuple[int, int], target: tuple[int, int],
+                 doublings: int, num_blocks: int, store_separators: bool,
+                 max_weight: int | None = None,
+                 escalation: tuple[int, int] | None = None) -> None:
+        self.num, self.den = num, den = base
+        self.up, self.down = ratio
+        self.steps, up, down = _growth(*ratio, *target)
         self.shift = doublings - 1
         # the top level's last floor; level i's last floor is last_top >> (shift - i)
         self.last_top = (num * up << self.shift) // (den * down)
@@ -259,7 +264,7 @@ class _Race:
         self.store = store_separators
         self.max_weight = max_weight
         # the escalation's (up, down), or None for a race without escalators
-        self.escalation = escalation and (escalation.numerator, escalation.denominator)
+        self.escalation = escalation
         self.escalator_count = _growth(*self.escalation, 2, 1)[0] + 1 if escalation else 0
         # None until a chunk first walks them
         self.escalators: list[ProbeExtInstance] | None = None
@@ -412,17 +417,32 @@ class _Race:
             escalator.walk(prefix, top)
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """The int pair of num/den in lowest terms, as a `Fraction` holds it
+    (den > 0, and 0 is 0/1)."""
+    common = math.gcd(num, den)
+    return num // common, den // common
+
+
 def _grid(tag: str, num_blocks: int, epsilon: Fraction, declared: KnowledgeProfile) -> tuple:
     """The race of a grid tag, as its solver's docstring gives it: the base,
-    target, doublings, escalation (None: no escalators) and warnings."""
+    the ratio 1 + eps, the target, the doublings, the escalation (None: no
+    escalators) and the warnings, every value an int pair (numerator,
+    denominator) in lowest terms but the doublings and the warnings. For
+    eps = a/b the known-m grid is, in integers: delta = eps / (1 + eps/2) =
+    2a / (2b + a), so delta**-2 = (2b + a)**2 / (4a**2), the escalation
+    1 + eps/2 = (2b + a) / 2b, and the warning fires when eps >= 1/64."""
+    a, b = epsilon.numerator, epsilon.denominator
+    ratio = (a + b, b)  # in lowest terms, as a/b is
     if tag == KNOWN_TOTAL_TAG:
-        return Fraction(declared.total_weight, num_blocks), num_blocks, 1, None, ()
+        return _reduced(declared.total_weight, num_blocks), ratio, (num_blocks, 1), 1, None, ()
     if tag == KNOWN_MAX_LENGTH_TAG:
-        return Fraction(declared.max_weight), max(declared.length, 1), 1, None, ()
-    warnings = (WARN_EPSILON_RANGE,) if epsilon >= EPSILON_GUARANTEE_LIMIT else ()
-    delta = epsilon / (1 + epsilon / 2)
-    doublings = growth_steps(Fraction(2), 1 / delta**2) + 1
-    return Fraction(declared.max_weight), 2, doublings, 1 + epsilon / 2, warnings
+        return (declared.max_weight, 1), ratio, (max(declared.length, 1), 1), 1, None, ()
+    limit = EPSILON_GUARANTEE_LIMIT
+    warnings = (WARN_EPSILON_RANGE,) if a * limit.denominator >= b * limit.numerator else ()
+    doublings = _growth(2, 1, *_reduced((2 * b + a) ** 2, 4 * a * a))[0] + 1
+    return ((declared.max_weight, 1), ratio, (2, 1), doublings, _reduced(2 * b + a, 2 * b),
+            warnings)
 
 
 def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, tag: str,
@@ -448,10 +468,11 @@ def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, 
     counter and one per declared value, plus the words of every grid point
     and escalator, whether or not the race built or walked it.
     """
-    base, target, doublings, escalation, warnings = _grid(tag, num_blocks, epsilon, declared)
+    base, ratio, target, doublings, escalation, warnings = _grid(tag, num_blocks, epsilon,
+                                                                 declared)
     store = mode == PART_MODE
-    race = _Race(base.numerator, base.denominator, 1 + epsilon, doublings, target,
-                 num_blocks, store, declared.max_weight, escalation)
+    race = _Race(base, ratio, target, doublings, num_blocks, store, declared.max_weight,
+                 escalation)
     length, total, biggest = _drive(stream, [race], declared_max=declared.max_weight)
     _check_declarations(declared, length, total, biggest)
     race.close()
@@ -467,7 +488,7 @@ def _race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str, 
         raise RuntimeError("no candidate bound was feasible despite verified declarations")
     probes = doublings * (race.steps + 1)
     escalators = race.escalator_count
-    words = 1 + sum(value is not None for value in vars(declared).values())
+    words = 1 + sum(value is not None for value in _declared(declared).values())
     words += probes * ProbeInstance.words_for(num_blocks, store)
     words += escalators * ProbeExtInstance.words_for(num_blocks, store)
     return SolveResult(
@@ -799,7 +820,7 @@ def solve_tagged(
         raise ValueError(f"unknown algorithm tag {tag!r}")
     # the comprehensions read only `names`: each local one reads is a cell held through the pass
     names = SOLVERS[tag]
-    missing = [name for name, value in {"epsilon": epsilon, **vars(profile)}.items()
+    missing = [name for name, value in {"epsilon": epsilon, **_declared(profile)}.items()
                if name in names and value is None]
     if missing:
         raise ValueError(f"{tag} requires {', '.join(missing)}")
@@ -807,9 +828,9 @@ def solve_tagged(
     if not names:
         solver = solve_unknown_part if mode == PART_MODE else solve_unknown_partb
         return solver(stream, num_blocks)
-    if any(value is not None and name not in names for name, value in vars(profile).items()):
+    if any(value is not None and name not in names for name, value in _declared(profile).items()):
         profile = KnowledgeProfile(*[value if name in names else None
-                                     for name, value in vars(profile).items()])
+                                     for name, value in _declared(profile).items()])
     return _race(stream, num_blocks, epsilon, mode, tag, profile)
 
 

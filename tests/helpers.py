@@ -256,19 +256,36 @@ class ReferenceEscalator(ReferenceProbe):
         self.next_index += 1
 
 
+def fraction_grid(tag: str, num_blocks: int, epsilon: Fraction,
+                  declared: KnowledgeProfile) -> tuple:
+    """`schedulers._grid` in `Fraction`s, its formulas as eps and delta are
+    written: the base, the target, the doublings, the escalation (None: no
+    escalators) and the warnings. It is the reference the integer grid is
+    checked against."""
+    if tag == schedulers.KNOWN_TOTAL_TAG:
+        return Fraction(declared.total_weight, num_blocks), num_blocks, 1, None, ()
+    if tag == schedulers.KNOWN_MAX_LENGTH_TAG:
+        return Fraction(declared.max_weight), max(declared.length, 1), 1, None, ()
+    warnings = ((schedulers.WARN_EPSILON_RANGE,)
+                if epsilon >= schedulers.EPSILON_GUARANTEE_LIMIT else ())
+    delta = epsilon / (1 + epsilon / 2)
+    doublings = schedulers.growth_steps(Fraction(2), 1 / delta**2) + 1
+    return Fraction(declared.max_weight), 2, doublings, 1 + epsilon / 2, warnings
+
+
 def reference_race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mode: str,
                    tag: str, declared: KnowledgeProfile) -> SolveResult:
     """`schedulers._race` as one `ProbeInstance` per grid point, every live
     one walked over every chunk: the reference the frontier-searched probe
-    grid is checked against. It takes `_race`'s arguments and the same grid
-    (`schedulers._grid`), so a test can put it in `_race`'s place. Its grid
+    grid is checked against. It takes `_race`'s arguments, so a test can put
+    it in `_race`'s place, and its grid is `fraction_grid`'s. Its grid
     steps through the `Fraction` powers of
     1 + eps up to the first of at least `target`, and floors each bound on
     its own. Its escalators go through the public, checked constructor with
     the slacks escalation**j - 1, up to the first power of at least 2, so
     the race's integer start is checked against that route."""
-    base, target, doublings, escalation, warnings = schedulers._grid(tag, num_blocks, epsilon,
-                                                                     declared)
+    base, target, doublings, escalation, warnings = fraction_grid(tag, num_blocks, epsilon,
+                                                                  declared)
     store = mode == PART_MODE
     powers = [Fraction(1)]
     while powers[-1] < target:
@@ -296,7 +313,8 @@ def reference_race(stream: Iterable[int], num_blocks: int, epsilon: Fraction, mo
         bottleneck, separators, merges = ext.bottleneck, ext.separators, ext.merges
     else:
         raise RuntimeError("no candidate bound was feasible despite verified declarations")
-    words = 1 + sum(value is not None for value in vars(declared).values())
+    words = 1 + sum(getattr(declared, name) is not None
+                    for name in KnowledgeProfile.__match_args__)
     words += sum(inst.words for inst in probes) + sum(inst.words for inst in escalators)
     return SolveResult(
         mode=mode,

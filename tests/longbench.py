@@ -3,21 +3,26 @@ revision, on solves that perfbench's four workloads do not run.
 
     PYTHONPATH=src python tests/longbench.py --parent <rev> --rounds 6 --out LONG.json
 
-Each row is one library solve of `random.Random(7).choices(range(1001),
-k=n)` at p = 64 in part mode, by a grid race or, in the `unknown-2approx`
-row, by the unknown-knowledge walk, read as `WeightChunks.of_checked` or, in a
-row read as text, parsed by `WeightChunks(io.BytesIO(text))` from the
-weights joined by spaces with no final newline. The parent
+Each row is one solve of `random.Random(7).choices(range(1001), k=n)` at
+p = 64 in part mode, by a grid race or, in the `unknown-2approx` row, by
+the unknown-knowledge walk. Most rows are library solves, read as
+`WeightChunks.of_checked` or, in a row read as text, parsed by
+`WeightChunks(io.BytesIO(text))` from the weights joined by spaces with no
+final newline. A `cli` row is a whole `streampart solve` call, `cli.main`
+with `--input` on a file of the weights, argument parsing and JSON
+included; the cached parser tree is built before the timing, as a
+process's later calls find it. The parent
 is exported with `git archive` into a temporary directory. Every run is a
 fresh process whose `PYTHONPATH` is one side's `src/`; in each round every
 row runs once a side, the parent first in even rounds and this tree first
 in odd ones, since the host's speed drifts between rounds. A timed run
 records the CPU time (`time.process_time`) of the solve alone and the
-SHA-256 of the JSON that `streampart solve` would print for it. Two untimed
-runs a side give tracemalloc's peak over the solve, and the number of
-`_Walker.walk`, `_Race._build`, `_growth` and `UnknownPartSolver._regroup`
-calls and of searches (`bisect_left` and `bisect_right` calls in
-`schedulers`), counted by wrapping.
+SHA-256 of the JSON that `streampart solve` prints, or would print, for it.
+Two untimed runs a side give tracemalloc's peak over the solve, and the
+number of `_Walker.walk`, `_Race._build`, `_growth` and
+`UnknownPartSolver._regroup` calls, of searches (`bisect_left` and
+`bisect_right` calls in `schedulers`), and of `Fraction`s built during the
+solve, counted by wrapping.
 
 The output holds, per row and side, the median and quartiles of the CPU
 times (`statistics.quantiles(n=4, method='inclusive')`) and every run, the
@@ -52,6 +57,8 @@ SOURCES = {
     "checked": "WeightChunks.of_checked(weights)",
     "text": "WeightChunks(io.BytesIO(text)), text the weights joined by spaces as ASCII "
             "bytes with no final newline",
+    "cli": "cli.main(['solve', '--p', '64', '--know', <the tag's>, <its declarations>, "
+           "'--input', path]), the file the weights joined by spaces with a final newline",
 }
 # (solver tag, n, eps or None, source)
 ROWS = [
@@ -61,6 +68,7 @@ ROWS = [
     ("known-mn", 10**5, "1/3000", "checked"),
     ("known-mn", 10**5, "1/100", "checked"),
     ("known-m", 2000, "1/100", "text"),
+    ("known-m", 2000, "1/100", "cli"),
     ("unknown-2approx", 10**6, None, "checked"),
 ]
 
@@ -79,6 +87,7 @@ def child(tag: str, n: int, epsilon: str | None, source: str, measure: str) -> d
 
     weights = random.Random(7).choices(range(1001), k=n)
     profile = KnowledgeProfile(max_weight=max(weights), length=n, total_weight=sum(weights))
+    exact = epsilon and Fraction(epsilon)
     counts = {}
     if measure == "counts":
         for name, owner, attr in (("walk", feasibility._Walker, "walk"),
@@ -89,26 +98,54 @@ def child(tag: str, n: int, epsilon: str | None, source: str, measure: str) -> d
                                   ("search", schedulers, "bisect_right")):
             counts[name] = 0
             setattr(owner, attr, counted(getattr(owner, attr), counts, name))
-    if source == "text":
-        stream = WeightChunks(io.BytesIO(" ".join(map(str, weights)).encode("ascii")))
-    else:
-        stream = WeightChunks.of_checked(weights)
-    out = {}
-    if measure == "peak":
-        tracemalloc.start()
-    start = time.process_time()
-    result = solve_tagged(tag, stream, NUM_BLOCKS, epsilon and Fraction(epsilon), profile)
-    cpu = time.process_time() - start
-    if measure == "peak":
-        out["peak_bytes"] = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    elif measure == "time":
-        out["cpu_s"] = cpu
-    else:
-        out["counts"] = counts
     printed = io.StringIO()
-    with redirect_stdout(printed):
-        cli._print_json(result.to_json_dict())
+    with tempfile.TemporaryDirectory() as scratch:
+        if source == "cli":
+            path = Path(scratch) / "weights.txt"
+            path.write_text(" ".join(map(str, weights)) + "\n", encoding="ascii")
+            values = {"epsilon": epsilon, "max_weight": profile.max_weight,
+                      "length": profile.length, "total_weight": profile.total_weight}
+            know = next(know for know, known in cli.KNOW_TAGS.items() if known == tag)
+            argv = ["solve", "--p", str(NUM_BLOCKS), "--know", know, "--input", str(path)]
+            for name in schedulers.SOLVERS[tag]:
+                argv += ["--" + cli.ARG_FLAGS[name], str(values[name])]
+            cli.build_parser()
+
+            def solve():
+                with redirect_stdout(printed):
+                    return cli.main(argv)
+        else:
+            if source == "text":
+                stream = WeightChunks(io.BytesIO(" ".join(map(str, weights)).encode("ascii")))
+            else:
+                stream = WeightChunks.of_checked(weights)
+
+            def solve():
+                return solve_tagged(tag, stream, NUM_BLOCKS, exact, profile)
+        if measure == "peak":
+            tracemalloc.start()
+        elif measure == "counts":
+            # the Fractions of the call alone (a library row's epsilon is built above)
+            new = vars(Fraction)["__new__"]
+            counts["fraction"] = 0
+            Fraction.__new__ = counted(Fraction.__new__, counts, "fraction")
+        start = time.process_time()
+        result = solve()
+        cpu = time.process_time() - start
+        out = {}
+        if measure == "peak":
+            out["peak_bytes"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        elif measure == "time":
+            out["cpu_s"] = cpu
+        else:
+            Fraction.__new__ = new
+            out["counts"] = counts
+    if source == "cli":
+        assert result == 0, printed.getvalue()
+    else:
+        with redirect_stdout(printed):
+            cli._print_json(result.to_json_dict())
     out["sha256"] = hashlib.sha256(printed.getvalue().encode()).hexdigest()
     return out
 

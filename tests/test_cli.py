@@ -422,12 +422,12 @@ def test_solve_refuses_a_grid_too_fine_to_build(capsys, monkeypatch):
                                        "needs too many steps to reach 2\n")
 
 
-def run_main(argv, capsys, monkeypatch, stdin_text=""):
-    """`main(argv)` as the process would end it: (exit code, stdout, stderr),
-    also when argparse exits."""
+def run_main(argv, capsys, monkeypatch, stdin_text="", function=main):
+    """`function(argv)`, by default `main(argv)`, as the process would end
+    it: (exit code, stdout, stderr), also when argparse exits."""
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
     try:
-        code = main(argv)
+        code = function(argv)
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
@@ -495,3 +495,56 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
         per_call.append(len(built))
     # the first call builds the top parser and its four subcommands
     assert per_call == [5] * 10
+
+
+def test_main_parses_its_arguments_once(tmp_path, capsys, monkeypatch):
+    # the subcommand's parser reads the rest of argv; the top parser does
+    # not read it first
+    config = tmp_path / "rows.json"
+    config.write_text("[]")
+    parses = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parses.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    cli.build_parser()
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv in (["gen", "--kind", "uniform", "--n", "3", "--m", "2"],
+                 ["solve", "--p", "2"], ["oracle", "--p", "2"],
+                 ["bench", "--config", str(config)]):
+        parses.clear()
+        assert run_main(argv, capsys, monkeypatch, "1 2 3\n")[0] == 0
+        assert parses == [f"streampart {argv[0]}"]
+
+
+def parse_args_then_handle(argv):
+    """What `main` did before it parsed a subcommand's arguments once: the
+    whole tree's `parse_args`, then the handler."""
+    args = cli.build_parser().parse_args(argv)
+    return args.handler(args)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help", "solve"], ["frobnicate"], ["sol", "--p", "2"],
+    ["gen", "-h"], ["solve", "-h"], ["oracle", "--help"], ["bench", "-h"],
+    ["solve", "--p", "2", "--help"],
+    ["solve", "--p", "2", "--bogus"], ["solve", "--p", "2", "extra"],
+    ["gen", "--kind", "uniform", "--n", "3", "--m", "2", "one", "--two"],
+    ["solve", "--", "--p", "2"], ["solve", "--p", "2", "--", "extra"],
+    ["solve"], ["oracle"], ["gen"], ["bench"], ["solve", "--p"],
+    ["solve", "--p", "two"], ["oracle", "--p", "2.5"], ["gen", "--kind", "uniform", "--n", "x"],
+    ["solve", "--p", "2", "--mode", "whole"], ["solve", "--p", "2", "--know", "all"],
+    ["gen", "--kind", "bogus"], ["oracle", "--p", "2", "--method", "guess"],
+    ["solve", "--p", "2", "--inp", "INPUT"], ["solve", "--p", "2", "--kno", "none"],
+    ["oracle", "--p", "2", "--meth", "dp"], ["solve", "--p=2"],
+    ["oracle", "--p=2", "--method=dp"], ["solve", "--p", "2", "--mode=partb"],
+])
+def test_main_ends_as_the_whole_trees_parse_args_does(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    path = tmp_path / "w.txt"
+    path.write_text("4 9 1 7 3\n")
+    argv = [str(path) if arg == "INPUT" else arg for arg in argv]
+    expected = run_main(argv, capsys, monkeypatch, "1 2 3\n", parse_args_then_handle)
+    assert run_main(argv, capsys, monkeypatch, "1 2 3\n") == expected

@@ -315,8 +315,8 @@ def test_probe_grid_live_floors_are_upward_closed(weights, num_blocks, base, rat
                                                   steps, mode, chunking):
     store = mode == PART_MODE
     # the target ratio**steps gives exactly `steps` steps
-    race = _Race(base.numerator, base.denominator, ratio, doublings, ratio**steps, num_blocks,
-                 store)
+    race = _Race((base.numerator, base.denominator), (ratio.numerator, ratio.denominator),
+                 (ratio.numerator**steps, ratio.denominator**steps), doublings, num_blocks, store)
     assert race.steps == steps
     floors = sorted({floor_fraction(base * 2**i * ratio**j)
                      for i in range(doublings) for j in range(steps + 1)})

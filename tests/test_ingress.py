@@ -861,8 +861,7 @@ def test_a_pass_holds_one_chunk_at_a_time(source, walker):
     # one slice being summed: a copy of its weights and their sums
     slice_bytes = traced_size(lambda: (weights[:SLICE], list(accumulate(weights[:SLICE]))))
     walkers = {"none": [], "no-op": [SimpleNamespace(walk=lambda prefix, top: True)],
-               "race": [_Race(sum(weights), 4, Fraction(11, 10), 1, Fraction(11, 10)**8, 4,
-                              True)]}[walker]
+               "race": [_Race((sum(weights), 4), (11, 10), (11**8, 10**8), 1, 4, True)]}[walker]
     # the race holds the prefix sums of the chunk it walks when the next one comes
     held = prefix_bytes if walker == "race" else 0
     tracemalloc.start()

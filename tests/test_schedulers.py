@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streampart import (
@@ -24,9 +24,9 @@ from streampart import (
 from streampart import feasibility, probe_ext, schedulers
 from streampart.core import WeightChunks, floor_fraction, int_text
 from streampart.feasibility import B, ProbeInstance, _Walker, sandwich
-from streampart.schedulers import GROWTH_POWER_BITS, UnknownPartSolver, _Race
-from helpers import (MIXES, TIER1, CountingStream, counted_growth_and_builds, mixed_stream,
-                     random_stream, reference_race)
+from streampart.schedulers import GROWTH_POWER_BITS, KNOWN_MAX_TAG, UnknownPartSolver, _Race
+from helpers import (MIXES, TIER1, CountingStream, counted_growth_and_builds, fraction_grid,
+                     mixed_stream, random_stream, reference_race)
 
 
 def test_growth_steps_exact():
@@ -216,6 +216,76 @@ def test_known_max_grid_sizes_at_the_perfbench_shape():
     weights = grid_shaped_stream()
     res = solve_known_max(iter(weights), *GRID_SHAPE, max(weights))
     assert (res.probe_instances, res.probe_ext_instances, res.instance_count) == (1065, 140, 1205)
+
+
+# the tags whose solve is a grid race
+GRID_TAGS = [tag for tag, names in schedulers.SOLVERS.items() if names]
+
+
+def parts(value) -> tuple[int, int]:
+    value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+@settings(TIER1, max_examples=300)
+@given(tag=st.sampled_from(GRID_TAGS),
+       epsilon=st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)),
+       num_blocks=st.integers(1, 100), max_weight=st.integers(0, 10**6),
+       length=st.integers(0, 10**6), total=st.integers(0, 10**9))
+@example(tag=KNOWN_MAX_TAG, epsilon=Fraction(1, 64), num_blocks=2, max_weight=3, length=2,
+         total=4)
+@example(tag=KNOWN_MAX_TAG, epsilon=Fraction(1, 65), num_blocks=2, max_weight=3, length=2,
+         total=4)
+@example(tag=KNOWN_MAX_TAG, epsilon=Fraction(2), num_blocks=2, max_weight=3, length=2, total=4)
+def test_the_integer_grid_is_the_fraction_grid(tag, epsilon, num_blocks, max_weight, length,
+                                               total):
+    declared = KnowledgeProfile(max_weight, length, total)
+    base, ratio, target, doublings, escalation, warnings = schedulers._grid(
+        tag, num_blocks, epsilon, declared)
+    exact = fraction_grid(tag, num_blocks, epsilon, declared)
+    assert (base, ratio, target, doublings, warnings) == (
+        parts(exact[0]), parts(1 + epsilon), parts(exact[1]), exact[2], exact[4])
+    assert escalation == (None if exact[3] is None else parts(exact[3]))
+
+
+@pytest.mark.parametrize("tag", GRID_TAGS)
+def test_a_grid_too_fine_is_refused_as_the_fraction_grid_words_it(tag):
+    epsilon = Fraction(1, 10**12)
+    declared = KnowledgeProfile(max_weight=3, length=2, total_weight=4)
+    target = fraction_grid(tag, 2, epsilon, declared)[1]
+    with pytest.raises(ValueError) as expected:
+        growth_steps(1 + epsilon, target)
+    assert str(expected.value) == ("growth ratio 1000000000001/1000000000000 needs too many "
+                                   "steps to reach 2")
+    with pytest.raises(ValueError) as refused:
+        schedulers.solve_tagged(tag, iter([1, 3]), 2, epsilon, declared)
+    assert str(refused.value) == str(expected.value)
+
+
+def counted_fractions(monkeypatch) -> list[tuple[int, int]]:
+    """The parts of every `Fraction` built from now on, in order."""
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        value = new(cls, *args, **kwargs)
+        built.append((value.numerator, value.denominator))
+        return value
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return built
+
+
+def test_a_known_max_solve_builds_only_its_winners_fraction(monkeypatch):
+    # the grid, the race's cursors and the escalators are ints: the one
+    # `Fraction` a solve builds is the winner's bound (11 when the grid was
+    # set up in `Fraction`s)
+    weights = random.Random(9001).choices(range(1001), k=2000)
+    epsilon = Fraction(1, 100)
+    built = counted_fractions(monkeypatch)
+    res = solve_known_max(weights, 64, epsilon, max(weights))
+    assert res.merges is None  # a probe won, not an escalator
+    assert built == [(res.bottleneck.numerator, res.bottleneck.denominator)]
 
 
 def counted_walkers(monkeypatch) -> list[str]:
